@@ -27,7 +27,7 @@ def main() -> None:
         stm_delays=(1, 2, 3),
         n_seeds=3,
     )
-    run_experiment(manifest)
+    run_experiment([manifest])
     paths = emit_report([manifest], OUT, trajectories=True)
 
     print("written:")

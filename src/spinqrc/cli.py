@@ -82,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  else int(file_cfg.get("readout", 1))),
         **_common_manifest_fields(file_cfg, args),
     )
-    run_experiment(manifest)
+    run_experiment([manifest])
     written = emit_report([manifest], Path(args.out), trajectories=True)
     for path in written:
         print(path)
@@ -116,7 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                input_seed=common["input_seed"])
     for manifest in manifests:
         manifest.ridge = common["ridge"]
-        run_experiment(manifest)
+    run_experiment(manifests)
     written = emit_report(manifests, Path(args.out),
                           trajectories=bool(file_cfg.get("trajectory", False)))
     for path in written:

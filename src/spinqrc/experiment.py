@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .esn import EsnConfig, run_esn
 from .readout import (FeatureRecord, ReadoutType, make_features, nmse, predict,
                       stm_capacity, train_weights)
-from .reservoir import ReservoirConfig, run_sequence
+from .reservoir import ReservoirConfig, Trajectory, run_sequence
 from .tasks import NARMA_ORDERS, TaskSpec, gen_stm
 
 DEFAULT_STM_DELAYS = tuple(range(11))
@@ -180,41 +180,64 @@ def _score(metric: str, predicted: np.ndarray, target: np.ndarray) -> float:
     return stm_capacity(predicted, target)
 
 
-def run_experiment(manifest: ExperimentManifest) -> ExperimentManifest:
-    """Fill a reservoir manifest's metrics by running its seed ensemble.
+def run_experiment(
+        cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
+    """Fill each reservoir manifest's metrics by running its seed ensemble.
 
     Ensemble member m uses coupling seed ``base_seed + m``; the input
-    stream is shared by all members.
+    stream is shared by all members. Within one call every distinct task
+    stream is generated once, and every distinct (config, drive)
+    trajectory is simulated once and shared by each cell and target that
+    uses it: cells that differ only in readout, and tasks that share a
+    drive (all NARMA orders). Every cell is checked before any
+    simulation runs. Returns the cells, filled in place.
     """
-    if manifest.kind != "reservoir":
-        raise ConfigError("run_experiment expects a reservoir manifest")
-    readout = ReadoutType(manifest.readout)
-    probe = manifest.reservoir_config(manifest.base_seed)
-    length = probe.total_steps
+    streams: dict[tuple, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+    plans = []
+    for cell in cells:
+        if cell.kind != "reservoir":
+            raise ConfigError("run_experiment expects a reservoir manifest")
+        readout = ReadoutType(cell.readout)
+        probe = cell.reservoir_config(cell.base_seed)
+        task_streams = []
+        for name in cell.tasks:
+            parse_task(name)
+            key = (name, probe.total_steps, tuple(cell.stm_delays),
+                   cell.input_seed)
+            if key not in streams:
+                streams[key] = _task_sequences(name, probe.total_steps,
+                                               cell.stm_delays, cell.input_seed)
+            task_streams.append((name, *streams[key]))
+        plans.append((cell, readout, probe, task_streams))
 
-    metrics: dict[str, RowStats] = {}
-    for name in manifest.tasks:
-        inputs, target_map = _task_sequences(name, length, manifest.stm_delays,
-                                             manifest.input_seed)
-        metric = "nmse" if name.startswith("narma") else "stm_capacity"
-        per_seed: dict[str, list[float]] = {key: [] for key in target_map}
-        for m in range(manifest.n_seeds):
-            config = manifest.reservoir_config(manifest.base_seed + m)
-            traj = run_sequence(config, inputs)
-            feats = make_features(traj.z_rows, readout)
-            tr, te = traj.train_slice, traj.test_slice
-            for key, target in target_map.items():
-                weights = train_weights(feats[tr], target[tr], ridge=manifest.ridge)
-                per_seed[key].append(_score(metric, predict(weights, feats[te]),
-                                            target[te]))
-        for key, values in per_seed.items():
-            stats = RowStats(task=key, topology=str(probe.topology.value),
-                             readout_type=_READOUT_LABEL[readout],
-                             gamma_str=_gamma_str(probe.gamma), metric=metric,
-                             per_seed=tuple(values))
-            metrics[stats.row_id] = stats
-    manifest.metrics = metrics
-    return manifest
+    trajectories: dict[tuple[ReservoirConfig, bytes], Trajectory] = {}
+    for cell, readout, probe, task_streams in plans:
+        metrics: dict[str, RowStats] = {}
+        for name, inputs, target_map in task_streams:
+            metric = "nmse" if name.startswith("narma") else "stm_capacity"
+            per_seed: dict[str, list[float]] = {key: [] for key in target_map}
+            for m in range(cell.n_seeds):
+                config = cell.reservoir_config(cell.base_seed + m)
+                traj_key = (config, inputs.tobytes())
+                traj = trajectories.get(traj_key)
+                if traj is None:
+                    traj = trajectories[traj_key] = run_sequence(config, inputs)
+                feats = make_features(traj.z_rows, readout)
+                tr, te = traj.train_slice, traj.test_slice
+                for key, target in target_map.items():
+                    weights = train_weights(feats[tr], target[tr],
+                                            ridge=cell.ridge)
+                    per_seed[key].append(_score(metric,
+                                                predict(weights, feats[te]),
+                                                target[te]))
+            for key, values in per_seed.items():
+                stats = RowStats(task=key, topology=str(probe.topology.value),
+                                 readout_type=_READOUT_LABEL[readout],
+                                 gamma_str=_gamma_str(probe.gamma),
+                                 metric=metric, per_seed=tuple(values))
+                metrics[stats.row_id] = stats
+        cell.metrics = metrics
+    return [cell for cell, *_ in plans]
 
 
 def run_esn_comparison(manifest: ExperimentManifest) -> ExperimentManifest:
@@ -276,6 +299,12 @@ class SweepGrid:
         for axis_name in ("topologies", "gammas", "readouts", "tasks"):
             if not getattr(self, axis_name):
                 raise ConfigError(f"sweep axis {axis_name} is empty")
+        for axis_name in ("topologies", "gammas", "readouts", "tasks",
+                          "stm_delays"):
+            values = getattr(self, axis_name)
+            if len(set(values)) != len(values):
+                raise ConfigError(
+                    f"sweep axis {axis_name} has a duplicate value: {values}")
         for name in self.tasks:
             parse_task(name)
         task_rows = sum(len(self.stm_delays) if t == "stm" else 1

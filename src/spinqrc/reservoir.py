@@ -23,7 +23,7 @@ from scipy.linalg import lapack as _lapack
 
 from .errors import ConfigError, StateInvariantError, ValidationError
 from .linalg import small_operator_threads, unitary_exp
-from .qubits import ground_density, rotation_x, z_sign_table
+from .qubits import ground_density, z_sign_table
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -216,8 +216,9 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
          rho0: np.ndarray, input_qubit: int = 1) -> tuple[ReservoirState, StepOutput]:
     """Advance the reservoir by one input value.
 
-    ``U`` is the free-evolution unitary; the input rotation is built here
-    and applied before it. The state is validated on entry so numerical
+    ``U`` is the free-evolution unitary; the input rotation is applied
+    before it, folded into the propagator by the bit-flip route that
+    ``run_sequence`` uses. The state is validated on entry so numerical
     drift surfaces at the step that first sees it.
     """
     rho = state.rho
@@ -227,12 +228,27 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
         raise ValidationError("state, U, and rho0 dimensions are inconsistent")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
+    if not 1 <= input_qubit <= n_qubits:
+        raise ValidationError(
+            f"input qubit {input_qubit} outside [1, {n_qubits}]")
+    if not np.isfinite(s_k):
+        raise ValidationError("input value must be finite")
     with small_operator_threads(dim):
         check_density_matrix(rho)
-        rotation = rotation_x(s_k, n_qubits, qubit=input_qubit)
-        rho_next = apply_channel(rho, U @ rotation, gamma, rho0)
+        half = 0.5 * pi * s_k
+        flipped = U[:, _input_flip(n_qubits, input_qubit)]
+        propagator = cos(half) * U + 1j * sin(half) * flipped
+        rho_next = apply_channel(rho, propagator, gamma, rho0)
     z = z_sign_table(n_qubits) @ rho_next.diagonal().real
     return ReservoirState(rho=rho_next, step=state.step + 1), StepOutput(z_expect=z)
+
+
+def _input_flip(n_qubits: int, input_qubit: int) -> np.ndarray:
+    """Column order of ``U X_q``: each basis index with the input qubit's bit
+    flipped. The input rotation acts on one qubit, so the composed
+    propagator is U R(s) = cos(pi s/2) U + i sin(pi s/2) U X_q, two scaled
+    adds instead of a matrix product."""
+    return np.arange(2**n_qubits) ^ (1 << (n_qubits - input_qubit))
 
 
 def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory:
@@ -269,12 +285,7 @@ def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
     keep = 1.0 - config.gamma
     signs = z_sign_table(n)
 
-    # The input rotation acts on one qubit, so the composed propagator is
-    # U R(s) = cos(pi s/2) U + i sin(pi s/2) U X_q, and U X_q is just U with
-    # columns permuted by flipping the input qubit's bit. Building it from
-    # two scaled adds beats a matrix product several times over.
-    mask = 1 << (n - config.input_qubit)
-    u_flip = np.asfortranarray(U[:, np.arange(dim) ^ mask])
+    u_flip = np.asfortranarray(U[:, _input_flip(n, config.input_qubit)])
 
     # Hot loop: Fortran-ordered buffers so BLAS/LAPACK take them without
     # copies; the (1-gamma)/(gamma rho0) mixing rides the second product's

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,11 @@ from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
 
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
+
+# metrics.csv of `spinqrc sweep --seeds 1 --seed 10` at the commit that
+# froze the benchmark goldens; read only, never rewritten by tests.
+SWEEP_GOLDEN = (Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+                / "sweep_seed10.csv")
 
 
 @pytest.fixture
@@ -72,6 +78,23 @@ def test_sweep_emits_grid(tmp_path):
                          "manifest_narma2_linear_g0.1_r1.json"]
     rows = (out / "metrics.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+def test_sweep_rejects_duplicate_gamma(tmp_path):
+    cfg = dict(SMALL)
+    cfg["sweep"] = {"gammas": [0.1, 0.1], "tasks": ["narma2"], "n_seeds": 1}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_default_sweep_matches_frozen_golden(tmp_path):
+    assert main(["sweep", "--seeds", "1", "--seed", "10",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == SWEEP_GOLDEN.read_bytes()
 
 
 def test_esn_subcommand(tmp_path):

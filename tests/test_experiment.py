@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from spinqrc import experiment
 from spinqrc.errors import ConfigError
 from spinqrc.experiment import (ExperimentManifest, RowStats, SweepGrid,
                                 emit_report, metrics_csv_text, parse_task,
                                 run_esn_comparison, run_experiment,
                                 trajectory_csv_text)
+from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
 SMALL_ESN = dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10)
@@ -23,6 +25,18 @@ def narma_manifest(**kw):
                   tasks=("narma2",), n_seeds=2)
     fields.update(kw)
     return ExperimentManifest(**fields)
+
+
+def count_simulations(monkeypatch):
+    """Record the (config, drive) of every run_sequence call."""
+    calls = []
+
+    def counted(config, inputs):
+        calls.append((config, inputs.tobytes()))
+        return run_sequence(config, inputs)
+
+    monkeypatch.setattr(experiment, "run_sequence", counted)
+    return calls
 
 
 class TestParseTask:
@@ -51,7 +65,7 @@ class TestManifest:
             narma_manifest(tasks=("narma7",))
 
     def test_json_roundtrip_preserves_metrics(self):
-        m = run_experiment(narma_manifest())
+        [m] = run_experiment([narma_manifest()])
         restored = ExperimentManifest.from_json(m.to_json())
         assert restored.tasks == m.tasks
         assert restored.created == m.created
@@ -67,8 +81,8 @@ class TestManifest:
 
 class TestRunExperiment:
     def test_metrics_shape_and_reproducibility(self):
-        a = run_experiment(narma_manifest())
-        b = run_experiment(narma_manifest())
+        [a] = run_experiment([narma_manifest()])
+        [b] = run_experiment([narma_manifest()])
         assert len(a.metrics) == 1
         stats = next(iter(a.metrics.values()))
         assert stats.task == "narma2"
@@ -79,15 +93,15 @@ class TestRunExperiment:
         assert a.metrics[key].per_seed == b.metrics[key].per_seed
 
     def test_stm_produces_one_row_per_delay(self):
-        m = run_experiment(narma_manifest(tasks=("stm",),
-                                          stm_delays=(0, 1, 2)))
+        [m] = run_experiment([narma_manifest(tasks=("stm",),
+                                             stm_delays=(0, 1, 2))])
         tasks = sorted(s.task for s in m.metrics.values())
         assert tasks == ["stm_tau00", "stm_tau01", "stm_tau02"]
         assert all(s.metric == "stm_capacity" for s in m.metrics.values())
 
     def test_different_seeds_change_metrics(self):
-        a = run_experiment(narma_manifest(base_seed=0))
-        b = run_experiment(narma_manifest(base_seed=50))
+        [a] = run_experiment([narma_manifest(base_seed=0)])
+        [b] = run_experiment([narma_manifest(base_seed=50)])
         va = next(iter(a.metrics.values())).per_seed
         vb = next(iter(b.metrics.values())).per_seed
         assert va != vb
@@ -96,7 +110,34 @@ class TestRunExperiment:
         m = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
                                tasks=("narma2",), n_seeds=1)
         with pytest.raises(ConfigError):
-            run_experiment(m)
+            run_experiment([m])
+
+    def test_checks_every_cell_before_simulating(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        bad = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
+                                 tasks=("narma2",), n_seeds=1)
+        with pytest.raises(ConfigError):
+            run_experiment([narma_manifest(), bad])
+        assert calls == []
+
+    def test_simulates_each_config_and_drive_once(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        cells = SweepGrid(n_seeds=2).manifests(dict(SMALL_RESERVOIR), 0, 42)
+        run_experiment(cells)
+        # 2 topologies x 2 gammas x 2 drives (stm, narma) x 2 seeds; the
+        # readout axis and the five NARMA orders share trajectories.
+        assert len(calls) == 16
+        assert len(set(calls)) == 16
+
+    def test_batched_call_matches_cells_run_alone(self):
+        grid = SweepGrid(n_seeds=2, stm_delays=(0, 3))
+        batched = run_experiment(grid.manifests(dict(SMALL_RESERVOIR), 0, 42))
+        alone = grid.manifests(dict(SMALL_RESERVOIR), 0, 42)
+        for cell, single in zip(batched, alone):
+            run_experiment([single])
+            assert cell.metrics.keys() == single.metrics.keys()
+            for key, stats in cell.metrics.items():
+                assert stats.per_seed == single.metrics[key].per_seed
 
 
 class TestRunEsnComparison:
@@ -139,10 +180,18 @@ class TestSweepGrid:
         with pytest.raises(ConfigError):
             SweepGrid(topologies=())
 
+    @pytest.mark.parametrize("axis, values", [
+        ("topologies", ("ring", "ring")), ("gammas", (0.1, 0.01, 0.1)),
+        ("readouts", (1, 1)), ("tasks", ("narma2", "narma2")),
+        ("stm_delays", (0, 3, 3))])
+    def test_rejects_duplicate_axis_value(self, axis, values):
+        with pytest.raises(ConfigError, match="duplicate"):
+            SweepGrid(**{axis: values})
+
 
 class TestMetricsCsv:
     def test_layout_and_precision(self):
-        m = run_experiment(narma_manifest())
+        [m] = run_experiment([narma_manifest()])
         text = metrics_csv_text([m])
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["task", "topology", "readout_type", "gamma",
@@ -158,20 +207,20 @@ class TestMetricsCsv:
     def test_rows_sorted_by_key(self):
         grid = SweepGrid(topologies=("ring", "linear"), gammas=(0.1,),
                          readouts=(1,), tasks=("narma2",), n_seeds=1)
-        manifests = [run_experiment(m)
-                     for m in grid.manifests(dict(SMALL_RESERVOIR), 0, 42)]
+        manifests = run_experiment(
+            grid.manifests(dict(SMALL_RESERVOIR), 0, 42))
         rows = metrics_csv_text(manifests).splitlines()[1:]
         assert rows == sorted(rows)
 
     def test_rerun_is_byte_identical(self):
-        a = metrics_csv_text([run_experiment(narma_manifest())])
-        b = metrics_csv_text([run_experiment(narma_manifest())])
+        a = metrics_csv_text(run_experiment([narma_manifest()]))
+        b = metrics_csv_text(run_experiment([narma_manifest()]))
         assert a.encode() == b.encode()
 
 
 class TestTrajectoryCsv:
     def test_layout(self):
-        m = run_experiment(narma_manifest())
+        [m] = run_experiment([narma_manifest()])
         text = trajectory_csv_text(m)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["step", "phase", "s_k", "z_1", "z_2", "z_3", "z_4",
@@ -184,7 +233,8 @@ class TestTrajectoryCsv:
         assert {"prep", "train", "test"} == set(phases)
 
     def test_stm_uses_smallest_delay(self):
-        m = run_experiment(narma_manifest(tasks=("stm",), stm_delays=(2, 5)))
+        [m] = run_experiment([narma_manifest(tasks=("stm",),
+                                             stm_delays=(2, 5))])
         rows = list(csv.reader(io.StringIO(trajectory_csv_text(m))))[1:]
         s_vals = np.array([float(r[2]) for r in rows])
         targets = np.array([float(r[-1]) for r in rows])
@@ -193,7 +243,7 @@ class TestTrajectoryCsv:
 
 class TestEmitReport:
     def test_writes_expected_files(self, tmp_path):
-        m = run_experiment(narma_manifest())
+        [m] = run_experiment([narma_manifest()])
         written = emit_report([m], tmp_path, trajectories=True)
         names = {p.name for p in written}
         assert names == {"metrics.csv", f"manifest_{m.cell_id}.json",
@@ -203,7 +253,7 @@ class TestEmitReport:
         assert metrics_csv_text([loaded]) == (tmp_path / "metrics.csv").read_text()
 
     def test_manifest_json_is_sorted_and_versioned(self, tmp_path):
-        m = run_experiment(narma_manifest())
+        [m] = run_experiment([narma_manifest()])
         emit_report([m], tmp_path)
         data = json.loads((tmp_path / f"manifest_{m.cell_id}.json").read_text())
         assert list(data) == sorted(data)

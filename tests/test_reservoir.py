@@ -5,9 +5,9 @@ from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
 from spinqrc.linalg import (SMALL_OPERATOR_DIM, blas_threads,
                             set_blas_threads, small_operator_threads,
                             trace_distance)
-from spinqrc.qubits import ground_density
+from spinqrc.qubits import ground_density, rotation_x
 from spinqrc.reservoir import (Phase, ReservoirConfig, ReservoirState,
-                               Topology, check_density_matrix,
+                               Topology, apply_channel, check_density_matrix,
                                evolution_operator, run_sequence,
                                sample_couplings, step, topology_bonds)
 
@@ -16,6 +16,13 @@ def small_config(**kw):
     defaults = dict(n_qubits=4, n_pre=10, n_fb=20, n_test=10)
     defaults.update(kw)
     return ReservoirConfig(**defaults)
+
+
+def kron_route_step(rho, s, u, gamma, rho0, input_qubit=1):
+    """One channel step with the propagator composed as U @ rotation_x."""
+    n_qubits = rho.shape[0].bit_length() - 1
+    propagator = u @ rotation_x(s, n_qubits, qubit=input_qubit)
+    return apply_channel(rho, propagator, gamma, rho0)
 
 
 def basis_density(dim: int, index: int) -> np.ndarray:
@@ -168,6 +175,14 @@ class TestStep:
         with pytest.raises(ConfigError):
             step(state, 0.0, np.eye(4, dtype=complex), 1.5, ground_density(2))
 
+    @pytest.mark.parametrize("s, qubit", [(0.2, 0), (0.2, 3),
+                                          (float("nan"), 1)])
+    def test_rejects_bad_input_qubit_or_value(self, s, qubit):
+        state = ReservoirState(rho=ground_density(2))
+        with pytest.raises(ValidationError):
+            step(state, s, np.eye(4, dtype=complex), 0.1, ground_density(2),
+                 input_qubit=qubit)
+
     def test_unitary_step_preserves_purity(self):
         cfg = small_config()
         u = evolution_operator(cfg)
@@ -219,9 +234,12 @@ class TestRunSequence:
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
         state = ReservoirState(rho=rho0.copy())
+        rho_kron = rho0.copy()
         for k, s in enumerate(inputs):
             state, out = step(state, float(s), u, cfg.gamma, rho0)
             assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+            rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0)
+            assert np.abs(state.rho - rho_kron).max() <= 1e-14
 
     def test_offcenter_input_qubit_matches_single_step_route(self):
         cfg = small_config(input_qubit=3)
@@ -231,10 +249,14 @@ class TestRunSequence:
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
         state = ReservoirState(rho=rho0.copy())
+        rho_kron = rho0.copy()
         for k, s in enumerate(inputs):
             state, out = step(state, float(s), u, cfg.gamma, rho0,
                               input_qubit=3)
             assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+            rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0,
+                                       input_qubit=3)
+            assert np.abs(state.rho - rho_kron).max() <= 1e-14
 
     def test_expectations_in_physical_range(self):
         cfg = small_config(topology="ring")
