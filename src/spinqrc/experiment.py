@@ -9,7 +9,7 @@ files). Re-running the same manifest always reproduces the same bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,12 +102,19 @@ class ExperimentManifest:
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
+    # Ensemble member 0's trajectory on the first task's drive, kept by
+    # run_experiment for the trajectory report; never serialized.
+    trajectory: Trajectory | None = field(default=None, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("reservoir", "esn"):
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
         for name in self.tasks:
             parse_task(name)
+        if len(set(self.stm_delays)) != len(self.stm_delays):
+            raise ConfigError(
+                f"stm_delays has a duplicate value: {tuple(self.stm_delays)}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
         if not self.version:
@@ -125,7 +132,8 @@ class ExperimentManifest:
         return EsnConfig(variant=variant, weight_seed=weight_seed, **self.config)
 
     def to_json(self) -> str:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "trajectory"}
         d["metrics"] = {k: v.to_dict() if isinstance(v, RowStats) else v
                         for k, v in self.metrics.items()}
         return json.dumps(d, indent=2, sort_keys=True)
@@ -190,7 +198,8 @@ def run_experiment(
     trajectory is simulated once and shared by each cell and target that
     uses it: cells that differ only in readout, and tasks that share a
     drive (all NARMA orders). Every cell is checked before any
-    simulation runs. Returns the cells, filled in place.
+    simulation runs. Returns the cells, filled in place; each also keeps
+    its member-0 trajectory on its first task for ``trajectory_records``.
     """
     streams: dict[tuple, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
     plans = []
@@ -222,6 +231,8 @@ def run_experiment(
                 traj = trajectories.get(traj_key)
                 if traj is None:
                     traj = trajectories[traj_key] = run_sequence(config, inputs)
+                if m == 0 and name == cell.tasks[0]:
+                    cell.trajectory = traj
                 feats = make_features(traj.z_rows, readout)
                 tr, te = traj.train_slice, traj.test_slice
                 for key, target in target_map.items():
@@ -353,7 +364,9 @@ def trajectory_records(
     """Per-step rows (record, prediction) for ensemble member 0.
 
     Predictions come from weights trained on the train window; for the
-    stm task the smallest requested delay is used.
+    stm task the smallest requested delay is used. The trajectory that
+    ``run_experiment`` kept is reused when it matches the member's config
+    and drive; otherwise the member is simulated here.
     """
     if manifest.kind != "reservoir":
         raise ConfigError("trajectories are defined for reservoir manifests")
@@ -364,7 +377,10 @@ def trajectory_records(
     inputs, target_map = _task_sequences(task, config.total_steps, delays,
                                          manifest.input_seed)
     target = next(iter(target_map.values()))
-    traj = run_sequence(config, inputs)
+    traj = manifest.trajectory
+    if (traj is None or traj.config != config
+            or traj.inputs.tobytes() != inputs.tobytes()):
+        traj = run_sequence(config, inputs)
     feats = make_features(traj.z_rows, ReadoutType(manifest.readout))
     weights = train_weights(feats[traj.train_slice], target[traj.train_slice],
                             ridge=manifest.ridge)

@@ -18,11 +18,9 @@ from math import cos, pi, sin
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
 
 from .errors import ConfigError, StateInvariantError, ValidationError
-from .linalg import small_operator_threads, unitary_exp
+from .linalg import kernel_blas, small_operator_threads, unitary_exp
 from .qubits import ground_density, z_sign_table
 
 TRACE_TOL = 1e-10
@@ -199,9 +197,9 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise StateInvariantError("state is not Hermitian within tolerance")
     # Cholesky of rho + tol*I succeeds exactly when the smallest eigenvalue
     # exceeds -tol; far cheaper than a full eigendecomposition.
-    shifted = rho + EIGEN_TOL * np.eye(rho.shape[0])
-    _, info = _lapack.zpotrf(shifted, lower=0, overwrite_a=1, clean=0)
-    if info != 0:
+    shifted = np.asfortranarray(rho + EIGEN_TOL * np.eye(rho.shape[0]),
+                                dtype=complex)
+    if kernel_blas().potrf(shifted)() != 0:
         raise StateInvariantError("state has an eigenvalue below tolerance")
 
 
@@ -300,14 +298,22 @@ def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
 
+    # The BLAS calls are bound to their buffers once. rho and out swap
+    # every step, so each product has one call per step parity: on even
+    # steps rho is the first buffer, on odd steps the second.
+    blas = kernel_blas()
+    propagate = [blas.gemm(prop, buf, work) for buf in (rho, out)]
+    mix = [blas.gemm(work, prop, buf, alpha=keep, beta=1.0, conj_b=True)
+           for buf in (out, rho)]
+    cholesky = blas.potrf(spare, lower=True)
+
     for k, s in enumerate(inputs):
         np.multiply(U, cos(half * s), out=prop)
         np.multiply(u_flip, 1j * sin(half * s), out=prop_tmp)
         np.add(prop, prop_tmp, out=prop)
-        work = _blas.zgemm(1.0, prop, rho, 0.0, work, overwrite_c=1)
+        propagate[k & 1]()  # work = prop rho
         np.copyto(out, gamma_rho0)
-        out = _blas.zgemm(keep, work, prop, 1.0, out, trans_b=2,
-                          overwrite_c=1)
+        mix[k & 1]()  # out = (1-gamma) work prop† + gamma rho0
         rho, out = out, rho
         z_rows[k] = signs @ rho.diagonal().real
 
@@ -321,8 +327,7 @@ def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
             if np.linalg.norm(spare) > HERM_TOL:
                 raise StateInvariantError(f"state not Hermitian at step {k}")
             np.add(rho, shift, out=spare)
-            _, info = _lapack.zpotrf(spare, lower=1, overwrite_a=1, clean=0)
-            if info != 0:
+            if cholesky() != 0:
                 raise StateInvariantError(
                     f"eigenvalue below tolerance at step {k}")
     return z_rows

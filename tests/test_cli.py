@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spinqrc
+from spinqrc import experiment
 from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for, main
 from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
+from spinqrc.linalg import BLAS_LIBRARIES, load_blas
 
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 
@@ -32,6 +38,67 @@ def test_run_writes_report(tmp_path, config_file):
     assert (out / "trajectory_narma2_linear_g0.1_r1.csv").exists()
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "task,topology,readout_type,gamma,seed_count,mean_metric,std_metric"
+
+
+def count_simulations(monkeypatch):
+    """Record the coupling seed of every run_sequence call."""
+    calls = []
+    run_sequence = experiment.run_sequence
+
+    def counted(config, inputs):
+        calls.append(config.coupling_seed)
+        return run_sequence(config, inputs)
+
+    monkeypatch.setattr(experiment, "run_sequence", counted)
+    return calls
+
+
+def test_run_simulates_each_member_once(tmp_path, config_file, monkeypatch):
+    calls = count_simulations(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_file, "--task", "narma2",
+                 "--seeds", "2", "--out", str(out)]) == 0
+    # The trajectory report reuses member 0's run; a manifest read back from
+    # disk carries no trajectory and simulates it afresh, to the same bytes.
+    assert calls == [0, 1]
+    name = "narma2_linear_g0.1_r1"
+    manifest = experiment.ExperimentManifest.from_json(
+        (out / f"manifest_{name}.json").read_text())
+    assert manifest.trajectory is None
+    assert (experiment.trajectory_csv_text(manifest)
+            == (out / f"trajectory_{name}.csv").read_text())
+    assert calls == [0, 1, 0]
+
+
+def test_run_rejects_duplicate_stm_delay(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, stm_delays=[1, 1, 2])))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--task", "stm",
+                 "--seeds", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.skipif(load_blas(BLAS_LIBRARIES[0]) is None,
+                    reason="numpy carries no bundled OpenBLAS")
+def test_simulation_never_imports_scipy():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import spinqrc.cli\n"
+        "from spinqrc.reservoir import (ReservoirConfig, check_density_matrix,\n"
+        "                               run_sequence)\n"
+        "cfg = ReservoirConfig(n_qubits=2, n_pre=4, n_fb=4, n_test=4)\n"
+        "run_sequence(cfg, np.full(cfg.total_steps, 0.3))\n"
+        "check_density_matrix(np.eye(4) / 4)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(spinqrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_is_reproducible(tmp_path, config_file):
@@ -78,6 +145,19 @@ def test_sweep_emits_grid(tmp_path):
                          "manifest_narma2_linear_g0.1_r1.json"]
     rows = (out / "metrics.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
+    calls = count_simulations(monkeypatch)
+    cfg = dict(SMALL, trajectory=True)
+    cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1],
+                    "readouts": [1, 2], "tasks": ["narma2"], "n_seeds": 1}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.glob("trajectory_*.csv"))) == 2
+    assert len(calls) == 1  # both readout cells share one simulation
 
 
 def test_sweep_rejects_duplicate_gamma(tmp_path):

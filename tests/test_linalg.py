@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ValidationError
-from spinqrc.linalg import (MAX_DIM, hermitian_eigen, kron, matmul,
+from spinqrc.linalg import (BLAS_LIBRARIES, MAX_DIM, hermitian_eigen,
+                            kernel_blas, kron, load_blas, matmul,
                             trace_distance, unitary_exp)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -111,3 +112,87 @@ def test_trace_distance_ground_vs_plus():
 def test_trace_distance_shape_mismatch():
     with pytest.raises(ValidationError):
         trace_distance(np.eye(2), np.eye(4))
+
+
+def random_fortran(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return np.asfortranarray(rng.standard_normal((dim, dim))
+                             + 1j * rng.standard_normal((dim, dim)))
+
+
+@pytest.fixture
+def one_thread_everywhere():
+    """Every library of the binding table at one thread, as the kernel runs
+    operators up to dim 256; OpenBLAS splits a product differently, and
+    rounds it differently, at two threads."""
+    controls = [blas.threads for blas in map(load_blas, BLAS_LIBRARIES)
+                if blas is not None and blas.threads is not None]
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    yield
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+# Every row of the binding table, the scipy fallback included, is loaded
+# here directly, whichever row the kernel uses.
+@pytest.mark.parametrize("row", BLAS_LIBRARIES, ids=("numpy", "scipy"))
+class TestBlasBinding:
+    @pytest.fixture
+    def blas(self, row):
+        blas = load_blas(row)
+        if blas is None:
+            pytest.skip("library not present in this build")
+        return blas
+
+    def test_gemm_bitwise_equals_scipy_in_both_kernel_forms(
+            self, blas, one_thread_everywhere):
+        scipy_blas = pytest.importorskip("scipy.linalg.blas")
+        rng = np.random.default_rng(0)
+        for dim in (4, 7, 16, 64, 100, 256):
+            a, b, c0 = (random_fortran(rng, dim) for _ in range(3))
+            c = np.empty_like(a)
+            blas.gemm(a, b, c)()
+            assert c.tobytes() == scipy_blas.zgemm(1.0, a, b).tobytes()
+            c = c0.copy(order="F")
+            blas.gemm(a, b, c, alpha=0.9, beta=1.0, conj_b=True)()
+            expected = scipy_blas.zgemm(0.9, a, b, 1.0, c0, trans_b=2)
+            assert c.tobytes() == expected.tobytes()
+
+    def test_potrf_info_matches_scipy(self, blas):
+        scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
+        a = random_fortran(np.random.default_rng(1), 16)
+        pd = np.asfortranarray(a @ a.conj().T + np.eye(16))
+        not_pd = pd.copy(order="F")
+        not_pd[5, 5] = -1.0
+        for matrix in (pd, not_pd):
+            for lower in (False, True):
+                _, expected = scipy_lapack.zpotrf(matrix, lower=lower)
+                info = blas.potrf(matrix.copy(order="F"), lower=lower)()
+                assert info == expected
+        assert expected != 0
+
+    def test_gemm_reuses_its_buffers(self, blas):
+        rng = np.random.default_rng(2)
+        a, b = random_fortran(rng, 8), random_fortran(rng, 8)
+        c = np.empty_like(a)
+        call = blas.gemm(a, b, c)
+        a[...] = 2 * a
+        call()
+        np.testing.assert_allclose(c, a @ b, rtol=1e-13)
+
+
+def test_binding_rejects_operands_blas_cannot_take():
+    blas = kernel_blas()
+    f = np.asfortranarray(np.eye(4, dtype=complex))
+    for bad in (np.eye(4, dtype=complex) + np.triu(np.ones((4, 4)), 1),
+                np.asfortranarray(np.eye(4)),
+                np.asfortranarray(np.eye(3, dtype=complex))):
+        with pytest.raises(ValidationError):
+            blas.gemm(f, f.copy(order="F"), bad)
+    with pytest.raises(ValidationError):
+        blas.gemm(f, f.copy(order="F"), f)
+    frozen = f.copy(order="F")
+    frozen.flags.writeable = False
+    with pytest.raises(ValidationError):
+        blas.potrf(frozen)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from spinqrc import linalg, reservoir
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
-from spinqrc.linalg import (SMALL_OPERATOR_DIM, blas_threads,
-                            set_blas_threads, small_operator_threads,
-                            trace_distance)
+from spinqrc.linalg import (BLAS_LIBRARIES, SMALL_OPERATOR_DIM, blas_threads,
+                            load_blas, set_blas_threads,
+                            small_operator_threads, trace_distance)
 from spinqrc.qubits import ground_density, rotation_x
 from spinqrc.reservoir import (Phase, ReservoirConfig, ReservoirState,
                                Topology, apply_channel, check_density_matrix,
@@ -313,6 +314,21 @@ class TestBlasThreadPolicy:
         with pytest.raises(StateInvariantError):
             step(ReservoirState(rho=2 * rho0), 0.3, u, 0.1, rho0)
         assert set(blas_threads()) == {2}
+
+
+def test_scipy_fallback_runs_the_kernel_bitwise_alike(monkeypatch):
+    fallback = load_blas(BLAS_LIBRARIES[1])
+    if fallback is None:
+        pytest.skip("scipy is not installed")
+    cfg = small_config(n_qubits=6)
+    inputs = np.random.default_rng(9).uniform(0, 1, cfg.total_steps)
+    expected = run_sequence(cfg, inputs).z_rows
+    for module in (linalg, reservoir):
+        monkeypatch.setattr(module, "kernel_blas", lambda: fallback)
+    assert run_sequence(cfg, inputs).z_rows.tobytes() == expected.tobytes()
+    negative = np.diag(np.r_[-0.5, np.full(63, 1.5 / 63)]).astype(complex)
+    with pytest.raises(StateInvariantError, match="eigenvalue"):
+        check_density_matrix(negative)
 
 
 def test_contraction_of_trace_distance():
