@@ -14,10 +14,10 @@ from .reservoir import (ReservoirConfig, ReservoirState, Topology, Trajectory,
                         step)
 from .readout import (ReadoutType, ReadoutWeights, make_features, nmse,
                       predict, stm_capacity, train_weights)
-from .tasks import TaskSpec, gen_narma_input, gen_narma_target, gen_stm
+from .tasks import gen_narma_input, gen_narma_target, gen_stm
 from .esn import EsnConfig, esn_weights, run_esn
 from .experiment import (ExperimentManifest, SweepGrid, emit_report,
-                         run_esn_comparison, run_experiment)
+                         run_experiment)
 
 __version__ = "0.1.0"
 
@@ -28,9 +28,8 @@ __all__ = [
     "evolution_operator", "run_sequence", "sample_couplings", "step",
     "ReadoutType", "ReadoutWeights", "make_features", "nmse", "predict",
     "stm_capacity", "train_weights",
-    "TaskSpec", "gen_narma_input", "gen_narma_target", "gen_stm",
+    "gen_narma_input", "gen_narma_target", "gen_stm",
     "EsnConfig", "esn_weights", "run_esn",
-    "ExperimentManifest", "SweepGrid", "emit_report", "run_esn_comparison",
-    "run_experiment",
+    "ExperimentManifest", "SweepGrid", "emit_report", "run_experiment",
     "__version__",
 ]

@@ -19,14 +19,23 @@ from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError, ValidationError)
+from .esn import VARIANTS
 from .experiment import (DEFAULT_SEED_COUNT, DEFAULT_STM_DELAYS,
                          ExperimentManifest, SweepGrid, metrics_csv_text,
-                         parse_task, run_esn_comparison, run_experiment,
-                         emit_report)
+                         run_experiment, emit_report)
 
 RESERVOIR_CONFIG_KEYS = ("n_qubits", "topology", "gamma", "theta0", "n_pre",
                          "n_fb", "n_test", "input_qubit")
 ESN_CONFIG_KEYS = ("n_nodes", "w_scale", "w_in_scale", "n_pre", "n_fb", "n_test")
+SWEEP_KEYS = ("topologies", "gammas", "readouts", "tasks", "stm_delays")
+
+# Every key a config file may hold, at the top level and in the blocks that
+# configure ``sweep`` and ``esn``; any other key is a configuration error.
+CONFIG_KEYS = RESERVOIR_CONFIG_KEYS + (
+    "task", "tasks", "readout", "seed", "seeds", "input_seed", "ridge",
+    "stm_delays", "trajectory", "sweep", "esn")
+BLOCK_KEYS = {"sweep": SWEEP_KEYS + ("n_seeds",),
+              "esn": ESN_CONFIG_KEYS + ("variants",)}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,7 +55,20 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    _check_keys(f"config file {path}", data, CONFIG_KEYS)
+    for block, keys in BLOCK_KEYS.items():
+        block_cfg = data.get(block, {})
+        if not isinstance(block_cfg, dict):
+            raise ConfigError(f"{block!r} must be a JSON object")
+        _check_keys(f"the {block!r} block of {path}", block_cfg, keys)
     return data
+
+
+def _check_keys(where: str, data: dict, known: tuple[str, ...]) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                          f"{where}; known keys: {', '.join(sorted(known))}")
 
 
 def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
@@ -73,7 +95,6 @@ def _common_manifest_fields(file_cfg: dict, args: argparse.Namespace) -> dict:
 def _cmd_run(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     task = args.task or file_cfg.get("task", "narma2")
-    parse_task(task)
     manifest = ExperimentManifest(
         kind="reservoir",
         config=_reservoir_config_dict(file_cfg, args),
@@ -92,11 +113,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     sweep_cfg = file_cfg.get("sweep", {})
-    if not isinstance(sweep_cfg, dict):
-        raise ConfigError("'sweep' must be a JSON object")
     grid_kwargs = {}
-    for key in ("topologies", "gammas", "readouts", "tasks", "stm_delays",
-                "variants"):
+    for key in SWEEP_KEYS:
         if key in sweep_cfg:
             grid_kwargs[key] = tuple(sweep_cfg[key])
     if args.topology:
@@ -127,8 +145,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_esn(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     esn_cfg = file_cfg.get("esn", {})
-    if not isinstance(esn_cfg, dict):
-        raise ConfigError("'esn' must be a JSON object")
     config = {k: esn_cfg[k] for k in ESN_CONFIG_KEYS if k in esn_cfg}
     for k in ("n_pre", "n_fb", "n_test"):
         if k in file_cfg and k not in config:
@@ -142,10 +158,10 @@ def _cmd_esn(args: argparse.Namespace) -> int:
         kind="esn",
         config=config,
         tasks=tasks,
-        variants=tuple(esn_cfg.get("variants", (1, 3, 5))),
+        variants=tuple(esn_cfg.get("variants", VARIANTS)),
         **_common_manifest_fields(file_cfg, args),
     )
-    run_esn_comparison(manifest)
+    run_experiment([manifest])
     written = emit_report([manifest], Path(args.out))
     for path in written:
         print(path)

@@ -58,17 +58,6 @@ class EsnConfig:
         return Phase.TEST
 
 
-@dataclass
-class EsnState:
-    """Rolling history of the last five state vectors, newest first."""
-
-    history: list[np.ndarray]
-
-    @classmethod
-    def zeros(cls, n_nodes: int) -> "EsnState":
-        return cls(history=[np.zeros(n_nodes) for _ in range(HISTORY_DEPTH)])
-
-
 @dataclass(frozen=True)
 class EsnTrajectory:
     config: EsnConfig
@@ -99,20 +88,6 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     return w, w_in
 
 
-def esn_step(state: EsnState, s_k: float, config: EsnConfig, w: np.ndarray,
-             w_in: np.ndarray) -> tuple[EsnState, np.ndarray]:
-    """One network update; returns the new state and its vector."""
-    if len(state.history) != HISTORY_DEPTH:
-        raise ConfigError(
-            f"history must hold {HISTORY_DEPTH} vectors, got {len(state.history)}")
-    mixed = np.zeros(config.n_nodes)
-    for lag in _VARIANT_LAGS[config.variant]:
-        mixed = mixed + state.history[lag - 1]
-    x = np.tanh(w @ mixed + w_in * s_k)
-    new_history = [x] + state.history[: HISTORY_DEPTH - 1]
-    return EsnState(history=new_history), x
-
-
 def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
     """Run a full prep/train/test sequence from zero-initialized history."""
     inputs = np.asarray(inputs, dtype=float)
@@ -120,10 +95,14 @@ def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
         raise ConfigError(
             f"need exactly {config.total_steps} inputs, got {inputs.shape}")
     w, w_in = esn_weights(config)
-    state = EsnState.zeros(config.n_nodes)
-    states = np.empty((len(inputs), config.n_nodes))
-    for k, s in enumerate(inputs):
-        state, x = esn_step(state, float(s), config, w, w_in)
-        states[k] = x
+    lags = _VARIANT_LAGS[config.variant]
+    # The first HISTORY_DEPTH rows are the zero history before step 0.
+    history = np.zeros((HISTORY_DEPTH + len(inputs), config.n_nodes))
+    for k, s in enumerate(inputs, start=HISTORY_DEPTH):
+        mixed = np.zeros(config.n_nodes)
+        for lag in lags:
+            mixed = mixed + history[k - lag]
+        history[k] = np.tanh(w @ mixed + w_in * float(s))
+    states = history[HISTORY_DEPTH:]
     phases = tuple(config.phase_of(k) for k in range(len(inputs)))
     return EsnTrajectory(config=config, inputs=inputs, states=states, phases=phases)

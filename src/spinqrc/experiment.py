@@ -16,12 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tasks
 from .errors import ConfigError
-from .esn import EsnConfig, run_esn
-from .readout import (FeatureRecord, ReadoutType, make_features, nmse, predict,
-                      stm_capacity, train_weights)
+from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
+from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
+                      train_weights)
 from .reservoir import ReservoirConfig, Trajectory, run_sequence
-from .tasks import NARMA_ORDERS, TaskSpec, gen_stm
+from .tasks import NARMA_ORDERS, gen_stm
 
 DEFAULT_STM_DELAYS = tuple(range(11))
 DEFAULT_SEED_COUNT = 10
@@ -43,11 +44,10 @@ def _gamma_str(gamma: float) -> str:
     return repr(float(gamma))
 
 
-def parse_task(name: str) -> TaskSpec | None:
-    """Validate a task name; returns None for 'stm' (delays are separate)."""
+def parse_task(name: str) -> None:
+    """Raise ConfigError unless ``name`` is one of TASK_NAMES."""
     if name not in TASK_NAMES:
         raise ConfigError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
-    return None
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class ExperimentManifest:
     base_seed: int = 0
     input_seed: int = 42
     ridge: float = 0.0
-    variants: tuple[int, ...] = (1, 3, 5)
+    variants: tuple[int, ...] = VARIANTS
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
@@ -177,9 +177,9 @@ def _task_sequences(name: str, length: int, delays: Iterable[int],
                 shifted[tau:] = base.inputs[: length - tau]
             targets[f"stm_tau{tau:02d}"] = shifted
         return base.inputs, targets
-    spec = TaskSpec(kind="narma", length=length, order=int(name[5:]))
-    pair = spec.generate()
-    return pair.inputs, {name: pair.targets}
+    # Called through the module so that tracing wrappers on it see the call.
+    inputs = tasks.gen_narma_input(length)
+    return inputs, {name: tasks.gen_narma_target(inputs, int(name[5:]))}
 
 
 def _score(metric: str, predicted: np.ndarray, target: np.ndarray) -> float:
@@ -188,96 +188,85 @@ def _score(metric: str, predicted: np.ndarray, target: np.ndarray) -> float:
     return stm_capacity(predicted, target)
 
 
+def _cells(manifest: ExperimentManifest) -> list[tuple]:
+    """(topology label, readout, gamma string, member configs) of each cell
+    of a manifest: the manifest itself for a reservoir, one cell per variant
+    for an ESN. Building the configs validates them."""
+    seeds = range(manifest.base_seed, manifest.base_seed + manifest.n_seeds)
+    if manifest.kind == "esn":
+        if not manifest.variants:
+            raise ConfigError("need at least one ESN variant")
+        return [(f"esn{v}", ReadoutType.PER_QUBIT, "",
+                 [manifest.esn_config(v, seed) for seed in seeds])
+                for v in manifest.variants]
+    if manifest.kind != "reservoir":
+        raise ConfigError(f"unknown manifest kind {manifest.kind!r}")
+    configs = [manifest.reservoir_config(seed) for seed in seeds]
+    return [(str(configs[0].topology.value), ReadoutType(manifest.readout),
+             _gamma_str(configs[0].gamma), configs)]
+
+
+def _simulate(config: ReservoirConfig | EsnConfig, inputs: np.ndarray
+              ) -> tuple[Trajectory | EsnTrajectory, np.ndarray]:
+    """One member's trajectory and the rows its readout features come from."""
+    if isinstance(config, EsnConfig):
+        traj = run_esn(config, inputs)
+        return traj, traj.states
+    traj = run_sequence(config, inputs)
+    return traj, traj.z_rows
+
+
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
-    """Fill each reservoir manifest's metrics by running its seed ensemble.
+    """Fill each manifest's metrics by running its seed ensembles.
 
-    Ensemble member m uses coupling seed ``base_seed + m``; the input
-    stream is shared by all members. Within one call every distinct task
-    stream is generated once, and every distinct (config, drive)
+    A reservoir manifest is one cell; an ESN manifest has one cell per
+    variant, whose members share W and w_in with the other variants' (same
+    weight seed), so their metric differences isolate the history depth.
+    Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
+    input stream is shared by all members. Within one call every distinct
+    task stream is generated once, and every distinct (config, drive)
     trajectory is simulated once and shared by each cell and target that
     uses it: cells that differ only in readout, and tasks that share a
     drive (all NARMA orders). Every cell is checked before any
-    simulation runs. Returns the cells, filled in place; each also keeps
-    its member-0 trajectory on its first task for ``trajectory_records``.
+    simulation runs. Returns the manifests, filled in place; each
+    reservoir manifest also keeps its member-0 trajectory on its first
+    task for ``trajectory_csv_text``.
     """
     streams: dict[tuple, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
     plans = []
-    for cell in cells:
-        if cell.kind != "reservoir":
-            raise ConfigError("run_experiment expects a reservoir manifest")
-        readout = ReadoutType(cell.readout)
-        probe = cell.reservoir_config(cell.base_seed)
-        task_streams = []
-        for name in cell.tasks:
-            parse_task(name)
-            key = (name, probe.total_steps, tuple(cell.stm_delays),
-                   cell.input_seed)
-            if key not in streams:
-                streams[key] = _task_sequences(name, probe.total_steps,
-                                               cell.stm_delays, cell.input_seed)
-            task_streams.append((name, *streams[key]))
-        plans.append((cell, readout, probe, task_streams))
+    for manifest in cells:
+        for label, readout, gamma_str, configs in _cells(manifest):
+            length = configs[0].total_steps
+            task_streams = []
+            for name in manifest.tasks:
+                parse_task(name)
+                key = (name, length, tuple(manifest.stm_delays),
+                       manifest.input_seed)
+                if key not in streams:
+                    streams[key] = _task_sequences(name, length,
+                                                   manifest.stm_delays,
+                                                   manifest.input_seed)
+                task_streams.append((name, *streams[key]))
+            plans.append((manifest, label, readout, gamma_str, configs,
+                          task_streams))
 
-    trajectories: dict[tuple[ReservoirConfig, bytes], Trajectory] = {}
-    for cell, readout, probe, task_streams in plans:
-        metrics: dict[str, RowStats] = {}
+    for manifest in cells:
+        manifest.metrics = {}
+    trajectories: dict[tuple, tuple] = {}
+    for manifest, label, readout, gamma_str, configs, task_streams in plans:
         for name, inputs, target_map in task_streams:
             metric = "nmse" if name.startswith("narma") else "stm_capacity"
             per_seed: dict[str, list[float]] = {key: [] for key in target_map}
-            for m in range(cell.n_seeds):
-                config = cell.reservoir_config(cell.base_seed + m)
+            for m, config in enumerate(configs):
                 traj_key = (config, inputs.tobytes())
-                traj = trajectories.get(traj_key)
-                if traj is None:
-                    traj = trajectories[traj_key] = run_sequence(config, inputs)
-                if m == 0 and name == cell.tasks[0]:
-                    cell.trajectory = traj
-                feats = make_features(traj.z_rows, readout)
-                tr, te = traj.train_slice, traj.test_slice
-                for key, target in target_map.items():
-                    weights = train_weights(feats[tr], target[tr],
-                                            ridge=cell.ridge)
-                    per_seed[key].append(_score(metric,
-                                                predict(weights, feats[te]),
-                                                target[te]))
-            for key, values in per_seed.items():
-                stats = RowStats(task=key, topology=str(probe.topology.value),
-                                 readout_type=_READOUT_LABEL[readout],
-                                 gamma_str=_gamma_str(probe.gamma),
-                                 metric=metric, per_seed=tuple(values))
-                metrics[stats.row_id] = stats
-        cell.metrics = metrics
-    return [cell for cell, *_ in plans]
-
-
-def run_esn_comparison(manifest: ExperimentManifest) -> ExperimentManifest:
-    """Fill an ESN manifest's metrics across its variants.
-
-    Variants share W and w_in within each ensemble member (same weight
-    seed), so their metric differences isolate the history depth.
-    """
-    if manifest.kind != "esn":
-        raise ConfigError("run_esn_comparison expects an esn manifest")
-    if not manifest.variants:
-        raise ConfigError("need at least one ESN variant")
-    for v in manifest.variants:
-        if v not in (1, 3, 5):
-            raise ConfigError(f"unknown ESN variant {v}")
-    probe = manifest.esn_config(manifest.variants[0], manifest.base_seed)
-    length = probe.total_steps
-
-    metrics: dict[str, RowStats] = {}
-    for name in manifest.tasks:
-        inputs, target_map = _task_sequences(name, length, manifest.stm_delays,
-                                             manifest.input_seed)
-        metric = "nmse" if name.startswith("narma") else "stm_capacity"
-        for variant in manifest.variants:
-            per_seed: dict[str, list[float]] = {key: [] for key in target_map}
-            for m in range(manifest.n_seeds):
-                config = manifest.esn_config(variant, manifest.base_seed + m)
-                traj = run_esn(config, inputs)
-                feats = make_features(traj.states, ReadoutType.PER_QUBIT)
+                if traj_key not in trajectories:
+                    trajectories[traj_key] = _simulate(config, inputs)
+                traj, rows = trajectories[traj_key]
+                if (m == 0 and name == manifest.tasks[0]
+                        and manifest.kind == "reservoir"):
+                    manifest.trajectory = traj
+                feats = make_features(rows, readout)
                 tr, te = traj.train_slice, traj.test_slice
                 for key, target in target_map.items():
                     weights = train_weights(feats[tr], target[tr],
@@ -286,12 +275,12 @@ def run_esn_comparison(manifest: ExperimentManifest) -> ExperimentManifest:
                                                 predict(weights, feats[te]),
                                                 target[te]))
             for key, values in per_seed.items():
-                stats = RowStats(task=key, topology=f"esn{variant}",
-                                 readout_type="per_qubit", gamma_str="",
-                                 metric=metric, per_seed=tuple(values))
-                metrics[stats.row_id] = stats
-    manifest.metrics = metrics
-    return manifest
+                stats = RowStats(task=key, topology=label,
+                                 readout_type=_READOUT_LABEL[readout],
+                                 gamma_str=gamma_str, metric=metric,
+                                 per_seed=tuple(values))
+                manifest.metrics[stats.row_id] = stats
+    return list(cells)
 
 
 @dataclass(frozen=True)
@@ -304,7 +293,6 @@ class SweepGrid:
     tasks: tuple[str, ...] = TASK_NAMES
     stm_delays: tuple[int, ...] = DEFAULT_STM_DELAYS
     n_seeds: int = DEFAULT_SEED_COUNT
-    variants: tuple[int, ...] = (1, 3, 5)
 
     def __post_init__(self) -> None:
         for axis_name in ("topologies", "gammas", "readouts", "tasks"):
@@ -358,10 +346,10 @@ def metrics_csv_text(manifests: Iterable[ExperimentManifest]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_records(
-        manifest: ExperimentManifest,
-        task: str | None = None) -> list[tuple[FeatureRecord, float]]:
-    """Per-step rows (record, prediction) for ensemble member 0.
+def trajectory_csv_text(manifest: ExperimentManifest,
+                        task: str | None = None) -> str:
+    """Per-step rows (step, phase, s_k, z_1..z_n, y_pred, y_target) of
+    ensemble member 0.
 
     Predictions come from weights trained on the train window; for the
     stm task the smallest requested delay is used. The trajectory that
@@ -385,28 +373,15 @@ def trajectory_records(
     weights = train_weights(feats[traj.train_slice], target[traj.train_slice],
                             ridge=manifest.ridge)
     y_pred = predict(weights, feats)
-    records = []
-    for k in range(config.total_steps):
-        records.append(FeatureRecord(step=k, phase=traj.phases[k],
-                                     features=traj.z_rows[k],
-                                     input=float(inputs[k]),
-                                     target=float(target[k])))
-    return list(zip(records, y_pred))
-
-
-def trajectory_csv_text(manifest: ExperimentManifest,
-                        task: str | None = None) -> str:
-    pairs = trajectory_records(manifest, task)
-    n_qubits = len(pairs[0][0].features)
     header = (["step", "phase", "s_k"]
-              + [f"z_{i}" for i in range(1, n_qubits + 1)]
+              + [f"z_{i}" for i in range(1, config.n_qubits + 1)]
               + ["y_pred", "y_target"])
     lines = [",".join(header)]
-    for record, pred in pairs:
-        cells = [str(record.step), record.phase.value, _fmt(record.input)]
-        cells.extend(_fmt(z) for z in record.features)
-        cells.append(_fmt(float(pred)))
-        cells.append(_fmt(record.target))
+    for k in range(config.total_steps):
+        cells = [str(k), traj.phases[k].value, _fmt(float(inputs[k]))]
+        cells.extend(_fmt(z) for z in traj.z_rows[k])
+        cells.append(_fmt(float(y_pred[k])))
+        cells.append(_fmt(float(target[k])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

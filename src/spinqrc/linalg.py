@@ -1,8 +1,10 @@
 """Dense complex matrix helpers for operators up to a few hundred rows.
 
-Thin, validated wrappers around numpy's linear algebra. Everything here is
-a pure function of its arguments; matrices are returned as fresh
-``complex128`` arrays and never aliased to the inputs.
+Three validated functions build and compare operators: ``kron`` (refusing
+results above ``MAX_DIM``), ``unitary_exp`` (exp(-i t h) through the
+eigendecomposition of a Hermitian ``h``, refusing non-Hermitian input) and
+``trace_distance``. Each takes square, finite matrices and returns a fresh
+value, never aliased to its inputs.
 
 The module also binds the two BLAS/LAPACK routines the evolution kernel
 calls directly (``kernel_blas``: ``zgemm`` and ``zpotrf`` through ctypes,
@@ -38,13 +40,6 @@ HERMITICITY_RTOL = 1e-10
 SMALL_OPERATOR_DIM = 256
 
 
-class HermitianEigen(NamedTuple):
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -52,15 +47,6 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValidationError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,27 +59,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eigen(h: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t h) for Hermitian h, via its eigendecomposition
+    ``h = V diag(w) V†``.
 
-    Eigenvalues ascend; eigenvector columns are orthonormal and satisfy
-    ``h = V diag(w) V†`` to machine precision.
+    Raises ValidationError when h is not Hermitian to HERMITICITY_RTOL
+    relative to its Frobenius norm.
     """
     h = _as_square(h, "h")
     scale = np.linalg.norm(h)
     if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    return HermitianEigen(w, v)
-
-
-def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t h) for Hermitian h, via eigendecomposition.
-
-    The eigendecomposition route is exact in spirit for Hermitian input and
-    lets callers reuse one decomposition across many times t.
-    """
-    w, v = hermitian_eigen(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
@@ -105,8 +82,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     diff = a - b
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
 
 
 class Blas(NamedTuple):

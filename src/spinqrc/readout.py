@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .reservoir import Phase
 
 # Relative eigenvalue cutoff below which normal-equation directions are
 # treated as rank-deficient and dropped (minimum-norm solution).
@@ -25,17 +24,6 @@ RANK_CUTOFF = 1e-10
 class ReadoutType(enum.IntEnum):
     PER_QUBIT = 1
     AVERAGED = 2
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One trajectory row paired with its task data, for reporting."""
-
-    step: int
-    phase: Phase
-    features: np.ndarray
-    input: float
-    target: float
 
 
 @dataclass(frozen=True)

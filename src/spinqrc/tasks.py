@@ -42,37 +42,6 @@ class SequencePair:
             raise ConfigError("inputs and targets must be equal-length vectors")
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """Which benchmark to run and with what horizon.
-
-    ``kind`` is "stm" (binary delayed recall, uses ``tau_b`` and ``seed``)
-    or "narma" (triple-sine NARMA-n, uses ``order``).
-    """
-
-    kind: str
-    length: int
-    tau_b: int = 0
-    order: int = 2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("stm", "narma"):
-            raise ConfigError(f"unknown task kind {self.kind!r}")
-        if self.length < 1:
-            raise ConfigError("length must be positive")
-        if self.kind == "stm" and not 0 <= self.tau_b <= self.length:
-            raise ConfigError(f"tau_b {self.tau_b} outside [0, {self.length}]")
-        if self.kind == "narma" and self.order < 2:
-            raise ConfigError(f"NARMA order must be at least 2, got {self.order}")
-
-    def generate(self) -> SequencePair:
-        if self.kind == "stm":
-            return gen_stm(self.length, self.tau_b, self.seed)
-        inputs = gen_narma_input(self.length)
-        return SequencePair(inputs=inputs, targets=gen_narma_target(inputs, self.order))
-
-
 def gen_stm(length: int, tau_b: int, seed: int) -> SequencePair:
     """Binary input stream with target_k = input_{k - tau_b} (0 before that)."""
     if tau_b < 0:

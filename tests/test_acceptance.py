@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spinqrc.cli import main as cli_main
-from spinqrc.experiment import ExperimentManifest, run_esn_comparison
+from spinqrc.experiment import ExperimentManifest, run_experiment
 from spinqrc.linalg import kernel_blas, small_operator_threads, trace_distance
 from spinqrc.qubits import ground_density
 from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
@@ -111,7 +111,7 @@ def esn_metrics():
     manifest = ExperimentManifest(
         kind="esn", config={}, tasks=("stm", "narma2", "narma5", "narma10"),
         stm_delays=(2, 3, 4), n_seeds=N_SEEDS, variants=(1, 3, 5))
-    run_esn_comparison(manifest)
+    run_experiment([manifest])
     return list(manifest.metrics.values())
 
 

@@ -15,10 +15,12 @@ from spinqrc.linalg import BLAS_LIBRARIES, load_blas
 
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 
-# metrics.csv of `spinqrc sweep --seeds 1 --seed 10` at the commit that
-# froze the benchmark goldens; read only, never rewritten by tests.
-SWEEP_GOLDEN = (Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
-                / "sweep_seed10.csv")
+# metrics.csv of `spinqrc sweep --seeds 1 --seed 10` and of `spinqrc esn
+# --seeds 40 --seed 10` at the commit that froze the benchmark goldens; read
+# only, never rewritten by tests.
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+SWEEP_GOLDEN = GOLDENS / "sweep_seed10.csv"
+ESN_GOLDEN = GOLDENS / "esn_seed10.csv"
 
 
 @pytest.fixture
@@ -175,6 +177,31 @@ def test_default_sweep_matches_frozen_golden(tmp_path):
     assert main(["sweep", "--seeds", "1", "--seed", "10",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "metrics.csv").read_bytes() == SWEEP_GOLDEN.read_bytes()
+
+
+def test_default_esn_matches_frozen_golden(tmp_path):
+    assert main(["esn", "--seeds", "40", "--seed", "10",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == ESN_GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("command, cfg, unknown", [
+    ("run", {"n_qbits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
+             "n_test": 10}, "gama"),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "variants": [1, 3]}),
+     "variants"),
+    ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
+                         variant=[1])}, "variant"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--task", "narma2",
+                 "--seeds", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert repr(unknown) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_esn_subcommand(tmp_path):

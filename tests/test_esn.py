@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from spinqrc import esn
 from spinqrc.errors import ConfigError
-from spinqrc.esn import (HISTORY_DEPTH, EsnConfig, EsnState, esn_step,
-                         esn_weights, run_esn)
+from spinqrc.esn import EsnConfig, esn_weights, run_esn
 
 
 def small_config(**kw):
@@ -47,43 +47,31 @@ class TestWeights:
 
 
 class TestStep:
-    def test_input_drive_without_recurrence(self):
+    def test_input_drive_without_recurrence(self, monkeypatch):
         cfg = small_config()
-        w = np.zeros((6, 6))
         w_in = np.zeros(6)
         w_in[0] = 1.0
-        state = EsnState.zeros(6)
-        _, x = esn_step(state, 0.1, cfg, w, w_in)
-        assert x[0] == pytest.approx(np.tanh(0.1))
-        assert np.all(x[1:] == 0.0)
+        monkeypatch.setattr(esn, "esn_weights",
+                            lambda config: (np.zeros((6, 6)), w_in))
+        inputs = np.linspace(0.0, 0.2, cfg.total_steps)
+        states = run_esn(cfg, inputs).states
+        assert np.allclose(states[:, 0], np.tanh(inputs), atol=1e-15)
+        assert np.all(states[:, 1:] == 0.0)
 
     def test_history_mixing_per_variant(self):
+        # states[k] = tanh(W sum_lag states[k - lag] + w_in s_k), summed in
+        # lag order onto zeros, with the history before step 0 all zeros
         rng = np.random.default_rng(5)
-        history = [rng.normal(size=4) for _ in range(HISTORY_DEPTH)]
-        w = rng.uniform(0, 0.4, (4, 4))
-        w_in = rng.uniform(0, 0.4, 4)
-        s = 0.3
+        inputs = rng.uniform(0, 0.2, small_config().total_steps)
         for variant, lags in ((1, [1]), (3, [1, 3]), (5, [1, 3, 5])):
-            cfg = small_config(n_nodes=4, variant=variant)
-            state = EsnState(history=[h.copy() for h in history])
-            _, x = esn_step(state, s, cfg, w, w_in)
-            mixed = sum(history[lag - 1] for lag in lags)
-            assert np.allclose(x, np.tanh(w @ mixed + w_in * s), atol=1e-14)
-
-    def test_history_rolls(self):
-        cfg = small_config(n_nodes=2)
-        w, w_in = esn_weights(cfg)
-        state = EsnState.zeros(2)
-        new, x = esn_step(state, 0.5, cfg, w, w_in)
-        assert np.all(new.history[0] == x)
-        assert np.all(new.history[1] == state.history[0])
-        assert len(new.history) == HISTORY_DEPTH
-
-    def test_rejects_short_history(self):
-        cfg = small_config()
-        w, w_in = esn_weights(cfg)
-        with pytest.raises(ConfigError):
-            esn_step(EsnState(history=[np.zeros(6)]), 0.0, cfg, w, w_in)
+            cfg = small_config(n_nodes=4, variant=variant, weight_seed=5)
+            w, w_in = esn_weights(cfg)
+            states = run_esn(cfg, inputs).states
+            for k, s in enumerate(inputs):
+                mixed = sum((states[k - lag] for lag in lags if k >= lag),
+                            np.zeros(4))
+                assert np.array_equal(states[k],
+                                      np.tanh(w @ mixed + w_in * s))
 
 
 class TestRunEsn:
@@ -119,16 +107,13 @@ class TestRunEsn:
 
 @pytest.mark.parametrize("variant", [1, 3, 5])
 def test_fading_memory(variant):
-    # two different initial histories forget each other under shared input
-    cfg = small_config(variant=variant)
-    w, w_in = esn_weights(cfg)
+    # two drives that differ only in their first 20 steps drive the network
+    # into the same state: the differing prefix is forgotten
+    cfg = small_config(variant=variant, n_pre=60)
     rng = np.random.default_rng(13)
-    inputs = rng.uniform(0, 0.2, 100)
-    a = EsnState.zeros(cfg.n_nodes)
-    b = EsnState(history=[rng.normal(size=cfg.n_nodes)
-                          for _ in range(HISTORY_DEPTH)])
-    xa = xb = None
-    for s in inputs:
-        a, xa = esn_step(a, float(s), cfg, w, w_in)
-        b, xb = esn_step(b, float(s), cfg, w, w_in)
-    assert np.linalg.norm(xa - xb) < 1e-6
+    a = rng.uniform(0, 0.2, cfg.total_steps)
+    b = a.copy()
+    b[:20] = rng.uniform(0, 0.2, 20)
+    xa, xb = run_esn(cfg, a).states, run_esn(cfg, b).states
+    assert np.linalg.norm(xa[19] - xb[19]) > 1e-4
+    assert np.linalg.norm(xa[-1] - xb[-1]) < 1e-6

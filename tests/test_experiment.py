@@ -8,10 +8,10 @@ import pytest
 
 from spinqrc import experiment
 from spinqrc.errors import ConfigError
+from spinqrc.esn import run_esn
 from spinqrc.experiment import (ExperimentManifest, RowStats, SweepGrid,
                                 emit_report, metrics_csv_text, parse_task,
-                                run_esn_comparison, run_experiment,
-                                trajectory_csv_text)
+                                run_experiment, trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
@@ -36,6 +36,25 @@ def count_simulations(monkeypatch):
         return run_sequence(config, inputs)
 
     monkeypatch.setattr(experiment, "run_sequence", counted)
+    return calls
+
+
+def esn_manifest(**kw):
+    fields = dict(kind="esn", config=dict(SMALL_ESN), tasks=("narma2",),
+                  n_seeds=2, variants=(1, 3))
+    fields.update(kw)
+    return ExperimentManifest(**fields)
+
+
+def count_esn_runs(monkeypatch):
+    """Record the (variant, weight seed, drive) of every run_esn call."""
+    calls = []
+
+    def counted(config, inputs):
+        calls.append((config.variant, config.weight_seed, inputs.tobytes()))
+        return run_esn(config, inputs)
+
+    monkeypatch.setattr(experiment, "run_esn", counted)
     return calls
 
 
@@ -106,16 +125,17 @@ class TestRunExperiment:
         vb = next(iter(b.metrics.values())).per_seed
         assert va != vb
 
-    def test_rejects_esn_manifest(self):
-        m = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
-                               tasks=("narma2",), n_seeds=1)
-        with pytest.raises(ConfigError):
-            run_experiment([m])
+    def test_rejects_unknown_kind(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        bad = narma_manifest()
+        bad.kind = "quantum"
+        with pytest.raises(ConfigError, match="kind"):
+            run_experiment([narma_manifest(), bad])
+        assert calls == []
 
     def test_checks_every_cell_before_simulating(self, monkeypatch):
         calls = count_simulations(monkeypatch)
-        bad = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
-                                 tasks=("narma2",), n_seeds=1)
+        bad = esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
         with pytest.raises(ConfigError):
             run_experiment([narma_manifest(), bad])
         assert calls == []
@@ -142,22 +162,34 @@ class TestRunExperiment:
 
 class TestRunEsnComparison:
     def test_rows_per_variant(self):
-        m = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
-                               tasks=("narma2",), n_seeds=2, variants=(1, 3))
-        run_esn_comparison(m)
+        [m] = run_experiment([esn_manifest()])
         topologies = sorted(s.topology for s in m.metrics.values())
         assert topologies == ["esn1", "esn3"]
+        assert all(s.readout_type == "per_qubit" for s in m.metrics.values())
         assert all(s.gamma_str == "" for s in m.metrics.values())
 
-    def test_rejects_unknown_variant(self):
-        m = ExperimentManifest(kind="esn", config=dict(SMALL_ESN),
-                               tasks=("narma2",), n_seeds=1, variants=(2,))
-        with pytest.raises(ConfigError):
-            run_esn_comparison(m)
+    def test_rejects_unknown_variant(self, monkeypatch):
+        calls = count_esn_runs(monkeypatch)
+        with pytest.raises(ConfigError, match="variant"):
+            run_experiment([esn_manifest(variants=(1, 2))])
+        assert calls == []
 
-    def test_rejects_reservoir_manifest(self):
-        with pytest.raises(ConfigError):
-            run_esn_comparison(narma_manifest())
+    def test_simulates_each_variant_and_drive_once(self, monkeypatch):
+        calls = count_esn_runs(monkeypatch)
+        run_experiment([esn_manifest(tasks=("stm", "narma2", "narma5"),
+                                     stm_delays=(0, 1))])
+        # 2 variants x 2 seeds x 2 drives (stm, narma); NARMA orders share
+        # one drive.
+        assert len(calls) == 8
+        assert len(set(calls)) == 8
+
+    def test_shares_a_call_with_reservoir_cells(self):
+        together = run_experiment([narma_manifest(), esn_manifest()])
+        for cell, alone in zip(together, (narma_manifest(), esn_manifest())):
+            run_experiment([alone])
+            assert cell.metrics.keys() == alone.metrics.keys()
+            for key, stats in cell.metrics.items():
+                assert stats.per_seed == alone.metrics[key].per_seed
 
 
 class TestSweepGrid:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ValidationError
-from spinqrc.linalg import (BLAS_LIBRARIES, MAX_DIM, hermitian_eigen,
-                            kernel_blas, kron, load_blas, matmul,
-                            trace_distance, unitary_exp)
+from spinqrc.linalg import (BLAS_LIBRARIES, MAX_DIM, kernel_blas, kron,
+                            load_blas, trace_distance, unitary_exp)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,27 +14,6 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
-
-
-def test_matmul_pauli_algebra():
-    assert np.allclose(matmul(X, Y), 1j * Z)
-    assert np.allclose(matmul(X, X), np.eye(2))
-
-
-def test_matmul_rejects_mismatched_dims():
-    with pytest.raises(ValidationError):
-        matmul(X, np.eye(3))
-
-
-def test_matmul_rejects_nonsquare():
-    with pytest.raises(ValidationError):
-        matmul(np.ones((2, 3)), np.ones((3, 2)))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValidationError):
-        matmul(bad, X)
 
 
 def test_kron_block_structure():
@@ -53,6 +31,17 @@ def test_kron_with_identity_is_block_diagonal():
     assert np.allclose(k[:2, 2:], 0)
 
 
+def test_kron_rejects_nonsquare():
+    with pytest.raises(ValidationError):
+        kron(np.ones((2, 3)), X)
+
+
+def test_kron_rejects_nonfinite():
+    bad = np.array([[np.nan, 0], [0, 1]])
+    with pytest.raises(ValidationError):
+        kron(bad, X)
+
+
 def test_kron_dimension_guard():
     a = np.eye(64)
     b = np.eye(MAX_DIM // 32)
@@ -60,17 +49,9 @@ def test_kron_dimension_guard():
         kron(a, b)
 
 
-def test_hermitian_eigen_reconstructs():
-    h = random_hermitian(8, seed=3)
-    w, v = hermitian_eigen(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-10
-    assert np.linalg.norm(v.conj().T @ v - np.eye(8)) < 1e-12
-
-
-def test_hermitian_eigen_rejects_nonhermitian():
+def test_unitary_exp_rejects_nonhermitian():
     with pytest.raises(ValidationError):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 def test_unitary_exp_pauli_x_quarter_turn():

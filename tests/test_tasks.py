@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ConfigError, DivergenceError
-from spinqrc.tasks import (DIVERGENCE_LIMIT, TaskSpec, gen_narma_input,
+from spinqrc.tasks import (DIVERGENCE_LIMIT, gen_narma_input,
                            gen_narma_target, gen_stm)
 
 # Fixed point of the order-2 recurrence under zero input: the positive
@@ -103,24 +103,3 @@ class TestNarmaTarget:
             gen_narma_target(np.zeros(10), order=1)
         with pytest.raises(ConfigError):
             gen_narma_target(np.zeros((2, 5)), order=2)
-
-
-class TestTaskSpec:
-    def test_stm_generation(self):
-        pair = TaskSpec(kind="stm", length=30, tau_b=2, seed=4).generate()
-        assert np.all(pair.targets[2:] == pair.inputs[:-2])
-
-    def test_narma_generation(self):
-        pair = TaskSpec(kind="narma", length=30, order=10).generate()
-        assert np.allclose(pair.inputs, gen_narma_input(30))
-        assert np.allclose(pair.targets, gen_narma_target(pair.inputs, 10))
-
-    @pytest.mark.parametrize("kw", [
-        dict(kind="parity", length=10),
-        dict(kind="stm", length=0),
-        dict(kind="stm", length=10, tau_b=11),
-        dict(kind="narma", length=10, order=1),
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ConfigError):
-            TaskSpec(**kw)
