@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .reservoir import Phase
+from .reservoir import Phase, check_numbers
 
 HISTORY_DEPTH = 5
 VARIANTS = (1, 3, 5)
@@ -37,6 +37,8 @@ class EsnConfig:
     n_test: int = 40
 
     def __post_init__(self) -> None:
+        check_numbers(self, ("n_nodes", "variant", "weight_seed", "n_pre",
+                             "n_fb", "n_test"), ("w_scale", "w_in_scale"))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be at least 1")
         if self.variant not in VARIANTS:

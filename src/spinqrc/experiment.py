@@ -16,9 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import tasks
+from . import tasks, workers
 from .errors import ConfigError
 from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
+from .linalg import SMALL_OPERATOR_DIM, blas_threads, set_blas_threads
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
 from .reservoir import ReservoirConfig, Trajectory, run_sequence
@@ -112,9 +113,10 @@ class ExperimentManifest:
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
         for name in self.tasks:
             parse_task(name)
-        if len(set(self.stm_delays)) != len(self.stm_delays):
-            raise ConfigError(
-                f"stm_delays has a duplicate value: {tuple(self.stm_delays)}")
+        for name in ("stm_delays", "variants"):
+            values = tuple(getattr(self, name))
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has a duplicate value: {values}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
         if not self.version:
@@ -216,6 +218,42 @@ def _simulate(config: ReservoirConfig | EsnConfig, inputs: np.ndarray
     return traj, traj.z_rows
 
 
+def _simulate_all(jobs: list[tuple]) -> list[tuple]:
+    """``_simulate`` of every (config, inputs) job, in worker processes.
+
+    Jobs are grouped by draw, so that each group builds its U once and
+    runs its jobs in the given order: a reservoir's draw is its
+    ``coupling_draw``, an ESN's its weight seed, which all its variants
+    share. ``workers.run_groups`` spreads the groups over processes, all
+    at one BLAS thread. Reservoirs above ``SMALL_OPERATOR_DIM`` run here
+    afterwards, at the caller's BLAS thread count, which their bits
+    depend on. Each job computes the same bits in whichever process runs
+    it.
+    """
+    groups: dict[object, list[int]] = {}
+    local: list[int] = []
+    for i, (config, _) in enumerate(jobs):
+        if isinstance(config, EsnConfig):
+            groups.setdefault(config.weight_seed, []).append(i)
+        elif 2**config.n_qubits > SMALL_OPERATOR_DIM:
+            local.append(i)
+        else:
+            groups.setdefault(config.coupling_draw, []).append(i)
+    # Small arrays run at one BLAS thread anyway. Holding that count over
+    # the fork and every small job spares each process the thread-count
+    # calls that, after a fork, start an OpenBLAS worker thread spinning
+    # for about 0.1 s of CPU beside the workers (small_operator_threads).
+    saved = blas_threads()
+    set_blas_threads([1] * len(saved))
+    try:
+        results = workers.run_groups(_simulate, jobs, list(groups.values()))
+    finally:
+        set_blas_threads(saved)
+    for i in local:
+        results[i] = _simulate(*jobs[i])
+    return results
+
+
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
     """Fill each manifest's metrics by running its seed ensembles.
@@ -229,7 +267,9 @@ def run_experiment(
     trajectory is simulated once and shared by each cell and target that
     uses it: cells that differ only in readout, and tasks that share a
     drive (all NARMA orders). Every cell is checked before any
-    simulation runs. Returns the manifests, filled in place; each
+    simulation runs, and every trajectory is simulated before any fit, in
+    worker processes (``_simulate_all``); the results do not depend on
+    how many. Returns the manifests, filled in place; each
     reservoir manifest also keeps its member-0 trajectory on its first
     task for ``trajectory_csv_text``.
     """
@@ -251,18 +291,21 @@ def run_experiment(
             plans.append((manifest, label, readout, gamma_str, configs,
                           task_streams))
 
+    jobs: dict[tuple, tuple] = {}
+    for *_, configs, task_streams in plans:
+        for _, inputs, _ in task_streams:
+            for config in configs:
+                jobs.setdefault((config, inputs.tobytes()), (config, inputs))
+    trajectories = dict(zip(jobs, _simulate_all(list(jobs.values()))))
+
     for manifest in cells:
         manifest.metrics = {}
-    trajectories: dict[tuple, tuple] = {}
     for manifest, label, readout, gamma_str, configs, task_streams in plans:
         for name, inputs, target_map in task_streams:
             metric = "nmse" if name.startswith("narma") else "stm_capacity"
             per_seed: dict[str, list[float]] = {key: [] for key in target_map}
             for m, config in enumerate(configs):
-                traj_key = (config, inputs.tobytes())
-                if traj_key not in trajectories:
-                    trajectories[traj_key] = _simulate(config, inputs)
-                traj, rows = trajectories[traj_key]
+                traj, rows = trajectories[(config, inputs.tobytes())]
                 if (m == 0 and name == manifest.tasks[0]
                         and manifest.kind == "reservoir"):
                     manifest.trajectory = traj

@@ -245,9 +245,13 @@ def small_operator_threads(dim: int) -> Iterator[None]:
     eigensolvers. The caller's thread count is restored on exit, errors
     included; larger operators and libraries without thread symbols run
     untouched. The thread count is process-wide, so Python threads that
-    use BLAS concurrently share it.
+    use BLAS concurrently share it. A caller already at one thread sees no
+    thread-count call: in a forked process, OpenBLAS's first such call
+    starts a worker thread that spins for about 0.1 s of CPU.
     """
     saved = blas_threads() if dim <= SMALL_OPERATOR_DIM else ()
+    if saved == (1,):
+        saved = ()
     set_blas_threads([1] * len(saved))
     try:
         yield

@@ -14,10 +14,6 @@ from .linalg import kron
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_AXES = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 MAX_QUBITS = 10
 
@@ -25,35 +21,6 @@ MAX_QUBITS = 10
 def _check_qubit_count(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValidationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
-def pauli_embed(axis: str, i: int, n_qubits: int) -> np.ndarray:
-    """Single-qubit Pauli acting on qubit ``i`` of an ``n_qubits`` array.
-
-    Qubits are labeled 1..n_qubits; qubit 1 occupies the leftmost
-    (most significant) tensor factor.
-    """
-    _check_qubit_count(n_qubits)
-    if axis not in _AXES:
-        raise ValidationError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not 1 <= i <= n_qubits:
-        raise ValidationError(f"qubit index {i} outside [1, {n_qubits}]")
-    op = _AXES[axis]
-    left = np.eye(2 ** (i - 1), dtype=complex)
-    right = np.eye(2 ** (n_qubits - i), dtype=complex)
-    return kron(kron(left, op), right)
-
-
-def heisenberg_term(i: int, j: int, n_qubits: int) -> np.ndarray:
-    """X_iX_j + Y_iY_j + Z_iZ_j on an ``n_qubits`` array; symmetric in i, j."""
-    if i == j:
-        raise ValidationError(f"bond endpoints must differ, got ({i}, {j})")
-    total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for axis in ("x", "y", "z"):
-        a = pauli_embed(axis, i, n_qubits)
-        b = pauli_embed(axis, j, n_qubits)
-        total += a @ b
-    return total
 
 
 def rotation_x(s: float, n_qubits: int, qubit: int = 1) -> np.ndarray:
@@ -92,12 +59,3 @@ def z_sign_table(n_qubits: int) -> np.ndarray:
         table[i] = 1.0 - 2.0 * ((idx >> (n_qubits - 1 - i)) & 1)
     return table
 
-
-def z_expectations(rho: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Vector of <Z_i> = Tr(Z_i rho) for i = 1..n_qubits."""
-    rho = np.asarray(rho)
-    dim = 2**n_qubits
-    if rho.shape != (dim, dim):
-        raise ValidationError(
-            f"density matrix shape {rho.shape} does not match {n_qubits} qubits")
-    return z_sign_table(n_qubits) @ rho.diagonal().real

@@ -13,15 +13,16 @@ which is what gives the reservoir fading memory.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, StateInvariantError, ValidationError
 from .linalg import kernel_blas, small_operator_threads, unitary_exp
-from .qubits import ground_density, z_sign_table
+from .qubits import MAX_QUBITS, ground_density, z_sign_table
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -63,6 +64,20 @@ class CouplingSet:
     bonds: tuple[Bond, ...]
 
 
+def check_numbers(config, integers: tuple[str, ...],
+                  reals: tuple[str, ...]) -> None:
+    """Raise ConfigError unless each field named in ``integers`` holds an
+    integer and each one in ``reals`` a finite real number (bools are
+    neither), so a mistyped config value fails as a configuration error."""
+    for name in integers + reals:
+        value = getattr(config, name)
+        kind = numbers.Integral if name in integers else numbers.Real
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or not isfinite(value)):
+            what = "an integer" if name in integers else "a finite number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     n_qubits: int = 6
@@ -77,10 +92,18 @@ class ReservoirConfig:
     input_qubit: int = 1
 
     def __post_init__(self) -> None:
+        check_numbers(self, ("n_qubits", "n_pre", "n_fb", "n_test",
+                             "coupling_seed", "input_seed", "input_qubit"),
+                      ("gamma", "theta0"))
         if self.n_qubits < 2:
             raise ConfigError("a coupled array needs at least 2 qubits")
-        if isinstance(self.topology, str) and not isinstance(self.topology, Topology):
-            object.__setattr__(self, "topology", Topology(self.topology))
+        if not isinstance(self.topology, Topology):
+            try:
+                object.__setattr__(self, "topology", Topology(self.topology))
+            except ValueError:
+                raise ConfigError(
+                    f"unknown topology {self.topology!r}; expected one of "
+                    f"{', '.join(t.value for t in Topology)}") from None
         if self.topology is Topology.RING and self.n_qubits < 3:
             raise ConfigError("a ring needs at least 3 qubits")
         if not 0.0 <= self.gamma <= 1.0:
@@ -96,6 +119,12 @@ class ReservoirConfig:
     @property
     def dt(self) -> float:
         return pi * self.theta0
+
+    @property
+    def coupling_draw(self) -> tuple:
+        """The fields that fix the free-evolution unitary U; gamma, the
+        drive and the input qubit do not enter it."""
+        return (self.topology, self.n_qubits, self.coupling_seed, self.theta0)
 
     @property
     def total_steps(self) -> int:
@@ -165,13 +194,30 @@ def sample_couplings(topology: Topology, n_qubits: int, seed: int) -> CouplingSe
 
 
 def build_hamiltonian(couplings: CouplingSet, n_qubits: int) -> np.ndarray:
-    """Sum of J_ij (X_iX_j + Y_iY_j + Z_iZ_j) over the bond list."""
-    from .qubits import heisenberg_term
+    """Sum of J_ij (X_iX_j + Y_iY_j + Z_iZ_j) over the bond list.
 
+    Assembled from bit operations on the basis index, bond by bond: ZZ puts
+    +J on the diagonal where qubits i and j agree and -J where they differ,
+    and XX + YY maps each state whose qubits i and j differ to its swap
+    with amplitude 2J. Every entry receives the same sums in the same order
+    as a sum of Pauli Kronecker chains, so the two agree bitwise.
+    """
+    if not 2 <= n_qubits <= MAX_QUBITS:
+        raise ValidationError(
+            f"n_qubits must be in [2, {MAX_QUBITS}], got {n_qubits}")
     dim = 2**n_qubits
+    idx = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
     for bond in couplings.bonds:
-        h += bond.strength * heisenberg_term(bond.i, bond.j, n_qubits)
+        if not (1 <= bond.i <= n_qubits and 1 <= bond.j <= n_qubits
+                and bond.i != bond.j):
+            raise ValidationError(
+                f"bond ({bond.i}, {bond.j}) needs two distinct qubits of "
+                f"[1, {n_qubits}]")
+        mask_i, mask_j = 1 << (n_qubits - bond.i), 1 << (n_qubits - bond.j)
+        anti = ((idx & mask_i) != 0) != ((idx & mask_j) != 0)
+        h[idx, idx] += np.where(anti, -bond.strength, bond.strength)
+        h[idx[anti] ^ (mask_i | mask_j), idx[anti]] += 2.0 * bond.strength
     return h
 
 
@@ -273,11 +319,26 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     return Trajectory(config=config, inputs=inputs, z_rows=z_rows, phases=phases)
 
 
+# (coupling draw, Fortran-ordered read-only U) of the last draw ``_evolve``
+# used: trajectories of one draw, run back to back (as ``run_experiment``
+# groups them), build U once.
+_last_unitary: tuple = (None, None)
+
+
+def _draw_unitary(config: ReservoirConfig) -> np.ndarray:
+    global _last_unitary
+    if _last_unitary[0] != config.coupling_draw:
+        u = np.asfortranarray(evolution_operator(config))
+        u.flags.writeable = False
+        _last_unitary = (config.coupling_draw, u)
+    return _last_unitary[1]
+
+
 def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
     """The hot loop of ``run_sequence``: Z expectations after every input."""
     n = config.n_qubits
     dim = 2**n
-    U = np.asfortranarray(evolution_operator(config))
+    U = _draw_unitary(config)
     rho0 = ground_density(n)
     gamma_rho0 = np.asfortranarray(config.gamma * rho0)
     keep = 1.0 - config.gamma
@@ -289,8 +350,7 @@ def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
     # copies; the (1-gamma)/(gamma rho0) mixing rides the second product's
     # beta accumulation.
     rho = np.asfortranarray(rho0)
-    prop = np.empty_like(rho)
-    prop_tmp = np.empty_like(rho)
+    props = (np.empty_like(rho), np.empty_like(rho))
     work = np.empty_like(rho)
     out = np.empty_like(rho)
     spare = np.empty_like(rho)
@@ -298,22 +358,40 @@ def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
 
+    # The composed propagators of the last two distinct input values stay
+    # in ``props``, keyed on the values' float64 bits, so a binary drive
+    # composes two per trajectory; ``lru`` is the slot to overwrite next.
+    prop_keys = [None, None]
+    lru = 0
+    input_bits = memoryview(np.ascontiguousarray(inputs).view(np.uint64))
+
     # The BLAS calls are bound to their buffers once. rho and out swap
-    # every step, so each product has one call per step parity: on even
-    # steps rho is the first buffer, on odd steps the second.
+    # every step, so each product has one call per propagator slot and
+    # step parity: on even steps rho is the first buffer, on odd steps the
+    # second.
     blas = kernel_blas()
-    propagate = [blas.gemm(prop, buf, work) for buf in (rho, out)]
-    mix = [blas.gemm(work, prop, buf, alpha=keep, beta=1.0, conj_b=True)
-           for buf in (out, rho)]
+    propagate = [[blas.gemm(prop, buf, work) for buf in (rho, out)]
+                 for prop in props]
+    mix = [[blas.gemm(work, prop, buf, alpha=keep, beta=1.0, conj_b=True)
+            for buf in (out, rho)] for prop in props]
     cholesky = blas.potrf(spare, lower=True)
 
     for k, s in enumerate(inputs):
-        np.multiply(U, cos(half * s), out=prop)
-        np.multiply(u_flip, 1j * sin(half * s), out=prop_tmp)
-        np.add(prop, prop_tmp, out=prop)
-        propagate[k & 1]()  # work = prop rho
+        key = input_bits[k]
+        if key == prop_keys[0]:
+            slot = 0
+        elif key == prop_keys[1]:
+            slot = 1
+        else:
+            slot, prop = lru, props[lru]
+            np.multiply(U, cos(half * s), out=prop)
+            np.multiply(u_flip, 1j * sin(half * s), out=work)  # scratch
+            np.add(prop, work, out=prop)
+            prop_keys[slot] = key
+        lru = slot ^ 1
+        propagate[slot][k & 1]()  # work = prop rho
         np.copyto(out, gamma_rho0)
-        mix[k & 1]()  # out = (1-gamma) work prop† + gamma rho0
+        mix[slot][k & 1]()  # out = (1-gamma) work prop† + gamma rho0
         rho, out = out, rho
         z_rows[k] = signs @ rho.diagonal().real
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spinqrc
-from spinqrc import experiment
+from spinqrc import experiment, workers
 from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for, main
 from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
@@ -43,7 +43,9 @@ def test_run_writes_report(tmp_path, config_file):
 
 
 def count_simulations(monkeypatch):
-    """Record the coupling seed of every run_sequence call."""
+    """Record the coupling seed of every run_sequence call, at one worker
+    process: calls made in a forked worker would go uncounted here."""
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
     calls = []
     run_sequence = experiment.run_sequence
 
@@ -201,6 +203,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
                  "--seeds", "1", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert repr(unknown) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("run", dict(SMALL, n_qubits="4")),
+    ("run", dict(SMALL, topology="rign")),
+    ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
+                         variants=[1, 1])}),
+], ids=["string_n_qubits", "misspelled_topology", "repeated_variant"])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--task", "narma2",
+                 "--seeds", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

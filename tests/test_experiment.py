@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from spinqrc import experiment
+from spinqrc import experiment, workers
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (ExperimentManifest, RowStats, SweepGrid,
@@ -28,7 +28,9 @@ def narma_manifest(**kw):
 
 
 def count_simulations(monkeypatch):
-    """Record the (config, drive) of every run_sequence call."""
+    """Record the (config, drive) of every run_sequence call, at one worker
+    process: calls made in a forked worker would go uncounted here."""
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
     calls = []
 
     def counted(config, inputs):
@@ -47,7 +49,9 @@ def esn_manifest(**kw):
 
 
 def count_esn_runs(monkeypatch):
-    """Record the (variant, weight seed, drive) of every run_esn call."""
+    """Record the (variant, weight seed, drive) of every run_esn call, at
+    one worker process."""
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
     calls = []
 
     def counted(config, inputs):
@@ -82,6 +86,12 @@ class TestManifest:
     def test_rejects_bad_task(self):
         with pytest.raises(ConfigError):
             narma_manifest(tasks=("narma7",))
+
+    @pytest.mark.parametrize("kw", [dict(stm_delays=(1, 1, 2)),
+                                    dict(variants=(1, 3, 1))])
+    def test_rejects_repeated_value(self, kw):
+        with pytest.raises(ConfigError, match="duplicate"):
+            esn_manifest(**kw)
 
     def test_json_roundtrip_preserves_metrics(self):
         [m] = run_experiment([narma_manifest()])

@@ -2,56 +2,33 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ValidationError
-from spinqrc.qubits import (PAULI_X, PAULI_Y, PAULI_Z, ground_density,
-                            heisenberg_term, pauli_embed, rotation_x,
-                            z_expectations, z_sign_table)
+from spinqrc.qubits import PAULI_X, ground_density, rotation_x, z_sign_table
+from spinqrc.reservoir import Bond, CouplingSet, Topology, build_hamiltonian
 
 
-def test_single_qubit_paulis():
-    assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
-    assert np.allclose(PAULI_X @ PAULI_Z + PAULI_Z @ PAULI_X, 0)
-
-
-def test_pauli_embed_msb_ordering():
-    # qubit 1 occupies the leading bit: Z_1 on two qubits is Z (x) I
-    z1 = pauli_embed("z", 1, 2)
-    assert np.allclose(np.diag(z1).real, [1, 1, -1, -1])
-    z2 = pauli_embed("z", 2, 2)
-    assert np.allclose(np.diag(z2).real, [1, -1, 1, -1])
-
-
-def test_pauli_embed_x_on_second_qubit():
-    x2 = pauli_embed("x", 2, 2)
-    assert tuple(x2[0].real) == (0, 1, 0, 0)
-    assert np.allclose(x2, np.kron(np.eye(2), PAULI_X))
-
-
-def test_pauli_embed_validation():
-    with pytest.raises(ValidationError):
-        pauli_embed("w", 1, 2)
-    with pytest.raises(ValidationError):
-        pauli_embed("x", 3, 2)
-    with pytest.raises(ValidationError):
-        pauli_embed("x", 1, 0)
+def single_bond_hamiltonian(i, j, n_qubits):
+    bond = Bond(i, j, 1.0)
+    return build_hamiltonian(CouplingSet(Topology.LINEAR, n_qubits, (bond,)),
+                             n_qubits)
 
 
 def test_heisenberg_two_qubit_spectrum():
     # exchange coupling splits into singlet (-3) and triplet (+1)
-    h = heisenberg_term(1, 2, 2)
+    h = single_bond_hamiltonian(1, 2, 2)
     assert np.allclose(h, h.conj().T)
     evals = np.linalg.eigvalsh(h)
     assert np.allclose(evals, [-3, 1, 1, 1], atol=1e-12)
 
 
 def test_heisenberg_symmetric_in_bond_order():
-    a = heisenberg_term(1, 3, 3)
-    b = heisenberg_term(3, 1, 3)
+    a = single_bond_hamiltonian(1, 3, 3)
+    b = single_bond_hamiltonian(3, 1, 3)
     assert np.allclose(a, b)
 
 
 def test_heisenberg_rejects_self_bond():
     with pytest.raises(ValidationError):
-        heisenberg_term(2, 2, 3)
+        single_bond_hamiltonian(2, 2, 3)
 
 
 def test_rotation_zero_is_identity():
@@ -92,7 +69,7 @@ def test_ground_density_properties():
     rho = ground_density(3)
     assert rho.trace() == pytest.approx(1.0)
     assert np.allclose(rho, rho @ rho)  # pure
-    assert np.allclose(z_expectations(rho, 3), [1, 1, 1])
+    assert np.allclose(z_sign_table(3) @ rho.diagonal().real, [1, 1, 1])
 
 
 def test_z_sign_table_two_qubits():
@@ -102,16 +79,14 @@ def test_z_sign_table_two_qubits():
 
 
 def test_z_expectations_matches_dense_trace():
-    # same numbers through the full operator route
+    # the sign table's route to <Z_i> gives the numbers of Tr(Z_i rho)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = a @ a.conj().T
     rho /= rho.trace()
-    fast = z_expectations(rho, 3)
-    dense = [np.trace(pauli_embed("z", i, 3) @ rho).real for i in (1, 2, 3)]
+    fast = z_sign_table(3) @ rho.diagonal().real
+    z = np.diag([1.0, -1.0])
+    dense = [np.trace(np.kron(np.kron(np.eye(2**(i - 1)), z),
+                              np.eye(2**(3 - i))) @ rho).real
+             for i in (1, 2, 3)]
     assert np.allclose(fast, dense, atol=1e-12)
-
-
-def test_z_expectations_shape_check():
-    with pytest.raises(ValidationError):
-        z_expectations(np.eye(4), 3)

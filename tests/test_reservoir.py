@@ -7,8 +7,9 @@ from spinqrc.linalg import (BLAS_LIBRARIES, SMALL_OPERATOR_DIM, blas_threads,
                             load_blas, set_blas_threads,
                             small_operator_threads, trace_distance)
 from spinqrc.qubits import ground_density, rotation_x
-from spinqrc.reservoir import (Phase, ReservoirConfig, ReservoirState,
-                               Topology, apply_channel, check_density_matrix,
+from spinqrc.reservoir import (Bond, CouplingSet, Phase, ReservoirConfig,
+                               ReservoirState, Topology, apply_channel,
+                               build_hamiltonian, check_density_matrix,
                                evolution_operator, run_sequence,
                                sample_couplings, step, topology_bonds)
 
@@ -59,6 +60,11 @@ class TestConfig:
         dict(theta0=0.0),
         dict(n_pre=0),
         dict(input_qubit=9),
+        dict(n_qubits="4"),
+        dict(n_qubits=True),
+        dict(topology="rign"),
+        dict(gamma=float("nan")),
+        dict(theta0="0.5"),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
@@ -97,6 +103,43 @@ class TestCouplings:
         # normalization forces the lone bond of a 2-site chain to 1
         cs = sample_couplings(Topology.LINEAR, 2, seed=12345)
         assert cs.bonds[0].strength == pytest.approx(1.0)
+
+
+PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def kron_chain_hamiltonian(couplings, n_qubits):
+    """sum_bonds J (X_iX_j + Y_iY_j + Z_iZ_j), each Pauli pair embedded by
+    a Kronecker chain of identities."""
+    def embed(op, i):
+        return np.kron(np.kron(np.eye(2**(i - 1), dtype=complex), op),
+                       np.eye(2**(n_qubits - i), dtype=complex))
+
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for bond in couplings.bonds:
+        term = np.zeros_like(h)
+        for op in PAULIS:
+            term += embed(op, bond.i) @ embed(op, bond.j)
+        h += bond.strength * term
+    return h
+
+
+class TestHamiltonian:
+    @pytest.mark.parametrize("topology", ["linear", "ring"])
+    @pytest.mark.parametrize("n_qubits", range(3, 9))
+    def test_bitwise_equal_to_kronecker_chains(self, topology, n_qubits):
+        for seed in range(10):
+            couplings = sample_couplings(topology, n_qubits, seed)
+            h = build_hamiltonian(couplings, n_qubits)
+            expected = kron_chain_hamiltonian(couplings, n_qubits)
+            assert h.tobytes() == expected.tobytes()
+
+    def test_rejects_qubit_outside_array(self):
+        couplings = CouplingSet(Topology.LINEAR, 3, (Bond(1, 4, 1.0),))
+        with pytest.raises(ValidationError):
+            build_hamiltonian(couplings, 3)
 
 
 class TestEvolutionOperator:
@@ -258,6 +301,20 @@ class TestRunSequence:
             rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0,
                                        input_qubit=3)
             assert np.abs(state.rho - rho_kron).max() <= 1e-14
+
+    def test_repeated_inputs_match_single_step_route(self):
+        # A drive over three values reuses, then evicts, the two cached
+        # propagators; each step must still equal a freshly composed one.
+        cfg = small_config(gamma=0.13)
+        rng = np.random.default_rng(3)
+        inputs = rng.choice([0.0, 1.0, 0.35], cfg.total_steps)
+        traj = run_sequence(cfg, inputs)
+        u = evolution_operator(cfg)
+        rho0 = ground_density(cfg.n_qubits)
+        state = ReservoirState(rho=rho0.copy())
+        for k, s in enumerate(inputs):
+            state, out = step(state, float(s), u, cfg.gamma, rho0)
+            assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
 
     def test_expectations_in_physical_range(self):
         cfg = small_config(topology="ring")
