@@ -13,6 +13,7 @@ which is what gives the reservoir fading memory.
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from dataclasses import dataclass, field
 from math import cos, isfinite, pi, sin
@@ -21,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, StateInvariantError, ValidationError
-from .linalg import kernel_blas, small_operator_threads, unitary_exp
+from .linalg import (SMALL_OPERATOR_DIM, blas_threads, kernel_blas,
+                     small_operator_threads, unitary_exp)
 from .qubits import MAX_QUBITS, ground_density, z_sign_table
 
 TRACE_TOL = 1e-10
@@ -319,19 +321,27 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     return Trajectory(config=config, inputs=inputs, z_rows=z_rows, phases=phases)
 
 
-# (coupling draw, Fortran-ordered read-only U) of the last draw ``_evolve``
-# used: trajectories of one draw, run back to back (as ``run_experiment``
-# groups them), build U once.
-_last_unitary: tuple = (None, None)
-
-
 def _draw_unitary(config: ReservoirConfig) -> np.ndarray:
-    global _last_unitary
-    if _last_unitary[0] != config.coupling_draw:
-        u = np.asfortranarray(evolution_operator(config))
-        u.flags.writeable = False
-        _last_unitary = (config.coupling_draw, u)
-    return _last_unitary[1]
+    """U of ``config``'s coupling draw, Fortran-ordered and read-only.
+
+    The last draw's U is kept, so trajectories of one draw run back to
+    back (as ``run_experiment`` groups them) build it once. Above
+    ``SMALL_OPERATOR_DIM`` U is built at the caller's BLAS thread count,
+    which its bits depend on, so that count is part of the key.
+    """
+    dim = 2**config.n_qubits
+    threads = blas_threads() if dim > SMALL_OPERATOR_DIM else ()
+    return _unitary(config.coupling_draw, threads)
+
+
+@functools.lru_cache(maxsize=1)
+def _unitary(draw: tuple, threads: tuple[int, ...]) -> np.ndarray:
+    topology, n_qubits, coupling_seed, theta0 = draw
+    u = np.asfortranarray(evolution_operator(ReservoirConfig(
+        topology=topology, n_qubits=n_qubits, coupling_seed=coupling_seed,
+        theta0=theta0)))
+    u.flags.writeable = False
+    return u
 
 
 def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:

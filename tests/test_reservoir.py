@@ -364,6 +364,31 @@ class TestBlasThreadPolicy:
             assert set(blas_threads()) == {count}
         assert rows[1].tobytes() == rows[2].tobytes()
 
+    def test_unitary_cache_keys_large_arrays_on_thread_count(
+            self, caller_threads, monkeypatch):
+        # Above SMALL_OPERATOR_DIM the bits of U depend on the caller's
+        # thread count, so a run at another count must not reuse the U an
+        # earlier run built; at n <= 8 U is built at one thread either way.
+        builds = []
+        build = reservoir.evolution_operator
+
+        def counted(config):
+            builds.append((config.n_qubits, blas_threads()))
+            return build(config)
+
+        monkeypatch.setattr(reservoir, "evolution_operator", counted)
+        reservoir._unitary.cache_clear()
+        rows = {}
+        for n in (6, 9):
+            cfg = small_config(n_qubits=n, n_pre=1, n_fb=1, n_test=1)
+            for count in (1, 2, 2):
+                set_blas_threads([count] * len(caller_threads))
+                rows[n, count] = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
+        assert builds == [(6, (1,)), (9, (1,)), (9, (2,))]
+        reservoir._unitary.cache_clear()
+        fresh = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
+        assert fresh.tobytes() == rows[9, 2].tobytes()
+
     def test_caller_count_restored_after_error(self, caller_threads):
         set_blas_threads([2] * len(caller_threads))
         rho0 = ground_density(6)

@@ -78,7 +78,7 @@ def test_goldens_at_one_and_two_workers(tmp_path, monkeypatch, forks, argv,
 
 def test_builds_one_propagator_per_coupling_draw(monkeypatch):
     use_workers(monkeypatch, 1)
-    monkeypatch.setattr(reservoir, "_last_unitary", (None, None))
+    reservoir._unitary.cache_clear()
     builds = []
     build = reservoir.evolution_operator
 

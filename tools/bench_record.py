@@ -8,17 +8,22 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   ``sweep`` and ``long_run`` workloads (end-to-end metrics);
 * ``traced``: the same for one ``--trace 1`` run of ``sweep`` (per-layer
   metrics);
-* ``sweep_10_seeds``: wall times of the default 10-seed ``spinqrc sweep``
-  (the ``--seeds`` default), each in a fresh process, with the number of
-  worker processes it used (forks counted with ``os.register_at_fork``,
-  plus the process itself). With ``--baseline`` (another checkout, for
-  example the parent commit) the same job alternates between the two
-  checkouts and the record says whether their ``metrics.csv`` bytes agree;
+* ``sweep_10_seeds``: wall times of ``REPEATS`` default 10-seed
+  ``spinqrc sweep`` runs (the ``--seeds`` default), each in a fresh
+  process, with the number of worker processes it used (forks counted
+  with ``os.register_at_fork``, plus the process itself). With
+  ``--baseline`` (another checkout, for example the parent commit) the
+  same job alternates between the two checkouts and the record says
+  whether their ``metrics.csv`` bytes agree;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
-  model and the commit.
+  model, the commit and the git tree hash of ``src/``.
 
-Snapshots are never edited: a later change records a new file.
+perfbench runs at ``SEED`` for BENCHMARK.json's ``run_seconds``, so a
+snapshot is comparable with the benchmark and with other snapshots. The
+tool refuses a checkout whose tracked files differ from its commit, so
+the recorded commit is the code that was measured. Snapshots are never
+edited: a later change records a new file.
 """
 from __future__ import annotations
 
@@ -34,6 +39,9 @@ import time
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEED = 0
+# Alternating pairs of 10-seed sweeps when a baseline is given.
+REPEATS = 10
 
 # Runs the CLI and reports on stderr how many processes it forked.
 COUNT_FORKS = """\
@@ -47,11 +55,10 @@ sys.exit(code)
 """
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
+def perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
     """The environment and result lines of one perfbench run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds),
+            "--seed", str(SEED), "--seconds", str(seconds),
             "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                           check=True)
@@ -72,11 +79,11 @@ def timed_sweep(checkout: Path, out: Path) -> tuple[float, int]:
     return wall, forks + 1
 
 
-def sweep_record(checkouts: dict[str, Path], repeats: int) -> dict:
+def sweep_record(checkouts: dict[str, Path]) -> dict:
     record = {name: {"wall_s": [], "workers": set()} for name in checkouts}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {}
-        for i in range(repeats):
+        for i in range(REPEATS):
             for name, checkout in checkouts.items():
                 out = Path(tmp) / f"{name}{i}"
                 wall, workers = timed_sweep(checkout, out)
@@ -101,14 +108,9 @@ def cpu_model() -> str | None:
     return names[0] if names else None
 
 
-def git_state(root: Path) -> dict:
-    """The checked-out commit, and whether the tree differs from it."""
-    def git(*argv):
-        return subprocess.run(["git", *argv], cwd=root, capture_output=True,
-                              text=True).stdout.strip()
-
-    return {"commit": git("rev-parse", "HEAD") or None,
-            "uncommitted_changes": bool(git("status", "--porcelain"))}
+def git(root: Path, *argv: str) -> str:
+    return subprocess.run(["git", *argv], cwd=root, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,28 +118,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--baseline", type=Path,
                         help="another checkout to time the 10-seed sweep in")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="10-seed sweeps per checkout")
     args = parser.parse_args(argv)
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         parser.error("run from the root of a checkout")
+    commit = git(root, "rev-parse", "HEAD")
+    if not commit or git(root, "status", "--porcelain", "--untracked-files=no"):
+        parser.error("commit the tree first: a snapshot names the commit "
+                     "it measured")
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
 
-    scored = {w: perfbench(root, w, args.seed, args.seconds, 0)
+    scored = {w: perfbench(root, w, seconds, 0)
               for w in ("sweep", "long_run")}
-    traced = perfbench(root, "sweep", args.seed, args.seconds, 1)
+    traced = perfbench(root, "sweep", seconds, 1)
     checkouts = {"change": root}
     if args.baseline is not None:
         checkouts["baseline"] = args.baseline.resolve()
     snapshot = {
         "environment": {**scored["sweep"].pop("environment"),
                         "cpu": cpu_model(), "machine": platform.machine(),
-                        **git_state(root)},
+                        "commit": commit,
+                        "src_tree": git(root, "rev-parse", "HEAD:src")},
         "scored": scored,
         "traced": traced,
-        "sweep_10_seeds": sweep_record(checkouts, args.repeats),
+        "sweep_10_seeds": sweep_record(checkouts),
     }
     for run in (scored["long_run"], traced):
         run.pop("environment", None)
