@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
@@ -81,14 +82,15 @@ def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def _common_manifest_fields(file_cfg: dict, args: argparse.Namespace) -> dict:
+    """Manifest values, passed through as given; the manifest checks them."""
     fields = {}
     fields["n_seeds"] = (args.seeds if args.seeds is not None
-                         else int(file_cfg.get("seeds", DEFAULT_SEED_COUNT)))
+                         else file_cfg.get("seeds", DEFAULT_SEED_COUNT))
     fields["base_seed"] = (args.seed if args.seed is not None
-                           else int(file_cfg.get("seed", 0)))
-    fields["input_seed"] = int(file_cfg.get("input_seed", 42))
-    fields["ridge"] = float(file_cfg.get("ridge", 0.0))
-    fields["stm_delays"] = tuple(file_cfg.get("stm_delays", DEFAULT_STM_DELAYS))
+                           else file_cfg.get("seed", 0))
+    fields["input_seed"] = file_cfg.get("input_seed", 42)
+    fields["ridge"] = file_cfg.get("ridge", 0.0)
+    fields["stm_delays"] = file_cfg.get("stm_delays", DEFAULT_STM_DELAYS)
     return fields
 
 
@@ -100,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config=_reservoir_config_dict(file_cfg, args),
         tasks=(task,),
         readout=(args.readout if args.readout is not None
-                 else int(file_cfg.get("readout", 1))),
+                 else file_cfg.get("readout", 1)),
         **_common_manifest_fields(file_cfg, args),
     )
     run_experiment([manifest])
@@ -127,13 +129,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid_kwargs["tasks"] = (args.task,)
     common = _common_manifest_fields(file_cfg, args)
     if "n_seeds" in sweep_cfg:
-        common["n_seeds"] = int(sweep_cfg["n_seeds"])
+        common["n_seeds"] = sweep_cfg["n_seeds"]
     grid = SweepGrid(n_seeds=common["n_seeds"], **grid_kwargs)
-    manifests = grid.manifests(_reservoir_config_dict(file_cfg, args),
-                               base_seed=common["base_seed"],
-                               input_seed=common["input_seed"])
-    for manifest in manifests:
-        manifest.ridge = common["ridge"]
+    manifests = [replace(manifest, ridge=common["ridge"]) for manifest in
+                 grid.manifests(_reservoir_config_dict(file_cfg, args),
+                                base_seed=common["base_seed"],
+                                input_seed=common["input_seed"])]
     run_experiment(manifests)
     written = emit_report(manifests, Path(args.out),
                           trajectories=bool(file_cfg.get("trajectory", False)))
@@ -150,15 +151,15 @@ def _cmd_esn(args: argparse.Namespace) -> int:
         if k in file_cfg and k not in config:
             config[k] = file_cfg[k]
     if args.task:
-        tasks: tuple[str, ...] = (args.task,)
+        tasks = [args.task]
     else:
-        tasks = tuple(file_cfg.get(
-            "tasks", ("stm", "narma2", "narma5", "narma10", "narma15")))
+        tasks = file_cfg.get(
+            "tasks", ("stm", "narma2", "narma5", "narma10", "narma15"))
     manifest = ExperimentManifest(
         kind="esn",
         config=config,
         tasks=tasks,
-        variants=tuple(esn_cfg.get("variants", VARIANTS)),
+        variants=esn_cfg.get("variants", VARIANTS),
         **_common_manifest_fields(file_cfg, args),
     )
     run_experiment([manifest])

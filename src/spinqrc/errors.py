@@ -22,7 +22,8 @@ class ValidationError(SpinChainError):
 class StateInvariantError(SpinChainError):
     """A density matrix violates trace, hermiticity, or positivity bounds.
 
-    Raised on entry to a step; signals numerical drift upstream.
+    Raised at the channel kernel's checkpoints (its start state, and the
+    states it produces); signals numerical drift or a corrupted state.
     """
 
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +23,8 @@ from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
 from .linalg import SMALL_OPERATOR_DIM, blas_threads, set_blas_threads
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
-from .reservoir import ReservoirConfig, Trajectory, run_sequence
+from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
+                        run_sequence)
 from .tasks import NARMA_ORDERS, gen_stm
 
 DEFAULT_STM_DELAYS = tuple(range(11))
@@ -111,10 +113,22 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if self.kind not in ("reservoir", "esn"):
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
+        check_numbers(self, ("n_seeds", "base_seed", "input_seed", "readout"),
+                      ("ridge",))
+        self.ridge = float(self.ridge)
+        if self.readout not in {r.value for r in ReadoutType}:
+            raise ConfigError(f"unknown readout {self.readout}; expected 1 or 2")
+        for name in ("tasks", "stm_delays", "variants"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            setattr(self, name, tuple(values))
         for name in self.tasks:
             parse_task(name)
         for name in ("stm_delays", "variants"):
-            values = tuple(getattr(self, name))
+            values = getattr(self, name)
+            for value in values:
+                check_numbers(SimpleNamespace(**{name: value}), (name,), ())
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has a duplicate value: {values}")
         if self.n_seeds < 1:
@@ -144,9 +158,6 @@ class ExperimentManifest:
     def from_json(text: str) -> "ExperimentManifest":
         d = json.loads(text)
         metrics = {k: RowStats.from_dict(v) for k, v in d.pop("metrics", {}).items()}
-        for key in ("tasks", "stm_delays", "variants"):
-            if key in d:
-                d[key] = tuple(d[key])
         m = ExperimentManifest(**d)
         m.metrics = metrics
         return m

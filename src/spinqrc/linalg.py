@@ -1,10 +1,10 @@
 """Dense complex matrix helpers for operators up to a few hundred rows.
 
-Three validated functions build and compare operators: ``kron`` (refusing
-results above ``MAX_DIM``), ``unitary_exp`` (exp(-i t h) through the
-eigendecomposition of a Hermitian ``h``, refusing non-Hermitian input) and
-``trace_distance``. Each takes square, finite matrices and returns a fresh
-value, never aliased to its inputs.
+Two validated functions build and compare operators: ``unitary_exp``
+(exp(-i t h) through the eigendecomposition of a Hermitian ``h``, refusing
+non-Hermitian input) and ``trace_distance``. Each takes square, finite
+matrices of any memory layout and returns a fresh value, never aliased to
+its inputs.
 
 The module also binds the two BLAS/LAPACK routines the evolution kernel
 calls directly (``kernel_blas``: ``zgemm`` and ``zpotrf`` through ctypes,
@@ -25,11 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Largest operator dimension the helpers will build. The simulator targets
-# arrays of at most ten qubits (dim 1024); the guard only exists to turn a
-# runaway Kronecker chain into a clear error instead of an allocation storm.
-MAX_DIM = 4096
-
 HERMITICITY_RTOL = 1e-10
 
 # Largest operator dimension (n = 8 qubits) that runs at one BLAS thread.
@@ -44,19 +39,9 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValidationError(f"kron result dimension {dim} exceeds limit {MAX_DIM}")
-    return np.kron(a, b)
 
 
 def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:

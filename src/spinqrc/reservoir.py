@@ -17,7 +17,7 @@ import functools
 import numbers
 from dataclasses import dataclass, field
 from math import cos, isfinite, pi, sin
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 EIGEN_TOL = 1e-10
 
-# Cadence of the full Hermiticity/positivity validation inside run_sequence.
+# Cadence of the full Hermiticity/positivity validation inside the kernel.
 # The channel contracts existing deviations by (1-gamma) per step and one
 # step of rounding adds at most ~1e-14 to them, so between checkpoints the
 # drift stays bounded around 1e-12, two orders below tolerance; the trace
@@ -238,24 +238,36 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise StateInvariantError unless rho is trace-1, Hermitian, and PSD
-    within module tolerances."""
-    if abs(rho.trace() - 1.0) > TRACE_TOL:
-        raise StateInvariantError(f"trace deviates from 1 by {abs(rho.trace() - 1.0):.2e}")
-    if np.linalg.norm(rho - rho.conj().T) > HERM_TOL:
+    within module tolerances; NaN or Inf entries fail."""
+    rho = np.asarray(rho)
+    spare = np.empty(rho.shape, dtype=complex, order="F")
+    _check_state(rho, spare, kernel_blas().potrf(spare, lower=True))
+
+
+def _check_state(rho: np.ndarray, spare: np.ndarray,
+                 cholesky: Callable[[], int], full: bool = True) -> None:
+    """The invariant tests of ``check_density_matrix`` and the kernel: the
+    trace, then (``full``) Hermiticity and positivity. ``spare`` is a
+    Fortran-ordered scratch matrix of rho's size and ``cholesky`` a
+    ``Blas.potrf`` call bound to it. Each test is written so that a NaN
+    fails it."""
+    tr_dev = abs(rho.trace() - 1.0)
+    if not tr_dev <= TRACE_TOL:
+        raise StateInvariantError(f"trace deviates from 1 by {tr_dev:.2e}")
+    if not full:
+        return
+    np.copyto(spare, rho.T)  # a strided copy, then a contiguous conjugate,
+    np.conjugate(spare, out=spare)  # is faster than a strided conjugate
+    np.subtract(rho, spare, out=spare)
+    if not np.linalg.norm(spare) <= HERM_TOL:
         raise StateInvariantError("state is not Hermitian within tolerance")
     # Cholesky of rho + tol*I succeeds exactly when the smallest eigenvalue
     # exceeds -tol; far cheaper than a full eigendecomposition.
-    shifted = np.asfortranarray(rho + EIGEN_TOL * np.eye(rho.shape[0]),
-                                dtype=complex)
-    if kernel_blas().potrf(shifted)() != 0:
+    np.copyto(spare, rho)
+    diagonal = spare.reshape(-1, order="F")[::spare.shape[0] + 1]
+    diagonal += EIGEN_TOL
+    if cholesky() != 0:
         raise StateInvariantError("state has an eigenvalue below tolerance")
-
-
-def apply_channel(rho: np.ndarray, propagator: np.ndarray, gamma: float,
-                  rho0: np.ndarray) -> np.ndarray:
-    """One dissipative step with a pre-composed unitary (rotation folded in)."""
-    evolved = propagator @ rho @ propagator.conj().T
-    return (1.0 - gamma) * evolved + gamma * rho0
 
 
 def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
@@ -263,14 +275,14 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
     """Advance the reservoir by one input value.
 
     ``U`` is the free-evolution unitary; the input rotation is applied
-    before it, folded into the propagator by the bit-flip route that
-    ``run_sequence`` uses. The state is validated on entry so numerical
-    drift surfaces at the step that first sees it.
+    before it. This is one step of the kernel ``run_sequence`` runs, so
+    the state is validated on entry (numerical drift surfaces at the step
+    that first sees it) and on exit.
     """
-    rho = state.rho
-    dim = rho.shape[0]
+    dim = state.rho.shape[0]
     n_qubits = dim.bit_length() - 1
-    if 2**n_qubits != dim or U.shape != (dim, dim) or rho0.shape != (dim, dim):
+    if (2**n_qubits != dim or state.rho.shape != (dim, dim)
+            or U.shape != (dim, dim) or rho0.shape != (dim, dim)):
         raise ValidationError("state, U, and rho0 dimensions are inconsistent")
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
@@ -279,14 +291,10 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
             f"input qubit {input_qubit} outside [1, {n_qubits}]")
     if not np.isfinite(s_k):
         raise ValidationError("input value must be finite")
-    with small_operator_threads(dim):
-        check_density_matrix(rho)
-        half = 0.5 * pi * s_k
-        flipped = U[:, _input_flip(n_qubits, input_qubit)]
-        propagator = cos(half) * U + 1j * sin(half) * flipped
-        rho_next = apply_channel(rho, propagator, gamma, rho0)
-    z = z_sign_table(n_qubits) @ rho_next.diagonal().real
-    return ReservoirState(rho=rho_next, step=state.step + 1), StepOutput(z_expect=z)
+    z_rows, rho = _evolve(U, gamma, rho0, state, np.array([s_k], dtype=float),
+                          input_qubit)
+    return (ReservoirState(rho=rho, step=state.step + 1),
+            StepOutput(z_expect=z_rows[0]))
 
 
 def _input_flip(n_qubits: int, input_qubit: int) -> np.ndarray:
@@ -301,12 +309,9 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     """Run one full prep/train/test sequence from the all-ground state.
 
     Row k of the result holds the Z expectations right after input k was
-    absorbed (rotation, evolution, and relaxation applied). The trace is
-    checked on every state; Hermiticity and positivity are checked every
-    ``_CHECK_INTERVAL`` steps and on the final state, which pins every
-    intermediate state within tolerance (see the cadence note above).
-    Arrays of up to eight qubits evolve at one BLAS thread
-    (``linalg.small_operator_threads``); the caller's count is restored.
+    absorbed (rotation, evolution, and relaxation applied). The states are
+    checked at ``_evolve``'s checkpoints, which pin every intermediate
+    state within tolerance (see the cadence note above).
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 1 or len(inputs) != config.total_steps:
@@ -315,8 +320,9 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     if not np.all(np.isfinite(inputs)):
         raise ConfigError("inputs must be finite")
 
-    with small_operator_threads(2**config.n_qubits):
-        z_rows = _evolve(config, inputs)
+    rho0 = ground_density(config.n_qubits)
+    z_rows, _ = _evolve(_draw_unitary(config), config.gamma, rho0,
+                        ReservoirState(rho=rho0), inputs, config.input_qubit)
     phases = tuple(config.phase_of(k) for k in range(len(inputs)))
     return Trajectory(config=config, inputs=inputs, z_rows=z_rows, phases=phases)
 
@@ -344,78 +350,83 @@ def _unitary(draw: tuple, threads: tuple[int, ...]) -> np.ndarray:
     return u
 
 
-def _evolve(config: ReservoirConfig, inputs: np.ndarray) -> np.ndarray:
-    """The hot loop of ``run_sequence``: Z expectations after every input."""
-    n = config.n_qubits
-    dim = 2**n
-    U = _draw_unitary(config)
-    rho0 = ground_density(n)
-    gamma_rho0 = np.asfortranarray(config.gamma * rho0)
-    keep = 1.0 - config.gamma
+def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
+            start: ReservoirState, inputs: np.ndarray,
+            input_qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The channel kernel of ``step`` and ``run_sequence``: Z expectations
+    after every input, and the final state (Fortran-ordered).
+
+    The start state is checked in full; after it the trace is checked on
+    every state, Hermiticity and positivity every ``_CHECK_INTERVAL`` steps
+    and on the final state. A failure names the step: ``before step k``
+    for the start state, whose ``step`` is k, and ``at step k`` for the
+    state after input k. Arrays of up to eight qubits evolve at one BLAS
+    thread (``linalg.small_operator_threads``).
+    """
+    dim = U.shape[0]
+    n = dim.bit_length() - 1
+    blas = kernel_blas()
+    U = np.asfortranarray(U, dtype=complex)
+    u_flip = np.asfortranarray(U[:, _input_flip(n, input_qubit)])
+    gamma_rho0 = np.empty_like(U)
+    np.multiply(rho0, gamma, out=gamma_rho0)
+    keep = 1.0 - gamma
     signs = z_sign_table(n)
 
-    u_flip = np.asfortranarray(U[:, _input_flip(n, config.input_qubit)])
-
-    # Hot loop: Fortran-ordered buffers so BLAS/LAPACK take them without
-    # copies; the (1-gamma)/(gamma rho0) mixing rides the second product's
-    # beta accumulation.
-    rho = np.asfortranarray(rho0)
+    # Fortran-ordered buffers so BLAS/LAPACK take them without copies. Each
+    # step computes work = prop rho, then refills rho, which is free once
+    # that product is done, with gamma rho0, so that the (1-gamma) mixing
+    # rides the second product's beta accumulation.
+    rho = np.array(start.rho, dtype=complex, order="F")
     props = (np.empty_like(rho), np.empty_like(rho))
     work = np.empty_like(rho)
-    out = np.empty_like(rho)
     spare = np.empty_like(rho)
-    shift = np.asfortranarray(EIGEN_TOL * np.eye(dim))
+    cholesky = blas.potrf(spare, lower=True)
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
 
     # The composed propagators of the last two distinct input values stay
     # in ``props``, keyed on the values' float64 bits, so a binary drive
     # composes two per trajectory; ``lru`` is the slot to overwrite next.
+    # A slot's two BLAS calls are bound to its buffers when it is first
+    # composed.
     prop_keys = [None, None]
+    products = [None, None]
     lru = 0
     input_bits = memoryview(np.ascontiguousarray(inputs).view(np.uint64))
 
-    # The BLAS calls are bound to their buffers once. rho and out swap
-    # every step, so each product has one call per propagator slot and
-    # step parity: on even steps rho is the first buffer, on odd steps the
-    # second.
-    blas = kernel_blas()
-    propagate = [[blas.gemm(prop, buf, work) for buf in (rho, out)]
-                 for prop in props]
-    mix = [[blas.gemm(work, prop, buf, alpha=keep, beta=1.0, conj_b=True)
-            for buf in (out, rho)] for prop in props]
-    cholesky = blas.potrf(spare, lower=True)
-
-    for k, s in enumerate(inputs):
-        key = input_bits[k]
-        if key == prop_keys[0]:
-            slot = 0
-        elif key == prop_keys[1]:
-            slot = 1
-        else:
-            slot, prop = lru, props[lru]
-            np.multiply(U, cos(half * s), out=prop)
-            np.multiply(u_flip, 1j * sin(half * s), out=work)  # scratch
-            np.add(prop, work, out=prop)
-            prop_keys[slot] = key
-        lru = slot ^ 1
-        propagate[slot][k & 1]()  # work = prop rho
-        np.copyto(out, gamma_rho0)
-        mix[slot][k & 1]()  # out = (1-gamma) work prop† + gamma rho0
-        rho, out = out, rho
-        z_rows[k] = signs @ rho.diagonal().real
-
-        tr_dev = abs(rho.trace() - 1.0)
-        if tr_dev > TRACE_TOL:
-            raise StateInvariantError(
-                f"trace deviates from 1 by {tr_dev:.2e} at step {k}")
-        if (k + 1) % _CHECK_INTERVAL == 0 or k + 1 == len(inputs):
-            np.conjugate(rho.T, out=spare)
-            np.subtract(rho, spare, out=spare)
-            if np.linalg.norm(spare) > HERM_TOL:
-                raise StateInvariantError(f"state not Hermitian at step {k}")
-            np.add(rho, shift, out=spare)
-            if cholesky() != 0:
-                raise StateInvariantError(
-                    f"eigenvalue below tolerance at step {k}")
-    return z_rows
+    k = -1
+    try:
+        with small_operator_threads(dim):
+            _check_state(rho, spare, cholesky)
+            for k, s in enumerate(inputs):
+                key = input_bits[k]
+                if key == prop_keys[0]:
+                    slot = 0
+                elif key == prop_keys[1]:
+                    slot = 1
+                else:
+                    slot, prop = lru, props[lru]
+                    np.multiply(U, cos(half * s), out=prop)
+                    np.multiply(u_flip, 1j * sin(half * s), out=work)
+                    np.add(prop, work, out=prop)
+                    prop_keys[slot] = key
+                    if products[slot] is None:
+                        products[slot] = (
+                            blas.gemm(prop, rho, work),
+                            blas.gemm(work, prop, rho, alpha=keep, beta=1.0,
+                                      conj_b=True))
+                lru = slot ^ 1
+                propagate, mix = products[slot]
+                propagate()  # work = prop rho
+                np.copyto(rho, gamma_rho0)
+                mix()  # rho = (1-gamma) work prop† + gamma rho0
+                z_rows[k] = signs @ rho.diagonal().real
+                _check_state(rho, spare, cholesky,
+                             full=(k + 1) % _CHECK_INTERVAL == 0
+                             or k + 1 == len(inputs))
+    except StateInvariantError as exc:
+        where = (f"before step {start.step}" if k < 0
+                 else f"at step {start.step + k}")
+        raise StateInvariantError(f"{exc} {where}") from None
+    return z_rows, rho

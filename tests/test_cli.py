@@ -206,18 +206,33 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
     assert not out.exists()
 
 
+BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
+                       "fractional_seeds": {"seeds": 2.7},
+                       "fractional_seed": {"seed": 1.5},
+                       "string_input_seed": {"input_seed": "42"},
+                       "string_ridge": {"ridge": "a"},
+                       "unknown_readout": {"readout": 3},
+                       "nested_stm_delay": {"stm_delays": [[1]]},
+                       "scalar_stm_delays": {"stm_delays": 1}}
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("run", dict(SMALL, n_qubits="4")),
     ("run", dict(SMALL, topology="rign")),
     ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
                          variants=[1, 1])}),
-], ids=["string_n_qubits", "misspelled_topology", "repeated_variant"])
+    *(("run", dict(SMALL, **bad)) for bad in BAD_MANIFEST_VALUES.values()),
+    ("sweep", dict(SMALL, ridge="a", sweep={"tasks": ["narma2"]})),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "n_seeds": 1.5})),
+], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
+        *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
+    seeds = [] if "seeds" in cfg else ["--seeds", "2"]
     code = main([command, "--config", str(path), "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)])
+                 *seeds, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

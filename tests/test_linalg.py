@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ValidationError
-from spinqrc.linalg import (BLAS_LIBRARIES, MAX_DIM, kernel_blas, kron,
-                            load_blas, trace_distance, unitary_exp)
+from spinqrc.linalg import (BLAS_LIBRARIES, kernel_blas, load_blas,
+                            trace_distance, unitary_exp)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -16,37 +16,15 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
     return a + a.conj().T
 
 
-def test_kron_block_structure():
-    k = kron(X, Z)
-    # top-right block is 1 * Z, top-left is 0 * Z
-    assert np.allclose(k[:2, 2:], Z)
-    assert np.allclose(k[:2, :2], 0)
-    assert tuple(k[0].real) == (0, 0, 1, 0)
-
-
-def test_kron_with_identity_is_block_diagonal():
-    k = kron(np.eye(2), X)
-    assert np.allclose(k[:2, :2], X)
-    assert np.allclose(k[2:, 2:], X)
-    assert np.allclose(k[:2, 2:], 0)
-
-
-def test_kron_rejects_nonsquare():
+def test_unitary_exp_rejects_nonsquare():
     with pytest.raises(ValidationError):
-        kron(np.ones((2, 3)), X)
+        unitary_exp(np.ones((2, 3)), 1.0)
 
 
-def test_kron_rejects_nonfinite():
+def test_unitary_exp_rejects_nonfinite():
     bad = np.array([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError):
-        kron(bad, X)
-
-
-def test_kron_dimension_guard():
-    a = np.eye(64)
-    b = np.eye(MAX_DIM // 32)
-    with pytest.raises(ValidationError):
-        kron(a, b)
+        unitary_exp(bad, 1.0)
 
 
 def test_unitary_exp_rejects_nonhermitian():
@@ -88,6 +66,22 @@ def test_trace_distance_ground_vs_plus():
     ground = np.diag([1.0, 0.0]).astype(complex)
     # eigenvalues of the difference are +-1/sqrt(2)
     assert trace_distance(ground, plus) == pytest.approx(1 / np.sqrt(2))
+
+
+def transposed_view(m: np.ndarray) -> np.ndarray:
+    """``m`` as the transpose of a C-ordered copy of ``m.T``: equal values,
+    whose last axis is not contiguous."""
+    return np.ascontiguousarray(m.T).T
+
+
+@pytest.mark.parametrize("layout", [transposed_view, np.asfortranarray])
+def test_any_memory_layout_is_accepted(layout):
+    h = random_hermitian(8, seed=4)
+    assert not layout(h).flags.c_contiguous
+    assert np.array_equal(unitary_exp(layout(h), 0.3), unitary_exp(h, 0.3))
+    a = np.diag(np.arange(1.0, 9.0) / 36).astype(complex)
+    b = unitary_exp(h, 0.3) @ a @ unitary_exp(h, 0.3).conj().T
+    assert trace_distance(layout(a), layout(b)) == trace_distance(a, b)
 
 
 def test_trace_distance_shape_mismatch():

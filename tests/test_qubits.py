@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ValidationError
-from spinqrc.qubits import PAULI_X, ground_density, rotation_x, z_sign_table
-from spinqrc.reservoir import Bond, CouplingSet, Topology, build_hamiltonian
+from spinqrc.qubits import ground_density, z_sign_table
+from spinqrc.reservoir import (Bond, CouplingSet, ReservoirState, Topology,
+                               build_hamiltonian, step)
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def single_bond_hamiltonian(i, j, n_qubits):
@@ -31,38 +34,62 @@ def test_heisenberg_rejects_self_bond():
         single_bond_hamiltonian(2, 2, 3)
 
 
+def random_density(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
+
+
+def rotate(rho, s, qubit=1):
+    """R(s) rho R(s)† for the input rotation R(s) = exp(+i pi s X_q / 2),
+    as ``step`` applies it: no free evolution (U = I) and no reset."""
+    dim = rho.shape[0]
+    state, _ = step(ReservoirState(rho=rho), s, np.eye(dim, dtype=complex),
+                    0.0, ground_density(dim.bit_length() - 1),
+                    input_qubit=qubit)
+    return state.rho
+
+
 def test_rotation_zero_is_identity():
-    assert np.allclose(rotation_x(0.0, 3), np.eye(8))
+    rho = random_density(3, seed=1)
+    assert np.allclose(rotate(rho, 0.0), rho, atol=1e-14)
 
 
 def test_rotation_full_flip():
     # s=1 on one qubit is iX; it takes |0> to the excited state
-    r = rotation_x(1.0, 1)
-    assert np.allclose(r, 1j * PAULI_X, atol=1e-12)
-    rho = r @ ground_density(1) @ r.conj().T
-    assert np.allclose(rho, np.diag([0, 1]), atol=1e-12)
+    assert np.allclose(rotate(ground_density(1), 1.0), np.diag([0, 1]),
+                       atol=1e-12)
+    rho = random_density(1, seed=2)
+    assert np.allclose(rotate(rho, 1.0), X @ rho @ X, atol=1e-12)
 
 
 def test_rotation_double_flip_is_identity_up_to_phase():
-    r = rotation_x(2.0, 1)
-    assert np.allclose(r, -np.eye(2), atol=1e-12)
+    rho = random_density(2, seed=3)
+    assert np.allclose(rotate(rho, 2.0), rho, atol=1e-12)
 
 
 def test_rotation_is_unitary():
+    rho = random_density(2, seed=4)
     for s in (0.13, 0.5, 0.97, 1.73):
-        r = rotation_x(s, 2, qubit=2)
-        assert np.linalg.norm(r.conj().T @ r - np.eye(4)) < 1e-12
+        rotated = rotate(rho, s, qubit=2)
+        assert np.allclose(np.linalg.eigvalsh(rotated),
+                           np.linalg.eigvalsh(rho), atol=1e-12)
 
 
 def test_rotation_acts_only_on_chosen_qubit():
-    r = rotation_x(0.37, 3, qubit=2)
-    expected = np.kron(np.kron(np.eye(2), rotation_x(0.37, 1)), np.eye(2))
-    assert np.allclose(r, expected)
+    half = 0.5 * np.pi * 0.37
+    r2 = np.cos(half) * np.eye(2) + 1j * np.sin(half) * X
+    r = np.kron(np.kron(np.eye(2), r2), np.eye(2))
+    rho = random_density(3, seed=5)
+    assert np.allclose(rotate(rho, 0.37, qubit=2), r @ rho @ r.conj().T,
+                       atol=1e-12)
 
 
 def test_rotation_rejects_nonfinite():
     with pytest.raises(ValidationError):
-        rotation_x(float("nan"), 2)
+        rotate(ground_density(2), float("nan"))
 
 
 def test_ground_density_properties():

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from spinqrc import linalg, reservoir
+from spinqrc.cli import EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
 from spinqrc.linalg import (BLAS_LIBRARIES, SMALL_OPERATOR_DIM, blas_threads,
                             load_blas, set_blas_threads,
                             small_operator_threads, trace_distance)
-from spinqrc.qubits import ground_density, rotation_x
+from spinqrc.qubits import ground_density
 from spinqrc.reservoir import (Bond, CouplingSet, Phase, ReservoirConfig,
-                               ReservoirState, Topology, apply_channel,
-                               build_hamiltonian, check_density_matrix,
+                               ReservoirState, Topology, build_hamiltonian,
+                               check_density_matrix,
                                evolution_operator, run_sequence,
                                sample_couplings, step, topology_bonds)
 
@@ -21,10 +22,16 @@ def small_config(**kw):
 
 
 def kron_route_step(rho, s, u, gamma, rho0, input_qubit=1):
-    """One channel step with the propagator composed as U @ rotation_x."""
+    """One channel step with the propagator composed as U times the input
+    rotation exp(+i pi s X_q / 2), embedded by a Kronecker chain."""
     n_qubits = rho.shape[0].bit_length() - 1
-    propagator = u @ rotation_x(s, n_qubits, qubit=input_qubit)
-    return apply_channel(rho, propagator, gamma, rho0)
+    half = 0.5 * np.pi * s
+    r2 = np.array([[np.cos(half), 1j * np.sin(half)],
+                   [1j * np.sin(half), np.cos(half)]])
+    rotation = np.kron(np.kron(np.eye(2**(input_qubit - 1)), r2),
+                       np.eye(2**(n_qubits - input_qubit)))
+    propagator = u @ rotation
+    return (1 - gamma) * (propagator @ rho @ propagator.conj().T) + gamma * rho0
 
 
 def basis_density(dim: int, index: int) -> np.ndarray:
@@ -156,6 +163,25 @@ class TestEvolutionOperator:
         assert not np.allclose(u_lin, u_ring)
 
 
+def nonfinite_states() -> dict[str, np.ndarray]:
+    """4x4 states holding NaN or Inf entries: every comparison with NaN is
+    False and zpotrf reports success on NaN, so each invariant test must be
+    written to fail on them."""
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    states = {"all_nan": np.full((4, 4), np.nan, dtype=complex)}
+    states["nan_diagonal"] = rho.copy()
+    states["nan_diagonal"][2, 2] = np.nan
+    states["nan_off_diagonal"] = rho.copy()
+    states["nan_off_diagonal"][0, 3] = np.nan
+    states["inf_off_diagonal_pair"] = rho.copy()
+    states["inf_off_diagonal_pair"][1, 2] = np.inf
+    states["inf_off_diagonal_pair"][2, 1] = np.inf
+    return states
+
+
+NONFINITE = nonfinite_states()
+
+
 class TestCheckDensityMatrix:
     def test_accepts_ground_state(self):
         check_density_matrix(ground_density(3))
@@ -178,6 +204,11 @@ class TestCheckDensityMatrix:
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0, -1e-12, 1e-12, 0.0]).astype(complex)
         check_density_matrix(rho)
+
+    @pytest.mark.parametrize("name", NONFINITE)
+    def test_rejects_nonfinite_state(self, name):
+        with pytest.raises(StateInvariantError):
+            check_density_matrix(NONFINITE[name])
 
 
 class TestStep:
@@ -208,6 +239,32 @@ class TestStep:
         bad = ReservoirState(rho=np.eye(4, dtype=complex))  # trace 4
         with pytest.raises(StateInvariantError):
             step(bad, 0.0, np.eye(4, dtype=complex), 0.1, ground_density(2))
+
+    @pytest.mark.parametrize("name", NONFINITE)
+    def test_rejects_nonfinite_entry_state(self, name):
+        state = ReservoirState(rho=NONFINITE[name])
+        with pytest.raises(StateInvariantError) as raised:
+            step(state, 0.3, np.eye(4, dtype=complex), 0.1, ground_density(2))
+        assert exit_code_for(raised.value) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.array([[0.5, 1e-6], [0, 0.5]]), "not Hermitian"),
+        (np.diag([1.2, -0.2]), "eigenvalue below tolerance"),
+    ])
+    def test_bad_start_state_names_its_step(self, rho, message):
+        state = ReservoirState(rho=rho.astype(complex), step=5)
+        with pytest.raises(StateInvariantError,
+                           match=f"{message}.* before step 5$"):
+            step(state, 0.3, np.eye(2, dtype=complex), 0.1, ground_density(1))
+
+    def test_checkpoint_catches_a_state_gone_bad(self):
+        # A reset target with a negative eigenvalue makes the state after
+        # the input non-positive; the full check on the final state sees it.
+        state = ReservoirState(rho=ground_density(1), step=3)
+        with pytest.raises(StateInvariantError,
+                           match="eigenvalue below tolerance at step 3$"):
+            step(state, 0.3, np.eye(2, dtype=complex), 1.0,
+                 np.diag([1.2, -0.2]).astype(complex))
 
     def test_rejects_dimension_mismatch(self):
         state = ReservoirState(rho=ground_density(2))
@@ -315,6 +372,17 @@ class TestRunSequence:
         for k, s in enumerate(inputs):
             state, out = step(state, float(s), u, cfg.gamma, rho0)
             assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+
+    def test_hermiticity_checked_every_check_interval_steps(self):
+        # A non-Hermitian reset target spoils the state from the first
+        # input on; the trace stays 1, so the first full checkpoint, after
+        # input _CHECK_INTERVAL - 1, is where it surfaces.
+        rho0 = np.array([[1, 1e-6], [0, 0]], dtype=complex)
+        start = ReservoirState(rho=ground_density(1))
+        with pytest.raises(StateInvariantError, match=(
+                f"not Hermitian.* at step {reservoir._CHECK_INTERVAL - 1}$")):
+            reservoir._evolve(np.eye(2, dtype=complex), 0.5, rho0, start,
+                              np.zeros(2 * reservoir._CHECK_INTERVAL), 1)
 
     def test_expectations_in_physical_range(self):
         cfg = small_config(topology="ring")

@@ -15,6 +15,11 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   ``--baseline`` (another checkout, for example the parent commit) the
   same job alternates between the two checkouts and the record says
   whether their ``metrics.csv`` bytes agree;
+* ``criterion_1``: ``CRITERION_1_RUNS`` runs of the acceptance suite's
+  criterion 1 (``pytest -s``, each in a fresh process, alternating with
+  the ``--baseline`` checkout when one is given): the ratio of its wall
+  time to its ``zgemm`` floor, the floor and whether it passed. A failing
+  run is recorded like a passing one;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
   model, the commit and the git tree hash of ``src/``.
@@ -31,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -42,6 +48,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 SEED = 0
 # Alternating pairs of 10-seed sweeps when a baseline is given.
 REPEATS = 10
+
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_exactness"
+CRITERION_1_RUNS = 5
+# The cost line criterion 1 prints, and repeats in its assertion message.
+CRITERION_1_COST = re.compile(
+    r"suite ([0-9.]+)s = ([0-9.]+)x the ([0-9.]+)s .*\(budget ([0-9.]+)x\)")
 
 # Runs the CLI and reports on stderr how many processes it forked.
 COUNT_FORKS = """\
@@ -66,10 +78,39 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
     return {"argv": argv[1:], **json.loads(environment), **json.loads(result)}
 
 
-def timed_sweep(checkout: Path, out: Path) -> tuple[float, int]:
-    """Wall seconds and worker processes of one default 10-seed sweep."""
+def checkout_env(checkout: Path) -> dict[str, str]:
+    """The caller's environment with ``checkout``'s sources on the path
+    and no BLAS thread-count override."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(checkout / "src")
+    return env
+
+
+def criterion_1_run(checkout: Path) -> dict:
+    """Cost ratio, floor and outcome of one criterion-1 run; the numbers
+    are None when the run failed before printing its cost."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         CRITERION_1], cwd=checkout, env=checkout_env(checkout),
+        capture_output=True, text=True)
+    cost = CRITERION_1_COST.search(done.stdout)
+    suite_s, ratio, floor_s, budget = (map(float, cost.groups()) if cost
+                                       else (None,) * 4)
+    return {"passed": done.returncode == 0, "ratio": ratio,
+            "floor_s": floor_s, "suite_s": suite_s, "budget": budget}
+
+
+def criterion_1_record(checkouts: dict[str, Path]) -> dict:
+    record = {name: [] for name in checkouts}
+    for _ in range(CRITERION_1_RUNS):
+        for name, checkout in checkouts.items():
+            record[name].append(criterion_1_run(checkout))
+    return record
+
+
+def timed_sweep(checkout: Path, out: Path) -> tuple[float, int]:
+    """Wall seconds and worker processes of one default 10-seed sweep."""
+    env = checkout_env(checkout)
     started = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-c", COUNT_FORKS, "sweep", "--out", str(out)],
@@ -142,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "scored": scored,
         "traced": traced,
         "sweep_10_seeds": sweep_record(checkouts),
+        "criterion_1": criterion_1_record(checkouts),
     }
     for run in (scored["long_run"], traced):
         run.pop("environment", None)
