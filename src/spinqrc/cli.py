@@ -74,9 +74,9 @@ def _check_keys(where: str, data: dict, known: tuple[str, ...]) -> None:
 
 def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
     config = {k: file_cfg[k] for k in RESERVOIR_CONFIG_KEYS if k in file_cfg}
-    if getattr(args, "topology", None):
+    if args.topology:
         config["topology"] = args.topology
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         config["gamma"] = args.gamma
     return config
 
@@ -105,20 +105,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  else file_cfg.get("readout", 1)),
         **_common_manifest_fields(file_cfg, args),
     )
-    run_experiment([manifest])
-    written = emit_report([manifest], Path(args.out), trajectories=True)
-    for path in written:
-        print(path)
-    return EXIT_OK
+    return _run_and_report([manifest], args.out, trajectories=True)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     sweep_cfg = file_cfg.get("sweep", {})
-    grid_kwargs = {}
-    for key in SWEEP_KEYS:
-        if key in sweep_cfg:
-            grid_kwargs[key] = tuple(sweep_cfg[key])
+    grid_kwargs = {k: sweep_cfg[k] for k in SWEEP_KEYS if k in sweep_cfg}
     if args.topology:
         grid_kwargs["topologies"] = (args.topology,)
     if args.gamma is not None:
@@ -135,12 +128,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  grid.manifests(_reservoir_config_dict(file_cfg, args),
                                 base_seed=common["base_seed"],
                                 input_seed=common["input_seed"])]
-    run_experiment(manifests)
-    written = emit_report(manifests, Path(args.out),
-                          trajectories=bool(file_cfg.get("trajectory", False)))
-    for path in written:
-        print(path)
-    return EXIT_OK
+    return _run_and_report(manifests, args.out,
+                           trajectories=bool(file_cfg.get("trajectory", False)))
 
 
 def _cmd_esn(args: argparse.Namespace) -> int:
@@ -162,9 +151,14 @@ def _cmd_esn(args: argparse.Namespace) -> int:
         variants=esn_cfg.get("variants", VARIANTS),
         **_common_manifest_fields(file_cfg, args),
     )
-    run_experiment([manifest])
-    written = emit_report([manifest], Path(args.out))
-    for path in written:
+    return _run_and_report([manifest], args.out)
+
+
+def _run_and_report(manifests: list[ExperimentManifest], out: str,
+                    trajectories: bool = False) -> int:
+    """Run the manifests, write their report and print each written path."""
+    run_experiment(manifests)
+    for path in emit_report(manifests, Path(out), trajectories=trajectories):
         print(path)
     return EXIT_OK
 
@@ -195,18 +189,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinqrc",
         description="Reservoir computing on a dissipative spin-qubit array")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", _cmd_run), ("sweep", _cmd_sweep),
-                          ("esn", _cmd_esn), ("report", _cmd_report)):
+    # Each subcommand takes the first ``count`` of these, the ones it reads.
+    options = (
+        ("--config", dict(help="JSON config file")),
+        ("--out", dict(default="out", help="output directory")),
+        ("--seed", dict(type=int, help="base seed for the ensemble")),
+        ("--seeds", dict(type=int, help="ensemble size")),
+        ("--task", dict(choices=["stm", "narma2", "narma5", "narma10",
+                                 "narma15", "narma20"])),
+        ("--topology", dict(choices=["linear", "ring"])),
+        ("--gamma", dict(type=float)),
+        ("--readout", dict(type=int, choices=[1, 2])))
+    for name, handler, count in (("run", _cmd_run, 8), ("sweep", _cmd_sweep, 8),
+                                 ("esn", _cmd_esn, 5),
+                                 ("report", _cmd_report, 2)):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="base seed for the ensemble")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seeds", type=int, help="ensemble size")
-        p.add_argument("--task", choices=["stm", "narma2", "narma5", "narma10",
-                                          "narma15", "narma20"])
-        p.add_argument("--topology", choices=["linear", "ring"])
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--readout", type=int, choices=[1, 2])
+        for flag, kwargs in options[:count]:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
     return parser
 

@@ -11,13 +11,13 @@ differences in performance isolate the history depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .reservoir import Phase, check_numbers
+from .reservoir import Schedule, ScheduledRun, check_numbers
 
 HISTORY_DEPTH = 5
 VARIANTS = (1, 3, 5)
@@ -26,7 +26,7 @@ _VARIANT_LAGS = {1: (1,), 3: (1, 3), 5: (1, 3, 5)}
 
 
 @dataclass(frozen=True)
-class EsnConfig:
+class EsnConfig(Schedule):
     n_nodes: int = 6
     variant: int = 1
     w_scale: float = 0.4
@@ -45,37 +45,12 @@ class EsnConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant}")
         if self.w_scale <= 0.0 or self.w_in_scale <= 0.0:
             raise ConfigError("weight scales must be positive")
-        if min(self.n_pre, self.n_fb, self.n_test) < 1:
-            raise ConfigError("all phase lengths must be positive")
-
-    @property
-    def total_steps(self) -> int:
-        return self.n_pre + self.n_fb + self.n_test
-
-    def phase_of(self, step_index: int) -> Phase:
-        if step_index < self.n_pre:
-            return Phase.PREP
-        if step_index < self.n_pre + self.n_fb:
-            return Phase.TRAIN
-        return Phase.TEST
+        self.check_phases()
 
 
 @dataclass(frozen=True)
-class EsnTrajectory:
-    config: EsnConfig
-    inputs: np.ndarray
+class EsnTrajectory(ScheduledRun):
     states: np.ndarray  # shape (total_steps, n_nodes)
-    phases: tuple[Phase, ...] = field(repr=False)
-
-    @property
-    def train_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre, c.n_pre + c.n_fb)
-
-    @property
-    def test_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre + c.n_fb, c.total_steps)
 
 
 def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +80,5 @@ def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
         for lag in lags:
             mixed = mixed + history[k - lag]
         history[k] = np.tanh(w @ mixed + w_in * float(s))
-    states = history[HISTORY_DEPTH:]
-    phases = tuple(config.phase_of(k) for k in range(len(inputs)))
-    return EsnTrajectory(config=config, inputs=inputs, states=states, phases=phases)
+    return EsnTrajectory(config=config, inputs=inputs,
+                         states=history[HISTORY_DEPTH:])

@@ -20,7 +20,7 @@ import numpy as np
 from . import tasks, workers
 from .errors import ConfigError
 from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
-from .linalg import SMALL_OPERATOR_DIM, blas_threads, set_blas_threads
+from .linalg import SMALL_OPERATOR_DIM, small_operator_threads
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
 from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
@@ -122,15 +122,14 @@ class ExperimentManifest:
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {values!r}")
-            setattr(self, name, tuple(values))
-        for name in self.tasks:
-            parse_task(name)
-        for name in ("stm_delays", "variants"):
-            values = getattr(self, name)
             for value in values:
-                check_numbers(SimpleNamespace(**{name: value}), (name,), ())
+                if name == "tasks":
+                    parse_task(value)
+                else:
+                    check_numbers(SimpleNamespace(**{name: value}), (name,), ())
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has a duplicate value: {values}")
+            setattr(self, name, tuple(values))
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
         if not self.version:
@@ -141,8 +140,7 @@ class ExperimentManifest:
             self.created = datetime.now(timezone.utc).isoformat()
 
     def reservoir_config(self, coupling_seed: int) -> ReservoirConfig:
-        return ReservoirConfig(coupling_seed=coupling_seed,
-                               input_seed=self.input_seed, **self.config)
+        return ReservoirConfig(coupling_seed=coupling_seed, **self.config)
 
     def esn_config(self, variant: int, weight_seed: int) -> EsnConfig:
         return EsnConfig(variant=variant, weight_seed=weight_seed, **self.config)
@@ -254,12 +252,8 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
     # the fork and every small job spares each process the thread-count
     # calls that, after a fork, start an OpenBLAS worker thread spinning
     # for about 0.1 s of CPU beside the workers (small_operator_threads).
-    saved = blas_threads()
-    set_blas_threads([1] * len(saved))
-    try:
+    with small_operator_threads(SMALL_OPERATOR_DIM):
         results = workers.run_groups(_simulate, jobs, list(groups.values()))
-    finally:
-        set_blas_threads(saved)
     for i in local:
         results[i] = _simulate(*jobs[i])
     return results
@@ -349,15 +343,20 @@ class SweepGrid:
     n_seeds: int = DEFAULT_SEED_COUNT
 
     def __post_init__(self) -> None:
-        for axis_name in ("topologies", "gammas", "readouts", "tasks"):
-            if not getattr(self, axis_name):
-                raise ConfigError(f"sweep axis {axis_name} is empty")
         for axis_name in ("topologies", "gammas", "readouts", "tasks",
                           "stm_delays"):
             values = getattr(self, axis_name)
-            if len(set(values)) != len(values):
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(
+                    f"sweep axis {axis_name} must be a list, got {values!r}")
+            if not values and axis_name != "stm_delays":
+                raise ConfigError(f"sweep axis {axis_name} is empty")
+            # Compared pairwise, not through a set: the entries are checked
+            # by the configs built from them, so they may be unhashable here.
+            if any(v in values[:i] for i, v in enumerate(values)):
                 raise ConfigError(
                     f"sweep axis {axis_name} has a duplicate value: {values}")
+            object.__setattr__(self, axis_name, tuple(values))
         for name in self.tasks:
             parse_task(name)
         task_rows = sum(len(self.stm_delays) if t == "stm" else 1
@@ -432,7 +431,7 @@ def trajectory_csv_text(manifest: ExperimentManifest,
               + ["y_pred", "y_target"])
     lines = [",".join(header)]
     for k in range(config.total_steps):
-        cells = [str(k), traj.phases[k].value, _fmt(float(inputs[k]))]
+        cells = [str(k), config.phase_of(k).value, _fmt(float(inputs[k]))]
         cells.extend(_fmt(z) for z in traj.z_rows[k])
         cells.append(_fmt(float(y_pred[k])))
         cells.append(_fmt(float(target[k])))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, isfinite, pi, sin
 from typing import Callable, Sequence
 
@@ -47,6 +47,48 @@ class Phase(str, enum.Enum):
     PREP = "prep"
     TRAIN = "train"
     TEST = "test"
+
+
+class Schedule:
+    """The prep/train/test windows of a config with ``n_pre``, ``n_fb`` and
+    ``n_test`` fields; the reservoir and the ESN share them."""
+
+    def check_phases(self) -> None:
+        if min(self.n_pre, self.n_fb, self.n_test) < 1:
+            raise ConfigError("all phase lengths must be positive")
+
+    @property
+    def total_steps(self) -> int:
+        return self.n_pre + self.n_fb + self.n_test
+
+    def phase_of(self, step_index: int) -> Phase:
+        if step_index < self.n_pre:
+            return Phase.PREP
+        if step_index < self.n_pre + self.n_fb:
+            return Phase.TRAIN
+        return Phase.TEST
+
+
+@dataclass(frozen=True)
+class ScheduledRun:
+    """A run's config and drive; subclasses add its per-step rows."""
+
+    config: Schedule
+    inputs: np.ndarray
+
+    @property
+    def train_slice(self) -> slice:
+        c = self.config
+        return slice(c.n_pre, c.n_pre + c.n_fb)
+
+    @property
+    def test_slice(self) -> slice:
+        c = self.config
+        return slice(c.n_pre + c.n_fb, c.total_steps)
+
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        return tuple(map(self.config.phase_of, range(len(self.inputs))))
 
 
 @dataclass(frozen=True)
@@ -81,7 +123,7 @@ def check_numbers(config, integers: tuple[str, ...],
 
 
 @dataclass(frozen=True)
-class ReservoirConfig:
+class ReservoirConfig(Schedule):
     n_qubits: int = 6
     topology: Topology = Topology.LINEAR
     gamma: float = 0.1
@@ -90,12 +132,11 @@ class ReservoirConfig:
     n_fb: int = 200
     n_test: int = 40
     coupling_seed: int = 0
-    input_seed: int = 42
     input_qubit: int = 1
 
     def __post_init__(self) -> None:
         check_numbers(self, ("n_qubits", "n_pre", "n_fb", "n_test",
-                             "coupling_seed", "input_seed", "input_qubit"),
+                             "coupling_seed", "input_qubit"),
                       ("gamma", "theta0"))
         if self.n_qubits < 2:
             raise ConfigError("a coupled array needs at least 2 qubits")
@@ -112,8 +153,7 @@ class ReservoirConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.theta0 <= 0.0:
             raise ConfigError(f"theta0 must be positive, got {self.theta0}")
-        if min(self.n_pre, self.n_fb, self.n_test) < 1:
-            raise ConfigError("all phase lengths must be positive")
+        self.check_phases()
         if not 1 <= self.input_qubit <= self.n_qubits:
             raise ConfigError(
                 f"input qubit {self.input_qubit} outside [1, {self.n_qubits}]")
@@ -128,17 +168,6 @@ class ReservoirConfig:
         drive and the input qubit do not enter it."""
         return (self.topology, self.n_qubits, self.coupling_seed, self.theta0)
 
-    @property
-    def total_steps(self) -> int:
-        return self.n_pre + self.n_fb + self.n_test
-
-    def phase_of(self, step_index: int) -> Phase:
-        if step_index < self.n_pre:
-            return Phase.PREP
-        if step_index < self.n_pre + self.n_fb:
-            return Phase.TRAIN
-        return Phase.TEST
-
 
 @dataclass
 class ReservoirState:
@@ -152,23 +181,10 @@ class StepOutput:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(ScheduledRun):
     """Per-step readout of one reservoir run."""
 
-    config: ReservoirConfig
-    inputs: np.ndarray
     z_rows: np.ndarray  # shape (total_steps, n_qubits)
-    phases: tuple[Phase, ...] = field(repr=False)
-
-    @property
-    def train_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre, c.n_pre + c.n_fb)
-
-    @property
-    def test_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre + c.n_fb, c.total_steps)
 
 
 def topology_bonds(topology: Topology, n_qubits: int) -> list[tuple[int, int]]:
@@ -323,8 +339,7 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     rho0 = ground_density(config.n_qubits)
     z_rows, _ = _evolve(_draw_unitary(config), config.gamma, rho0,
                         ReservoirState(rho=rho0), inputs, config.input_qubit)
-    phases = tuple(config.phase_of(k) for k in range(len(inputs)))
-    return Trajectory(config=config, inputs=inputs, z_rows=z_rows, phases=phases)
+    return Trajectory(config=config, inputs=inputs, z_rows=z_rows)
 
 
 def _draw_unitary(config: ReservoirConfig) -> np.ndarray:

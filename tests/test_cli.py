@@ -224,8 +224,13 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
     *(("run", dict(SMALL, **bad)) for bad in BAD_MANIFEST_VALUES.values()),
     ("sweep", dict(SMALL, ridge="a", sweep={"tasks": ["narma2"]})),
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "n_seeds": 1.5})),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": 0.1})),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "topologies": "ring"})),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": [[0.1]]})),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
-        *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds"])
+        *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
+        "sweep_scalar_gammas", "sweep_string_topologies",
+        "sweep_nested_gamma"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -235,6 +240,32 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
                  *seeds, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_esn_rejects_repeated_task(tmp_path):
+    path = tmp_path / "esn.json"
+    path.write_text(json.dumps({"tasks": ["narma2", "narma2"],
+                                "esn": dict(n_nodes=4, n_pre=10, n_fb=30,
+                                            n_test=10)}))
+    out = tmp_path / "out"
+    code = main(["esn", "--config", str(path), "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["esn", "--gamma", "0.5"], ["esn", "--topology", "ring"],
+    ["esn", "--readout", "2"], ["report", "--seed", "1"],
+    ["report", "--seeds", "3"], ["report", "--task", "stm"],
+    ["report", "--topology", "ring"], ["report", "--gamma", "0.1"],
+    ["report", "--readout", "1"]], ids=lambda argv: argv[0] + argv[1])
+def test_option_the_subcommand_never_reads_is_rejected(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
     assert not out.exists()
 
 

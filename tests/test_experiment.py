@@ -88,7 +88,8 @@ class TestManifest:
             narma_manifest(tasks=("narma7",))
 
     @pytest.mark.parametrize("kw", [dict(stm_delays=(1, 1, 2)),
-                                    dict(variants=(1, 3, 1))])
+                                    dict(variants=(1, 3, 1)),
+                                    dict(tasks=("narma2", "narma2"))])
     def test_rejects_repeated_value(self, kw):
         with pytest.raises(ConfigError, match="duplicate"):
             esn_manifest(**kw)
@@ -158,6 +159,15 @@ class TestRunExperiment:
         # readout axis and the five NARMA orders share trajectories.
         assert len(calls) == 16
         assert len(set(calls)) == 16
+
+    def test_input_seed_does_not_split_narma_simulations(self, monkeypatch):
+        # The NARMA drive does not depend on input_seed, so two cells that
+        # differ only in it share every trajectory.
+        calls = count_simulations(monkeypatch)
+        a, b = run_experiment([narma_manifest(input_seed=42),
+                               narma_manifest(input_seed=7)])
+        assert len(calls) == 2
+        assert a.metrics == b.metrics
 
     def test_batched_call_matches_cells_run_alone(self):
         grid = SweepGrid(n_seeds=2, stm_delays=(0, 3))
