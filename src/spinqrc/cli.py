@@ -15,27 +15,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError, ValidationError)
-from .esn import VARIANTS
-from .experiment import (DEFAULT_SEED_COUNT, DEFAULT_STM_DELAYS,
-                         ExperimentManifest, SweepGrid, metrics_csv_text,
-                         run_experiment, emit_report)
+from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
+                         run_experiment, emit_report, write_metrics)
+from .reservoir import Topology
 
 RESERVOIR_CONFIG_KEYS = ("n_qubits", "topology", "gamma", "theta0", "n_pre",
                          "n_fb", "n_test", "input_qubit")
 ESN_CONFIG_KEYS = ("n_nodes", "w_scale", "w_in_scale", "n_pre", "n_fb", "n_test")
-SWEEP_KEYS = ("topologies", "gammas", "readouts", "tasks", "stm_delays")
+# The top-level keys that set a manifest field in `run`, `sweep` and `esn`,
+# and that field; a flag of the same name overrides the key. The manifest
+# supplies the default of every field that neither sets.
+MANIFEST_KEYS = {"seeds": "n_seeds", "seed": "base_seed",
+                 "input_seed": "input_seed", "ridge": "ridge",
+                 "stm_delays": "stm_delays"}
 
 # Every key a config file may hold, at the top level and in the blocks that
 # configure ``sweep`` and ``esn``; any other key is a configuration error.
-CONFIG_KEYS = RESERVOIR_CONFIG_KEYS + (
-    "task", "tasks", "readout", "seed", "seeds", "input_seed", "ridge",
-    "stm_delays", "trajectory", "sweep", "esn")
-BLOCK_KEYS = {"sweep": SWEEP_KEYS + ("n_seeds",),
+CONFIG_KEYS = RESERVOIR_CONFIG_KEYS + tuple(MANIFEST_KEYS) + (
+    "task", "tasks", "readout", "trajectory", "sweep", "esn")
+BLOCK_KEYS = {"sweep": tuple(f.name for f in fields(SweepGrid)),
               "esn": ESN_CONFIG_KEYS + ("variants",)}
 
 EXIT_OK = 0
@@ -81,17 +84,15 @@ def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
     return config
 
 
-def _common_manifest_fields(file_cfg: dict, args: argparse.Namespace) -> dict:
-    """Manifest values, passed through as given; the manifest checks them."""
-    fields = {}
-    fields["n_seeds"] = (args.seeds if args.seeds is not None
-                         else file_cfg.get("seeds", DEFAULT_SEED_COUNT))
-    fields["base_seed"] = (args.seed if args.seed is not None
-                           else file_cfg.get("seed", 0))
-    fields["input_seed"] = file_cfg.get("input_seed", 42)
-    fields["ridge"] = file_cfg.get("ridge", 0.0)
-    fields["stm_delays"] = file_cfg.get("stm_delays", DEFAULT_STM_DELAYS)
-    return fields
+def _manifest_fields(file_cfg: dict, args: argparse.Namespace,
+                     keys: dict = MANIFEST_KEYS) -> dict:
+    """The manifest fields that the file or a flag sets, passed through as
+    given; the manifest checks them and defaults the others."""
+    given = {name: file_cfg[key] for key, name in keys.items()
+             if key in file_cfg}
+    given.update({name: getattr(args, key) for key, name in keys.items()
+                  if getattr(args, key, None) is not None})
+    return given
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -101,35 +102,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         kind="reservoir",
         config=_reservoir_config_dict(file_cfg, args),
         tasks=(task,),
-        readout=(args.readout if args.readout is not None
-                 else file_cfg.get("readout", 1)),
-        **_common_manifest_fields(file_cfg, args),
+        **_manifest_fields(file_cfg, args,
+                           dict(MANIFEST_KEYS, readout="readout")),
     )
     return _run_and_report([manifest], args.out, trajectories=True)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
-    sweep_cfg = file_cfg.get("sweep", {})
-    grid_kwargs = {k: sweep_cfg[k] for k in SWEEP_KEYS if k in sweep_cfg}
-    if args.topology:
-        grid_kwargs["topologies"] = (args.topology,)
-    if args.gamma is not None:
-        grid_kwargs["gammas"] = (args.gamma,)
-    if args.readout is not None:
-        grid_kwargs["readouts"] = (args.readout,)
-    if args.task:
-        grid_kwargs["tasks"] = (args.task,)
-    common = _common_manifest_fields(file_cfg, args)
-    if "n_seeds" in sweep_cfg:
-        common["n_seeds"] = sweep_cfg["n_seeds"]
-    grid = SweepGrid(n_seeds=common["n_seeds"], **grid_kwargs)
-    manifests = [replace(manifest, ridge=common["ridge"]) for manifest in
-                 grid.manifests(_reservoir_config_dict(file_cfg, args),
-                                base_seed=common["base_seed"],
-                                input_seed=common["input_seed"])]
-    return _run_and_report(manifests, args.out,
-                           trajectories=bool(file_cfg.get("trajectory", False)))
+    grid_kwargs = dict(file_cfg.get("sweep", {}))
+    for axis, flag in (("topologies", args.topology), ("gammas", args.gamma),
+                       ("readouts", args.readout), ("tasks", args.task)):
+        if flag is not None:
+            grid_kwargs[axis] = (flag,)
+    trajectories = file_cfg.get("trajectory", False)
+    if not isinstance(trajectories, bool):
+        raise ConfigError(
+            f"trajectory must be true or false, got {trajectories!r}")
+    manifests = SweepGrid(**grid_kwargs).manifests(
+        _reservoir_config_dict(file_cfg, args),
+        **_manifest_fields(file_cfg, args))
+    return _run_and_report(manifests, args.out, trajectories=trajectories)
 
 
 def _cmd_esn(args: argparse.Namespace) -> int:
@@ -144,13 +137,11 @@ def _cmd_esn(args: argparse.Namespace) -> int:
     else:
         tasks = file_cfg.get(
             "tasks", ("stm", "narma2", "narma5", "narma10", "narma15"))
-    manifest = ExperimentManifest(
-        kind="esn",
-        config=config,
-        tasks=tasks,
-        variants=esn_cfg.get("variants", VARIANTS),
-        **_common_manifest_fields(file_cfg, args),
-    )
+    given = _manifest_fields(file_cfg, args)
+    if "variants" in esn_cfg:
+        given["variants"] = esn_cfg["variants"]
+    manifest = ExperimentManifest(kind="esn", config=config, tasks=tasks,
+                                  **given)
     return _run_and_report([manifest], args.out)
 
 
@@ -177,10 +168,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             manifests.append(ExperimentManifest.from_json(path.read_text()))
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}")
-    metrics_path = out_dir / "metrics.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path.write_text(metrics_csv_text(manifests))
-    print(metrics_path)
+    print(write_metrics(manifests, out_dir))
     return EXIT_OK
 
 
@@ -195,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--out", dict(default="out", help="output directory")),
         ("--seed", dict(type=int, help="base seed for the ensemble")),
         ("--seeds", dict(type=int, help="ensemble size")),
-        ("--task", dict(choices=["stm", "narma2", "narma5", "narma10",
-                                 "narma15", "narma20"])),
-        ("--topology", dict(choices=["linear", "ring"])),
+        ("--task", dict(choices=TASK_NAMES)),
+        ("--topology", dict(choices=[t.value for t in Topology])),
         ("--gamma", dict(type=float)),
         ("--readout", dict(type=int, choices=[1, 2])))
     for name, handler, count in (("run", _cmd_run, 8), ("sweep", _cmd_sweep, 8),

@@ -27,8 +27,6 @@ from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
                         run_sequence)
 from .tasks import NARMA_ORDERS, gen_stm
 
-DEFAULT_STM_DELAYS = tuple(range(11))
-DEFAULT_SEED_COUNT = 10
 MAX_SWEEP_CELLS = 10_000
 
 TASK_NAMES = ("stm",) + tuple(f"narma{n}" for n in NARMA_ORDERS)
@@ -96,8 +94,8 @@ class ExperimentManifest:
     config: dict
     tasks: tuple[str, ...]
     readout: int = 1
-    stm_delays: tuple[int, ...] = DEFAULT_STM_DELAYS
-    n_seeds: int = DEFAULT_SEED_COUNT
+    stm_delays: tuple[int, ...] = tuple(range(11))
+    n_seeds: int = 10
     base_seed: int = 0
     input_seed: int = 42
     ridge: float = 0.0
@@ -165,10 +163,9 @@ class ExperimentManifest:
         task_tag = self.tasks[0] if len(self.tasks) == 1 else "multi"
         if self.kind == "esn":
             return f"{task_tag}_esn"
-        cfg = self.config
-        topo = cfg.get("topology", "linear")
-        gamma = _gamma_str(cfg.get("gamma", 0.1))
-        return f"{task_tag}_{topo}_g{gamma}_r{self.readout}"
+        config = self.reservoir_config(self.base_seed)
+        gamma = _gamma_str(config.gamma)
+        return f"{task_tag}_{config.topology.value}_g{gamma}_r{self.readout}"
 
 
 def _task_sequences(name: str, length: int, delays: Iterable[int],
@@ -333,23 +330,22 @@ def run_experiment(
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian product of experiment cells for the sweep runner."""
+    """Cartesian product of experiment cells for the sweep runner: the
+    axes a sweep varies. Every other manifest field is the same in each
+    cell and is passed to ``manifests``."""
 
     topologies: tuple[str, ...] = ("linear", "ring")
     gammas: tuple[float, ...] = (0.1, 0.01)
     readouts: tuple[int, ...] = (1, 2)
     tasks: tuple[str, ...] = TASK_NAMES
-    stm_delays: tuple[int, ...] = DEFAULT_STM_DELAYS
-    n_seeds: int = DEFAULT_SEED_COUNT
 
     def __post_init__(self) -> None:
-        for axis_name in ("topologies", "gammas", "readouts", "tasks",
-                          "stm_delays"):
+        for axis_name in ("topologies", "gammas", "readouts", "tasks"):
             values = getattr(self, axis_name)
             if not isinstance(values, (list, tuple)):
                 raise ConfigError(
                     f"sweep axis {axis_name} must be a list, got {values!r}")
-            if not values and axis_name != "stm_delays":
+            if not values:
                 raise ConfigError(f"sweep axis {axis_name} is empty")
             # Compared pairwise, not through a set: the entries are checked
             # by the configs built from them, so they may be unhashable here.
@@ -357,46 +353,55 @@ class SweepGrid:
                 raise ConfigError(
                     f"sweep axis {axis_name} has a duplicate value: {values}")
             object.__setattr__(self, axis_name, tuple(values))
-        for name in self.tasks:
-            parse_task(name)
-        task_rows = sum(len(self.stm_delays) if t == "stm" else 1
-                        for t in self.tasks)
-        cells = (len(self.topologies) * len(self.gammas) * len(self.readouts)
-                 * task_rows)
-        if cells > MAX_SWEEP_CELLS:
-            raise ConfigError(f"sweep would produce {cells} cells; "
-                              f"limit is {MAX_SWEEP_CELLS}")
 
-    def manifests(self, base_config: dict, base_seed: int,
-                  input_seed: int) -> list[ExperimentManifest]:
-        out = []
-        for topology in self.topologies:
-            for gamma in self.gammas:
-                for readout in self.readouts:
-                    config = dict(base_config)
-                    config["topology"] = topology
-                    config["gamma"] = gamma
-                    out.append(ExperimentManifest(
-                        kind="reservoir", config=config, tasks=self.tasks,
-                        readout=readout, stm_delays=self.stm_delays,
-                        n_seeds=self.n_seeds, base_seed=base_seed,
-                        input_seed=input_seed))
+    def manifests(self, base_config: dict,
+                  **manifest_fields) -> list[ExperimentManifest]:
+        """One reservoir manifest per grid point, each given
+        ``manifest_fields`` unchanged; the manifest defaults the rest."""
+        out = [ExperimentManifest(
+                   kind="reservoir", tasks=self.tasks, readout=readout,
+                   config=dict(base_config, topology=topology, gamma=gamma),
+                   **manifest_fields)
+               for topology in self.topologies for gamma in self.gammas
+               for readout in self.readouts]
+        task_rows = sum(len(out[0].stm_delays) if t == "stm" else 1
+                        for t in self.tasks)
+        if len(out) * task_rows > MAX_SWEEP_CELLS:
+            raise ConfigError(f"sweep would produce {len(out) * task_rows} "
+                              f"cells; limit is {MAX_SWEEP_CELLS}")
         return out
 
 
 def metrics_csv_text(manifests: Iterable[ExperimentManifest]) -> str:
     """Deterministic CSV: fixed columns, 13-significant-digit floats, rows
-    sorted by configuration key."""
+    sorted by configuration key. Two rows with one key are an error."""
     rows = []
     for manifest in manifests:
         for stats in manifest.metrics.values():
             rows.append((stats.task, stats.topology, stats.readout_type,
                          stats.gamma_str, str(len(stats.per_seed)),
                          _fmt(stats.mean), _fmt(stats.std)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    rows.sort(key=lambda r: r[:4])
+    for row, prev in zip(rows[1:], rows):
+        if row[:4] == prev[:4]:
+            raise ConfigError(
+                f"two manifests report the row {','.join(row[:4])}")
     lines = [",".join(METRICS_HEADER)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def write_metrics(manifests: Iterable[ExperimentManifest],
+                  out_dir: Path) -> Path:
+    """Create ``out_dir`` and write the manifests' metrics.csv into it."""
+    text = metrics_csv_text(manifests)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
+    path = out_dir / "metrics.csv"
+    path.write_text(text)
+    return path
 
 
 def trajectory_csv_text(manifest: ExperimentManifest,
@@ -446,14 +451,7 @@ def emit_report(manifests: list[ExperimentManifest], out_dir: Path,
     if not manifests:
         raise ConfigError("nothing to report")
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
-    written = []
-    metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(metrics_csv_text(manifests))
-    written.append(metrics_path)
+    written = [write_metrics(manifests, out_dir)]
     for manifest in manifests:
         path = out_dir / f"manifest_{manifest.cell_id}.json"
         path.write_text(manifest.to_json() + "\n")

@@ -137,9 +137,9 @@ def test_run_stm_task(tmp_path, config_file):
 
 
 def test_sweep_emits_grid(tmp_path):
-    cfg = dict(SMALL)
+    cfg = dict(SMALL, seeds=1)
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1, 0.01],
-                    "readouts": [1], "tasks": ["narma2"], "n_seeds": 1}
+                    "readouts": [1], "tasks": ["narma2"]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -153,9 +153,9 @@ def test_sweep_emits_grid(tmp_path):
 
 def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
     calls = count_simulations(monkeypatch)
-    cfg = dict(SMALL, trajectory=True)
+    cfg = dict(SMALL, trajectory=True, seeds=1)
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1],
-                    "readouts": [1, 2], "tasks": ["narma2"], "n_seeds": 1}
+                    "readouts": [1, 2], "tasks": ["narma2"]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -165,14 +165,27 @@ def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
 
 
 def test_sweep_rejects_duplicate_gamma(tmp_path):
-    cfg = dict(SMALL)
-    cfg["sweep"] = {"gammas": [0.1, 0.1], "tasks": ["narma2"], "n_seeds": 1}
+    cfg = dict(SMALL, seeds=1)
+    cfg["sweep"] = {"gammas": [0.1, 0.1], "tasks": ["narma2"]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(path), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_sweep_reads_top_level_stm_delays(tmp_path):
+    cfg = dict(SMALL, seeds=1, stm_delays=[1, 2],
+               sweep={"topologies": ["linear"], "gammas": [0.1],
+                      "readouts": [1]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--task", "stm",
+                 "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["stm_tau01", "stm_tau02"]
 
 
 def test_default_sweep_matches_frozen_golden(tmp_path):
@@ -194,6 +207,11 @@ def test_default_esn_matches_frozen_golden(tmp_path):
      "variants"),
     ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
                          variant=[1])}, "variant"),
+    # The ensemble size and the delays have one key each, at the top level.
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "n_seeds": 3}),
+     "n_seeds"),
+    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "stm_delays": [1]}),
+     "stm_delays"),
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
     path = tmp_path / "config.json"
@@ -223,14 +241,15 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
                          variants=[1, 1])}),
     *(("run", dict(SMALL, **bad)) for bad in BAD_MANIFEST_VALUES.values()),
     ("sweep", dict(SMALL, ridge="a", sweep={"tasks": ["narma2"]})),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "n_seeds": 1.5})),
+    ("sweep", dict(SMALL, seeds=1.5, sweep={"tasks": ["narma2"]})),
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": 0.1})),
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "topologies": "ring"})),
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": [[0.1]]})),
+    ("sweep", dict(SMALL, trajectory="false", sweep={"tasks": ["narma2"]})),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
         *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
-        "sweep_nested_gamma"])
+        "sweep_nested_gamma", "sweep_string_trajectory"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -292,6 +311,29 @@ def test_report_reemits_metrics(tmp_path, config_file):
     (out / "metrics.csv").unlink()
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "metrics.csv").read_bytes() == original
+
+
+def test_report_refuses_colliding_rows(tmp_path, capsys, config_file):
+    out = tmp_path / "out"
+    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
+          "--out", str(out)])
+    original = (out / "metrics.csv").read_bytes()
+    manifest = out / "manifest_narma2_linear_g0.1_r1.json"
+    (out / "manifest_copy.json").write_bytes(manifest.read_bytes())
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert "narma2,linear,per_qubit,0.1" in capsys.readouterr().err
+    assert (out / "metrics.csv").read_bytes() == original
+
+
+def test_report_into_uncreatable_directory_exits_2(tmp_path, config_file):
+    out = tmp_path / "out"
+    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
+          "--out", str(out)])
+    (tmp_path / "blocker").write_text("")
+    manifest = out / "manifest_narma2_linear_g0.1_r1.json"
+    assert main(["report", "--config", str(manifest),
+                 "--out", str(tmp_path / "blocker" / "sub")]) == EXIT_CONFIG
 
 
 def test_report_without_manifests_fails(tmp_path):

@@ -153,7 +153,8 @@ class TestRunExperiment:
 
     def test_simulates_each_config_and_drive_once(self, monkeypatch):
         calls = count_simulations(monkeypatch)
-        cells = SweepGrid(n_seeds=2).manifests(dict(SMALL_RESERVOIR), 0, 42)
+        cells = SweepGrid().manifests(dict(SMALL_RESERVOIR), n_seeds=2,
+                                      base_seed=0, input_seed=42)
         run_experiment(cells)
         # 2 topologies x 2 gammas x 2 drives (stm, narma) x 2 seeds; the
         # readout axis and the five NARMA orders share trajectories.
@@ -170,9 +171,10 @@ class TestRunExperiment:
         assert a.metrics == b.metrics
 
     def test_batched_call_matches_cells_run_alone(self):
-        grid = SweepGrid(n_seeds=2, stm_delays=(0, 3))
-        batched = run_experiment(grid.manifests(dict(SMALL_RESERVOIR), 0, 42))
-        alone = grid.manifests(dict(SMALL_RESERVOIR), 0, 42)
+        grid = SweepGrid()
+        given = dict(n_seeds=2, stm_delays=(0, 3), base_seed=0, input_seed=42)
+        batched = run_experiment(grid.manifests(dict(SMALL_RESERVOIR), **given))
+        alone = grid.manifests(dict(SMALL_RESERVOIR), **given)
         for cell, single in zip(batched, alone):
             run_experiment([single])
             assert cell.metrics.keys() == single.metrics.keys()
@@ -215,9 +217,9 @@ class TestRunEsnComparison:
 class TestSweepGrid:
     def test_manifest_grid_covers_axes(self):
         grid = SweepGrid(topologies=("linear", "ring"), gammas=(0.1, 0.01),
-                         readouts=(1, 2), tasks=("narma2",), n_seeds=1)
-        manifests = grid.manifests(dict(SMALL_RESERVOIR), base_seed=0,
-                                   input_seed=42)
+                         readouts=(1, 2), tasks=("narma2",))
+        manifests = grid.manifests(dict(SMALL_RESERVOIR), n_seeds=1,
+                                   base_seed=0, input_seed=42)
         assert len(manifests) == 8
         combos = {(m.config["topology"], m.config["gamma"], m.readout)
                   for m in manifests}
@@ -226,7 +228,7 @@ class TestSweepGrid:
     def test_cell_guard(self):
         with pytest.raises(ConfigError):
             SweepGrid(gammas=tuple(np.linspace(0.01, 1.0, 60)),
-                      tasks=("stm",), stm_delays=tuple(range(100)))
+                      tasks=("stm",)).manifests({}, stm_delays=tuple(range(100)))
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ConfigError):
@@ -237,8 +239,12 @@ class TestSweepGrid:
         ("readouts", (1, 1)), ("tasks", ("narma2", "narma2")),
         ("stm_delays", (0, 3, 3))])
     def test_rejects_duplicate_axis_value(self, axis, values):
+        # The delays are no grid axis: every manifest of the grid checks them.
         with pytest.raises(ConfigError, match="duplicate"):
-            SweepGrid(**{axis: values})
+            if axis == "stm_delays":
+                SweepGrid().manifests({}, stm_delays=values)
+            else:
+                SweepGrid(**{axis: values})
 
 
 class TestMetricsCsv:
@@ -258,9 +264,9 @@ class TestMetricsCsv:
 
     def test_rows_sorted_by_key(self):
         grid = SweepGrid(topologies=("ring", "linear"), gammas=(0.1,),
-                         readouts=(1,), tasks=("narma2",), n_seeds=1)
-        manifests = run_experiment(
-            grid.manifests(dict(SMALL_RESERVOIR), 0, 42))
+                         readouts=(1,), tasks=("narma2",))
+        manifests = run_experiment(grid.manifests(
+            dict(SMALL_RESERVOIR), n_seeds=1, base_seed=0, input_seed=42))
         rows = metrics_csv_text(manifests).splitlines()[1:]
         assert rows == sorted(rows)
 
