@@ -166,7 +166,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             manifests.append(ExperimentManifest.from_json(path.read_text()))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}")
     print(write_metrics(manifests, out_dir))
     return EXIT_OK

@@ -9,6 +9,8 @@ files). Re-running the same manifest always reproduces the same bytes.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 from . import tasks, workers
 from .errors import ConfigError
 from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
-from .linalg import SMALL_OPERATOR_DIM, small_operator_threads
+from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
 from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
@@ -81,9 +83,25 @@ class RowStats:
 
     @staticmethod
     def from_dict(d: dict) -> "RowStats":
+        """The row a ``to_dict`` value describes; ConfigError for any other
+        value, so a damaged manifest cannot write a damaged row."""
+        keys = ("task", "topology", "readout_type", "gamma", "metric")
+        if not isinstance(d, dict) or set(d) != {*keys, "per_seed"}:
+            raise ConfigError(f"a metrics row must be an object with the keys "
+                              f"{', '.join(keys)}, per_seed; got {d!r}")
+        for key in keys:
+            if not isinstance(d[key], str):
+                raise ConfigError(
+                    f"metrics row {key} must be a string, got {d[key]!r}")
+        values = d["per_seed"]
+        if (not isinstance(values, list) or not values
+                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                       for v in values)):
+            raise ConfigError("metrics row per_seed must be a non-empty list "
+                              f"of numbers, got {values!r}")
         return RowStats(task=d["task"], topology=d["topology"],
                         readout_type=d["readout_type"], gamma_str=d["gamma"],
-                        metric=d["metric"], per_seed=tuple(d["per_seed"]))
+                        metric=d["metric"], per_seed=tuple(values))
 
 
 @dataclass
@@ -128,6 +146,8 @@ class ExperimentManifest:
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has a duplicate value: {values}")
             setattr(self, name, tuple(values))
+        if not self.tasks:
+            raise ConfigError("tasks is empty; a manifest needs a task")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
         if not self.version:
@@ -153,7 +173,13 @@ class ExperimentManifest:
     @staticmethod
     def from_json(text: str) -> "ExperimentManifest":
         d = json.loads(text)
-        metrics = {k: RowStats.from_dict(v) for k, v in d.pop("metrics", {}).items()}
+        if not isinstance(d, dict):
+            raise ConfigError(f"a manifest must hold a JSON object, got a "
+                              f"JSON {type(d).__name__}")
+        metrics = d.pop("metrics", {})
+        if not isinstance(metrics, dict):
+            raise ConfigError(f"metrics must be a JSON object, got {metrics!r}")
+        metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
         m = ExperimentManifest(**d)
         m.metrics = metrics
         return m
@@ -231,29 +257,19 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
     runs its jobs in the given order: a reservoir's draw is its
     ``coupling_draw``, an ESN's its weight seed, which all its variants
     share. ``workers.run_groups`` spreads the groups over processes, all
-    at one BLAS thread. Reservoirs above ``SMALL_OPERATOR_DIM`` run here
-    afterwards, at the caller's BLAS thread count, which their bits
-    depend on. Each job computes the same bits in whichever process runs
-    it.
+    at one BLAS thread, so each job computes the same bits in whichever
+    process runs it.
     """
     groups: dict[object, list[int]] = {}
-    local: list[int] = []
     for i, (config, _) in enumerate(jobs):
-        if isinstance(config, EsnConfig):
-            groups.setdefault(config.weight_seed, []).append(i)
-        elif 2**config.n_qubits > SMALL_OPERATOR_DIM:
-            local.append(i)
-        else:
-            groups.setdefault(config.coupling_draw, []).append(i)
-    # Small arrays run at one BLAS thread anyway. Holding that count over
-    # the fork and every small job spares each process the thread-count
+        draw = (config.weight_seed if isinstance(config, EsnConfig)
+                else config.coupling_draw)
+        groups.setdefault(draw, []).append(i)
+    # Holding one thread over the fork spares each process the thread-count
     # calls that, after a fork, start an OpenBLAS worker thread spinning
-    # for about 0.1 s of CPU beside the workers (small_operator_threads).
-    with small_operator_threads(SMALL_OPERATOR_DIM):
-        results = workers.run_groups(_simulate, jobs, list(groups.values()))
-    for i in local:
-        results[i] = _simulate(*jobs[i])
-    return results
+    # for about 0.1 s of CPU beside the workers (one_blas_thread).
+    with one_blas_thread():
+        return workers.run_groups(_simulate, jobs, list(groups.values()))
 
 
 def run_experiment(
@@ -391,6 +407,22 @@ def metrics_csv_text(manifests: Iterable[ExperimentManifest]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temporary file in its directory
+    and ``os.replace``, so that ``path`` holds either its old content or
+    all of ``text``, even when the process dies while writing. An OSError
+    removes the temporary file and is raised as a ConfigError naming the
+    path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    return path
+
+
 def write_metrics(manifests: Iterable[ExperimentManifest],
                   out_dir: Path) -> Path:
     """Create ``out_dir`` and write the manifests' metrics.csv into it."""
@@ -399,9 +431,7 @@ def write_metrics(manifests: Iterable[ExperimentManifest],
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
-    path = out_dir / "metrics.csv"
-    path.write_text(text)
-    return path
+    return _write_atomic(out_dir / "metrics.csv", text)
 
 
 def trajectory_csv_text(manifest: ExperimentManifest,
@@ -453,11 +483,11 @@ def emit_report(manifests: list[ExperimentManifest], out_dir: Path,
     out_dir = Path(out_dir)
     written = [write_metrics(manifests, out_dir)]
     for manifest in manifests:
-        path = out_dir / f"manifest_{manifest.cell_id}.json"
-        path.write_text(manifest.to_json() + "\n")
-        written.append(path)
+        written.append(_write_atomic(
+            out_dir / f"manifest_{manifest.cell_id}.json",
+            manifest.to_json() + "\n"))
         if trajectories and manifest.kind == "reservoir":
-            tpath = out_dir / f"trajectory_{manifest.cell_id}.csv"
-            tpath.write_text(trajectory_csv_text(manifest))
-            written.append(tpath)
+            written.append(_write_atomic(
+                out_dir / f"trajectory_{manifest.cell_id}.csv",
+                trajectory_csv_text(manifest)))
     return written

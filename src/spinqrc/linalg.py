@@ -9,9 +9,11 @@ its inputs.
 The module also binds the two BLAS/LAPACK routines the evolution kernel
 calls directly (``kernel_blas``: ``zgemm`` and ``zpotrf`` through ctypes,
 from the OpenBLAS bundled with numpy, so that scipy is imported only where
-numpy bundles none), and holds the package's BLAS thread policy for small
-operators (``small_operator_threads``): on dim-64 products a second thread
-costs far more in wake-ups and contention than it saves in flops.
+numpy bundles none), and holds the package's BLAS thread policy
+(``one_blas_thread``): the kernel and the propagator build run at one
+thread at every array size. OpenBLAS rounds a multithreaded product
+differently, so one fixed count keeps results independent of the host's
+core count; parallelism comes from worker processes instead.
 """
 from __future__ import annotations
 
@@ -26,13 +28,6 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITICITY_RTOL = 1e-10
-
-# Largest operator dimension (n = 8 qubits) that runs at one BLAS thread.
-# perfbench's traced qubit scan on a 2-core host puts the per-step cost at
-# two threads against one at 217-256 us vs 119-129 us (n = 6), 5.7-5.8 ms
-# vs 4.8-5.8 ms (n = 8), 33-40 ms vs 35-43 ms (n = 9) and 178-255 ms vs
-# 288-397 ms (n = 10): the second thread only pays from n = 9 on.
-SMALL_OPERATOR_DIM = 256
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -222,19 +217,19 @@ def set_blas_threads(counts: Sequence[int]) -> None:
 
 
 @contextmanager
-def small_operator_threads(dim: int) -> Iterator[None]:
-    """Run the body at one BLAS thread if ``dim <= SMALL_OPERATOR_DIM``.
+def one_blas_thread() -> Iterator[None]:
+    """Run the body at one BLAS thread.
 
     Only the library ``kernel_blas`` calls is governed; with numpy's bundled
     OpenBLAS that is also the one behind numpy's own products and
     eigensolvers. The caller's thread count is restored on exit, errors
-    included; larger operators and libraries without thread symbols run
-    untouched. The thread count is process-wide, so Python threads that
-    use BLAS concurrently share it. A caller already at one thread sees no
-    thread-count call: in a forked process, OpenBLAS's first such call
-    starts a worker thread that spins for about 0.1 s of CPU.
+    included; libraries without thread symbols run untouched. The thread
+    count is process-wide, so Python threads that use BLAS concurrently
+    share it. A caller already at one thread sees no thread-count call: in
+    a forked process, OpenBLAS's first such call starts a worker thread
+    that spins for about 0.1 s of CPU.
     """
-    saved = blas_threads() if dim <= SMALL_OPERATOR_DIM else ()
+    saved = blas_threads()
     if saved == (1,):
         saved = ()
     set_blas_threads([1] * len(saved))

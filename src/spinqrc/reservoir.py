@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, StateInvariantError, ValidationError
-from .linalg import (SMALL_OPERATOR_DIM, blas_threads, kernel_blas,
-                     small_operator_threads, unitary_exp)
+from .linalg import kernel_blas, one_blas_thread, unitary_exp
 from .qubits import MAX_QUBITS, ground_density, z_sign_table
 
 TRACE_TOL = 1e-10
@@ -247,7 +246,7 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
     """
     couplings = sample_couplings(config.topology, config.n_qubits,
                                  config.coupling_seed)
-    with small_operator_threads(2**config.n_qubits):
+    with one_blas_thread():
         h = build_hamiltonian(couplings, config.n_qubits)
         return unitary_exp(h, config.dt)
 
@@ -337,26 +336,17 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
         raise ConfigError("inputs must be finite")
 
     rho0 = ground_density(config.n_qubits)
-    z_rows, _ = _evolve(_draw_unitary(config), config.gamma, rho0,
-                        ReservoirState(rho=rho0), inputs, config.input_qubit)
+    z_rows, _ = _evolve(_draw_unitary(config.coupling_draw), config.gamma,
+                        rho0, ReservoirState(rho=rho0), inputs,
+                        config.input_qubit)
     return Trajectory(config=config, inputs=inputs, z_rows=z_rows)
 
 
-def _draw_unitary(config: ReservoirConfig) -> np.ndarray:
-    """U of ``config``'s coupling draw, Fortran-ordered and read-only.
-
-    The last draw's U is kept, so trajectories of one draw run back to
-    back (as ``run_experiment`` groups them) build it once. Above
-    ``SMALL_OPERATOR_DIM`` U is built at the caller's BLAS thread count,
-    which its bits depend on, so that count is part of the key.
-    """
-    dim = 2**config.n_qubits
-    threads = blas_threads() if dim > SMALL_OPERATOR_DIM else ()
-    return _unitary(config.coupling_draw, threads)
-
-
 @functools.lru_cache(maxsize=1)
-def _unitary(draw: tuple, threads: tuple[int, ...]) -> np.ndarray:
+def _draw_unitary(draw: tuple) -> np.ndarray:
+    """U of one ``ReservoirConfig.coupling_draw``, Fortran-ordered and
+    read-only. The last draw's U is kept, so trajectories of one draw run
+    back to back (as ``run_experiment`` groups them) build it once."""
     topology, n_qubits, coupling_seed, theta0 = draw
     u = np.asfortranarray(evolution_operator(ReservoirConfig(
         topology=topology, n_qubits=n_qubits, coupling_seed=coupling_seed,
@@ -375,11 +365,10 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     every state, Hermiticity and positivity every ``_CHECK_INTERVAL`` steps
     and on the final state. A failure names the step: ``before step k``
     for the start state, whose ``step`` is k, and ``at step k`` for the
-    state after input k. Arrays of up to eight qubits evolve at one BLAS
-    thread (``linalg.small_operator_threads``).
+    state after input k. Every array evolves at one BLAS thread
+    (``linalg.one_blas_thread``).
     """
-    dim = U.shape[0]
-    n = dim.bit_length() - 1
+    n = U.shape[0].bit_length() - 1
     blas = kernel_blas()
     U = np.asfortranarray(U, dtype=complex)
     u_flip = np.asfortranarray(U[:, _input_flip(n, input_qubit)])
@@ -412,7 +401,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
 
     k = -1
     try:
-        with small_operator_threads(dim):
+        with one_blas_thread():
             _check_state(rho, spare, cholesky)
             for k, s in enumerate(inputs):
                 key = input_bits[k]

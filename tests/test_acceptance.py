@@ -11,7 +11,7 @@ import pytest
 
 from spinqrc.cli import main as cli_main
 from spinqrc.experiment import ExperimentManifest, run_experiment
-from spinqrc.linalg import kernel_blas, small_operator_threads, trace_distance
+from spinqrc.linalg import kernel_blas, one_blas_thread, trace_distance
 from spinqrc.qubits import ground_density
 from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
                              stm_capacity, train_weights)
@@ -119,7 +119,7 @@ def zgemm_floor(dim: int = 64, steps: int = 10_000, repeats: int = 3) -> float:
     """Best of ``repeats`` timings of the two dim x dim complex products that
     each of ``steps`` reservoir steps makes (``P rho``, then
     ``(1-gamma) W P† + rho'``), through the zgemm binding the kernel calls,
-    under the package's small-operator thread policy."""
+    at the package's one BLAS thread."""
     rng = np.random.default_rng(0)
     prop, rho = (np.asfortranarray(rng.standard_normal((dim, dim))
                                    + 1j * rng.standard_normal((dim, dim)))
@@ -129,7 +129,7 @@ def zgemm_floor(dim: int = 64, steps: int = 10_000, repeats: int = 3) -> float:
     propagate = blas.gemm(prop, rho, work)
     mix = blas.gemm(work, prop, out, alpha=0.9, beta=1.0, conj_b=True)
     best = np.inf
-    with small_operator_threads(dim):
+    with one_blas_thread():
         for _ in range(repeats):
             started = time.perf_counter()
             for _ in range(steps):

@@ -233,6 +233,16 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
                        "nested_stm_delay": {"stm_delays": [[1]]},
                        "scalar_stm_delays": {"stm_delays": 1}}
 
+# A stored manifest that `report` reads, and broken variants of its metrics.
+ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
+       "gamma": "0.1", "metric": "nmse", "per_seed": [0.5]}
+MANIFEST = json.loads(experiment.ExperimentManifest(
+    kind="reservoir", config=dict(SMALL), tasks=("narma2",)).to_json())
+BAD_STORED_METRICS = {"metrics_list": [],
+                      "string_per_seed": {"r": dict(ROW, per_seed=["a"])},
+                      "number_gamma": {"r": dict(ROW, gamma=5)},
+                      "empty_per_seed": {"r": dict(ROW, per_seed=[])}}
+
 
 @pytest.mark.parametrize("command, cfg", [
     ("run", dict(SMALL, n_qubits="4")),
@@ -246,17 +256,24 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "topologies": "ring"})),
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": [[0.1]]})),
     ("sweep", dict(SMALL, trajectory="false", sweep={"tasks": ["narma2"]})),
+    ("esn", dict(SMALL, tasks=[])),
+    *(("report", dict(MANIFEST, metrics=bad))
+      for bad in BAD_STORED_METRICS.values()),
+    ("report", [MANIFEST]),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
         *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
-        "sweep_nested_gamma", "sweep_string_trajectory"])
+        "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
+        *BAD_STORED_METRICS, "report_manifest_list"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    seeds = [] if "seeds" in cfg else ["--seeds", "2"]
-    code = main([command, "--config", str(path), "--task", "narma2",
-                 *seeds, "--out", str(out)])
+    flags = []
+    if command != "report":  # which reads only --config and --out
+        flags += [] if "tasks" in cfg else ["--task", "narma2"]
+        flags += [] if "seeds" in cfg else ["--seeds", "2"]
+    code = main([command, "--config", str(path), *flags, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -334,6 +351,31 @@ def test_report_into_uncreatable_directory_exits_2(tmp_path, config_file):
     manifest = out / "manifest_narma2_linear_g0.1_r1.json"
     assert main(["report", "--config", str(manifest),
                  "--out", str(tmp_path / "blocker" / "sub")]) == EXIT_CONFIG
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, capsys, config_file,
+                                         monkeypatch):
+    out = tmp_path / "out"
+    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
+          "--out", str(out)])
+    (out / "metrics.csv").write_text("old\n")
+    before = sorted(out.iterdir())
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert f"cannot write {out / 'metrics.csv'}" in capsys.readouterr().err
+    assert (out / "metrics.csv").read_text() == "old\n"
+    assert sorted(out.iterdir()) == before
+    monkeypatch.undo()
+    # An OSError from the file system exits 2 the same way.
+    (out / "metrics.csv").unlink()
+    (out / "metrics.csv").mkdir()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert "metrics.csv" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == before
 
 
 def test_report_without_manifests_fails(tmp_path):

@@ -4,9 +4,8 @@ import pytest
 from spinqrc import linalg, reservoir
 from spinqrc.cli import EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
-from spinqrc.linalg import (BLAS_LIBRARIES, SMALL_OPERATOR_DIM, blas_threads,
-                            load_blas, set_blas_threads,
-                            small_operator_threads, trace_distance)
+from spinqrc.linalg import (BLAS_LIBRARIES, blas_threads, load_blas,
+                            one_blas_thread, set_blas_threads, trace_distance)
 from spinqrc.qubits import ground_density
 from spinqrc.reservoir import (Bond, CouplingSet, Phase, ReservoirConfig,
                                ReservoirState, Topology, build_hamiltonian,
@@ -409,13 +408,27 @@ def caller_threads():
 @pytest.mark.skipif(not blas_threads(),
                     reason="no bundled OpenBLAS exposes its thread controls")
 class TestBlasThreadPolicy:
-    def test_small_operators_run_at_one_thread(self, caller_threads):
+    def test_runs_at_one_thread_and_restores_the_count(self, caller_threads,
+                                                       monkeypatch):
         set_blas_threads([2] * len(caller_threads))
-        with small_operator_threads(SMALL_OPERATOR_DIM):
+        with one_blas_thread():
             assert set(blas_threads()) == {1}
-        with small_operator_threads(2 * SMALL_OPERATOR_DIM):
-            assert set(blas_threads()) == {2}
         assert set(blas_threads()) == {2}
+        # A caller already at one thread sees no thread-count call.
+        set_blas_threads([1] * len(caller_threads))
+        blas = linalg.kernel_blas()
+        get, set_ = blas.threads
+        calls = []
+
+        def recording_set(count):
+            calls.append(count)
+            set_(count)
+
+        monkeypatch.setattr(linalg, "kernel_blas",
+                            lambda: blas._replace(threads=(get, recording_set)))
+        with one_blas_thread():
+            assert set(blas_threads()) == {1}
+        assert calls == []
 
     def test_caller_count_restored_and_results_bitwise_equal(
             self, caller_threads):
@@ -432,30 +445,32 @@ class TestBlasThreadPolicy:
             assert set(blas_threads()) == {count}
         assert rows[1].tobytes() == rows[2].tobytes()
 
-    def test_unitary_cache_keys_large_arrays_on_thread_count(
+    def test_large_arrays_bitwise_equal_at_any_caller_count(
             self, caller_threads, monkeypatch):
-        # Above SMALL_OPERATOR_DIM the bits of U depend on the caller's
-        # thread count, so a run at another count must not reuse the U an
-        # earlier run built; at n <= 8 U is built at one thread either way.
+        # OpenBLAS rounds a two-thread product of dim 512 differently from a
+        # one-thread one; the build and the kernel run at one thread, so
+        # neither U nor the rows depend on the caller's count, and one U
+        # serves every count.
         builds = []
         build = reservoir.evolution_operator
 
         def counted(config):
-            builds.append((config.n_qubits, blas_threads()))
+            builds.append(config.coupling_draw)
             return build(config)
 
         monkeypatch.setattr(reservoir, "evolution_operator", counted)
-        reservoir._unitary.cache_clear()
+        reservoir._draw_unitary.cache_clear()
+        cfg = small_config(n_qubits=9, n_pre=1, n_fb=1, n_test=1)
         rows = {}
-        for n in (6, 9):
-            cfg = small_config(n_qubits=n, n_pre=1, n_fb=1, n_test=1)
-            for count in (1, 2, 2):
-                set_blas_threads([count] * len(caller_threads))
-                rows[n, count] = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
-        assert builds == [(6, (1,)), (9, (1,)), (9, (2,))]
-        reservoir._unitary.cache_clear()
-        fresh = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
-        assert fresh.tobytes() == rows[9, 2].tobytes()
+        for count in (1, 2):
+            set_blas_threads([count] * len(caller_threads))
+            rows[count] = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
+            assert set(blas_threads()) == {count}
+        assert builds == [cfg.coupling_draw]
+        assert rows[1].tobytes() == rows[2].tobytes()
+        reservoir._draw_unitary.cache_clear()
+        fresh = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows  # U built at 2
+        assert fresh.tobytes() == rows[1].tobytes()
 
     def test_caller_count_restored_after_error(self, caller_threads):
         set_blas_threads([2] * len(caller_threads))

@@ -78,7 +78,7 @@ def test_goldens_at_one_and_two_workers(tmp_path, monkeypatch, forks, argv,
 
 def test_builds_one_propagator_per_coupling_draw(monkeypatch):
     use_workers(monkeypatch, 1)
-    reservoir._unitary.cache_clear()
+    reservoir._draw_unitary.cache_clear()
     builds = []
     build = reservoir.evolution_operator
 
@@ -107,8 +107,6 @@ def test_counts_calls_across_worker_processes(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(experiment, "run_sequence", logged)
     cells = SweepGrid().manifests(dict(SMALL), n_seeds=2, base_seed=0,
                                   input_seed=42)
-    # Nine qubits are above the one-thread cutoff: their bits depend on the
-    # caller's BLAS thread count, so they stay in this process.
     cells.append(ExperimentManifest(
         kind="reservoir", tasks=("narma2",), readout=2, n_seeds=2,
         config={"n_qubits": 9, "n_pre": 1, "n_fb": 4, "n_test": 2}))
@@ -116,7 +114,6 @@ def test_counts_calls_across_worker_processes(tmp_path, monkeypatch, forks):
     calls = [line.split() for line in log.read_text().splitlines()]
     # 2 topologies x 2 gammas x 2 drives x 2 seeds, plus 2 nine-qubit runs.
     assert len(calls) == 18
-    assert {pid for pid, n in calls if n == "9"} == {str(os.getpid())}
     assert len({pid for pid, _ in calls}) == 2
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 

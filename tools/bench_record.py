@@ -20,6 +20,10 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   the ``--baseline`` checkout when one is given): the ratio of its wall
   time to its ``zgemm`` floor, the floor and whether it passed. A failing
   run is recorded like a passing one;
+* ``n9_reproducibility``: per checkout, one short nine-qubit
+  ``spinqrc run --seeds 2`` at ``OPENBLAS_NUM_THREADS=1`` and at ``=2``,
+  their wall times, and whether the two ``metrics.csv`` files are
+  identical (OpenBLAS rounds a two-thread product differently);
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
   model, the commit and the git tree hash of ``src/``.
@@ -108,6 +112,34 @@ def criterion_1_record(checkouts: dict[str, Path]) -> dict:
     return record
 
 
+# A nine-qubit config short enough for a snapshot: 70 steps per seed.
+N9_CONFIG = {"n_qubits": 9, "n_pre": 30, "n_fb": 30, "n_test": 10}
+
+
+def n9_record(checkouts: dict[str, Path]) -> dict:
+    record = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "n9.json"
+        config.write_text(json.dumps(N9_CONFIG))
+        for name, checkout in checkouts.items():
+            entry = record[name] = {"wall_s": {}}
+            outputs = set()
+            for threads in ("1", "2"):
+                out = Path(tmp) / f"{name}{threads}"
+                env = dict(checkout_env(checkout), OPENBLAS_NUM_THREADS=threads)
+                started = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, "-m", "spinqrc.cli", "run", "--config",
+                     str(config), "--seeds", "2", "--task", "narma2",
+                     "--out", str(out)],
+                    cwd=checkout, env=env, capture_output=True, check=True)
+                entry["wall_s"][threads] = round(
+                    time.perf_counter() - started, 3)
+                outputs.add((out / "metrics.csv").read_bytes())
+            entry["metrics_csv_identical"] = len(outputs) == 1
+    return record
+
+
 def timed_sweep(checkout: Path, out: Path) -> tuple[float, int]:
     """Wall seconds and worker processes of one default 10-seed sweep."""
     env = checkout_env(checkout)
@@ -184,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         "traced": traced,
         "sweep_10_seeds": sweep_record(checkouts),
         "criterion_1": criterion_1_record(checkouts),
+        "n9_reproducibility": n9_record(checkouts),
     }
     for run in (scored["long_run"], traced):
         run.pop("environment", None)
