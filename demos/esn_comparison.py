@@ -32,7 +32,7 @@ def shifted(inputs: np.ndarray, tau: int) -> np.ndarray:
 
 def main() -> None:
     length = EsnConfig().total_steps
-    stm_inputs = gen_stm(length, 0, seed=42).inputs
+    stm_inputs = gen_stm(length, seed=42)
     narma_inputs = gen_narma_input(length)
     narma_targets = {n: gen_narma_target(narma_inputs, n) for n in NARMA_ORDERS}
 

@@ -27,7 +27,7 @@ def shifted(inputs: np.ndarray, tau: int) -> np.ndarray:
 
 def capacity_curve(topology: str) -> np.ndarray:
     length = ReservoirConfig().total_steps
-    inputs = gen_stm(length, 0, seed=42).inputs
+    inputs = gen_stm(length, seed=42)
     curves = []
     for seed in SEEDS:
         cfg = ReservoirConfig(topology=topology, coupling_seed=seed)

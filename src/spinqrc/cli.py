@@ -19,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
-                     StateInvariantError, ValidationError)
+                     StateInvariantError)
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                          run_experiment, emit_report, write_metrics)
 from .reservoir import Topology
@@ -201,8 +201,6 @@ def exit_code_for(exc: SpinChainError) -> int:
     """Map package errors onto the documented exit codes."""
     if isinstance(exc, (StateInvariantError, DivergenceError)):
         return EXIT_NUMERICAL
-    if isinstance(exc, (ConfigError, ValidationError)):
-        return EXIT_CONFIG
     return EXIT_CONFIG
 
 

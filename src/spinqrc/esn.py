@@ -41,6 +41,9 @@ class EsnConfig(Schedule):
                              "n_fb", "n_test"), ("w_scale", "w_in_scale"))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be at least 1")
+        if self.weight_seed < 0:
+            raise ConfigError(
+                f"weight_seed must be non-negative, got {self.weight_seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant}")
         if self.w_scale <= 0.0 or self.w_in_scale <= 0.0:

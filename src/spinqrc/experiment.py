@@ -150,6 +150,10 @@ class ExperimentManifest:
             raise ConfigError("tasks is empty; a manifest needs a task")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
+        for name in ("base_seed", "input_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, "
+                                  f"got {getattr(self, name)}")
         if not self.version:
             from spinqrc import __version__
 
@@ -201,16 +205,16 @@ def _task_sequences(name: str, length: int, delays: Iterable[int],
         delays = tuple(delays)
         if not delays:
             raise ConfigError("stm task requires at least one delay")
-        base = gen_stm(length, 0, input_seed)
+        inputs = gen_stm(length, input_seed)
         targets = {}
         for tau in delays:
             if not 0 <= tau <= 99:
                 raise ConfigError(f"stm delay {tau} outside [0, 99]")
             shifted = np.zeros(length)
             if tau < length:
-                shifted[tau:] = base.inputs[: length - tau]
+                shifted[tau:] = inputs[: length - tau]
             targets[f"stm_tau{tau:02d}"] = shifted
-        return base.inputs, targets
+        return inputs, targets
     # Called through the module so that tracing wrappers on it see the call.
     inputs = tasks.gen_narma_input(length)
     return inputs, {name: tasks.gen_narma_target(inputs, int(name[5:]))}
@@ -233,8 +237,6 @@ def _cells(manifest: ExperimentManifest) -> list[tuple]:
         return [(f"esn{v}", ReadoutType.PER_QUBIT, "",
                  [manifest.esn_config(v, seed) for seed in seeds])
                 for v in manifest.variants]
-    if manifest.kind != "reservoir":
-        raise ConfigError(f"unknown manifest kind {manifest.kind!r}")
     configs = [manifest.reservoir_config(seed) for seed in seeds]
     return [(str(configs[0].topology.value), ReadoutType(manifest.readout),
              _gamma_str(configs[0].gamma), configs)]
@@ -298,7 +300,6 @@ def run_experiment(
             length = configs[0].total_steps
             task_streams = []
             for name in manifest.tasks:
-                parse_task(name)
                 key = (name, length, tuple(manifest.stm_delays),
                        manifest.input_seed)
                 if key not in streams:

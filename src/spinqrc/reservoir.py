@@ -85,10 +85,6 @@ class ScheduledRun:
         c = self.config
         return slice(c.n_pre + c.n_fb, c.total_steps)
 
-    @property
-    def phases(self) -> tuple[Phase, ...]:
-        return tuple(map(self.config.phase_of, range(len(self.inputs))))
-
 
 @dataclass(frozen=True)
 class Bond:
@@ -139,6 +135,9 @@ class ReservoirConfig(Schedule):
                       ("gamma", "theta0"))
         if self.n_qubits < 2:
             raise ConfigError("a coupled array needs at least 2 qubits")
+        if self.coupling_seed < 0:
+            raise ConfigError(
+                f"coupling_seed must be non-negative, got {self.coupling_seed}")
         if not isinstance(self.topology, Topology):
             try:
                 object.__setattr__(self, "topology", Topology(self.topology))
@@ -172,11 +171,6 @@ class ReservoirConfig(Schedule):
 class ReservoirState:
     rho: np.ndarray
     step: int = 0
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    z_expect: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -251,21 +245,12 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
         return unitary_exp(h, config.dt)
 
 
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise StateInvariantError unless rho is trace-1, Hermitian, and PSD
-    within module tolerances; NaN or Inf entries fail."""
-    rho = np.asarray(rho)
-    spare = np.empty(rho.shape, dtype=complex, order="F")
-    _check_state(rho, spare, kernel_blas().potrf(spare, lower=True))
-
-
 def _check_state(rho: np.ndarray, spare: np.ndarray,
                  cholesky: Callable[[], int], full: bool = True) -> None:
-    """The invariant tests of ``check_density_matrix`` and the kernel: the
-    trace, then (``full``) Hermiticity and positivity. ``spare`` is a
-    Fortran-ordered scratch matrix of rho's size and ``cholesky`` a
-    ``Blas.potrf`` call bound to it. Each test is written so that a NaN
-    fails it."""
+    """The kernel's invariant tests: the trace, then (``full``) Hermiticity
+    and positivity. ``spare`` is a Fortran-ordered scratch matrix of rho's
+    size and ``cholesky`` a ``Blas.potrf`` call bound to it. Each test is
+    written so that a NaN fails it."""
     tr_dev = abs(rho.trace() - 1.0)
     if not tr_dev <= TRACE_TOL:
         raise StateInvariantError(f"trace deviates from 1 by {tr_dev:.2e}")
@@ -286,8 +271,10 @@ def _check_state(rho: np.ndarray, spare: np.ndarray,
 
 
 def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
-         rho0: np.ndarray, input_qubit: int = 1) -> tuple[ReservoirState, StepOutput]:
-    """Advance the reservoir by one input value.
+         rho0: np.ndarray, input_qubit: int = 1
+         ) -> tuple[ReservoirState, np.ndarray]:
+    """Advance the reservoir by one input value; return the next state and
+    its per-qubit Z expectations.
 
     ``U`` is the free-evolution unitary; the input rotation is applied
     before it. This is one step of the kernel ``run_sequence`` runs, so
@@ -308,8 +295,7 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
         raise ValidationError("input value must be finite")
     z_rows, rho = _evolve(U, gamma, rho0, state, np.array([s_k], dtype=float),
                           input_qubit)
-    return (ReservoirState(rho=rho, step=state.step + 1),
-            StepOutput(z_expect=z_rows[0]))
+    return ReservoirState(rho=rho, step=state.step + 1), z_rows[0]
 
 
 def _input_flip(n_qubits: int, input_qubit: int) -> np.ndarray:

@@ -1,13 +1,11 @@
 """Benchmark sequences: delayed-recall streams and NARMA-n system output.
 
 The delayed-recall task feeds the reservoir an i.i.d. binary stream and
-asks it to reproduce the input from ``tau_b`` steps earlier. The NARMA
-task drives a fixed triple-sine input through the standard NARMA-n
+asks it to reproduce the input from a given number of steps earlier. The
+NARMA task drives a fixed triple-sine input through the standard NARMA-n
 recurrence and asks the readout to track the recurrence output.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,30 +28,11 @@ DIVERGENCE_LIMIT = 10.0
 NARMA_ORDERS = (2, 5, 10, 15, 20)
 
 
-@dataclass(frozen=True)
-class SequencePair:
-    """Aligned input and target vectors for one task realization."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.inputs.shape != self.targets.shape or self.inputs.ndim != 1:
-            raise ConfigError("inputs and targets must be equal-length vectors")
-
-
-def gen_stm(length: int, tau_b: int, seed: int) -> SequencePair:
-    """Binary input stream with target_k = input_{k - tau_b} (0 before that)."""
-    if tau_b < 0:
-        raise ConfigError(f"tau_b must be nonnegative, got {tau_b}")
+def gen_stm(length: int, seed: int) -> np.ndarray:
+    """Seeded i.i.d. binary input stream of the delayed-recall task."""
     if length < 1:
         raise ConfigError("length must be positive")
-    rng = np.random.default_rng(seed)
-    inputs = rng.integers(0, 2, length).astype(float)
-    targets = np.zeros(length)
-    if tau_b < length:
-        targets[tau_b:] = inputs[: length - tau_b]
-    return SequencePair(inputs=inputs, targets=targets)
+    return np.random.default_rng(seed).integers(0, 2, length).astype(float)
 
 
 def gen_narma_input(length: int) -> np.ndarray:

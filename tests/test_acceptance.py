@@ -49,7 +49,7 @@ def stm_capacity_table(n_test: int, readouts) -> dict:
     """capacities[(topology, readout, tau)] -> per-seed array at gamma=0.1,
     the default washout and training, and ``n_test`` held-out steps."""
     length = ReservoirConfig(n_test=n_test).total_steps
-    inputs = gen_stm(length, 0, seed=42).inputs
+    inputs = gen_stm(length, seed=42)
     targets = {tau: shifted_target(inputs, tau) for tau in DELAYS}
     caps = {(t, r, tau): [] for t in TOPOLOGIES for r in readouts
             for tau in DELAYS}

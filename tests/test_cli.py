@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import spinqrc
-from spinqrc import experiment, workers
+from spinqrc import experiment, reservoir, workers
 from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for, main
 from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
 from spinqrc.linalg import BLAS_LIBRARIES, load_blas
+from spinqrc.reservoir import Topology
 
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 
@@ -21,6 +22,11 @@ SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 SWEEP_GOLDEN = GOLDENS / "sweep_seed10.csv"
 ESN_GOLDEN = GOLDENS / "esn_seed10.csv"
+# The dissipation curve: every gamma from 0 to 1 over both topologies, both
+# readouts and stm/narma2/narma5, one seed; its metrics.csv was frozen next
+# to it, read only.
+DISSIPATION_CONFIG = Path(__file__).resolve().parent / "dissipation_curve.json"
+DISSIPATION_GOLDEN = DISSIPATION_CONFIG.with_suffix(".csv")
 
 
 @pytest.fixture
@@ -91,11 +97,12 @@ def test_simulation_never_imports_scipy():
         "import sys\n"
         "import numpy as np\n"
         "import spinqrc.cli\n"
-        "from spinqrc.reservoir import (ReservoirConfig, check_density_matrix,\n"
-        "                               run_sequence)\n"
+        "from spinqrc.reservoir import (ReservoirConfig, ReservoirState,\n"
+        "                               run_sequence, step)\n"
         "cfg = ReservoirConfig(n_qubits=2, n_pre=4, n_fb=4, n_test=4)\n"
         "run_sequence(cfg, np.full(cfg.total_steps, 0.3))\n"
-        "check_density_matrix(np.eye(4) / 4)\n"
+        "step(ReservoirState(rho=np.eye(4) / 4), 0.3, np.eye(4), 0.1,\n"
+        "     np.eye(4) / 4)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(spinqrc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -200,6 +207,42 @@ def test_default_esn_matches_frozen_golden(tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == ESN_GOLDEN.read_bytes()
 
 
+def test_dissipation_curve_matches_frozen_golden(tmp_path):
+    # At gamma = 1 every feature is constant, so each STM capacity is 0 and
+    # stm_capacity warns.
+    with pytest.warns(UserWarning, match="constant sequence"):
+        assert main(["sweep", "--config", str(DISSIPATION_CONFIG),
+                     "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "metrics.csv").read_bytes()
+            == DISSIPATION_GOLDEN.read_bytes())
+
+
+def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
+                                               monkeypatch):
+    # A NaN in the ring draw's U; the ring group runs in a forked worker.
+    draw_unitary = reservoir._draw_unitary
+
+    def poisoned(draw):
+        u = draw_unitary(draw)
+        if draw[0] is Topology.RING:
+            u = u.copy(order="F")
+            u[0, 0] = float("nan")
+        return u
+
+    monkeypatch.setattr(reservoir, "_draw_unitary", poisoned)
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 2)
+    cfg = dict(SMALL, seeds=1, sweep={"topologies": ["linear", "ring"],
+                                      "gammas": [0.1], "readouts": [1],
+                                      "tasks": ["narma2"]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    assert (capsys.readouterr().err
+            == "error: trace deviates from 1 by nan at step 0\n")
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command, cfg, unknown", [
     ("run", {"n_qbits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
              "n_test": 10}, "gama"),
@@ -228,6 +271,8 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
                        "fractional_seeds": {"seeds": 2.7},
                        "fractional_seed": {"seed": 1.5},
                        "string_input_seed": {"input_seed": "42"},
+                       "negative_seed": {"seed": -1},
+                       "negative_input_seed": {"input_seed": -5},
                        "string_ridge": {"ridge": "a"},
                        "unknown_readout": {"readout": 3},
                        "nested_stm_delay": {"stm_delays": [[1]]},
@@ -257,6 +302,8 @@ BAD_STORED_METRICS = {"metrics_list": [],
     ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": [[0.1]]})),
     ("sweep", dict(SMALL, trajectory="false", sweep={"tasks": ["narma2"]})),
     ("esn", dict(SMALL, tasks=[])),
+    ("esn", {"seed": -3, "esn": dict(n_nodes=4, n_pre=10, n_fb=30,
+                                     n_test=10)}),
     *(("report", dict(MANIFEST, metrics=bad))
       for bad in BAD_STORED_METRICS.values()),
     ("report", [MANIFEST]),
@@ -264,7 +311,7 @@ BAD_STORED_METRICS = {"metrics_list": [],
         *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
-        *BAD_STORED_METRICS, "report_manifest_list"])
+        "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

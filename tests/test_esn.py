@@ -24,6 +24,7 @@ class TestConfig:
         dict(n_nodes=0),
         dict(w_scale=0.0),
         dict(n_test=0),
+        dict(weight_seed=-1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ConfigError):

@@ -51,8 +51,8 @@ def test_run_sequence_agrees_with_repeated_step(run):
     state = ReservoirState(rho=rho0)
     rows = []
     for s in drive:
-        state, out = step(state, s, u, config.gamma, rho0, config.input_qubit)
-        rows.append(out.z_expect)
+        state, z = step(state, s, u, config.gamma, rho0, config.input_qubit)
+        rows.append(z)
     np.testing.assert_allclose(run_sequence(config, drive).z_rows, rows,
                                rtol=0, atol=1e-14)
 

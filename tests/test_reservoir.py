@@ -9,7 +9,6 @@ from spinqrc.linalg import (BLAS_LIBRARIES, blas_threads, load_blas,
 from spinqrc.qubits import ground_density
 from spinqrc.reservoir import (Bond, CouplingSet, Phase, ReservoirConfig,
                                ReservoirState, Topology, build_hamiltonian,
-                               check_density_matrix,
                                evolution_operator, run_sequence,
                                sample_couplings, step, topology_bonds)
 
@@ -71,6 +70,7 @@ class TestConfig:
         dict(topology="rign"),
         dict(gamma=float("nan")),
         dict(theta0="0.5"),
+        dict(coupling_seed=-1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
@@ -181,33 +181,48 @@ def nonfinite_states() -> dict[str, np.ndarray]:
 NONFINITE = nonfinite_states()
 
 
+def check_start_state(rho, step_index=0):
+    """Run ``step``'s full check of its start state on ``rho``: one step with
+    no input, no evolution and no reset, which leaves a valid state as it
+    is."""
+    dim = rho.shape[0]
+    step(ReservoirState(rho=rho, step=step_index), 0.0,
+         np.eye(dim, dtype=complex), 0.0, ground_density(dim.bit_length() - 1))
+
+
 class TestCheckDensityMatrix:
+    """The trace, Hermiticity and positivity check that ``step`` runs on its
+    start state; a failure names the step it comes before."""
+
     def test_accepts_ground_state(self):
-        check_density_matrix(ground_density(3))
+        check_start_state(ground_density(3))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(StateInvariantError):
-            check_density_matrix(2.0 * ground_density(2))
+        with pytest.raises(StateInvariantError,
+                           match="trace deviates .* before step 0$"):
+            check_start_state(2.0 * ground_density(2))
 
     def test_rejects_nonhermitian(self):
         rho = ground_density(2).astype(complex)
         rho[0, 1] = 1e-6
-        with pytest.raises(StateInvariantError):
-            check_density_matrix(rho)
+        with pytest.raises(StateInvariantError,
+                           match="not Hermitian .* before step 0$"):
+            check_start_state(rho)
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
-        with pytest.raises(StateInvariantError):
-            check_density_matrix(rho)
+        with pytest.raises(StateInvariantError,
+                           match="eigenvalue below tolerance before step 0$"):
+            check_start_state(rho)
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0, -1e-12, 1e-12, 0.0]).astype(complex)
-        check_density_matrix(rho)
+        check_start_state(rho)
 
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_state(self, name):
-        with pytest.raises(StateInvariantError):
-            check_density_matrix(NONFINITE[name])
+        with pytest.raises(StateInvariantError, match="before step 2$"):
+            check_start_state(NONFINITE[name], step_index=2)
 
 
 class TestStep:
@@ -216,9 +231,9 @@ class TestStep:
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
         state = ReservoirState(rho=rho0.copy())
-        new, out = step(state, 0.73, u, gamma=1.0, rho0=rho0)
+        new, z = step(state, 0.73, u, gamma=1.0, rho0=rho0)
         assert np.allclose(new.rho, rho0, atol=1e-12)
-        assert np.allclose(out.z_expect, 1.0)
+        assert np.allclose(z, 1.0)
         assert new.step == 1
 
     def test_identity_evolution_is_noop(self):
@@ -230,9 +245,9 @@ class TestStep:
 
     def test_single_qubit_flip(self):
         state = ReservoirState(rho=ground_density(1))
-        _, out = step(state, 1.0, np.eye(2, dtype=complex), gamma=0.0,
-                      rho0=ground_density(1))
-        assert out.z_expect[0] == pytest.approx(-1.0)
+        _, z = step(state, 1.0, np.eye(2, dtype=complex), gamma=0.0,
+                    rho0=ground_density(1))
+        assert z[0] == pytest.approx(-1.0)
 
     def test_rejects_invalid_entry_state(self):
         bad = ReservoirState(rho=np.eye(4, dtype=complex))  # trace 4
@@ -317,7 +332,7 @@ class TestRunSequence:
     def test_phase_tags(self):
         cfg = small_config()
         traj = run_sequence(cfg, np.zeros(cfg.total_steps))
-        phases = list(traj.phases)
+        phases = [cfg.phase_of(k) for k in range(len(traj.inputs))]
         assert phases.count(Phase.PREP) == cfg.n_pre
         assert phases.count(Phase.TRAIN) == cfg.n_fb
         assert phases.count(Phase.TEST) == cfg.n_test
@@ -336,8 +351,8 @@ class TestRunSequence:
         state = ReservoirState(rho=rho0.copy())
         rho_kron = rho0.copy()
         for k, s in enumerate(inputs):
-            state, out = step(state, float(s), u, cfg.gamma, rho0)
-            assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+            state, z = step(state, float(s), u, cfg.gamma, rho0)
+            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
             rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0)
             assert np.abs(state.rho - rho_kron).max() <= 1e-14
 
@@ -351,9 +366,9 @@ class TestRunSequence:
         state = ReservoirState(rho=rho0.copy())
         rho_kron = rho0.copy()
         for k, s in enumerate(inputs):
-            state, out = step(state, float(s), u, cfg.gamma, rho0,
-                              input_qubit=3)
-            assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+            state, z = step(state, float(s), u, cfg.gamma, rho0,
+                            input_qubit=3)
+            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
             rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0,
                                        input_qubit=3)
             assert np.abs(state.rho - rho_kron).max() <= 1e-14
@@ -369,8 +384,8 @@ class TestRunSequence:
         rho0 = ground_density(cfg.n_qubits)
         state = ReservoirState(rho=rho0.copy())
         for k, s in enumerate(inputs):
-            state, out = step(state, float(s), u, cfg.gamma, rho0)
-            assert np.allclose(traj.z_rows[k], out.z_expect, atol=1e-12)
+            state, z = step(state, float(s), u, cfg.gamma, rho0)
+            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
 
     def test_hermiticity_checked_every_check_interval_steps(self):
         # A non-Hermitian reset target spoils the state from the first
@@ -493,7 +508,7 @@ def test_scipy_fallback_runs_the_kernel_bitwise_alike(monkeypatch):
     assert run_sequence(cfg, inputs).z_rows.tobytes() == expected.tobytes()
     negative = np.diag(np.r_[-0.5, np.full(63, 1.5 / 63)]).astype(complex)
     with pytest.raises(StateInvariantError, match="eigenvalue"):
-        check_density_matrix(negative)
+        check_start_state(negative)
 
 
 def test_contraction_of_trace_distance():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ConfigError, DivergenceError
+from spinqrc.experiment import _task_sequences
 from spinqrc.tasks import (DIVERGENCE_LIMIT, gen_narma_input,
                            gen_narma_target, gen_stm)
 
@@ -11,31 +12,35 @@ NARMA2_ZERO_INPUT_FIXED_POINT = 0.14589803375031546
 
 
 class TestStm:
+    """The binary stream of ``gen_stm`` and the delayed targets that
+    ``_task_sequences`` builds from it, one per ``stm_tauXX`` row."""
+
     def test_targets_are_shifted_inputs(self):
-        pair = gen_stm(50, tau_b=3, seed=1)
-        assert np.all(pair.targets[3:] == pair.inputs[:-3])
-        assert np.all(pair.targets[:3] == 0)
+        inputs, targets = _task_sequences("stm", 50, (3,), 1)
+        assert np.all(targets["stm_tau03"][3:] == inputs[:-3])
+        assert np.all(targets["stm_tau03"][:3] == 0)
 
     def test_zero_delay_echoes_input(self):
-        pair = gen_stm(20, tau_b=0, seed=2)
-        assert np.all(pair.targets == pair.inputs)
+        inputs, targets = _task_sequences("stm", 20, (0,), 2)
+        assert np.all(targets["stm_tau00"] == inputs)
 
     def test_delay_beyond_length_gives_zero_target(self):
-        pair = gen_stm(5, tau_b=5, seed=0)
-        assert np.all(pair.targets == 0)
+        _, targets = _task_sequences("stm", 5, (5,), 0)
+        assert np.all(targets["stm_tau05"] == 0)
 
     def test_inputs_are_binary_and_seeded(self):
-        a = gen_stm(200, tau_b=1, seed=7)
-        b = gen_stm(200, tau_b=1, seed=7)
-        assert set(np.unique(a.inputs)) <= {0.0, 1.0}
-        assert np.all(a.inputs == b.inputs)
-        assert not np.all(a.inputs == gen_stm(200, 1, seed=8).inputs)
+        a = gen_stm(200, seed=7)
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert np.all(a == gen_stm(200, seed=7))
+        assert np.all(a == np.random.default_rng(7).integers(0, 2, 200))
+        assert not np.all(a == gen_stm(200, seed=8))
+        assert np.all(_task_sequences("stm", 200, (1,), 7)[0] == a)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            gen_stm(0, 0, 0)
+            gen_stm(0, 0)
         with pytest.raises(ConfigError):
-            gen_stm(10, -1, 0)
+            _task_sequences("stm", 10, (-1,), 0)
 
 
 class TestNarmaInput:
