@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .reservoir import Schedule, ScheduledRun, check_numbers
+from .rng import Stream
 
 HISTORY_DEPTH = 5
 VARIANTS = (1, 3, 5)
@@ -62,9 +63,10 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     Entries are uniform on [0, scale]. The draw order is part of the
     reproducibility contract; variants share weights by sharing the seed.
     """
-    rng = np.random.default_rng(config.weight_seed)
-    w = rng.uniform(0.0, config.w_scale, (config.n_nodes, config.n_nodes))
-    w_in = rng.uniform(0.0, config.w_in_scale, config.n_nodes)
+    n = config.n_nodes
+    stream = Stream(config.weight_seed)
+    w = np.array(stream.uniform(config.w_scale, n * n)).reshape(n, n)
+    w_in = np.array(stream.uniform(config.w_in_scale, n))
     return w, w_in
 
 

@@ -143,6 +143,8 @@ class ExperimentManifest:
                     parse_task(value)
                 else:
                     check_numbers(SimpleNamespace(**{name: value}), (name,), ())
+                if name == "stm_delays" and not 0 <= value <= 99:
+                    raise ConfigError(f"stm delay {value} outside [0, 99]")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} has a duplicate value: {values}")
             setattr(self, name, tuple(values))
@@ -208,8 +210,6 @@ def _task_sequences(name: str, length: int, delays: Iterable[int],
         inputs = gen_stm(length, input_seed)
         targets = {}
         for tau in delays:
-            if not 0 <= tau <= 99:
-                raise ConfigError(f"stm delay {tau} outside [0, 99]")
             shifted = np.zeros(length)
             if tau < length:
                 shifted[tau:] = inputs[: length - tau]

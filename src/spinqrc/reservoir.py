@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, StateInvariantError, ValidationError
 from .linalg import kernel_blas, one_blas_thread, unitary_exp
 from .qubits import MAX_QUBITS, ground_density, z_sign_table
+from .rng import Stream
 
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
@@ -197,8 +198,7 @@ def sample_couplings(topology: Topology, n_qubits: int, seed: int) -> CouplingSe
     the maximum is exactly 1."""
     topology = Topology(topology)
     edges = topology_bonds(topology, n_qubits)
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.0, 1.0, len(edges))
+    raw = np.array(Stream(seed).uniform(1.0, len(edges)))
     raw /= raw.max()
     bonds = tuple(Bond(i, j, float(s)) for (i, j), s in zip(edges, raw))
     return CouplingSet(topology=topology, n_qubits=n_qubits, bonds=bonds)
@@ -291,8 +291,8 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
     if not 1 <= input_qubit <= n_qubits:
         raise ValidationError(
             f"input qubit {input_qubit} outside [1, {n_qubits}]")
-    if not np.isfinite(s_k):
-        raise ValidationError("input value must be finite")
+    if not 0.0 <= s_k <= 1.0:
+        raise ValidationError(f"input value must lie in [0, 1], got {s_k}")
     z_rows, rho = _evolve(U, gamma, rho0, state, np.array([s_k], dtype=float),
                           input_qubit)
     return ReservoirState(rho=rho, step=state.step + 1), z_rows[0]
@@ -318,8 +318,8 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     if inputs.ndim != 1 or len(inputs) != config.total_steps:
         raise ConfigError(
             f"need exactly {config.total_steps} inputs, got {inputs.shape}")
-    if not np.all(np.isfinite(inputs)):
-        raise ConfigError("inputs must be finite")
+    if not np.all((inputs >= 0.0) & (inputs <= 1.0)):
+        raise ConfigError("inputs must lie in [0, 1]")
 
     rho0 = ground_density(config.n_qubits)
     z_rows, _ = _evolve(_draw_unitary(config.coupling_draw), config.gamma,

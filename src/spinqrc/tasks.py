@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
+from .rng import Stream
 
 # Standard NARMA-n recurrence coefficients; module-level so variant
 # recurrences can be explored by monkeypatching in analysis scripts.
@@ -32,7 +33,7 @@ def gen_stm(length: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. binary input stream of the delayed-recall task."""
     if length < 1:
         raise ConfigError("length must be positive")
-    return np.random.default_rng(seed).integers(0, 2, length).astype(float)
+    return np.array(Stream(seed).bits(length), dtype=float)
 
 
 def gen_narma_input(length: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for, main
 from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
 from spinqrc.linalg import BLAS_LIBRARIES, load_blas
+from spinqrc.qubits import ground_density
 from spinqrc.reservoir import Topology
 
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
@@ -110,6 +111,47 @@ def test_simulation_never_imports_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_never_imports_numpy_random(tmp_path, config_file):
+    # One worker process, so that every draw is made in the process that
+    # reports its modules.
+    script = (
+        "import sys\n"
+        "from spinqrc import cli, workers\n"
+        "workers._available_cpus = lambda: 1\n"
+        "config, out = sys.argv[1:]\n"
+        "for argv in (['run'], ['sweep', '--gamma', '0.1', '--readout', '1'],\n"
+        "             ['esn']):\n"
+        "    assert cli.main([*argv, '--config', config, '--task', 'stm',\n"
+        "                     '--seeds', '2', '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['numpy', 'random']))\n")
+    src = str(Path(spinqrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, config_file, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "manifest_stm_esn.json").exists()
+
+
+def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
+                                          monkeypatch):
+    def skewed_ground_density(n_qubits):
+        rho = ground_density(n_qubits).astype(complex)
+        rho[0, 1] = 1e-6  # trace 1, not Hermitian
+        return rho
+
+    monkeypatch.setattr(reservoir, "ground_density", skewed_ground_density)
+    out = tmp_path / "out"
+    code = main(["run", "--config", config_file, "--task", "narma2",
+                 "--seeds", "2", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: state is not Hermitian within tolerance before step 0\n")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_run_is_reproducible(tmp_path, config_file):
@@ -276,7 +318,8 @@ BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
                        "string_ridge": {"ridge": "a"},
                        "unknown_readout": {"readout": 3},
                        "nested_stm_delay": {"stm_delays": [[1]]},
-                       "scalar_stm_delays": {"stm_delays": 1}}
+                       "scalar_stm_delays": {"stm_delays": 1},
+                       "out_of_range_stm_delays": {"stm_delays": [-1, 100]}}
 
 # A stored manifest that `report` reads, and broken variants of its metrics.
 ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",

@@ -94,6 +94,12 @@ class TestManifest:
         with pytest.raises(ConfigError, match="duplicate"):
             esn_manifest(**kw)
 
+    @pytest.mark.parametrize("delays", [(-1,), (0, 100)])
+    @pytest.mark.parametrize("task", ["stm", "narma2"])
+    def test_rejects_stm_delay_out_of_range(self, task, delays):
+        with pytest.raises(ConfigError, match=r"outside \[0, 99\]"):
+            narma_manifest(tasks=(task,), stm_delays=delays)
+
     def test_json_roundtrip_preserves_metrics(self):
         [m] = run_experiment([narma_manifest()])
         restored = ExperimentManifest.from_json(m.to_json())

@@ -291,7 +291,9 @@ class TestStep:
             step(state, 0.0, np.eye(4, dtype=complex), 1.5, ground_density(2))
 
     @pytest.mark.parametrize("s, qubit", [(0.2, 0), (0.2, 3),
-                                          (float("nan"), 1)])
+                                          (float("nan"), 1), (-1e-9, 1),
+                                          (1.0 + 1e-9, 1), (2.0, 1),
+                                          (float("inf"), 1)])
     def test_rejects_bad_input_qubit_or_value(self, s, qubit):
         state = ReservoirState(rho=ground_density(2))
         with pytest.raises(ValidationError):
@@ -320,6 +322,14 @@ class TestRunSequence:
         bad = np.zeros(cfg.total_steps)
         bad[3] = np.inf
         with pytest.raises(ConfigError):
+            run_sequence(cfg, bad)
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, -np.inf])
+    def test_rejects_inputs_outside_unit_interval(self, value):
+        cfg = small_config()
+        bad = np.full(cfg.total_steps, 0.5)
+        bad[-1] = value
+        with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
             run_sequence(cfg, bad)
 
     def test_deterministic(self):

@@ -39,8 +39,6 @@ class TestStm:
     def test_validation(self):
         with pytest.raises(ConfigError):
             gen_stm(0, 0)
-        with pytest.raises(ConfigError):
-            _task_sequences("stm", 10, (-1,), 0)
 
 
 class TestNarmaInput:

@@ -8,10 +8,12 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   ``sweep`` and ``long_run`` workloads (end-to-end metrics);
 * ``traced``: the same for one ``--trace 1`` run of ``sweep`` (per-layer
   metrics);
-* ``sweep_10_seeds``: wall times of ``REPEATS`` default 10-seed
-  ``spinqrc sweep`` runs (the ``--seeds`` default), each in a fresh
-  process, with the number of worker processes it used (forks counted
-  with ``os.register_at_fork``, plus the process itself). With
+* ``sweep_10_seeds``: wall times and peak RSS of ``REPEATS`` default
+  10-seed ``spinqrc sweep`` runs (the ``--seeds`` default), each in a
+  fresh process, with the number of worker processes it used (forks
+  counted with ``os.register_at_fork``, plus the process itself). The
+  peak RSS is ``os.wait4``'s ``ru_maxrss``: that of the largest process
+  of the job, the sweep's own or one of its workers. With
   ``--baseline`` (another checkout, for example the parent commit) the
   same job alternates between the two checkouts and the record says
   whether their ``metrics.csv`` bytes agree;
@@ -140,27 +142,37 @@ def n9_record(checkouts: dict[str, Path]) -> dict:
     return record
 
 
-def timed_sweep(checkout: Path, out: Path) -> tuple[float, int]:
-    """Wall seconds and worker processes of one default 10-seed sweep."""
-    env = checkout_env(checkout)
+def timed_sweep(checkout: Path, out: Path) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MB and worker processes of one default
+    10-seed sweep."""
+    argv = [sys.executable, "-c", COUNT_FORKS, "sweep", "--out", str(out)]
     started = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", COUNT_FORKS, "sweep", "--out", str(out)],
-        cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.Popen(argv, cwd=checkout, env=checkout_env(checkout),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - started
-    forks = int(done.stderr.strip().splitlines()[-1].removeprefix("forks="))
-    return wall, forks + 1
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv,
+                                            stderr=stderr)
+    forks = int(stderr.strip().splitlines()[-1].removeprefix("forks="))
+    return wall, usage.ru_maxrss / 1024.0, forks + 1
 
 
 def sweep_record(checkouts: dict[str, Path]) -> dict:
-    record = {name: {"wall_s": [], "workers": set()} for name in checkouts}
+    record = {name: {"wall_s": [], "peak_rss_mb": [], "workers": set()}
+              for name in checkouts}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {}
         for i in range(REPEATS):
             for name, checkout in checkouts.items():
                 out = Path(tmp) / f"{name}{i}"
-                wall, workers = timed_sweep(checkout, out)
+                wall, rss, workers = timed_sweep(checkout, out)
                 record[name]["wall_s"].append(round(wall, 3))
+                record[name]["peak_rss_mb"].append(round(rss, 2))
                 record[name]["workers"].add(workers)
                 outputs.setdefault(name, (out / "metrics.csv").read_bytes())
         for entry in record.values():
