@@ -71,11 +71,9 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
-    """Run a full prep/train/test sequence from zero-initialized history."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 1 or len(inputs) != config.total_steps:
-        raise ConfigError(
-            f"need exactly {config.total_steps} inputs, got {inputs.shape}")
+    """Run a full prep/train/test sequence from zero-initialized history;
+    the drive must hold one value in [0, 1] per step."""
+    inputs = config.check_drive(inputs)
     w, w_in = esn_weights(config)
     lags = _VARIANT_LAGS[config.variant]
     # The first HISTORY_DEPTH rows are the zero history before step 0.

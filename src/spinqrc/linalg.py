@@ -9,8 +9,8 @@ its inputs.
 The module also binds the two BLAS/LAPACK routines the evolution kernel
 calls directly (``kernel_blas``: ``zgemm`` and ``zpotrf`` through ctypes,
 from the OpenBLAS bundled with numpy, so that scipy is imported only where
-numpy bundles none), and holds the package's BLAS thread policy
-(``one_blas_thread``): the kernel and the propagator build run at one
+numpy bundles none), and holds the package's one BLAS thread rule
+(``one_blas_thread``): the kernel and both functions above run at one
 thread at every array size. OpenBLAS rounds a multithreaded product
 differently, so one fixed count keeps results independent of the host's
 core count; parallelism comes from worker processes instead.
@@ -21,47 +21,13 @@ import ctypes
 import functools
 import importlib
 from contextlib import contextmanager
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 HERMITICITY_RTOL = 1e-10
-
-
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return a
-
-
-def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t h) for Hermitian h, via its eigendecomposition
-    ``h = V diag(w) V†``.
-
-    Raises ValidationError when h is not Hermitian to HERMITICITY_RTOL
-    relative to its Frobenius norm.
-    """
-    h = _as_square(h, "h")
-    scale = np.linalg.norm(h)
-    if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of absolute eigenvalues of (a - b), for Hermitian a, b."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    diff = a - b
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 class Blas(NamedTuple):
@@ -201,21 +167,6 @@ def kernel_blas() -> Blas:
                       "BLAS/LAPACK")
 
 
-def blas_threads() -> tuple[int, ...]:
-    """Thread count of the library ``kernel_blas`` calls, as a one-element
-    tuple; empty when it exposes no thread controls."""
-    threads = kernel_blas().threads
-    return () if threads is None else (threads[0](),)
-
-
-def set_blas_threads(counts: Sequence[int]) -> None:
-    """Set the thread count of the library ``kernel_blas`` calls, from a
-    tuple shaped like ``blas_threads``'s."""
-    threads = kernel_blas().threads
-    if threads is not None and counts:
-        threads[1](counts[0])
-
-
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
     """Run the body at one BLAS thread.
@@ -229,11 +180,48 @@ def one_blas_thread() -> Iterator[None]:
     a forked process, OpenBLAS's first such call starts a worker thread
     that spins for about 0.1 s of CPU.
     """
-    saved = blas_threads()
-    if saved == (1,):
-        saved = ()
-    set_blas_threads([1] * len(saved))
+    threads = kernel_blas().threads
+    saved = 1 if threads is None else threads[0]()
+    if saved != 1:
+        threads[1](1)
     try:
         yield
     finally:
-        set_blas_threads(saved)
+        if saved != 1:
+            threads[1](saved)
+
+
+def _as_square(a: np.ndarray, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
+@one_blas_thread()
+def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t h) for Hermitian h, via its eigendecomposition
+    ``h = V diag(w) V†``.
+
+    Raises ValidationError when h is not Hermitian to HERMITICITY_RTOL
+    relative to its Frobenius norm.
+    """
+    h = _as_square(h, "h")
+    scale = np.linalg.norm(h)
+    if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+@one_blas_thread()
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the sum of absolute eigenvalues of (a - b), for Hermitian a, b."""
+    a = _as_square(a, "a")
+    b = _as_square(b, "b")
+    if a.shape != b.shape:
+        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    diff = a - b
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

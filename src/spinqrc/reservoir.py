@@ -61,6 +61,17 @@ class Schedule:
     def total_steps(self) -> int:
         return self.n_pre + self.n_fb + self.n_test
 
+    def check_drive(self, inputs: Sequence[float]) -> np.ndarray:
+        """``inputs`` as a float array; ConfigError unless it holds one
+        value in [0, 1] per step (NaN fails the comparison)."""
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 1 or len(inputs) != self.total_steps:
+            raise ConfigError(
+                f"need exactly {self.total_steps} inputs, got {inputs.shape}")
+        if not np.all((inputs >= 0.0) & (inputs <= 1.0)):
+            raise ConfigError("inputs must lie in [0, 1]")
+        return inputs
+
     def phase_of(self, step_index: int) -> Phase:
         if step_index < self.n_pre:
             return Phase.PREP
@@ -92,16 +103,6 @@ class Bond:
     i: int
     j: int
     strength: float
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """Bond list for one coupling realization; strengths are normalized so
-    the largest equals 1."""
-
-    topology: Topology
-    n_qubits: int
-    bonds: tuple[Bond, ...]
 
 
 def check_numbers(config, integers: tuple[str, ...],
@@ -193,18 +194,17 @@ def topology_bonds(topology: Topology, n_qubits: int) -> list[tuple[int, int]]:
     return edges
 
 
-def sample_couplings(topology: Topology, n_qubits: int, seed: int) -> CouplingSet:
-    """Draw one bond strength per edge, uniform on [0, 1], then rescale so
-    the maximum is exactly 1."""
-    topology = Topology(topology)
+def sample_couplings(topology: Topology, n_qubits: int,
+                     seed: int) -> tuple[Bond, ...]:
+    """One coupling realization: a bond per edge, its strength drawn
+    uniform on [0, 1], then rescaled so the maximum is exactly 1."""
     edges = topology_bonds(topology, n_qubits)
     raw = np.array(Stream(seed).uniform(1.0, len(edges)))
     raw /= raw.max()
-    bonds = tuple(Bond(i, j, float(s)) for (i, j), s in zip(edges, raw))
-    return CouplingSet(topology=topology, n_qubits=n_qubits, bonds=bonds)
+    return tuple(Bond(i, j, float(s)) for (i, j), s in zip(edges, raw))
 
 
-def build_hamiltonian(couplings: CouplingSet, n_qubits: int) -> np.ndarray:
+def build_hamiltonian(bonds: Sequence[Bond], n_qubits: int) -> np.ndarray:
     """Sum of J_ij (X_iX_j + Y_iY_j + Z_iZ_j) over the bond list.
 
     Assembled from bit operations on the basis index, bond by bond: ZZ puts
@@ -219,7 +219,7 @@ def build_hamiltonian(couplings: CouplingSet, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     idx = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
-    for bond in couplings.bonds:
+    for bond in bonds:
         if not (1 <= bond.i <= n_qubits and 1 <= bond.j <= n_qubits
                 and bond.i != bond.j):
             raise ValidationError(
@@ -238,11 +238,9 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
     The Hamiltonian does not change between steps, so callers compute this
     once and reuse it for a whole sequence.
     """
-    couplings = sample_couplings(config.topology, config.n_qubits,
-                                 config.coupling_seed)
-    with one_blas_thread():
-        h = build_hamiltonian(couplings, config.n_qubits)
-        return unitary_exp(h, config.dt)
+    bonds = sample_couplings(config.topology, config.n_qubits,
+                             config.coupling_seed)
+    return unitary_exp(build_hamiltonian(bonds, config.n_qubits), config.dt)
 
 
 def _check_state(rho: np.ndarray, spare: np.ndarray,
@@ -314,13 +312,7 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     checked at ``_evolve``'s checkpoints, which pin every intermediate
     state within tolerance (see the cadence note above).
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 1 or len(inputs) != config.total_steps:
-        raise ConfigError(
-            f"need exactly {config.total_steps} inputs, got {inputs.shape}")
-    if not np.all((inputs >= 0.0) & (inputs <= 1.0)):
-        raise ConfigError("inputs must lie in [0, 1]")
-
+    inputs = config.check_drive(inputs)
     rho0 = ground_density(config.n_qubits)
     z_rows, _ = _evolve(_draw_unitary(config.coupling_draw), config.gamma,
                         rho0, ReservoirState(rho=rho0), inputs,

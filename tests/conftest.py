@@ -1,6 +1,6 @@
 import pytest
 
-from spinqrc import workers
+from spinqrc import linalg, workers
 
 # Most simulation worker processes any test may start, whatever the host's
 # CPU count; a test that needs a particular count patches the same function.
@@ -14,3 +14,16 @@ def cap_simulation_workers():
         patch.setattr(workers, "_available_cpus",
                       lambda: min(cpus, MAX_TEST_WORKERS))
         yield
+
+
+@pytest.fixture
+def caller_threads():
+    """The (get, set) thread-count pair of the library the kernel calls,
+    with the caller's count restored after the test; skips the test where
+    that library exposes no thread controls."""
+    threads = linalg.kernel_blas().threads
+    if threads is None:
+        pytest.skip("no bundled OpenBLAS exposes its thread controls")
+    saved = threads[0]()
+    yield threads
+    threads[1](saved)

@@ -193,7 +193,7 @@ def test_criterion_2_two_qubit_oracle():
     """50 steps at N_q=2 against a from-scratch 4x4 implementation built
     out of explicit Kronecker products and scalar eigenvalue phases."""
     cfg = ReservoirConfig(n_qubits=2, topology="linear", coupling_seed=5)
-    bond = sample_couplings(cfg.topology, 2, cfg.coupling_seed).bonds[0]
+    bond = sample_couplings(cfg.topology, 2, cfg.coupling_seed)[0]
     assert bond.strength == pytest.approx(1.0)  # lone bond normalizes to 1
 
     # oracle: exchange eigenvalues are (-3, 1, 1, 1); the -3 eigenvector is

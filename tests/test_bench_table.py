@@ -1,8 +1,20 @@
+import importlib.util
+import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CRITERION_1 = "crit1.ratio(passed)"
+
+
+def bench_table():
+    spec = importlib.util.spec_from_file_location(
+        "bench_table", ROOT / "tools" / "bench_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_one_row_per_committed_snapshot():
@@ -13,8 +25,25 @@ def test_one_row_per_committed_snapshot():
     assert sorted(row[0] for row in rows) == snapshots
     assert all(len(row) == len(header) for row in rows)
     normalised = [header.index(name) for name in
-                  ("floor_s", "sweep/floor", "long_run/floor", "sweep10/floor")]
+                  ("floor_s", "sweep/floor", "long_run/floor", "sweep10/floor",
+                   CRITERION_1)]
     for row in rows:
         # BENCH_6 predates the criterion-1 record, so it has no floor.
         missing = {row[i] for i in normalised} == {"-"}
         assert missing == (row[0] == "BENCH_6")
+        if not missing:
+            runs = json.loads((ROOT / f"{row[0]}.json").read_text())[
+                "criterion_1"]["change"]
+            median = statistics.median(run["ratio"] for run in runs)
+            passed = sum(run["passed"] for run in runs)
+            assert (row[header.index(CRITERION_1)]
+                    == f"{median:.2f}({passed}/{len(runs)})")
+
+
+def test_failed_criterion_1_runs_show_in_their_column():
+    columns = bench_table().columns
+    runs = [{"ratio": r, "passed": r <= 2.0, "floor_s": 1.0}
+            for r in (1.6, 2.1, 2.3)]
+    cells = dict(columns({"criterion_1": {"change": runs}}))
+    assert cells[CRITERION_1] == "2.10(1/3)"
+    assert dict(columns({}))[CRITERION_1] == "-"

@@ -99,6 +99,15 @@ class TestRunEsn:
         with pytest.raises(ConfigError):
             run_esn(cfg, np.zeros(cfg.total_steps + 1))
 
+    @pytest.mark.parametrize("index, value", [(3, np.nan), (0, 5.0),
+                                              (7, -1e-9), (-1, np.inf)])
+    def test_drive_outside_unit_interval_rejected(self, index, value):
+        cfg = small_config()
+        inputs = np.full(cfg.total_steps, 0.5)
+        inputs[index] = value
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            run_esn(cfg, inputs)
+
     def test_slices_cover_phases(self):
         cfg = small_config()
         traj = run_esn(cfg, np.zeros(cfg.total_steps))

@@ -89,6 +89,32 @@ def test_trace_distance_shape_mismatch():
         trace_distance(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize("routine, call, bad_call", [
+    ("eigh", lambda: unitary_exp(random_hermitian(8, seed=5), 0.3),
+     lambda: unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)),
+    ("eigvalsh", lambda: trace_distance(np.eye(4) / 4, np.diag([1.0, 0, 0, 0])),
+     lambda: trace_distance(np.eye(2), np.eye(4))),
+], ids=("unitary_exp", "trace_distance"))
+def test_decomposes_at_one_thread_and_restores_the_caller(
+        routine, call, bad_call, caller_threads, monkeypatch):
+    get, set_ = caller_threads
+    set_(2)
+    decompose = getattr(np.linalg, routine)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, recording)
+    call()
+    assert seen == [1]
+    assert get() == 2
+    with pytest.raises(ValidationError):
+        bad_call()
+    assert get() == 2
+
+
 def random_fortran(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.asfortranarray(rng.standard_normal((dim, dim))
                              + 1j * rng.standard_normal((dim, dim)))

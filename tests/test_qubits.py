@@ -3,16 +3,14 @@ import pytest
 
 from spinqrc.errors import ValidationError
 from spinqrc.qubits import ground_density, z_sign_table
-from spinqrc.reservoir import (Bond, CouplingSet, ReservoirState, Topology,
-                               build_hamiltonian, step)
+from spinqrc.reservoir import Bond, ReservoirState, build_hamiltonian, step
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def single_bond_hamiltonian(i, j, n_qubits):
     bond = Bond(i, j, 1.0)
-    return build_hamiltonian(CouplingSet(Topology.LINEAR, n_qubits, (bond,)),
-                             n_qubits)
+    return build_hamiltonian((bond,), n_qubits)
 
 
 def test_heisenberg_two_qubit_spectrum():

@@ -4,13 +4,13 @@ import pytest
 from spinqrc import linalg, reservoir
 from spinqrc.cli import EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
-from spinqrc.linalg import (BLAS_LIBRARIES, blas_threads, load_blas,
-                            one_blas_thread, set_blas_threads, trace_distance)
+from spinqrc.linalg import (BLAS_LIBRARIES, load_blas, one_blas_thread,
+                            trace_distance)
 from spinqrc.qubits import ground_density
-from spinqrc.reservoir import (Bond, CouplingSet, Phase, ReservoirConfig,
-                               ReservoirState, Topology, build_hamiltonian,
-                               evolution_operator, run_sequence,
-                               sample_couplings, step, topology_bonds)
+from spinqrc.reservoir import (Bond, Phase, ReservoirConfig, ReservoirState,
+                               Topology, build_hamiltonian, evolution_operator,
+                               run_sequence, sample_couplings, step,
+                               topology_bonds)
 
 
 def small_config(**kw):
@@ -95,20 +95,20 @@ class TestCouplings:
     def test_sample_is_deterministic_and_normalized(self):
         a = sample_couplings(Topology.LINEAR, 6, seed=3)
         b = sample_couplings(Topology.LINEAR, 6, seed=3)
-        strengths = [bond.strength for bond in a.bonds]
-        assert strengths == [bond.strength for bond in b.bonds]
+        strengths = [bond.strength for bond in a]
+        assert strengths == [bond.strength for bond in b]
         assert max(strengths) == pytest.approx(1.0)
         assert all(0 <= s <= 1 for s in strengths)
 
     def test_different_seeds_differ(self):
         a = sample_couplings(Topology.LINEAR, 6, seed=0)
         b = sample_couplings(Topology.LINEAR, 6, seed=1)
-        assert [x.strength for x in a.bonds] != [x.strength for x in b.bonds]
+        assert [x.strength for x in a] != [x.strength for x in b]
 
     def test_single_bond_chain_has_unit_coupling(self):
         # normalization forces the lone bond of a 2-site chain to 1
-        cs = sample_couplings(Topology.LINEAR, 2, seed=12345)
-        assert cs.bonds[0].strength == pytest.approx(1.0)
+        bonds = sample_couplings(Topology.LINEAR, 2, seed=12345)
+        assert bonds[0].strength == pytest.approx(1.0)
 
 
 PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -116,7 +116,7 @@ PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def kron_chain_hamiltonian(couplings, n_qubits):
+def kron_chain_hamiltonian(bonds, n_qubits):
     """sum_bonds J (X_iX_j + Y_iY_j + Z_iZ_j), each Pauli pair embedded by
     a Kronecker chain of identities."""
     def embed(op, i):
@@ -124,7 +124,7 @@ def kron_chain_hamiltonian(couplings, n_qubits):
                        np.eye(2**(n_qubits - i), dtype=complex))
 
     h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for bond in couplings.bonds:
+    for bond in bonds:
         term = np.zeros_like(h)
         for op in PAULIS:
             term += embed(op, bond.i) @ embed(op, bond.j)
@@ -137,15 +137,14 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n_qubits", range(3, 9))
     def test_bitwise_equal_to_kronecker_chains(self, topology, n_qubits):
         for seed in range(10):
-            couplings = sample_couplings(topology, n_qubits, seed)
-            h = build_hamiltonian(couplings, n_qubits)
-            expected = kron_chain_hamiltonian(couplings, n_qubits)
+            bonds = sample_couplings(topology, n_qubits, seed)
+            h = build_hamiltonian(bonds, n_qubits)
+            expected = kron_chain_hamiltonian(bonds, n_qubits)
             assert h.tobytes() == expected.tobytes()
 
     def test_rejects_qubit_outside_array(self):
-        couplings = CouplingSet(Topology.LINEAR, 3, (Bond(1, 4, 1.0),))
         with pytest.raises(ValidationError):
-            build_hamiltonian(couplings, 3)
+            build_hamiltonian((Bond(1, 4, 1.0),), 3)
 
 
 class TestEvolutionOperator:
@@ -422,27 +421,17 @@ class TestRunSequence:
         assert not np.allclose(a.z_rows, b.z_rows)
 
 
-@pytest.fixture
-def caller_threads():
-    """Run the test with the caller's BLAS thread counts restored after."""
-    saved = blas_threads()
-    yield saved
-    set_blas_threads(saved)
-
-
-@pytest.mark.skipif(not blas_threads(),
-                    reason="no bundled OpenBLAS exposes its thread controls")
 class TestBlasThreadPolicy:
     def test_runs_at_one_thread_and_restores_the_count(self, caller_threads,
                                                        monkeypatch):
-        set_blas_threads([2] * len(caller_threads))
+        get, set_ = caller_threads
+        set_(2)
         with one_blas_thread():
-            assert set(blas_threads()) == {1}
-        assert set(blas_threads()) == {2}
+            assert get() == 1
+        assert get() == 2
         # A caller already at one thread sees no thread-count call.
-        set_blas_threads([1] * len(caller_threads))
+        set_(1)
         blas = linalg.kernel_blas()
-        get, set_ = blas.threads
         calls = []
 
         def recording_set(count):
@@ -452,22 +441,23 @@ class TestBlasThreadPolicy:
         monkeypatch.setattr(linalg, "kernel_blas",
                             lambda: blas._replace(threads=(get, recording_set)))
         with one_blas_thread():
-            assert set(blas_threads()) == {1}
+            assert get() == 1
         assert calls == []
 
     def test_caller_count_restored_and_results_bitwise_equal(
             self, caller_threads):
+        get, set_ = caller_threads
         cfg = small_config(n_qubits=6)
         inputs = np.random.default_rng(5).uniform(0, 1, cfg.total_steps)
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
         rows = {}
         for count in (1, 2):
-            set_blas_threads([count] * len(caller_threads))
+            set_(count)
             rows[count] = run_sequence(cfg, inputs).z_rows
-            assert set(blas_threads()) == {count}
+            assert get() == count
             step(ReservoirState(rho=rho0.copy()), 0.3, u, cfg.gamma, rho0)
-            assert set(blas_threads()) == {count}
+            assert get() == count
         assert rows[1].tobytes() == rows[2].tobytes()
 
     def test_large_arrays_bitwise_equal_at_any_caller_count(
@@ -476,6 +466,7 @@ class TestBlasThreadPolicy:
         # one-thread one; the build and the kernel run at one thread, so
         # neither U nor the rows depend on the caller's count, and one U
         # serves every count.
+        get, set_ = caller_threads
         builds = []
         build = reservoir.evolution_operator
 
@@ -488,9 +479,9 @@ class TestBlasThreadPolicy:
         cfg = small_config(n_qubits=9, n_pre=1, n_fb=1, n_test=1)
         rows = {}
         for count in (1, 2):
-            set_blas_threads([count] * len(caller_threads))
+            set_(count)
             rows[count] = run_sequence(cfg, [0.3, 0.7, 0.3]).z_rows
-            assert set(blas_threads()) == {count}
+            assert get() == count
         assert builds == [cfg.coupling_draw]
         assert rows[1].tobytes() == rows[2].tobytes()
         reservoir._draw_unitary.cache_clear()
@@ -498,12 +489,13 @@ class TestBlasThreadPolicy:
         assert fresh.tobytes() == rows[1].tobytes()
 
     def test_caller_count_restored_after_error(self, caller_threads):
-        set_blas_threads([2] * len(caller_threads))
+        get, set_ = caller_threads
+        set_(2)
         rho0 = ground_density(6)
         u = evolution_operator(small_config(n_qubits=6))
         with pytest.raises(StateInvariantError):
             step(ReservoirState(rho=2 * rho0), 0.3, u, 0.1, rho0)
-        assert set(blas_threads()) == {2}
+        assert get() == 2
 
 
 def test_scipy_fallback_runs_the_kernel_bitwise_alike(monkeypatch):

@@ -73,9 +73,9 @@ def test_package_draws_match_numpy(seed):
 
     raw = np.random.default_rng(seed).uniform(0.0, 1.0, 6)
     raw /= raw.max()
-    couplings = sample_couplings(Topology.RING, 6, seed)
-    assert [b.strength for b in couplings.bonds] == raw.tolist()
-    assert ([(b.i, b.j) for b in couplings.bonds]
+    bonds = sample_couplings(Topology.RING, 6, seed)
+    assert [b.strength for b in bonds] == raw.tolist()
+    assert ([(b.i, b.j) for b in bonds]
             == topology_bonds(Topology.RING, 6))
 
 

@@ -6,11 +6,12 @@ Stdlib only. It reads every ``BENCH_*.json`` at the root of the
 checkout, in snapshot order. Each row holds the snapshot's commit; the
 scored ``sweep`` and ``long_run`` ``wall_s``, ``steps_per_s``,
 ``setup_s`` and ``peak_rss_mb``; the median of its default 10-seed
-``sweep`` runs; the median criterion-1 ``zgemm`` floor; and each wall
-time divided by that floor. The floor is a fixed amount of BLAS work
-timed on the same host, so the divided values compare snapshots taken on
-days the host ran at different speeds. A value the snapshot lacks prints
-as ``-``.
+``sweep`` runs; the median criterion-1 ``zgemm`` floor; each wall time
+divided by that floor; and criterion 1's median cost ratio with its
+passed/total runs, such as ``1.52(5/5)``, so a red criterion 1 shows in
+the table. The floor is a fixed amount of BLAS work timed on the same
+host, so the divided values compare snapshots taken on days the host ran
+at different speeds. A value the snapshot lacks prints as ``-``.
 """
 from __future__ import annotations
 
@@ -58,13 +59,18 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     median = _get(snapshot, "sweep_10_seeds", "change", "median_s")
     cells.append(("sweep10.median_s", _fmt(median, "{:.3f}")))
     walls.append(("sweep10/floor", median))
-    floors = [run["floor_s"] for run in _get(snapshot, "criterion_1", "change")
-              or [] if run.get("floor_s") is not None]
+    runs = _get(snapshot, "criterion_1", "change") or []
+    floors = [run["floor_s"] for run in runs if run.get("floor_s") is not None]
     floor = statistics.median(floors) if floors else None
     cells.append(("floor_s", _fmt(floor, "{:.3f}")))
     for header, wall in walls:
         ratio = wall / floor if wall is not None and floor else None
         cells.append((header, _fmt(ratio, "{:.2f}")))
+    ratios = [run["ratio"] for run in runs if run.get("ratio") is not None]
+    passed = sum(run.get("passed") is True for run in runs)
+    cells.append(("crit1.ratio(passed)",
+                  f"{statistics.median(ratios):.2f}({passed}/{len(runs)})"
+                  if ratios else "-"))
     return cells
 
 
