@@ -22,22 +22,30 @@ from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                          run_experiment, emit_report, write_metrics)
-from .reservoir import Topology
+from .reservoir import ReservoirConfig, Topology
 
-RESERVOIR_CONFIG_KEYS = ("n_qubits", "topology", "gamma", "theta0", "n_pre",
-                         "n_fb", "n_test", "input_qubit")
-ESN_CONFIG_KEYS = ("n_nodes", "w_scale", "w_in_scale", "n_pre", "n_fb", "n_test")
+# Every ReservoirConfig field but the coupling seed, which each ensemble
+# member takes from the seeds. The phase lengths among them (PHASE_KEYS)
+# set the ESN's schedule as well.
+RESERVOIR_CONFIG_KEYS = tuple(f.name for f in fields(ReservoirConfig)
+                              if f.name != "coupling_seed")
+PHASE_KEYS = ("n_pre", "n_fb", "n_test")
+ESN_CONFIG_KEYS = ("n_nodes", "w_scale", "w_in_scale")
 # The top-level keys that set a manifest field in `run`, `sweep` and `esn`,
-# and that field; a flag of the same name overrides the key. The manifest
-# supplies the default of every field that neither sets.
+# and that field; a flag of the same name overrides the key, and `--task X`
+# overrides `tasks` with [X]. A field that neither sets takes the manifest's
+# default; the tasks, which have none there, take the subcommand's
+# DEFAULT_TASKS.
 MANIFEST_KEYS = {"seeds": "n_seeds", "seed": "base_seed",
                  "input_seed": "input_seed", "ridge": "ridge",
-                 "stm_delays": "stm_delays"}
+                 "stm_delays": "stm_delays", "tasks": "tasks"}
+DEFAULT_TASKS = {"run": ("narma2",), "sweep": TASK_NAMES,
+                 "esn": ("stm", "narma2", "narma5", "narma10", "narma15")}
 
 # Every key a config file may hold, at the top level and in the blocks that
 # configure ``sweep`` and ``esn``; any other key is a configuration error.
 CONFIG_KEYS = RESERVOIR_CONFIG_KEYS + tuple(MANIFEST_KEYS) + (
-    "task", "tasks", "readout", "trajectory", "sweep", "esn")
+    "readout", "trajectory", "sweep", "esn")
 BLOCK_KEYS = {"sweep": tuple(f.name for f in fields(SweepGrid)),
               "esn": ESN_CONFIG_KEYS + ("variants",)}
 
@@ -77,31 +85,31 @@ def _check_keys(where: str, data: dict, known: tuple[str, ...]) -> None:
 
 def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
     config = {k: file_cfg[k] for k in RESERVOIR_CONFIG_KEYS if k in file_cfg}
-    if args.topology:
-        config["topology"] = args.topology
-    if args.gamma is not None:
-        config["gamma"] = args.gamma
+    config.update({k: getattr(args, k) for k in ("topology", "gamma")
+                   if getattr(args, k) is not None})
     return config
 
 
 def _manifest_fields(file_cfg: dict, args: argparse.Namespace,
                      keys: dict = MANIFEST_KEYS) -> dict:
     """The manifest fields that the file or a flag sets, passed through as
-    given; the manifest checks them and defaults the others."""
+    given, and the subcommand's default tasks; the manifest checks them and
+    defaults the others."""
     given = {name: file_cfg[key] for key, name in keys.items()
              if key in file_cfg}
     given.update({name: getattr(args, key) for key, name in keys.items()
                   if getattr(args, key, None) is not None})
+    if args.task is not None:
+        given["tasks"] = (args.task,)
+    given.setdefault("tasks", DEFAULT_TASKS[args.command])
     return given
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
-    task = args.task or file_cfg.get("task", "narma2")
     manifest = ExperimentManifest(
         kind="reservoir",
         config=_reservoir_config_dict(file_cfg, args),
-        tasks=(task,),
         **_manifest_fields(file_cfg, args,
                            dict(MANIFEST_KEYS, readout="readout")),
     )
@@ -112,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     grid_kwargs = dict(file_cfg.get("sweep", {}))
     for axis, flag in (("topologies", args.topology), ("gammas", args.gamma),
-                       ("readouts", args.readout), ("tasks", args.task)):
+                       ("readouts", args.readout)):
         if flag is not None:
             grid_kwargs[axis] = (flag,)
     trajectories = file_cfg.get("trajectory", False)
@@ -129,19 +137,11 @@ def _cmd_esn(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     esn_cfg = file_cfg.get("esn", {})
     config = {k: esn_cfg[k] for k in ESN_CONFIG_KEYS if k in esn_cfg}
-    for k in ("n_pre", "n_fb", "n_test"):
-        if k in file_cfg and k not in config:
-            config[k] = file_cfg[k]
-    if args.task:
-        tasks = [args.task]
-    else:
-        tasks = file_cfg.get(
-            "tasks", ("stm", "narma2", "narma5", "narma10", "narma15"))
+    config.update({k: file_cfg[k] for k in PHASE_KEYS if k in file_cfg})
     given = _manifest_fields(file_cfg, args)
     if "variants" in esn_cfg:
         given["variants"] = esn_cfg["variants"]
-    manifest = ExperimentManifest(kind="esn", config=config, tasks=tasks,
-                                  **given)
+    manifest = ExperimentManifest(kind="esn", config=config, **given)
     return _run_and_report([manifest], args.out)
 
 

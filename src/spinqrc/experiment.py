@@ -152,7 +152,7 @@ class ExperimentManifest:
             raise ConfigError("tasks is empty; a manifest needs a task")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be positive")
-        for name in ("base_seed", "input_seed"):
+        for name in ("base_seed", "input_seed", "ridge"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, "
                                   f"got {getattr(self, name)}")
@@ -348,17 +348,16 @@ def run_experiment(
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian product of experiment cells for the sweep runner: the
-    axes a sweep varies. Every other manifest field is the same in each
-    cell and is passed to ``manifests``."""
+    axes a sweep varies. Every other manifest field, the tasks included,
+    is the same in each cell and is passed to ``manifests``."""
 
     topologies: tuple[str, ...] = ("linear", "ring")
     gammas: tuple[float, ...] = (0.1, 0.01)
     readouts: tuple[int, ...] = (1, 2)
-    tasks: tuple[str, ...] = TASK_NAMES
 
     def __post_init__(self) -> None:
-        for axis_name in ("topologies", "gammas", "readouts", "tasks"):
-            values = getattr(self, axis_name)
+        for axis in fields(self):
+            axis_name, values = axis.name, getattr(self, axis.name)
             if not isinstance(values, (list, tuple)):
                 raise ConfigError(
                     f"sweep axis {axis_name} must be a list, got {values!r}")
@@ -376,13 +375,13 @@ class SweepGrid:
         """One reservoir manifest per grid point, each given
         ``manifest_fields`` unchanged; the manifest defaults the rest."""
         out = [ExperimentManifest(
-                   kind="reservoir", tasks=self.tasks, readout=readout,
+                   kind="reservoir", readout=readout,
                    config=dict(base_config, topology=topology, gamma=gamma),
                    **manifest_fields)
                for topology in self.topologies for gamma in self.gammas
                for readout in self.readouts]
         task_rows = sum(len(out[0].stm_delays) if t == "stm" else 1
-                        for t in self.tasks)
+                        for t in out[0].tasks)
         if len(out) * task_rows > MAX_SWEEP_CELLS:
             raise ConfigError(f"sweep would produce {len(out) * task_rows} "
                               f"cells; limit is {MAX_SWEEP_CELLS}")
@@ -435,10 +434,9 @@ def write_metrics(manifests: Iterable[ExperimentManifest],
     return _write_atomic(out_dir / "metrics.csv", text)
 
 
-def trajectory_csv_text(manifest: ExperimentManifest,
-                        task: str | None = None) -> str:
+def trajectory_csv_text(manifest: ExperimentManifest) -> str:
     """Per-step rows (step, phase, s_k, z_1..z_n, y_pred, y_target) of
-    ensemble member 0.
+    ensemble member 0 on the manifest's first task.
 
     Predictions come from weights trained on the train window; for the
     stm task the smallest requested delay is used. The trajectory that
@@ -447,8 +445,7 @@ def trajectory_csv_text(manifest: ExperimentManifest,
     """
     if manifest.kind != "reservoir":
         raise ConfigError("trajectories are defined for reservoir manifests")
-    task = task or manifest.tasks[0]
-    parse_task(task)
+    task = manifest.tasks[0]
     config = manifest.reservoir_config(manifest.base_seed)
     delays = (min(manifest.stm_delays),) if task == "stm" else ()
     inputs, target_map = _task_sequences(task, config.total_steps, delays,

@@ -135,8 +135,9 @@ class ReservoirConfig(Schedule):
         check_numbers(self, ("n_qubits", "n_pre", "n_fb", "n_test",
                              "coupling_seed", "input_qubit"),
                       ("gamma", "theta0"))
-        if self.n_qubits < 2:
-            raise ConfigError("a coupled array needs at least 2 qubits")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(
+                f"n_qubits must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
         if self.coupling_seed < 0:
             raise ConfigError(
                 f"coupling_seed must be non-negative, got {self.coupling_seed}")

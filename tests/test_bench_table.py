@@ -47,3 +47,14 @@ def test_failed_criterion_1_runs_show_in_their_column():
     cells = dict(columns({"criterion_1": {"change": runs}}))
     assert cells[CRITERION_1] == "2.10(1/3)"
     assert dict(columns({}))[CRITERION_1] == "-"
+
+
+def test_sweep_per_control_column():
+    columns = bench_table().columns
+    snapshot = {"sweep_10_seeds": {"change": {
+        "wall_s": [3.0, 3.3, 6.0], "control_s": [1.0, 1.1, 1.5],
+        "wall_per_control": [3.0, 3.0, 4.0]}}}
+    assert dict(columns(snapshot))["sweep10/control"] == "3.00"
+    # Snapshots older than the control have no such record.
+    old = {"sweep_10_seeds": {"change": {"wall_s": [3.0]}}}
+    assert dict(columns(old))["sweep10/control"] == "-"

@@ -15,7 +15,8 @@ from spinqrc.linalg import BLAS_LIBRARIES, load_blas
 from spinqrc.qubits import ground_density
 from spinqrc.reservoir import Topology
 
-SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
+PHASES = {"n_pre": 10, "n_fb": 30, "n_test": 10}
+SMALL = {"n_qubits": 4, **PHASES}
 
 # metrics.csv of `spinqrc sweep --seeds 1 --seed 10` and of `spinqrc esn
 # --seeds 40 --seed 10` at the commit that froze the benchmark goldens; read
@@ -186,9 +187,9 @@ def test_run_stm_task(tmp_path, config_file):
 
 
 def test_sweep_emits_grid(tmp_path):
-    cfg = dict(SMALL, seeds=1)
+    cfg = dict(SMALL, seeds=1, tasks=["narma2"])
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1, 0.01],
-                    "readouts": [1], "tasks": ["narma2"]}
+                    "readouts": [1]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -202,9 +203,9 @@ def test_sweep_emits_grid(tmp_path):
 
 def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
     calls = count_simulations(monkeypatch)
-    cfg = dict(SMALL, trajectory=True, seeds=1)
+    cfg = dict(SMALL, trajectory=True, seeds=1, tasks=["narma2"])
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1],
-                    "readouts": [1, 2], "tasks": ["narma2"]}
+                    "readouts": [1, 2]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -214,8 +215,8 @@ def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
 
 
 def test_sweep_rejects_duplicate_gamma(tmp_path):
-    cfg = dict(SMALL, seeds=1)
-    cfg["sweep"] = {"gammas": [0.1, 0.1], "tasks": ["narma2"]}
+    cfg = dict(SMALL, seeds=1, tasks=["narma2"])
+    cfg["sweep"] = {"gammas": [0.1, 0.1]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -273,9 +274,9 @@ def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
 
     monkeypatch.setattr(reservoir, "_draw_unitary", poisoned)
     monkeypatch.setattr(workers, "_available_cpus", lambda: 2)
-    cfg = dict(SMALL, seeds=1, sweep={"topologies": ["linear", "ring"],
-                                      "gammas": [0.1], "readouts": [1],
-                                      "tasks": ["narma2"]})
+    cfg = dict(SMALL, seeds=1, tasks=["narma2"],
+               sweep={"topologies": ["linear", "ring"], "gammas": [0.1],
+                      "readouts": [1]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -286,17 +287,17 @@ def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, cfg, unknown", [
-    ("run", {"n_qbits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
+    ("run", {"n_qubits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
              "n_test": 10}, "gama"),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "variants": [1, 3]}),
-     "variants"),
-    ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
-                         variant=[1])}, "variant"),
+    ("sweep", dict(SMALL, sweep={"variants": [1, 3]}), "variants"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variant=[1])), "variant"),
     # The ensemble size and the delays have one key each, at the top level.
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "n_seeds": 3}),
-     "n_seeds"),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "stm_delays": [1]}),
-     "stm_delays"),
+    ("sweep", dict(SMALL, sweep={"n_seeds": 3}), "n_seeds"),
+    ("sweep", dict(SMALL, sweep={"stm_delays": [1]}), "stm_delays"),
+    # So have the tasks and the phase lengths.
+    ("run", dict(SMALL, task="stm"), "task"),
+    ("sweep", dict(SMALL, sweep={"tasks": ["stm"]}), "tasks"),
+    *(("esn", {"esn": {key: 10}}, key) for key in PHASES),
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
     path = tmp_path / "config.json"
@@ -305,57 +306,73 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
     code = main([command, "--config", str(path), "--task", "narma2",
                  "--seeds", "1", "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert repr(unknown) in capsys.readouterr().err
+    assert f"error: unknown key(s) {unknown!r} in " in capsys.readouterr().err
     assert not out.exists()
 
 
-BAD_MANIFEST_VALUES = {"string_seeds": {"seeds": "x"},
-                       "fractional_seeds": {"seeds": 2.7},
-                       "fractional_seed": {"seed": 1.5},
-                       "string_input_seed": {"input_seed": "42"},
-                       "negative_seed": {"seed": -1},
-                       "negative_input_seed": {"input_seed": -5},
-                       "string_ridge": {"ridge": "a"},
-                       "unknown_readout": {"readout": 3},
-                       "nested_stm_delay": {"stm_delays": [[1]]},
-                       "scalar_stm_delays": {"stm_delays": 1},
-                       "out_of_range_stm_delays": {"stm_delays": [-1, 100]}}
+# Each bad manifest value, and a fragment of the error it must raise.
+BAD_MANIFEST_VALUES = {
+    "string_seeds": ({"seeds": "x"}, "n_seeds must be an integer, got 'x'"),
+    "fractional_seeds": ({"seeds": 2.7}, "n_seeds must be an integer"),
+    "fractional_seed": ({"seed": 1.5}, "base_seed must be an integer"),
+    "string_input_seed": ({"input_seed": "42"},
+                          "input_seed must be an integer, got '42'"),
+    "negative_seed": ({"seed": -1}, "base_seed must be non-negative, got -1"),
+    "negative_input_seed": ({"input_seed": -5},
+                            "input_seed must be non-negative, got -5"),
+    "string_ridge": ({"ridge": "a"}, "ridge must be a finite number"),
+    "negative_ridge": ({"ridge": -1}, "ridge must be non-negative, got -1"),
+    "unknown_readout": ({"readout": 3}, "unknown readout 3"),
+    "nested_stm_delay": ({"stm_delays": [[1]]},
+                         "stm_delays must be an integer, got [1]"),
+    "scalar_stm_delays": ({"stm_delays": 1}, "stm_delays must be a list"),
+    "out_of_range_stm_delays": ({"stm_delays": [-1, 100]},
+                                "stm delay -1 outside [0, 99]")}
 
 # A stored manifest that `report` reads, and broken variants of its metrics.
 ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
        "gamma": "0.1", "metric": "nmse", "per_seed": [0.5]}
 MANIFEST = json.loads(experiment.ExperimentManifest(
     kind="reservoir", config=dict(SMALL), tasks=("narma2",)).to_json())
-BAD_STORED_METRICS = {"metrics_list": [],
-                      "string_per_seed": {"r": dict(ROW, per_seed=["a"])},
-                      "number_gamma": {"r": dict(ROW, gamma=5)},
-                      "empty_per_seed": {"r": dict(ROW, per_seed=[])}}
+BAD_STORED_METRICS = {
+    "metrics_list": ([], "metrics must be a JSON object, got []"),
+    "string_per_seed": ({"r": dict(ROW, per_seed=["a"])},
+                        "per_seed must be a non-empty list of numbers"),
+    "number_gamma": ({"r": dict(ROW, gamma=5)},
+                     "metrics row gamma must be a string, got 5"),
+    "empty_per_seed": ({"r": dict(ROW, per_seed=[])},
+                       "per_seed must be a non-empty list of numbers")}
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("run", dict(SMALL, n_qubits="4")),
-    ("run", dict(SMALL, topology="rign")),
-    ("esn", {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
-                         variants=[1, 1])}),
-    *(("run", dict(SMALL, **bad)) for bad in BAD_MANIFEST_VALUES.values()),
-    ("sweep", dict(SMALL, ridge="a", sweep={"tasks": ["narma2"]})),
-    ("sweep", dict(SMALL, seeds=1.5, sweep={"tasks": ["narma2"]})),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": 0.1})),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "topologies": "ring"})),
-    ("sweep", dict(SMALL, sweep={"tasks": ["narma2"], "gammas": [[0.1]]})),
-    ("sweep", dict(SMALL, trajectory="false", sweep={"tasks": ["narma2"]})),
-    ("esn", dict(SMALL, tasks=[])),
-    ("esn", {"seed": -3, "esn": dict(n_nodes=4, n_pre=10, n_fb=30,
-                                     n_test=10)}),
-    *(("report", dict(MANIFEST, metrics=bad))
-      for bad in BAD_STORED_METRICS.values()),
-    ("report", [MANIFEST]),
+@pytest.mark.parametrize("command, cfg, fragment", [
+    ("run", dict(SMALL, n_qubits="4"), "n_qubits must be an integer"),
+    ("run", dict(SMALL, topology="rign"), "unknown topology 'rign'"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[1, 1])),
+     "variants has a duplicate value"),
+    *(("run", dict(SMALL, **bad), fragment)
+      for bad, fragment in BAD_MANIFEST_VALUES.values()),
+    ("sweep", dict(SMALL, ridge="a"), "ridge must be a finite number"),
+    ("sweep", dict(SMALL, seeds=1.5), "n_seeds must be an integer"),
+    ("sweep", dict(SMALL, sweep={"gammas": 0.1}),
+     "sweep axis gammas must be a list, got 0.1"),
+    ("sweep", dict(SMALL, sweep={"topologies": "ring"}),
+     "sweep axis topologies must be a list, got 'ring'"),
+    ("sweep", dict(SMALL, sweep={"gammas": [[0.1]]}),
+     "gamma must be a finite number, got [0.1]"),
+    ("sweep", dict(SMALL, trajectory="false"),
+     "trajectory must be true or false, got 'false'"),
+    ("esn", dict(SMALL, tasks=[]), "tasks is empty"),
+    ("esn", dict(PHASES, seed=-3, esn=dict(n_nodes=4)),
+     "base_seed must be non-negative, got -3"),
+    *(("report", dict(MANIFEST, metrics=bad), fragment)
+      for bad, fragment in BAD_STORED_METRICS.values()),
+    ("report", [MANIFEST], "a manifest must hold a JSON object"),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
         *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
         "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list"])
-def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -365,15 +382,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
         flags += [] if "seeds" in cfg else ["--seeds", "2"]
     code = main([command, "--config", str(path), *flags, "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
     assert not out.exists()
 
 
 def test_esn_rejects_repeated_task(tmp_path):
     path = tmp_path / "esn.json"
-    path.write_text(json.dumps({"tasks": ["narma2", "narma2"],
-                                "esn": dict(n_nodes=4, n_pre=10, n_fb=30,
-                                            n_test=10)}))
+    path.write_text(json.dumps(dict(PHASES, tasks=["narma2", "narma2"],
+                                    esn=dict(n_nodes=4))))
     out = tmp_path / "out"
     code = main(["esn", "--config", str(path), "--seeds", "1",
                  "--out", str(out)])
@@ -396,8 +413,7 @@ def test_option_the_subcommand_never_reads_is_rejected(tmp_path, argv):
 
 
 def test_esn_subcommand(tmp_path):
-    cfg = {"esn": dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10,
-                       variants=[1, 3])}
+    cfg = dict(PHASES, esn=dict(n_nodes=4, variants=[1, 3]))
     path = tmp_path / "esn.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -408,6 +424,52 @@ def test_esn_subcommand(tmp_path):
     assert len(rows) == 3
     assert rows[1].startswith("narma2,esn1,")
     assert rows[2].startswith("narma2,esn3,")
+
+
+def test_esn_reads_top_level_phase_lengths(tmp_path):
+    path = tmp_path / "esn.json"
+    path.write_text(json.dumps({"n_pre": 3, "n_fb": 20, "n_test": 7,
+                                "esn": {"variants": [1]}}))
+    out = tmp_path / "out"
+    assert main(["esn", "--config", str(path), "--task", "narma2",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest_narma2_esn.json").read_text())[
+        "config"]
+    assert config == {"n_pre": 3, "n_fb": 20, "n_test": 7}
+
+
+def test_run_reads_top_level_tasks(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, tasks=["stm", "narma2"],
+                                    stm_delays=[0, 1])))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--seeds", "1",
+                 "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "narma2", "stm_tau00", "stm_tau01"]
+    assert (out / "manifest_multi_linear_g0.1_r1.json").exists()
+
+
+def test_run_defaults_to_narma2(tmp_path, config_file):
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_file, "--seeds", "1",
+                 "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["narma2"]
+
+
+def test_too_many_qubits_exit_2_before_simulating(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = count_simulations(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(PHASES, n_qubits=11)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--seeds", "1",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "n_qubits must be in [2, 10]" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_report_reemits_metrics(tmp_path, config_file):

@@ -9,9 +9,10 @@ import pytest
 from spinqrc import experiment, workers
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
-from spinqrc.experiment import (ExperimentManifest, RowStats, SweepGrid,
-                                emit_report, metrics_csv_text, parse_task,
-                                run_experiment, trajectory_csv_text)
+from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, RowStats,
+                                SweepGrid, emit_report, metrics_csv_text,
+                                parse_task, run_experiment,
+                                trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
@@ -100,6 +101,12 @@ class TestManifest:
         with pytest.raises(ConfigError, match=r"outside \[0, 99\]"):
             narma_manifest(tasks=(task,), stm_delays=delays)
 
+    def test_rejects_negative_ridge_before_simulating(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        with pytest.raises(ConfigError, match="ridge must be non-negative"):
+            run_experiment([narma_manifest(ridge=-1)])
+        assert calls == []
+
     def test_json_roundtrip_preserves_metrics(self):
         [m] = run_experiment([narma_manifest()])
         restored = ExperimentManifest.from_json(m.to_json())
@@ -151,8 +158,8 @@ class TestRunExperiment:
 
     def test_simulates_each_config_and_drive_once(self, monkeypatch):
         calls = count_simulations(monkeypatch)
-        cells = SweepGrid().manifests(dict(SMALL_RESERVOIR), n_seeds=2,
-                                      base_seed=0, input_seed=42)
+        cells = SweepGrid().manifests(dict(SMALL_RESERVOIR), tasks=TASK_NAMES,
+                                      n_seeds=2, base_seed=0, input_seed=42)
         run_experiment(cells)
         # 2 topologies x 2 gammas x 2 drives (stm, narma) x 2 seeds; the
         # readout axis and the five NARMA orders share trajectories.
@@ -170,7 +177,8 @@ class TestRunExperiment:
 
     def test_batched_call_matches_cells_run_alone(self):
         grid = SweepGrid()
-        given = dict(n_seeds=2, stm_delays=(0, 3), base_seed=0, input_seed=42)
+        given = dict(tasks=TASK_NAMES, n_seeds=2, stm_delays=(0, 3),
+                     base_seed=0, input_seed=42)
         batched = run_experiment(grid.manifests(dict(SMALL_RESERVOIR), **given))
         alone = grid.manifests(dict(SMALL_RESERVOIR), **given)
         for cell, single in zip(batched, alone):
@@ -215,9 +223,9 @@ class TestRunEsnComparison:
 class TestSweepGrid:
     def test_manifest_grid_covers_axes(self):
         grid = SweepGrid(topologies=("linear", "ring"), gammas=(0.1, 0.01),
-                         readouts=(1, 2), tasks=("narma2",))
-        manifests = grid.manifests(dict(SMALL_RESERVOIR), n_seeds=1,
-                                   base_seed=0, input_seed=42)
+                         readouts=(1, 2))
+        manifests = grid.manifests(dict(SMALL_RESERVOIR), tasks=("narma2",),
+                                   n_seeds=1, base_seed=0, input_seed=42)
         assert len(manifests) == 8
         combos = {(m.config["topology"], m.config["gamma"], m.readout)
                   for m in manifests}
@@ -225,8 +233,8 @@ class TestSweepGrid:
 
     def test_cell_guard(self):
         with pytest.raises(ConfigError):
-            SweepGrid(gammas=tuple(np.linspace(0.01, 1.0, 60)),
-                      tasks=("stm",)).manifests({}, stm_delays=tuple(range(100)))
+            SweepGrid(gammas=tuple(np.linspace(0.01, 1.0, 60))).manifests(
+                {}, tasks=("stm",), stm_delays=tuple(range(100)))
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ConfigError):
@@ -237,10 +245,11 @@ class TestSweepGrid:
         ("readouts", (1, 1)), ("tasks", ("narma2", "narma2")),
         ("stm_delays", (0, 3, 3))])
     def test_rejects_duplicate_axis_value(self, axis, values):
-        # The delays are no grid axis: every manifest of the grid checks them.
+        # The tasks and the delays are no grid axis: every manifest of the
+        # grid checks them.
         with pytest.raises(ConfigError, match="duplicate"):
-            if axis == "stm_delays":
-                SweepGrid().manifests({}, stm_delays=values)
+            if axis in ("tasks", "stm_delays"):
+                SweepGrid().manifests({}, **{"tasks": ("stm",), axis: values})
             else:
                 SweepGrid(**{axis: values})
 
@@ -262,9 +271,10 @@ class TestMetricsCsv:
 
     def test_rows_sorted_by_key(self):
         grid = SweepGrid(topologies=("ring", "linear"), gammas=(0.1,),
-                         readouts=(1,), tasks=("narma2",))
+                         readouts=(1,))
         manifests = run_experiment(grid.manifests(
-            dict(SMALL_RESERVOIR), n_seeds=1, base_seed=0, input_seed=42))
+            dict(SMALL_RESERVOIR), tasks=("narma2",), n_seeds=1, base_seed=0,
+            input_seed=42))
         rows = metrics_csv_text(manifests).splitlines()[1:]
         assert rows == sorted(rows)
 

@@ -11,14 +11,15 @@ import pytest
 from spinqrc import experiment, reservoir, workers
 from spinqrc.cli import EXIT_NUMERICAL, main
 from spinqrc.errors import StateInvariantError
-from spinqrc.experiment import ExperimentManifest, SweepGrid, run_experiment
+from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
+                                run_experiment)
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 # Two coupling draws of one cell, so two workers get one each.
-TWO_DRAWS = dict(SMALL, seeds=2,
+TWO_DRAWS = dict(SMALL, seeds=2, tasks=["narma2"],
                  sweep={"topologies": ["linear"], "gammas": [0.1],
-                        "readouts": [1], "tasks": ["narma2"]})
+                        "readouts": [1]})
 
 
 def use_workers(monkeypatch, count):
@@ -87,7 +88,8 @@ def test_builds_one_propagator_per_coupling_draw(monkeypatch):
         return build(config)
 
     monkeypatch.setattr(reservoir, "evolution_operator", counted)
-    run_experiment(SweepGrid().manifests(dict(SMALL), n_seeds=2, base_seed=0,
+    run_experiment(SweepGrid().manifests(dict(SMALL), tasks=TASK_NAMES,
+                                         n_seeds=2, base_seed=0,
                                          input_seed=42))
     # 2 topologies x 2 seeds: gamma, readout and drive do not enter U.
     assert len(builds) == 4
@@ -105,8 +107,8 @@ def test_counts_calls_across_worker_processes(tmp_path, monkeypatch, forks):
         return run_sequence(config, inputs)
 
     monkeypatch.setattr(experiment, "run_sequence", logged)
-    cells = SweepGrid().manifests(dict(SMALL), n_seeds=2, base_seed=0,
-                                  input_seed=42)
+    cells = SweepGrid().manifests(dict(SMALL), tasks=TASK_NAMES, n_seeds=2,
+                                  base_seed=0, input_seed=42)
     cells.append(ExperimentManifest(
         kind="reservoir", tasks=("narma2",), readout=2, n_seeds=2,
         config={"n_qubits": 9, "n_pre": 1, "n_fb": 4, "n_test": 2}))

@@ -16,7 +16,9 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   of the job, the sweep's own or one of its workers. With
   ``--baseline`` (another checkout, for example the parent commit) the
   same job alternates between the two checkouts and the record says
-  whether their ``metrics.csv`` bytes agree;
+  whether their ``metrics.csv`` bytes agree. Each sweep is followed by
+  the host control (``CONTROL``) in a fresh process of this checkout; the
+  record keeps its seconds and each wall time divided by them;
 * ``criterion_1``: ``CRITERION_1_RUNS`` runs of the acceptance suite's
   criterion 1 (``pytest -s``, each in a fresh process, alternating with
   the ``--baseline`` checkout when one is given): the ratio of its wall
@@ -60,6 +62,18 @@ CRITERION_1_RUNS = 5
 # The cost line criterion 1 prints, and repeats in its assertion message.
 CRITERION_1_COST = re.compile(
     r"suite ([0-9.]+)s = ([0-9.]+)x the ([0-9.]+)s .*\(budget ([0-9.]+)x\)")
+
+# The host control: a fixed amount of BLAS work, timed next to each 10-seed
+# sweep so that snapshots taken while the host ran at different speeds
+# compare. It is criterion 1's floor, ``zgemm_floor`` in the acceptance
+# suite: the best of 3 timings of 10,000 pairs of the kernel's two dim-64
+# products at one BLAS thread. It prints its seconds.
+CONTROL = """\
+import sys
+sys.path.insert(0, "tests")
+from test_acceptance import zgemm_floor
+print(zgemm_floor())
+"""
 
 # Runs the CLI and reports on stderr how many processes it forked.
 COUNT_FORKS = """\
@@ -162,8 +176,19 @@ def timed_sweep(checkout: Path, out: Path) -> tuple[float, float, int]:
     return wall, usage.ru_maxrss / 1024.0, forks + 1
 
 
-def sweep_record(checkouts: dict[str, Path]) -> dict:
-    record = {name: {"wall_s": [], "peak_rss_mb": [], "workers": set()}
+def timed_control(root: Path) -> float:
+    """Seconds of one ``CONTROL`` run with ``root``'s sources."""
+    done = subprocess.run([sys.executable, "-c", CONTROL], cwd=root,
+                          env=checkout_env(root), capture_output=True,
+                          text=True, check=True)
+    return float(done.stdout.strip().splitlines()[-1])
+
+
+def sweep_record(checkouts: dict[str, Path], root: Path) -> dict:
+    """The 10-seed sweeps of each checkout, alternating, each followed by
+    the control in ``root``, the same code for every checkout."""
+    record = {name: {"wall_s": [], "peak_rss_mb": [], "workers": set(),
+                     "control_s": [], "wall_per_control": []}
               for name in checkouts}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {}
@@ -171,7 +196,11 @@ def sweep_record(checkouts: dict[str, Path]) -> dict:
             for name, checkout in checkouts.items():
                 out = Path(tmp) / f"{name}{i}"
                 wall, rss, workers = timed_sweep(checkout, out)
+                control = timed_control(root)
                 record[name]["wall_s"].append(round(wall, 3))
+                record[name]["control_s"].append(round(control, 4))
+                record[name]["wall_per_control"].append(
+                    round(wall / control, 3))
                 record[name]["peak_rss_mb"].append(round(rss, 2))
                 record[name]["workers"].add(workers)
                 outputs.setdefault(name, (out / "metrics.csv").read_bytes())
@@ -226,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
                         "src_tree": git(root, "rev-parse", "HEAD:src")},
         "scored": scored,
         "traced": traced,
-        "sweep_10_seeds": sweep_record(checkouts),
+        "sweep_10_seeds": sweep_record(checkouts, root),
         "criterion_1": criterion_1_record(checkouts),
         "n9_reproducibility": n9_record(checkouts),
     }

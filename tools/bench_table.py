@@ -7,9 +7,10 @@ checkout, in snapshot order. Each row holds the snapshot's commit; the
 scored ``sweep`` and ``long_run`` ``wall_s``, ``steps_per_s``,
 ``setup_s`` and ``peak_rss_mb``; the median of its default 10-seed
 ``sweep`` runs; the median criterion-1 ``zgemm`` floor; each wall time
-divided by that floor; and criterion 1's median cost ratio with its
-passed/total runs, such as ``1.52(5/5)``, so a red criterion 1 shows in
-the table. The floor is a fixed amount of BLAS work timed on the same
+divided by that floor; the median of each 10-seed ``sweep`` wall time
+divided by the control timed next to it (``sweep10/control``); and
+criterion 1's median cost ratio with its passed/total runs, such as
+``1.52(5/5)``, so a red criterion 1 shows in the table. The floor is a fixed amount of BLAS work timed on the same
 host, so the divided values compare snapshots taken on days the host ran
 at different speeds. A value the snapshot lacks prints as ``-``.
 """
@@ -66,6 +67,11 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     for header, wall in walls:
         ratio = wall / floor if wall is not None and floor else None
         cells.append((header, _fmt(ratio, "{:.2f}")))
+    per_control = _get(snapshot, "sweep_10_seeds", "change",
+                       "wall_per_control")
+    cells.append(("sweep10/control",
+                  _fmt(statistics.median(per_control) if per_control
+                       else None, "{:.2f}")))
     ratios = [run["ratio"] for run in runs if run.get("ratio") is not None]
     passed = sum(run.get("passed") is True for run in runs)
     cells.append(("crit1.ratio(passed)",
