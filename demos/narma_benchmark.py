@@ -10,35 +10,24 @@ The table compares reset rates. The stronger reset (gamma=0.1) wins across
 orders: erasing stale information faster keeps the state responsive to the
 recent window the target actually depends on.
 """
-import numpy as np
-
-from spinqrc.readout import ReadoutType, make_features, nmse, predict, train_weights
-from spinqrc.reservoir import ReservoirConfig, run_sequence
-from spinqrc.tasks import gen_narma_input, gen_narma_target
+from spinqrc.experiment import ExperimentManifest, run_experiment
 
 ORDERS = (2, 5, 10)
 GAMMAS = (0.1, 0.01)
-SEEDS = range(3)
+N_SEEDS = 3
 
 
 def mean_errors(gamma: float) -> dict[int, float]:
-    length = ReservoirConfig().total_steps
-    inputs = gen_narma_input(length)
-    targets = {n: gen_narma_target(inputs, n) for n in ORDERS}
-    errs: dict[int, list[float]] = {n: [] for n in ORDERS}
-    for seed in SEEDS:
-        cfg = ReservoirConfig(gamma=gamma, coupling_seed=seed)
-        traj = run_sequence(cfg, inputs)
-        feats = make_features(traj.z_rows, ReadoutType.PER_QUBIT)
-        tr, te = traj.train_slice, traj.test_slice
-        for n in ORDERS:
-            w = train_weights(feats[tr], targets[n][tr])
-            errs[n].append(nmse(predict(w, feats[te]), targets[n][te]))
-    return {n: float(np.mean(v)) for n, v in errs.items()}
+    manifest = ExperimentManifest(
+        kind="reservoir", config={"gamma": gamma},
+        tasks=tuple(f"narma{n}" for n in ORDERS), n_seeds=N_SEEDS)
+    run_experiment([manifest])
+    means = {row.task: row.mean for row in manifest.metrics.values()}
+    return {n: means[f"narma{n}"] for n in ORDERS}
 
 
 def main() -> None:
-    print(f"NARMA prediction error (NMSE), linear chain, {len(list(SEEDS))} coupling draws")
+    print(f"NARMA prediction error (NMSE), linear chain, {N_SEEDS} coupling draws")
     by_gamma = {g: mean_errors(g) for g in GAMMAS}
     print(f"{'order':>6}  " + "  ".join(f"gamma={g:<5}" for g in GAMMAS))
     for n in ORDERS:

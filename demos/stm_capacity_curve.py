@@ -9,42 +9,23 @@ as the reset channel overwrites them.
 Runs both qubit arrangements with the per-qubit readout, averaged over a
 few coupling draws. Takes a few seconds.
 """
-import numpy as np
-
-from spinqrc.readout import ReadoutType, make_features, predict, stm_capacity, train_weights
-from spinqrc.reservoir import ReservoirConfig, run_sequence
-from spinqrc.tasks import gen_stm
+from spinqrc.experiment import ExperimentManifest, run_experiment
 
 DELAYS = range(9)
-SEEDS = range(3)
+N_SEEDS = 3
 
 
-def shifted(inputs: np.ndarray, tau: int) -> np.ndarray:
-    out = np.zeros_like(inputs)
-    out[tau:] = inputs[: len(inputs) - tau]
-    return out
-
-
-def capacity_curve(topology: str) -> np.ndarray:
-    length = ReservoirConfig().total_steps
-    inputs = gen_stm(length, seed=42)
-    curves = []
-    for seed in SEEDS:
-        cfg = ReservoirConfig(topology=topology, coupling_seed=seed)
-        traj = run_sequence(cfg, inputs)
-        feats = make_features(traj.z_rows, ReadoutType.PER_QUBIT)
-        tr, te = traj.train_slice, traj.test_slice
-        row = []
-        for tau in DELAYS:
-            target = shifted(inputs, tau)
-            w = train_weights(feats[tr], target[tr])
-            row.append(stm_capacity(predict(w, feats[te]), target[te]))
-        curves.append(row)
-    return np.mean(curves, axis=0)
+def capacity_curve(topology: str) -> list[float]:
+    manifest = ExperimentManifest(
+        kind="reservoir", config={"topology": topology}, tasks=("stm",),
+        stm_delays=tuple(DELAYS), n_seeds=N_SEEDS)
+    run_experiment([manifest])
+    means = {row.task: row.mean for row in manifest.metrics.values()}
+    return [means[f"stm_tau{tau:02d}"] for tau in DELAYS]
 
 
 def main() -> None:
-    print(f"memory capacity by delay, gamma=0.1, {len(list(SEEDS))} coupling draws")
+    print(f"memory capacity by delay, gamma=0.1, {N_SEEDS} coupling draws")
     linear = capacity_curve("linear")
     ring = capacity_curve("ring")
     print(f"{'tau':>4}  {'linear':>8}  {'ring':>8}")

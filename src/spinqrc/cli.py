@@ -20,17 +20,22 @@ from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
+from .esn import EsnConfig
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
-                         run_experiment, emit_report, write_metrics)
-from .reservoir import ReservoirConfig, Topology
+                         run_experiment, emit_report, unique_keys,
+                         write_metrics)
+from .reservoir import ReservoirConfig, Schedule, Topology
 
 # Every ReservoirConfig field but the coupling seed, which each ensemble
 # member takes from the seeds. The phase lengths among them (PHASE_KEYS)
-# set the ESN's schedule as well.
+# set the ESN's schedule as well; the `esn` block holds the other EsnConfig
+# fields but the variant and weight seed, which the manifest sets.
 RESERVOIR_CONFIG_KEYS = tuple(f.name for f in fields(ReservoirConfig)
                               if f.name != "coupling_seed")
-PHASE_KEYS = ("n_pre", "n_fb", "n_test")
-ESN_CONFIG_KEYS = ("n_nodes", "w_scale", "w_in_scale")
+PHASE_KEYS = tuple(f.name for f in fields(Schedule))
+ESN_CONFIG_KEYS = tuple(
+    f.name for f in fields(EsnConfig)
+    if f.name not in PHASE_KEYS + ("variant", "weight_seed"))
 # The top-level keys that set a manifest field in `run`, `sweep` and `esn`,
 # and that field; a flag of the same name overrides the key, and `--task X`
 # overrides `tasks` with [X]. A field that neither sets takes the manifest's
@@ -62,7 +67,7 @@ def _load_config(path: str | None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):

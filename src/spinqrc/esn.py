@@ -33,13 +33,10 @@ class EsnConfig(Schedule):
     w_scale: float = 0.4
     w_in_scale: float = 0.4
     weight_seed: int = 0
-    n_pre: int = 200
-    n_fb: int = 200
-    n_test: int = 40
 
     def __post_init__(self) -> None:
-        check_numbers(self, ("n_nodes", "variant", "weight_seed", "n_pre",
-                             "n_fb", "n_test"), ("w_scale", "w_in_scale"))
+        check_numbers(self, ("n_nodes", "variant", "weight_seed"),
+                      ("w_scale", "w_in_scale"))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be at least 1")
         if self.weight_seed < 0:
@@ -49,7 +46,7 @@ class EsnConfig(Schedule):
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant}")
         if self.w_scale <= 0.0 or self.w_in_scale <= 0.0:
             raise ConfigError("weight scales must be positive")
-        self.check_phases()
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

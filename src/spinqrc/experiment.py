@@ -47,6 +47,17 @@ def _gamma_str(gamma: float) -> str:
     return repr(float(gamma))
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook: the object's dict, or ConfigError when
+    a key repeats, where ``json.loads`` alone keeps its last value."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"repeated key {key!r} in a JSON object")
+        d[key] = value
+    return d
+
+
 def parse_task(name: str) -> None:
     """Raise ConfigError unless ``name`` is one of TASK_NAMES."""
     if name not in TASK_NAMES:
@@ -178,7 +189,7 @@ class ExperimentManifest:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentManifest":
-        d = json.loads(text)
+        d = json.loads(text, object_pairs_hook=unique_keys)
         if not isinstance(d, dict):
             raise ConfigError(f"a manifest must hold a JSON object, got a "
                               f"JSON {type(d).__name__}")

@@ -6,10 +6,10 @@ non-Hermitian input) and ``trace_distance``. Each takes square, finite
 matrices of any memory layout and returns a fresh value, never aliased to
 its inputs.
 
-The module also binds the two BLAS/LAPACK routines the evolution kernel
-calls directly (``kernel_blas``: ``zgemm`` and ``zpotrf`` through ctypes,
-from the OpenBLAS bundled with numpy, so that scipy is imported only where
-numpy bundles none), and holds the package's one BLAS thread rule
+The module also binds the one BLAS routine the evolution kernel calls
+directly (``kernel_blas``: ``zgemm`` through ctypes, from the OpenBLAS
+bundled with numpy, so that scipy is imported only where numpy bundles
+none), and holds the package's one BLAS thread rule
 (``one_blas_thread``): the kernel and both functions above run at one
 thread at every array size. OpenBLAS rounds a multithreaded product
 differently, so one fixed count keeps results independent of the host's
@@ -31,12 +31,11 @@ HERMITICITY_RTOL = 1e-10
 
 
 class Blas(NamedTuple):
-    """``zgemm`` and ``zpotrf`` of one BLAS/LAPACK library, called through
-    ctypes with the Fortran calling convention and ``index`` integers, and
-    the library's (get, set) thread-count functions when it exposes them."""
+    """``zgemm`` of one BLAS library, called through ctypes with the Fortran
+    calling convention and ``index`` integers, and the library's (get, set)
+    thread-count functions when it exposes them."""
 
     zgemm: Callable[..., None]
-    zpotrf: Callable[..., None]
     index: type
     threads: tuple[Callable[[], int], Callable[[int], None]] | None
 
@@ -57,21 +56,6 @@ class Blas(NamedTuple):
             self.zgemm, b"N", b"C" if conj_b else b"N", n, n, n,
             _complex(alpha), _pointer(a), n, _pointer(b), n, _complex(beta),
             _pointer(c), n)
-
-    def potrf(self, a: np.ndarray, lower: bool = False) -> Callable[[], int]:
-        """A call that Cholesky-factors one triangle of ``a`` in place and
-        returns LAPACK's ``info``: 0 exactly when ``a`` is positive
-        definite. Arguments are converted once, as in ``gemm``."""
-        n = ctypes.byref(self.index(_fortran_operands(a)))
-        info = self.index()
-        args = (b"L" if lower else b"U", n, _pointer(a), n, ctypes.byref(info))
-        zpotrf = self.zpotrf
-
-        def call() -> int:
-            zpotrf(*args)
-            return info.value
-
-        return call
 
 
 def _fortran_operands(*arrays: np.ndarray) -> int:
@@ -100,14 +84,12 @@ def _complex(z: complex) -> ctypes.Array:
 def _numpy_openblas() -> tuple:
     lib = ctypes.CDLL(
         importlib.import_module("numpy._core._multiarray_umath").__file__)
-    return lib, lib.scipy_zgemm_64_, lib.scipy_zpotrf_64_
+    return lib, lib.scipy_zgemm_64_
 
 
 def _scipy_cython_api() -> tuple:
     blas = importlib.import_module("scipy.linalg.cython_blas")
-    lapack = importlib.import_module("scipy.linalg.cython_lapack")
-    return (ctypes.CDLL(blas.__file__), _capsule_function(blas, "zgemm"),
-            _capsule_function(lapack, "zpotrf"))
+    return ctypes.CDLL(blas.__file__), _capsule_function(blas, "zgemm")
 
 
 def _capsule_function(module, name: str) -> Callable[..., None]:
@@ -120,11 +102,11 @@ def _capsule_function(module, name: str) -> Callable[..., None]:
     return ctypes.CFUNCTYPE(None)(get_pointer(capsule, get_name(capsule)))
 
 
-# (loader of a library handle with its zgemm and zpotrf, integer type,
-# thread-count symbol with "{}" for get/set), in order of preference:
-# numpy's bundled 64-bit-integer OpenBLAS, then the 32-bit-integer
-# BLAS/LAPACK behind scipy's Cython API, which every scipy build exports
-# and which is imported only when the first row is missing.
+# (loader of a library handle with its zgemm, integer type, thread-count
+# symbol with "{}" for get/set), in order of preference: numpy's bundled
+# 64-bit-integer OpenBLAS, then the 32-bit-integer BLAS behind scipy's
+# Cython API, which every scipy build exports and which is imported only
+# when the first row is missing.
 BLAS_LIBRARIES = (
     (_numpy_openblas, ctypes.c_int64, "scipy_openblas_{}_num_threads64_"),
     (_scipy_cython_api, ctypes.c_int32, "scipy_openblas_{}_num_threads"),
@@ -133,26 +115,25 @@ BLAS_LIBRARIES = (
 
 def load_blas(row: tuple) -> Blas | None:
     """The binding one ``BLAS_LIBRARIES`` row describes, or None when its
-    module or routines are absent. Missing thread symbols (another BLAS
+    module or routine is absent. Missing thread symbols (another BLAS
     behind scipy) leave ``threads`` None."""
     loader, index, thread_symbol = row
     try:
-        lib, zgemm, zpotrf = loader()
+        lib, zgemm = loader()
     except (ImportError, OSError, AttributeError, KeyError):
         return None
-    # No argtypes: ``Blas.gemm``/``Blas.potrf`` validate the arrays and pass
-    # ready-made ctypes objects. Declared argtypes would convert all 13
-    # zgemm arguments again on every call, about 2.7 us of a 120 us step.
-    for routine in (zgemm, zpotrf):
-        routine.argtypes, routine.restype = None, None
+    # No argtypes: ``Blas.gemm`` validates the arrays and passes ready-made
+    # ctypes objects. Declared argtypes would convert all 13 arguments
+    # again on every call, about 2.7 us of a 120 us step.
+    zgemm.argtypes, zgemm.restype = None, None
     try:
         get = getattr(lib, thread_symbol.format("get"))
         set_ = getattr(lib, thread_symbol.format("set"))
     except AttributeError:
-        return Blas(zgemm, zpotrf, index, None)
+        return Blas(zgemm, index, None)
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return Blas(zgemm, zpotrf, index, (get, set_))
+    return Blas(zgemm, index, (get, set_))
 
 
 @functools.cache
@@ -164,7 +145,7 @@ def kernel_blas() -> Blas:
         if blas is not None:
             return blas
     raise ImportError("found neither numpy's bundled OpenBLAS nor scipy's "
-                      "BLAS/LAPACK")
+                      "BLAS")
 
 
 @contextmanager

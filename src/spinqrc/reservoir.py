@@ -17,7 +17,7 @@ import functools
 import numbers
 from dataclasses import dataclass
 from math import cos, isfinite, pi, sin
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +49,17 @@ class Phase(str, enum.Enum):
     TEST = "test"
 
 
+@dataclass(frozen=True)
 class Schedule:
-    """The prep/train/test windows of a config with ``n_pre``, ``n_fb`` and
-    ``n_test`` fields; the reservoir and the ESN share them."""
+    """The prep/train/test window lengths; the reservoir and the ESN
+    configs inherit them, so both run the same schedule by default."""
 
-    def check_phases(self) -> None:
+    n_pre: int = 200
+    n_fb: int = 200
+    n_test: int = 40
+
+    def __post_init__(self) -> None:
+        check_numbers(self, ("n_pre", "n_fb", "n_test"), ())
         if min(self.n_pre, self.n_fb, self.n_test) < 1:
             raise ConfigError("all phase lengths must be positive")
 
@@ -125,15 +131,11 @@ class ReservoirConfig(Schedule):
     topology: Topology = Topology.LINEAR
     gamma: float = 0.1
     theta0: float = 0.5
-    n_pre: int = 200
-    n_fb: int = 200
-    n_test: int = 40
     coupling_seed: int = 0
     input_qubit: int = 1
 
     def __post_init__(self) -> None:
-        check_numbers(self, ("n_qubits", "n_pre", "n_fb", "n_test",
-                             "coupling_seed", "input_qubit"),
+        check_numbers(self, ("n_qubits", "coupling_seed", "input_qubit"),
                       ("gamma", "theta0"))
         if not 2 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError(
@@ -154,7 +156,7 @@ class ReservoirConfig(Schedule):
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.theta0 <= 0.0:
             raise ConfigError(f"theta0 must be positive, got {self.theta0}")
-        self.check_phases()
+        super().__post_init__()
         if not 1 <= self.input_qubit <= self.n_qubits:
             raise ConfigError(
                 f"input qubit {self.input_qubit} outside [1, {self.n_qubits}]")
@@ -245,11 +247,10 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
 
 
 def _check_state(rho: np.ndarray, spare: np.ndarray,
-                 cholesky: Callable[[], int], full: bool = True) -> None:
+                 full: bool = True) -> None:
     """The kernel's invariant tests: the trace, then (``full``) Hermiticity
     and positivity. ``spare`` is a Fortran-ordered scratch matrix of rho's
-    size and ``cholesky`` a ``Blas.potrf`` call bound to it. Each test is
-    written so that a NaN fails it."""
+    size. Each test is written so that a NaN fails it."""
     tr_dev = abs(rho.trace() - 1.0)
     if not tr_dev <= TRACE_TOL:
         raise StateInvariantError(f"trace deviates from 1 by {tr_dev:.2e}")
@@ -265,8 +266,11 @@ def _check_state(rho: np.ndarray, spare: np.ndarray,
     np.copyto(spare, rho)
     diagonal = spare.reshape(-1, order="F")[::spare.shape[0] + 1]
     diagonal += EIGEN_TOL
-    if cholesky() != 0:
-        raise StateInvariantError("state has an eigenvalue below tolerance")
+    try:
+        np.linalg.cholesky(spare)
+    except np.linalg.LinAlgError:
+        raise StateInvariantError(
+            "state has an eigenvalue below tolerance") from None
 
 
 def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
@@ -356,7 +360,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     keep = 1.0 - gamma
     signs = z_sign_table(n)
 
-    # Fortran-ordered buffers so BLAS/LAPACK take them without copies. Each
+    # Fortran-ordered buffers so BLAS takes them without copies. Each
     # step computes work = prop rho, then refills rho, which is free once
     # that product is done, with gamma rho0, so that the (1-gamma) mixing
     # rides the second product's beta accumulation.
@@ -364,7 +368,6 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     props = (np.empty_like(rho), np.empty_like(rho))
     work = np.empty_like(rho)
     spare = np.empty_like(rho)
-    cholesky = blas.potrf(spare, lower=True)
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
 
@@ -381,7 +384,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     k = -1
     try:
         with one_blas_thread():
-            _check_state(rho, spare, cholesky)
+            _check_state(rho, spare)
             for k, s in enumerate(inputs):
                 key = input_bits[k]
                 if key == prop_keys[0]:
@@ -405,8 +408,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
                 np.copyto(rho, gamma_rho0)
                 mix()  # rho = (1-gamma) work prop† + gamma rho0
                 z_rows[k] = signs @ rho.diagonal().real
-                _check_state(rho, spare, cholesky,
-                             full=(k + 1) % _CHECK_INTERVAL == 0
+                _check_state(rho, spare, full=(k + 1) % _CHECK_INTERVAL == 0
                              or k + 1 == len(inputs))
     except StateInvariantError as exc:
         where = (f"before step {start.step}" if k < 0

@@ -387,6 +387,29 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     assert not out.exists()
 
 
+SMALL_TEXT = json.dumps(SMALL)[1:-1]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("run", f'{{{SMALL_TEXT}, "gamma": 0.1, "gamma": 0.5}}', "gamma"),
+    ("sweep", f'{{{SMALL_TEXT}, "sweep": {{"gammas": [0.1]}}, '
+              '"sweep": {"gammas": [0.5]}}', "sweep"),
+    ("sweep", f'{{{SMALL_TEXT}, "sweep": {{"gammas": [0.1], '
+              '"gammas": [0.5]}}', "gammas"),
+    ("report", json.dumps(MANIFEST).replace(
+        '"n_qubits": 4', '"n_qubits": 4, "n_qubits": 5'), "n_qubits"),
+], ids=["top_level", "sweep_block_twice", "in_sweep_block", "report"])
+def test_repeated_key_exits_2(tmp_path, capsys, command, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    flags = [] if command == "report" else ["--task", "narma2", "--seeds", "1"]
+    code = main([command, "--config", str(path), *flags, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"repeated key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_esn_rejects_repeated_task(tmp_path):
     path = tmp_path / "esn.json"
     path.write_text(json.dumps(dict(PHASES, tasks=["narma2", "narma2"],

@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from spinqrc import esn
 from spinqrc.errors import ConfigError
 from spinqrc.esn import EsnConfig, esn_weights, run_esn
+from spinqrc.reservoir import ReservoirConfig, Schedule
 
 
 def small_config(**kw):
@@ -18,6 +21,20 @@ class TestConfig:
         assert cfg.variant == 1
         assert cfg.w_scale == 0.4
         assert cfg.total_steps == 440
+
+    def test_phase_lengths_come_from_schedule(self):
+        phases = astuple(Schedule())
+        assert phases == (200, 200, 40)
+        for cfg in (ReservoirConfig(), EsnConfig()):
+            assert (cfg.n_pre, cfg.n_fb, cfg.n_test) == phases
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n_fb=0), "all phase lengths must be positive"),
+        (dict(n_test=2.0), "n_test must be an integer, got 2.0"),
+    ])
+    def test_schedule_checks_its_lengths(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            Schedule(**kw)
 
     @pytest.mark.parametrize("kw", [
         dict(variant=2),

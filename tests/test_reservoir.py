@@ -218,6 +218,22 @@ class TestCheckDensityMatrix:
         rho = np.diag([1.0, -1e-12, 1e-12, 0.0]).astype(complex)
         check_start_state(rho)
 
+    @pytest.mark.parametrize("smallest, valid", [(-2e-10, False),
+                                                 (-0.5e-10, True)])
+    def test_positivity_boundary_is_minus_eigen_tol(self, smallest, valid):
+        # Positivity means rho + EIGEN_TOL * I is positive definite, so the
+        # smallest eigenvalue may reach -EIGEN_TOL; the eigenbasis is
+        # rotated so that the Cholesky factor sees off-diagonal entries.
+        q = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
+        rho = (q @ np.diag([1.0 - smallest, smallest, 0.0, 0.0]) @ q.T
+               ).astype(complex)
+        if valid:
+            check_start_state(rho)
+        else:
+            with pytest.raises(StateInvariantError,
+                               match="eigenvalue below tolerance"):
+                check_start_state(rho)
+
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_state(self, name):
         with pytest.raises(StateInvariantError, match="before step 2$"):
