@@ -8,19 +8,20 @@ files). Re-running the same manifest always reproduces the same bytes.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tasks, workers
-from .errors import ConfigError
+from .errors import ConfigError, StateInvariantError
 from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
 from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
@@ -41,10 +42,6 @@ METRICS_HEADER = ("task", "topology", "readout_type", "gamma", "seed_count",
 
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
-
-
-def _gamma_str(gamma: float) -> str:
-    return repr(float(gamma))
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -173,12 +170,7 @@ class ExperimentManifest:
             self.version = __version__
         if not self.created:
             self.created = datetime.now(timezone.utc).isoformat()
-
-    def reservoir_config(self, coupling_seed: int) -> ReservoirConfig:
-        return ReservoirConfig(coupling_seed=coupling_seed, **self.config)
-
-    def esn_config(self, variant: int, weight_seed: int) -> EsnConfig:
-        return EsnConfig(variant=variant, weight_seed=weight_seed, **self.config)
+        manifest_rows(self)  # builds, so checks, each cell's config
 
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)
@@ -198,6 +190,19 @@ class ExperimentManifest:
             raise ConfigError(f"metrics must be a JSON object, got {metrics!r}")
         metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
         m = ExperimentManifest(**d)
+        if metrics:  # a stored run: its rows must be the manifest's own
+            derived = {row.stats.row_id: row.stats for row in manifest_rows(m)}
+            if set(metrics) != set(derived):
+                raise ConfigError(f"the stored rows {sorted(metrics)} are not "
+                                  f"the manifest's rows {sorted(derived)}")
+            for key, stats in metrics.items():
+                if (replace(stats, per_seed=()), len(stats.per_seed)) != (
+                        derived[key], m.n_seeds):
+                    raise ConfigError(
+                        f"stored row {key} holds row {stats.row_id}, metric "
+                        f"{stats.metric!r}, n_seeds {len(stats.per_seed)}; "
+                        f"the manifest gives metric {derived[key].metric!r}, "
+                        f"n_seeds {m.n_seeds}")
         m.metrics = metrics
         return m
 
@@ -206,61 +211,87 @@ class ExperimentManifest:
         task_tag = self.tasks[0] if len(self.tasks) == 1 else "multi"
         if self.kind == "esn":
             return f"{task_tag}_esn"
-        config = self.reservoir_config(self.base_seed)
-        gamma = _gamma_str(config.gamma)
-        return f"{task_tag}_{config.topology.value}_g{gamma}_r{self.readout}"
+        row = manifest_rows(self)[0].stats
+        return f"{task_tag}_{row.topology}_g{row.gamma_str}_r{self.readout}"
 
 
-def _task_sequences(name: str, length: int, delays: Iterable[int],
-                    input_seed: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Input stream plus target vectors keyed by metrics task name."""
-    if name == "stm":
-        delays = tuple(delays)
-        if not delays:
-            raise ConfigError("stm task requires at least one delay")
-        inputs = gen_stm(length, input_seed)
-        targets = {}
-        for tau in delays:
-            shifted = np.zeros(length)
-            if tau < length:
-                shifted[tau:] = inputs[: length - tau]
-            targets[f"stm_tau{tau:02d}"] = shifted
-        return inputs, targets
-    # Called through the module so that tracing wrappers on it see the call.
-    inputs = tasks.gen_narma_input(length)
-    return inputs, {name: tasks.gen_narma_target(inputs, int(name[5:]))}
+class Row(NamedTuple):
+    """One metrics row of a manifest: ``stats`` (its labels and metric, with
+    no per-seed values) of a target of ``task``, fitted on the ``readout``
+    features of the cell whose ensemble member 0 runs ``config``."""
+
+    config: ReservoirConfig | EsnConfig
+    readout: ReadoutType
+    task: str
+    stats: RowStats
 
 
-def _score(metric: str, predicted: np.ndarray, target: np.ndarray) -> float:
-    if metric == "nmse":
-        return nmse(predicted, target)
-    return stm_capacity(predicted, target)
-
-
-def _cells(manifest: ExperimentManifest) -> list[tuple]:
-    """(topology label, readout, gamma string, member configs) of each cell
-    of a manifest: the manifest itself for a reservoir, one cell per variant
-    for an ESN. Building the configs validates them."""
-    seeds = range(manifest.base_seed, manifest.base_seed + manifest.n_seeds)
+def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
+    """Every metrics row of a manifest, cell by cell (the manifest itself
+    for a reservoir, one per variant for an ESN), task by task, target by
+    target (one per STM delay, in order). Builds member 0's config of each
+    cell, which checks it, and never another member's."""
+    seed = manifest.base_seed
     if manifest.kind == "esn":
         if not manifest.variants:
             raise ConfigError("need at least one ESN variant")
-        return [(f"esn{v}", ReadoutType.PER_QUBIT, "",
-                 [manifest.esn_config(v, seed) for seed in seeds])
-                for v in manifest.variants]
-    configs = [manifest.reservoir_config(seed) for seed in seeds]
-    return [(str(configs[0].topology.value), ReadoutType(manifest.readout),
-             _gamma_str(configs[0].gamma), configs)]
+        cells = [(EsnConfig(variant=v, weight_seed=seed, **manifest.config),
+                  ReadoutType.PER_QUBIT, f"esn{v}", "")
+                 for v in manifest.variants]
+    else:
+        config = ReservoirConfig(coupling_seed=seed, **manifest.config)
+        cells = [(config, ReadoutType(manifest.readout), config.topology.value,
+                  repr(float(config.gamma)))]
+    if "stm" in manifest.tasks and not manifest.stm_delays:
+        raise ConfigError("stm task requires at least one delay")
+    return [Row(config, readout, task, RowStats(
+                task=target, topology=label,
+                readout_type=_READOUT_LABEL[readout], gamma_str=gamma_str,
+                metric="nmse" if task.startswith("narma") else "stm_capacity",
+                per_seed=()))
+            for config, readout, label, gamma_str in cells
+            for task in manifest.tasks
+            for target in ([f"stm_tau{tau:02d}" for tau in manifest.stm_delays]
+                           if task == "stm" else [task])]
+
+
+def _task_drive(task: str, length: int, input_seed: int) -> np.ndarray:
+    """A task's drive: the seeded binary stream for stm, the triple-sine
+    input (the same for every order and seed) for NARMA."""
+    if task == "stm":
+        return gen_stm(length, input_seed)
+    # Called through the module so that tracing wrappers on it see the call.
+    return tasks.gen_narma_input(length)
+
+
+def _task_targets(task: str, inputs: np.ndarray,
+                  delays: Iterable[int]) -> list[np.ndarray]:
+    """The targets of a task on the given drive, in ``manifest_rows``'
+    order: the drive delayed by each of ``delays`` for stm, the recurrence
+    output for NARMA."""
+    if task != "stm":
+        return [tasks.gen_narma_target(inputs, int(task[5:]))]
+    return [np.concatenate((np.zeros(tau), inputs))[:len(inputs)]
+            for tau in delays]
 
 
 def _simulate(config: ReservoirConfig | EsnConfig, inputs: np.ndarray
               ) -> tuple[Trajectory | EsnTrajectory, np.ndarray]:
-    """One member's trajectory and the rows its readout features come from."""
-    if isinstance(config, EsnConfig):
-        traj = run_esn(config, inputs)
-        return traj, traj.states
-    traj = run_sequence(config, inputs)
-    return traj, traj.z_rows
+    """One member's trajectory and the rows its readout features come from;
+    a StateInvariantError names the member."""
+    try:
+        if isinstance(config, EsnConfig):
+            traj = run_esn(config, inputs)
+            return traj, traj.states
+        traj = run_sequence(config, inputs)
+        return traj, traj.z_rows
+    except StateInvariantError as exc:
+        member = (f"variant {config.variant}, weight_seed {config.weight_seed}"
+                  if isinstance(config, EsnConfig) else
+                  f"topology {config.topology.value}, n_qubits "
+                  f"{config.n_qubits}, gamma {config.gamma!r}, coupling_seed "
+                  f"{config.coupling_seed}")
+        raise StateInvariantError(f"{exc} (member: {member})") from None
 
 
 def _simulate_all(jobs: list[tuple]) -> list[tuple]:
@@ -287,72 +318,64 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
 
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
-    """Fill each manifest's metrics by running its seed ensembles.
+    """Fill each manifest's metrics, one row per ``manifest_rows`` entry,
+    by running its seed ensembles.
 
-    A reservoir manifest is one cell; an ESN manifest has one cell per
-    variant, whose members share W and w_in with the other variants' (same
+    An ESN cell's members share W and w_in with the other variants' (same
     weight seed), so their metric differences isolate the history depth.
     Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
     input stream is shared by all members. Within one call every distinct
     task stream is generated once, and every distinct (config, drive)
     trajectory is simulated once and shared by each cell and target that
     uses it: cells that differ only in readout, and tasks that share a
-    drive (all NARMA orders). Every cell is checked before any
-    simulation runs, and every trajectory is simulated before any fit, in
-    worker processes (``_simulate_all``); the results do not depend on
-    how many. Returns the manifests, filled in place; each
+    drive (all NARMA orders). Every trajectory is simulated before any
+    fit, in worker processes (``_simulate_all``); the results do not
+    depend on how many. Returns the manifests, filled in place; each
     reservoir manifest also keeps its member-0 trajectory on its first
     task for ``trajectory_csv_text``.
     """
-    streams: dict[tuple, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
+    streams: dict[tuple, tuple[np.ndarray, list[np.ndarray]]] = {}
     plans = []
     for manifest in cells:
-        for label, readout, gamma_str, configs in _cells(manifest):
-            length = configs[0].total_steps
-            task_streams = []
-            for name in manifest.tasks:
-                key = (name, length, tuple(manifest.stm_delays),
-                       manifest.input_seed)
+        seed_key = "weight_seed" if manifest.kind == "esn" else "coupling_seed"
+        for (config, readout), cell_rows in itertools.groupby(
+                manifest_rows(manifest), key=lambda row: row[:2]):
+            members = [replace(config, **{seed_key: manifest.base_seed + m})
+                       for m in range(manifest.n_seeds)]
+            for task, rows in itertools.groupby(cell_rows, lambda r: r.task):
+                key = (task, config.total_steps, manifest.input_seed,
+                       manifest.stm_delays)
                 if key not in streams:
-                    streams[key] = _task_sequences(name, length,
-                                                   manifest.stm_delays,
-                                                   manifest.input_seed)
-                task_streams.append((name, *streams[key]))
-            plans.append((manifest, label, readout, gamma_str, configs,
-                          task_streams))
+                    inputs = _task_drive(*key[:3])
+                    streams[key] = inputs, _task_targets(task, inputs, key[3])
+                plans.append((manifest, members, readout, task, list(rows),
+                              *streams[key]))
 
     jobs: dict[tuple, tuple] = {}
-    for *_, configs, task_streams in plans:
-        for _, inputs, _ in task_streams:
-            for config in configs:
-                jobs.setdefault((config, inputs.tobytes()), (config, inputs))
+    for _, members, _, _, _, inputs, _ in plans:
+        for config in members:
+            jobs.setdefault((config, inputs.tobytes()), (config, inputs))
     trajectories = dict(zip(jobs, _simulate_all(list(jobs.values()))))
 
     for manifest in cells:
         manifest.metrics = {}
-    for manifest, label, readout, gamma_str, configs, task_streams in plans:
-        for name, inputs, target_map in task_streams:
-            metric = "nmse" if name.startswith("narma") else "stm_capacity"
-            per_seed: dict[str, list[float]] = {key: [] for key in target_map}
-            for m, config in enumerate(configs):
-                traj, rows = trajectories[(config, inputs.tobytes())]
-                if (m == 0 and name == manifest.tasks[0]
-                        and manifest.kind == "reservoir"):
-                    manifest.trajectory = traj
-                feats = make_features(rows, readout)
-                tr, te = traj.train_slice, traj.test_slice
-                for key, target in target_map.items():
-                    weights = train_weights(feats[tr], target[tr],
-                                            ridge=manifest.ridge)
-                    per_seed[key].append(_score(metric,
-                                                predict(weights, feats[te]),
-                                                target[te]))
-            for key, values in per_seed.items():
-                stats = RowStats(task=key, topology=label,
-                                 readout_type=_READOUT_LABEL[readout],
-                                 gamma_str=gamma_str, metric=metric,
-                                 per_seed=tuple(values))
-                manifest.metrics[stats.row_id] = stats
+    for manifest, members, readout, task, rows, inputs, targets in plans:
+        drive = inputs.tobytes()
+        if task == manifest.tasks[0] and manifest.kind == "reservoir":
+            manifest.trajectory = trajectories[(members[0], drive)][0]
+        per_seed: list[list[float]] = [[] for _ in rows]
+        for config in members:
+            traj, features = trajectories[(config, drive)]
+            feats = make_features(features, readout)
+            tr, te = traj.train_slice, traj.test_slice
+            for row, target, values in zip(rows, targets, per_seed):
+                weights = train_weights(feats[tr], target[tr],
+                                        ridge=manifest.ridge)
+                score = nmse if row.stats.metric == "nmse" else stm_capacity
+                values.append(score(predict(weights, feats[te]), target[te]))
+        for row, values in zip(rows, per_seed):
+            manifest.metrics[row.stats.row_id] = replace(
+                row.stats, per_seed=tuple(values))
     return list(cells)
 
 
@@ -391,11 +414,10 @@ class SweepGrid:
                    **manifest_fields)
                for topology in self.topologies for gamma in self.gammas
                for readout in self.readouts]
-        task_rows = sum(len(out[0].stm_delays) if t == "stm" else 1
-                        for t in out[0].tasks)
-        if len(out) * task_rows > MAX_SWEEP_CELLS:
-            raise ConfigError(f"sweep would produce {len(out) * task_rows} "
-                              f"cells; limit is {MAX_SWEEP_CELLS}")
+        rows = sum(len(manifest_rows(m)) for m in out)
+        if rows > MAX_SWEEP_CELLS:
+            raise ConfigError(f"sweep would produce {rows} cells; limit is "
+                              f"{MAX_SWEEP_CELLS}")
         return out
 
 
@@ -447,39 +469,30 @@ def write_metrics(manifests: Iterable[ExperimentManifest],
 
 def trajectory_csv_text(manifest: ExperimentManifest) -> str:
     """Per-step rows (step, phase, s_k, z_1..z_n, y_pred, y_target) of
-    ensemble member 0 on the manifest's first task.
+    ensemble member 0 on the manifest's first task, from the trajectory
+    that ``run_experiment`` kept; ConfigError for a manifest it has not
+    run.
 
     Predictions come from weights trained on the train window; for the
-    stm task the smallest requested delay is used. The trajectory that
-    ``run_experiment`` kept is reused when it matches the member's config
-    and drive; otherwise the member is simulated here.
+    stm task the smallest requested delay is used.
     """
-    if manifest.kind != "reservoir":
-        raise ConfigError("trajectories are defined for reservoir manifests")
-    task = manifest.tasks[0]
-    config = manifest.reservoir_config(manifest.base_seed)
-    delays = (min(manifest.stm_delays),) if task == "stm" else ()
-    inputs, target_map = _task_sequences(task, config.total_steps, delays,
-                                         manifest.input_seed)
-    target = next(iter(target_map.values()))
     traj = manifest.trajectory
-    if (traj is None or traj.config != config
-            or traj.inputs.tobytes() != inputs.tobytes()):
-        traj = run_sequence(config, inputs)
+    if traj is None:  # an ESN manifest, or one run_experiment has not run
+        raise ConfigError("the manifest holds no trajectory: run a reservoir "
+                          "manifest with run_experiment first")
+    task, config = manifest.tasks[0], traj.config
+    delays = (min(manifest.stm_delays),) if task == "stm" else ()
+    [target] = _task_targets(task, traj.inputs, delays)
     feats = make_features(traj.z_rows, ReadoutType(manifest.readout))
     weights = train_weights(feats[traj.train_slice], target[traj.train_slice],
                             ridge=manifest.ridge)
     y_pred = predict(weights, feats)
-    header = (["step", "phase", "s_k"]
-              + [f"z_{i}" for i in range(1, config.n_qubits + 1)]
-              + ["y_pred", "y_target"])
-    lines = [",".join(header)]
+    z_cols = [f"z_{i}" for i in range(1, config.n_qubits + 1)]
+    lines = [",".join(["step", "phase", "s_k", *z_cols, "y_pred", "y_target"])]
     for k in range(config.total_steps):
-        cells = [str(k), config.phase_of(k).value, _fmt(float(inputs[k]))]
-        cells.extend(_fmt(z) for z in traj.z_rows[k])
-        cells.append(_fmt(float(y_pred[k])))
-        cells.append(_fmt(float(target[k])))
-        lines.append(",".join(cells))
+        values = (traj.inputs[k], *traj.z_rows[k], y_pred[k], target[k])
+        lines.append(",".join([str(k), config.phase_of(k).value,
+                               *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 

@@ -58,3 +58,13 @@ def test_sweep_per_control_column():
     # Snapshots older than the control have no such record.
     old = {"sweep_10_seeds": {"change": {"wall_s": [3.0]}}}
     assert dict(columns(old))["sweep10/control"] == "-"
+
+
+def test_one_seed_n9_column():
+    columns = bench_table().columns
+    snapshot = {"n9_one_seed": {"change": {"wall_s": [1.9, 1.7, 1.8],
+                                           "median_s": 1.8},
+                                "baseline": {"median_s": 2.5}}}
+    assert dict(columns(snapshot))["n9x1.median_s"] == "1.800"
+    # Snapshots older than the entry print a dash.
+    assert dict(columns({}))["n9x1.median_s"] == "-"

@@ -71,15 +71,14 @@ def test_run_simulates_each_member_once(tmp_path, config_file, monkeypatch):
     assert main(["run", "--config", config_file, "--task", "narma2",
                  "--seeds", "2", "--out", str(out)]) == 0
     # The trajectory report reuses member 0's run; a manifest read back from
-    # disk carries no trajectory and simulates it afresh, to the same bytes.
+    # disk carries no trajectory, and the report refuses it.
     assert calls == [0, 1]
-    name = "narma2_linear_g0.1_r1"
     manifest = experiment.ExperimentManifest.from_json(
-        (out / f"manifest_{name}.json").read_text())
+        (out / "manifest_narma2_linear_g0.1_r1.json").read_text())
     assert manifest.trajectory is None
-    assert (experiment.trajectory_csv_text(manifest)
-            == (out / f"trajectory_{name}.csv").read_text())
-    assert calls == [0, 1, 0]
+    with pytest.raises(ConfigError, match="run_experiment"):
+        experiment.trajectory_csv_text(manifest)
+    assert calls == [0, 1]
 
 
 def test_run_rejects_duplicate_stm_delay(tmp_path):
@@ -151,7 +150,8 @@ def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
                  "--seeds", "2", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
-        "error: state is not Hermitian within tolerance before step 0\n")
+        "error: state is not Hermitian within tolerance before step 0 "
+        "(member: topology linear, n_qubits 4, gamma 0.1, coupling_seed 0)\n")
     assert not (out / "metrics.csv").exists()
 
 
@@ -260,6 +260,27 @@ def test_dissipation_curve_matches_frozen_golden(tmp_path):
             == DISSIPATION_GOLDEN.read_bytes())
 
 
+def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
+    run_esn = experiment.run_esn
+
+    def failing(config, inputs):
+        if (config.variant, config.weight_seed) == (3, 1):
+            raise StateInvariantError("state left its bounds")
+        return run_esn(config, inputs)
+
+    monkeypatch.setattr(experiment, "run_esn", failing)
+    path = tmp_path / "esn.json"
+    path.write_text(json.dumps(dict(PHASES, esn=dict(n_nodes=4))))
+    out = tmp_path / "out"
+    assert main(["esn", "--config", str(path), "--task", "narma2",
+                 "--seeds", "2", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: state left its bounds (member: variant 3, weight_seed 1)\n")
+    assert not out.exists()
+
+
 def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
                                                monkeypatch):
     # A NaN in the ring draw's U; the ring group runs in a forked worker.
@@ -281,8 +302,9 @@ def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
-    assert (capsys.readouterr().err
-            == "error: trace deviates from 1 by nan at step 0\n")
+    assert capsys.readouterr().err == (
+        "error: trace deviates from 1 by nan at step 0 "
+        "(member: topology ring, n_qubits 4, gamma 0.1, coupling_seed 0)\n")
     assert not (out / "metrics.csv").exists()
 
 
@@ -332,6 +354,7 @@ BAD_MANIFEST_VALUES = {
 # A stored manifest that `report` reads, and broken variants of its metrics.
 ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
        "gamma": "0.1", "metric": "nmse", "per_seed": [0.5]}
+ROW_ID = "narma2|linear|per_qubit|0.1"
 MANIFEST = json.loads(experiment.ExperimentManifest(
     kind="reservoir", config=dict(SMALL), tasks=("narma2",)).to_json())
 BAD_STORED_METRICS = {
@@ -341,7 +364,25 @@ BAD_STORED_METRICS = {
     "number_gamma": ({"r": dict(ROW, gamma=5)},
                      "metrics row gamma must be a string, got 5"),
     "empty_per_seed": ({"r": dict(ROW, per_seed=[])},
-                       "per_seed must be a non-empty list of numbers")}
+                       "per_seed must be a non-empty list of numbers"),
+    # Well-formed rows that are not the manifest's own: it produces the one
+    # row narma2|linear|per_qubit|0.1, an nmse with 10 per-seed values.
+    "foreign_row": ({"narma2|ring|per_qubit|0.1": dict(
+        ROW, topology="ring", per_seed=[0.5] * 10)},
+        "stored rows ['narma2|ring|per_qubit|0.1'] are not the manifest's "
+        f"rows ['{ROW_ID}']"),
+    "misfiled_row": ({"r": dict(ROW, per_seed=[0.5] * 10)},
+                     "stored rows ['r'] are not the manifest's rows"),
+    "mislabelled_row": ({ROW_ID: dict(ROW, topology="ring",
+                                      per_seed=[0.5] * 10)},
+                        f"stored row {ROW_ID} holds row narma2|ring|"
+                        "per_qubit|0.1, metric 'nmse', n_seeds 10"),
+    "wrong_metric": ({ROW_ID: dict(ROW, metric="stm_capacity",
+                                   per_seed=[0.5] * 10)},
+                     "metric 'stm_capacity', n_seeds 10; the manifest gives "
+                     "metric 'nmse', n_seeds 10"),
+    "short_per_seed": ({ROW_ID: ROW}, "metric 'nmse', n_seeds 1; the "
+                       "manifest gives metric 'nmse', n_seeds 10")}
 
 
 @pytest.mark.parametrize("command, cfg, fragment", [
@@ -503,6 +544,43 @@ def test_report_reemits_metrics(tmp_path, config_file):
     (out / "metrics.csv").unlink()
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "metrics.csv").read_bytes() == original
+
+
+@pytest.mark.parametrize("config, fragment", [
+    ({"n_qubits": "x", "gama": 3}, "'gama'"),
+    ({"n_qubits": "x"}, "n_qubits must be an integer, got 'x'")],
+    ids=["misspelled_key", "string_n_qubits"])
+def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
+                                                     fragment):
+    # Its one row has the fields `run` writes, but no config produces it.
+    row = dict(ROW, topology="nowhere", gamma="7.5")
+    path = tmp_path / "manifest_x.json"
+    path.write_text(json.dumps(dict(
+        MANIFEST, config=config, n_seeds=10,
+        metrics={"narma2|nowhere|per_qubit|7.5": row})))
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load manifest {path}: ")
+    assert fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--task", "stm", "--seeds", "2"],
+    ["run", "--task", "narma2", "--seeds", "2"],
+    ["sweep", "--seeds", "1"], ["esn", "--seeds", "3"]],
+    ids=lambda argv: "-".join(argv[:3]))
+def test_report_rebuilds_every_written_manifest(tmp_path, config_file, argv):
+    # `run` on a small array; `sweep` and `esn` at their defaults.
+    config = ["--config", config_file] if argv[0] == "run" else []
+    out = tmp_path / "out"
+    assert main([*argv, *config, "--out", str(out)]) == 0
+    written = (out / "metrics.csv").read_bytes()
+    (out / "metrics.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == written
 
 
 def test_report_refuses_colliding_rows(tmp_path, capsys, config_file):

@@ -149,12 +149,22 @@ class TestRunExperiment:
         vb = next(iter(b.metrics.values())).per_seed
         assert va != vb
 
-    def test_checks_every_cell_before_simulating(self, monkeypatch):
-        calls = count_simulations(monkeypatch)
-        bad = esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
-        with pytest.raises(ConfigError):
-            run_experiment([narma_manifest(), bad])
-        assert calls == []
+    def test_checks_every_cell_before_simulating(self):
+        # A manifest derives its rows, building each cell's member-0
+        # config, when it is built; so no bad cell reaches run_experiment.
+        with pytest.raises(ConfigError, match="n_nodes must be at least 1"):
+            esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
+
+    @pytest.mark.parametrize("fields, fragment", [
+        (dict(config=dict(SMALL_RESERVOIR, gamma=2.0)),
+         "gamma must lie in [0, 1]"),
+        (dict(tasks=("narma2", "stm"), stm_delays=()),
+         "stm task requires at least one delay")],
+        ids=["bad_config_value", "stm_without_delays"])
+    def test_a_bad_reservoir_manifest_fails_when_built(self, fields,
+                                                       fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            narma_manifest(**fields)
 
     def test_simulates_each_config_and_drive_once(self, monkeypatch):
         calls = count_simulations(monkeypatch)
@@ -305,6 +315,26 @@ class TestTrajectoryCsv:
         s_vals = np.array([float(r[2]) for r in rows])
         targets = np.array([float(r[-1]) for r in rows])
         assert np.all(targets[2:] == s_vals[:-2])
+
+    @pytest.mark.parametrize("task", ["stm", "narma2"])
+    def test_reads_the_kept_trajectory_only(self, monkeypatch, task):
+        # The drive and the states come from the run: the report neither
+        # simulates nor regenerates a drive.
+        [m] = run_experiment([narma_manifest(tasks=(task,))])
+        text = trajectory_csv_text(m)
+
+        def forbidden(*args):
+            raise AssertionError("trajectory_csv_text re-ran the member")
+
+        for name in ("spinqrc.experiment.run_sequence",
+                     "spinqrc.experiment.gen_stm",
+                     "spinqrc.tasks.gen_narma_input"):
+            monkeypatch.setattr(name, forbidden)
+        assert trajectory_csv_text(m) == text
+
+    def test_refuses_a_manifest_that_was_not_run(self):
+        with pytest.raises(ConfigError, match="run_experiment"):
+            trajectory_csv_text(narma_manifest())
 
 
 class TestEmitReport:

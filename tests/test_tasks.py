@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinqrc.errors import ConfigError, DivergenceError
-from spinqrc.experiment import _task_sequences
+from spinqrc.experiment import _task_drive, _task_targets
 from spinqrc.tasks import (DIVERGENCE_LIMIT, gen_narma_input,
                            gen_narma_target, gen_stm)
 
@@ -13,20 +13,22 @@ NARMA2_ZERO_INPUT_FIXED_POINT = 0.14589803375031546
 
 class TestStm:
     """The binary stream of ``gen_stm`` and the delayed targets that
-    ``_task_sequences`` builds from it, one per ``stm_tauXX`` row."""
+    ``_task_targets`` builds from it, one per ``stm_tauXX`` row."""
 
     def test_targets_are_shifted_inputs(self):
-        inputs, targets = _task_sequences("stm", 50, (3,), 1)
-        assert np.all(targets["stm_tau03"][3:] == inputs[:-3])
-        assert np.all(targets["stm_tau03"][:3] == 0)
+        inputs = _task_drive("stm", 50, 1)
+        [target] = _task_targets("stm", inputs, (3,))
+        assert np.all(target[3:] == inputs[:-3])
+        assert np.all(target[:3] == 0)
 
     def test_zero_delay_echoes_input(self):
-        inputs, targets = _task_sequences("stm", 20, (0,), 2)
-        assert np.all(targets["stm_tau00"] == inputs)
+        inputs = _task_drive("stm", 20, 2)
+        [target] = _task_targets("stm", inputs, (0,))
+        assert np.all(target == inputs)
 
     def test_delay_beyond_length_gives_zero_target(self):
-        _, targets = _task_sequences("stm", 5, (5,), 0)
-        assert np.all(targets["stm_tau05"] == 0)
+        [target] = _task_targets("stm", _task_drive("stm", 5, 0), (5,))
+        assert np.all(target == 0)
 
     def test_inputs_are_binary_and_seeded(self):
         a = gen_stm(200, seed=7)
@@ -34,7 +36,7 @@ class TestStm:
         assert np.all(a == gen_stm(200, seed=7))
         assert np.all(a == np.random.default_rng(7).integers(0, 2, 200))
         assert not np.all(a == gen_stm(200, seed=8))
-        assert np.all(_task_sequences("stm", 200, (1,), 7)[0] == a)
+        assert np.all(_task_drive("stm", 200, 7) == a)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

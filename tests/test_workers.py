@@ -140,7 +140,11 @@ def test_invariant_error_in_any_process_exits_3(tmp_path, monkeypatch, capsys,
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) \
         == EXIT_NUMERICAL
-    assert "trace deviates" in capsys.readouterr().err
+    # The parent runs the first draw's group, the worker the second's.
+    seed = 0 if where == "parent" else 1
+    assert capsys.readouterr().err == (
+        "error: trace deviates from 1 by 3.00e-01 (member: topology linear, "
+        f"n_qubits 4, gamma 0.1, coupling_seed {seed})\n")
     assert not (out / "metrics.csv").exists()
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 

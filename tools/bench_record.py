@@ -28,6 +28,14 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   ``spinqrc run --seeds 2`` at ``OPENBLAS_NUM_THREADS=1`` and at ``=2``,
   their wall times, and whether the two ``metrics.csv`` files are
   identical (OpenBLAS rounds a two-thread product differently);
+* ``n9_one_seed``: wall times of ``N9_ONE_SEED_RUNS`` one-seed runs of the
+  same nine-qubit ``run --task narma2`` per checkout, each in a fresh
+  process in the default thread environment, alternating with the
+  ``--baseline`` checkout when one is given, their median, and whether
+  the checkouts' ``metrics.csv`` bytes agree. One draw is one group, so
+  the run uses one worker process: unlike the two-seed runs, whose draws
+  fill both CPUs of a 2-CPU host, it shows a change that spreads one
+  trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
   model, the commit and the git tree hash of ``src/``.
@@ -132,6 +140,17 @@ def criterion_1_record(checkouts: dict[str, Path]) -> dict:
 N9_CONFIG = {"n_qubits": 9, "n_pre": 30, "n_fb": 30, "n_test": 10}
 
 
+def n9_run(checkout: Path, config: Path, seeds: int, out: Path,
+           env: dict[str, str]) -> float:
+    """Wall seconds of one nine-qubit ``run --task narma2``."""
+    started = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "spinqrc.cli", "run", "--config", str(config),
+         "--seeds", str(seeds), "--task", "narma2", "--out", str(out)],
+        cwd=checkout, env=env, capture_output=True, check=True)
+    return round(time.perf_counter() - started, 3)
+
+
 def n9_record(checkouts: dict[str, Path]) -> dict:
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,16 +162,32 @@ def n9_record(checkouts: dict[str, Path]) -> dict:
             for threads in ("1", "2"):
                 out = Path(tmp) / f"{name}{threads}"
                 env = dict(checkout_env(checkout), OPENBLAS_NUM_THREADS=threads)
-                started = time.perf_counter()
-                subprocess.run(
-                    [sys.executable, "-m", "spinqrc.cli", "run", "--config",
-                     str(config), "--seeds", "2", "--task", "narma2",
-                     "--out", str(out)],
-                    cwd=checkout, env=env, capture_output=True, check=True)
-                entry["wall_s"][threads] = round(
-                    time.perf_counter() - started, 3)
+                entry["wall_s"][threads] = n9_run(checkout, config, 2, out,
+                                                  env)
                 outputs.add((out / "metrics.csv").read_bytes())
             entry["metrics_csv_identical"] = len(outputs) == 1
+    return record
+
+
+N9_ONE_SEED_RUNS = 5
+
+
+def n9_one_seed_record(checkouts: dict[str, Path]) -> dict:
+    record = {name: {"wall_s": []} for name in checkouts}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "n9.json"
+        config.write_text(json.dumps(N9_CONFIG))
+        outputs = {}
+        for i in range(N9_ONE_SEED_RUNS):
+            for name, checkout in checkouts.items():
+                out = Path(tmp) / f"{name}{i}"
+                record[name]["wall_s"].append(
+                    n9_run(checkout, config, 1, out, checkout_env(checkout)))
+                outputs.setdefault(name, (out / "metrics.csv").read_bytes())
+    for entry in record.values():
+        entry["median_s"] = statistics.median(entry["wall_s"])
+    if len(outputs) > 1:
+        record["metrics_csv_identical"] = len(set(outputs.values())) == 1
     return record
 
 
@@ -258,6 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep_10_seeds": sweep_record(checkouts, root),
         "criterion_1": criterion_1_record(checkouts),
         "n9_reproducibility": n9_record(checkouts),
+        "n9_one_seed": n9_one_seed_record(checkouts),
     }
     for run in (scored["long_run"], traced):
         run.pop("environment", None)

@@ -10,9 +10,11 @@ scored ``sweep`` and ``long_run`` ``wall_s``, ``steps_per_s``,
 divided by that floor; the median of each 10-seed ``sweep`` wall time
 divided by the control timed next to it (``sweep10/control``); and
 criterion 1's median cost ratio with its passed/total runs, such as
-``1.52(5/5)``, so a red criterion 1 shows in the table. The floor is a fixed amount of BLAS work timed on the same
-host, so the divided values compare snapshots taken on days the host ran
-at different speeds. A value the snapshot lacks prints as ``-``.
+``1.52(5/5)``, so a red criterion 1 shows in the table; and the median
+wall time of the one-seed nine-qubit ``run`` (``n9x1.median_s``). The
+floor is a fixed amount of BLAS work timed on the same host, so the
+divided values compare snapshots taken on days the host ran at different
+speeds. A value the snapshot lacks prints as ``-``.
 """
 from __future__ import annotations
 
@@ -77,6 +79,9 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     cells.append(("crit1.ratio(passed)",
                   f"{statistics.median(ratios):.2f}({passed}/{len(runs)})"
                   if ratios else "-"))
+    cells.append(("n9x1.median_s",
+                  _fmt(_get(snapshot, "n9_one_seed", "change", "median_s"),
+                       "{:.3f}")))
     return cells
 
 
