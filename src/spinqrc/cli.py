@@ -171,7 +171,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             manifests.append(ExperimentManifest.from_json(path.read_text()))
-        except (OSError, json.JSONDecodeError, TypeError, ConfigError) as exc:
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}")
     print(write_metrics(manifests, out_dir))
     return EXIT_OK

@@ -12,7 +12,7 @@ import itertools
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -189,6 +189,14 @@ class ExperimentManifest:
         if not isinstance(metrics, dict):
             raise ConfigError(f"metrics must be a JSON object, got {metrics!r}")
         metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
+        stored = [f for f in fields(ExperimentManifest)
+                  if f.name != "trajectory"]
+        for key in d:
+            if key not in {f.name for f in stored}:
+                raise ConfigError(f"unknown manifest key {key!r}")
+        for f in stored:
+            if f.name not in d and f.default is f.default_factory is MISSING:
+                raise ConfigError(f"the manifest has no {f.name!r}")
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
             derived = {row.stats.row_id: row.stats for row in manifest_rows(m)}
@@ -235,11 +243,13 @@ def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
     if manifest.kind == "esn":
         if not manifest.variants:
             raise ConfigError("need at least one ESN variant")
-        cells = [(EsnConfig(variant=v, weight_seed=seed, **manifest.config),
+        cells = [(_member_config(EsnConfig, manifest.config, variant=v,
+                                 weight_seed=seed),
                   ReadoutType.PER_QUBIT, f"esn{v}", "")
                  for v in manifest.variants]
     else:
-        config = ReservoirConfig(coupling_seed=seed, **manifest.config)
+        config = _member_config(ReservoirConfig, manifest.config,
+                                coupling_seed=seed)
         cells = [(config, ReadoutType(manifest.readout), config.topology.value,
                   repr(float(config.gamma)))]
     if "stm" in manifest.tasks and not manifest.stm_delays:
@@ -253,6 +263,19 @@ def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
             for task in manifest.tasks
             for target in ([f"stm_tau{tau:02d}" for tau in manifest.stm_delays]
                            if task == "stm" else [task])]
+
+
+def _member_config(cls: type, config: object, **member: object):
+    """``cls`` built from a manifest's ``config`` and the ``member`` fields
+    that the manifest sets itself; ConfigError unless ``config`` is a dict
+    of ``cls``'s other fields."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {config!r}")
+    keys = {f.name for f in fields(cls)} - set(member)
+    for key in config:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}")
+    return cls(**config, **member)
 
 
 def _task_drive(task: str, length: int, input_seed: int) -> np.ndarray:

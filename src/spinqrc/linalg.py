@@ -41,21 +41,31 @@ class Blas(NamedTuple):
 
     def gemm(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
              alpha: complex = 1.0, beta: complex = 0.0,
-             conj_b: bool = False) -> Callable[[], None]:
-        """A call that overwrites ``c`` with ``alpha a op(b) + beta c``,
-        where op(b) is ``b`` or, with ``conj_b``, ``b†``.
+             conj_b: bool = False,
+             cols: slice = slice(None)) -> Callable[[], None]:
+        """A call that overwrites the columns ``cols`` of ``c`` with those of
+        ``alpha a op(b) + beta c``, where op(b) is ``b`` or, with ``conj_b``,
+        ``b†``; op(b)'s columns ``cols`` are ``b[:, cols]`` or
+        ``b[cols, :]†``.
 
         Every argument is converted here, once; each call of the result
         reruns the product on the same buffers, which it keeps alive.
         """
         dim = _fortran_operands(a, b, c)
+        lo, hi, stride = cols.indices(dim)
+        if stride != 1 or not lo < hi:
+            raise ValidationError(
+                f"zgemm needs a non-empty block of contiguous columns of "
+                f"{dim}, got {cols}")
         if np.may_share_memory(c, a) or np.may_share_memory(c, b):
             raise ValidationError("zgemm output must not overlap its inputs")
         n = ctypes.byref(self.index(dim))
+        width = ctypes.byref(self.index(hi - lo))
         return functools.partial(
-            self.zgemm, b"N", b"C" if conj_b else b"N", n, n, n,
-            _complex(alpha), _pointer(a), n, _pointer(b), n, _complex(beta),
-            _pointer(c), n)
+            self.zgemm, b"N", b"C" if conj_b else b"N", n, width, n,
+            _complex(alpha), _pointer(a), n,
+            _pointer(b[lo:hi] if conj_b else b[:, lo:hi]), n, _complex(beta),
+            _pointer(c[:, lo:hi]), n)
 
 
 def _fortran_operands(*arrays: np.ndarray) -> int:
@@ -81,9 +91,13 @@ def _complex(z: complex) -> ctypes.Array:
     return (ctypes.c_double * 2)(z.real, z.imag)
 
 
-def _numpy_openblas() -> tuple:
-    lib = ctypes.CDLL(
+def _numpy_library() -> ctypes.CDLL:
+    return ctypes.CDLL(
         importlib.import_module("numpy._core._multiarray_umath").__file__)
+
+
+def _numpy_openblas() -> tuple:
+    lib = _numpy_library()
     return lib, lib.scipy_zgemm_64_
 
 
@@ -126,14 +140,31 @@ def load_blas(row: tuple) -> Blas | None:
     # ctypes objects. Declared argtypes would convert all 13 arguments
     # again on every call, about 2.7 us of a 120 us step.
     zgemm.argtypes, zgemm.restype = None, None
+    return Blas(zgemm, index, _thread_controls(lib, thread_symbol))
+
+
+def _thread_controls(lib: ctypes.CDLL, thread_symbol: str
+                     ) -> tuple[Callable[[], int], Callable[[int], None]] | None:
     try:
         get = getattr(lib, thread_symbol.format("get"))
         set_ = getattr(lib, thread_symbol.format("set"))
     except AttributeError:
-        return Blas(zgemm, index, None)
+        return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return Blas(zgemm, index, (get, set_))
+    return get, set_
+
+
+@functools.cache
+def numpy_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread counts of the OpenBLAS bundled with numpy, which
+    runs numpy's own products and eigensolvers whichever library
+    ``kernel_blas`` binds; None when numpy bundles no such library."""
+    try:
+        lib = _numpy_library()
+    except (ImportError, OSError):
+        return None
+    return _thread_controls(lib, BLAS_LIBRARIES[0][2])
 
 
 @functools.cache
@@ -152,24 +183,26 @@ def kernel_blas() -> Blas:
 def one_blas_thread() -> Iterator[None]:
     """Run the body at one BLAS thread.
 
-    Only the library ``kernel_blas`` calls is governed; with numpy's bundled
-    OpenBLAS that is also the one behind numpy's own products and
-    eigensolvers. The caller's thread count is restored on exit, errors
-    included; libraries without thread symbols run untouched. The thread
-    count is process-wide, so Python threads that use BLAS concurrently
-    share it. A caller already at one thread sees no thread-count call: in
-    a forked process, OpenBLAS's first such call starts a worker thread
-    that spins for about 0.1 s of CPU.
+    Governs the library ``kernel_blas`` calls and numpy's own bundled
+    OpenBLAS (``numpy_threads``), behind numpy's products and eigensolvers;
+    with numpy's row both are one library. The caller's thread counts are
+    restored on exit, errors included; libraries without thread symbols run
+    untouched. The thread count is process-wide, so Python threads that use
+    BLAS concurrently share it. A library already at one thread sees no
+    thread-count call: in a forked process, OpenBLAS's first such call
+    starts a worker thread that spins for about 0.1 s of CPU.
     """
-    threads = kernel_blas().threads
-    saved = 1 if threads is None else threads[0]()
-    if saved != 1:
-        threads[1](1)
+    changed = []
+    for controls in (kernel_blas().threads, numpy_threads()):
+        count = 1 if controls is None else controls[0]()
+        if count != 1:
+            controls[1](1)
+            changed.append((controls[1], count))
     try:
         yield
     finally:
-        if saved != 1:
-            threads[1](saved)
+        for set_, count in reversed(changed):
+            set_(count)
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import ConfigError, StateInvariantError, ValidationError
 from .linalg import kernel_blas, one_blas_thread, unitary_exp
 from .qubits import MAX_QUBITS, ground_density, z_sign_table
@@ -36,6 +37,13 @@ EIGEN_TOL = 1e-10
 # drift stays bounded around 1e-12, two orders below tolerance; the trace
 # is still checked every step because it is nearly free.
 _CHECK_INTERVAL = 64
+
+# Helpers (``_evolve``) pay for their fork from six qubits on, where the two
+# products are most of a step, once the run's products add up to
+# ``_SPLIT_MIN_WORK`` dim**3 units: 256 steps at n = 6, 4 at n = 8, 1 from
+# n = 9 on.
+_SPLIT_MIN_QUBITS = 6
+_SPLIT_MIN_WORK = 2**26
 
 
 class Topology(str, enum.Enum):
@@ -350,8 +358,16 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     for the start state, whose ``step`` is k, and ``at step k`` for the
     state after input k. Every array evolves at one BLAS thread
     (``linalg.one_blas_thread``).
+
+    A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends the CPUs
+    that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
+    and forked helpers splits each step's two products by output columns.
+    Each column of a product is the same ``zgemm`` sum whichever call
+    computes it, so the split changes no bit; the readout and the checks
+    stay in this process.
     """
     n = U.shape[0].bit_length() - 1
+    dim = 2**n
     blas = kernel_blas()
     U = np.asfortranarray(U, dtype=complex)
     u_flip = np.asfortranarray(U[:, _input_flip(n, input_qubit)])
@@ -359,59 +375,96 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     np.multiply(rho0, gamma, out=gamma_rho0)
     keep = 1.0 - gamma
     signs = z_sign_table(n)
+    crew = workers.Crew(
+        workers.idle_cpus() if n >= _SPLIT_MIN_QUBITS
+        and len(inputs) * dim**3 >= _SPLIT_MIN_WORK else 0)
 
-    # Fortran-ordered buffers so BLAS takes them without copies. Each
-    # step computes work = prop rho, then refills rho, which is free once
-    # that product is done, with gamma rho0, so that the (1-gamma) mixing
-    # rides the second product's beta accumulation.
-    rho = np.array(start.rho, dtype=complex, order="F")
-    props = (np.empty_like(rho), np.empty_like(rho))
-    work = np.empty_like(rho)
-    spare = np.empty_like(rho)
-    z_rows = np.empty((len(inputs), n))
-    half = 0.5 * pi
+    # Each step computes work = prop rho, then refills rho, which is free
+    # once that product is done, with gamma rho0, so that the (1-gamma)
+    # mixing rides the second product's beta accumulation. Each process of
+    # the crew computes one column block of both: its block of work needs
+    # only its own block of rho, but its block of rho needs all of work and
+    # of prop. So rho, work and the propagators live in memory the crew
+    # shares, Fortran-ordered so that BLAS takes them without copies, and
+    # work alternates between two buffers by step parity: a process may
+    # write its block of the next step's work while another still reads
+    # this step's.
+    def shared_matrix() -> np.ndarray:
+        return np.frombuffer(crew.memory(U.nbytes), dtype=complex).reshape(
+            (dim, dim), order="F")
 
+    rho = shared_matrix()
+    np.copyto(rho, start.rho)
+    work = shared_matrix()
+    works = (work, shared_matrix() if crew.size > 1 else work)
     # The composed propagators of the last two distinct input values stay
     # in ``props``, keyed on the values' float64 bits, so a binary drive
-    # composes two per trajectory; ``lru`` is the slot to overwrite next.
-    # A slot's two BLAS calls are bound to its buffers when it is first
-    # composed.
-    prop_keys = [None, None]
-    products = [None, None]
-    lru = 0
+    # composes two per trajectory.
+    props = (shared_matrix(), shared_matrix())
+    z_rows = np.empty((len(inputs), n))
+    half = 0.5 * pi
     input_bits = memoryview(np.ascontiguousarray(inputs).view(np.uint64))
 
-    k = -1
-    try:
-        with one_blas_thread():
-            _check_state(rho, spare)
-            for k, s in enumerate(inputs):
-                key = input_bits[k]
-                if key == prop_keys[0]:
-                    slot = 0
-                elif key == prop_keys[1]:
-                    slot = 1
-                else:
-                    slot, prop = lru, props[lru]
-                    np.multiply(U, cos(half * s), out=prop)
-                    np.multiply(u_flip, 1j * sin(half * s), out=work)
-                    np.add(prop, work, out=prop)
-                    prop_keys[slot] = key
-                    if products[slot] is None:
-                        products[slot] = (
-                            blas.gemm(prop, rho, work),
-                            blas.gemm(work, prop, rho, alpha=keep, beta=1.0,
-                                      conj_b=True))
-                lru = slot ^ 1
-                propagate, mix = products[slot]
-                propagate()  # work = prop rho
-                np.copyto(rho, gamma_rho0)
-                mix()  # rho = (1-gamma) work prop† + gamma rho0
-                z_rows[k] = signs @ rho.diagonal().real
-                _check_state(rho, spare, full=(k + 1) % _CHECK_INTERVAL == 0
-                             or k + 1 == len(inputs))
-    except StateInvariantError as exc:
-        where = (f"before step {start.step}" if k < 0
-                 else f"at step {start.step + k}")
-        raise StateInvariantError(f"{exc} {where}") from None
+    def steps() -> None:
+        """The loop every process of the crew runs, on its column block."""
+        block = slice(crew.rank * dim // crew.size,
+                      (crew.rank + 1) * dim // crew.size)
+        rho_block, reset = rho[:, block], gamma_rho0[:, block]
+        u_block, flip_block = U[:, block], u_flip[:, block]
+        spare = np.empty_like(U)
+        # ``lru`` is the slot to overwrite next. A slot's BLAS calls, per
+        # work buffer, are bound to its buffers when it is first composed.
+        prop_keys = [None, None]
+        products = [None, None]
+        lru = 0
+
+        def products_of(k: int) -> list:
+            """The calls of input k's propagator, this block of which is
+            composed here unless a slot holds it."""
+            nonlocal lru
+            key = input_bits[k]
+            slot = prop_keys.index(key) if key in prop_keys else lru
+            if prop_keys[slot] != key:
+                prop, s = props[slot][:, block], inputs[k]
+                np.multiply(u_block, cos(half * s), out=prop)
+                np.multiply(flip_block, 1j * sin(half * s),
+                            out=spare[:, block])
+                np.add(prop, spare[:, block], out=prop)
+                prop_keys[slot] = key
+                if products[slot] is None:
+                    products[slot] = [
+                        (blas.gemm(props[slot], rho, work, cols=block),
+                         blas.gemm(work, props[slot], rho, alpha=keep,
+                                   beta=1.0, conj_b=True, cols=block))
+                        for work in works]
+            lru = slot ^ 1
+            return products[slot]
+
+        k = -1
+        try:
+            if crew.rank == 0:
+                _check_state(rho, spare)
+            upcoming = products_of(0) if len(inputs) else None
+            crew.sync()  # every block of the first propagator is composed
+            for k in range(len(inputs)):
+                propagate, mix = upcoming[k & 1]
+                propagate()  # work[:, b] = prop rho[:, b]
+                crew.sync()  # every block of work is written
+                np.copyto(rho_block, reset)
+                mix()  # rho[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
+                if k + 1 < len(inputs):
+                    upcoming = products_of(k + 1)
+                crew.sync()  # every block of rho and of the next prop is written
+                if crew.rank == 0:
+                    z_rows[k] = signs @ rho.diagonal().real
+                    _check_state(rho, spare,
+                                 full=(k + 1) % _CHECK_INTERVAL == 0
+                                 or k + 1 == len(inputs))
+        except StateInvariantError as exc:
+            where = (f"before step {start.step}" if k < 0
+                     else f"at step {start.step + k}")
+            raise StateInvariantError(f"{exc} {where}") from None
+
+    with one_blas_thread():
+        crew.run(steps)
     return z_rows, rho

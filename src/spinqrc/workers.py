@@ -1,18 +1,32 @@
-"""Run independent jobs in forked worker processes.
+"""Run work in forked processes: independent jobs, or one loop in lockstep.
 
 ``run_groups`` takes jobs in groups that must each run in one process, in
 order (a group shares some set-up, such as a propagator, between its
 jobs). It deals the groups round-robin over ``min(CPUs, groups)``
 processes: the calling process is one, and each other is a child forked
-from it, which sends its results back pickled through a pipe. Nothing is
-imported or started at import time, and one group, one CPU or a platform
-without ``fork`` runs everything in the calling process.
+from it, which sends its results back pickled through a pipe. One group,
+one CPU or a platform without ``fork`` runs everything in the calling
+process.
+
+A ``Crew`` spends the CPUs that leaves idle (``idle_cpus``) inside one
+job: the calling process and helpers forked from it run the same loop,
+each on its own part of the data, and meet at points marked by counters in
+shared memory. Nothing is imported or started at import time.
 """
 from __future__ import annotations
 
 import os
 import pickle
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+# Processes that ``run_groups`` runs at once; each of them sees the count.
+_concurrent = 1
+
+# Polls of a counter between two checks that the awaited process lives,
+# about a millisecond.
+_POLLS_PER_CHECK = 4096
 
 
 def _available_cpus() -> int:
@@ -20,6 +34,13 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def idle_cpus() -> int:
+    """CPUs this process would otherwise leave idle: its share of the
+    available CPUs, which ``run_groups`` divides among the processes it
+    runs at once, less the one it runs on."""
+    return max(0, _available_cpus() // _concurrent - 1)
 
 
 def run_groups(run: Callable, jobs: Sequence[tuple],
@@ -31,11 +52,13 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
     raises ChildProcessError. Every child is reaped before this returns or
     raises: after an error, the children still running are killed.
     """
+    global _concurrent
     processes = (max(1, min(_available_cpus(), len(groups)))
                  if hasattr(os, "fork") else 1)
     shares = [sum(groups[p::processes], []) for p in range(processes)]
     results: list = [None] * len(jobs)
     children = []
+    saved, _concurrent = _concurrent, processes
     try:
         for share in shares[1:]:
             try:
@@ -49,6 +72,7 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
             for i, result in zip(share, _collect(pid, fd)):
                 results[i] = result
     finally:
+        _concurrent = saved
         for (pid, fd), _ in children:
             _stop(pid, fd)
     return results
@@ -84,11 +108,12 @@ def _fork(run: Callable, jobs: Sequence[tuple],
     return pid, read_fd
 
 
-def _stop(pid: int, fd: int) -> None:
+def _stop(pid: int, fd: int | None = None) -> None:
     """Kill and reap a child whose results an error made unwanted."""
     import signal  # only on this error path
 
-    os.close(fd)
+    if fd is not None:
+        os.close(fd)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
 
@@ -110,3 +135,143 @@ def _collect(pid: int, fd: int) -> list:
     if not ok:
         raise value
     return value
+
+
+def _stores_in_order() -> bool:
+    """Whether other CPUs see this process's stores in program order, as a
+    ``Crew`` needs: a counter is posted after the results it announces.
+    x86-64 guarantees that order; weaker memory models (ARM, POWER) would
+    need fences that Python cannot issue."""
+    return hasattr(os, "uname") and os.uname().machine.lower() in (
+        "x86_64", "amd64")
+
+
+class Crew:
+    """The calling process (rank 0) and ``helpers`` processes forked from
+    it, which run one body together, each on its own part of the data.
+
+    At a ``sync`` each process counts its calls on a counter in shared
+    memory and spins until the others' counters have caught up, so no
+    step waits on the operating system. A spinning process watches the
+    one it waits for: rank 0 raises ChildProcessError when a helper has
+    ended, and a helper exits when its parent has. No helper is forked
+    where ``fork`` is missing or stores may reach other CPUs out of order.
+    """
+
+    def __init__(self, helpers: int):
+        if not (hasattr(os, "fork") and _stores_in_order()):
+            helpers = 0
+        self.size = 1 + helpers
+        self.rank = 0
+        self._parent = os.getpid()
+        self._helpers: dict[int, int] = {}  # rank -> pid, until reaped
+        self._syncs = 0
+        # One counter per process, a cache line (8 counters) apart.
+        self._counters = (memoryview(self.memory(64 * self.size)).cast("q")
+                          if helpers else None)
+
+    def memory(self, nbytes: int):
+        """A zeroed buffer that every process of the crew reads and writes:
+        a shared mapping when there are helpers, private memory otherwise.
+        Take it before ``run``."""
+        if self.size == 1:
+            return bytearray(nbytes)
+        import mmap  # only where helpers run
+
+        return mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
+
+    def run(self, body: Callable[[], T]) -> T:
+        """``body()`` in this process and in each helper, forked here, with
+        ``rank`` set; returns rank 0's value. A helper that cannot be forked
+        leaves rank 0 to run alone (``size`` 1). Rank 0 and each helper are
+        pinned to distinct CPUs of this process's affinity set, which is
+        restored on return. Every helper is reaped before this returns or
+        raises: after an error, the helpers still running are killed."""
+        cpus = (sorted(os.sched_getaffinity(0))
+                if hasattr(os, "sched_setaffinity") else [])
+        try:
+            for rank in range(1, self.size):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: run alone
+                    self._stop_all()
+                    self.size, self._counters = 1, None
+                    break
+                if pid == 0:
+                    self._serve(rank, body, cpus)
+                self._helpers[rank] = pid
+            if self.size > 1:
+                _pin(cpus, 0)
+            result = body()
+            while self._helpers:
+                _, pid = self._helpers.popitem()
+                _, status = os.waitpid(pid, 0)
+                if status:
+                    raise _ended(pid, status)
+            return result
+        finally:
+            self._stop_all()
+            if self.size > 1:
+                _pin(cpus, None)
+
+    def sync(self) -> None:
+        """Return once every process of the crew has made as many ``sync``
+        calls as this one: a barrier."""
+        if self._counters is None:
+            return
+        self._syncs += 1
+        count, counters = self._syncs, self._counters
+        counters[8 * self.rank] = count
+        for rank in range(self.size):
+            polls = 0
+            while counters[8 * rank] < count:
+                polls += 1
+                if polls % _POLLS_PER_CHECK == 0:
+                    self._check(rank, count)
+
+    def _check(self, rank: int, count: int) -> None:
+        """React to a process ``rank`` that is slow to post ``count``."""
+        if self.rank:
+            if os.getppid() != self._parent:
+                os._exit(1)  # rank 0 is gone: nobody wants the results
+            return
+        pid = self._helpers.get(rank)
+        if pid is None:
+            raise ChildProcessError(f"helper {rank} ended before its work")
+        ended, status = os.waitpid(pid, os.WNOHANG)
+        if ended:
+            del self._helpers[rank]
+            if self._counters[8 * rank] < count:  # not a helper that is done
+                raise _ended(pid, status)
+
+    def _serve(self, rank: int, body: Callable[[], T], cpus: list[int]):
+        """A helper's whole life: run ``body`` as ``rank``, then exit."""
+        code = 1
+        try:
+            self.rank = rank
+            _pin(cpus, rank)
+            body()
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _stop_all(self) -> None:
+        while self._helpers:
+            _stop(self._helpers.popitem()[1])
+
+
+def _pin(cpus: list[int], rank: int | None) -> None:
+    """Run this process on CPU ``rank`` of ``cpus`` (modulo their number),
+    or on all of them for None; a refusal leaves it where it runs."""
+    if cpus:
+        try:
+            os.sched_setaffinity(
+                0, cpus if rank is None else {cpus[rank % len(cpus)]})
+        except OSError:
+            pass
+
+
+def _ended(pid: int, status: int) -> ChildProcessError:
+    return ChildProcessError(
+        f"helper process {pid} ended with exit status "
+        f"{os.waitstatus_to_exitcode(status)}")

@@ -408,11 +408,19 @@ BAD_STORED_METRICS = {
     *(("report", dict(MANIFEST, metrics=bad), fragment)
       for bad, fragment in BAD_STORED_METRICS.values()),
     ("report", [MANIFEST], "a manifest must hold a JSON object"),
+    ("report", dict(MANIFEST, config={"gama": 0.5}),
+     "unknown config key 'gama'"),
+    ("report", dict(MANIFEST, config=[4]), "config must be a JSON object"),
+    ("report", dict(MANIFEST, colour=1), "unknown manifest key 'colour'"),
+    ("report", {k: v for k, v in MANIFEST.items() if k != "tasks"},
+     "the manifest has no 'tasks'"),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
         *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
-        "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list"])
+        "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list",
+        "report_unknown_config_key", "report_config_list",
+        "report_unknown_manifest_key", "report_missing_tasks"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

@@ -155,12 +155,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="n_nodes must be at least 1"):
             esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
 
+    @pytest.mark.parametrize("key", ["variant", "weight_seed", "n_nodez"])
+    def test_an_esn_config_holds_no_member_or_unknown_key(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            esn_manifest(config=dict(SMALL_ESN, **{key: 3}))
+
     @pytest.mark.parametrize("fields, fragment", [
         (dict(config=dict(SMALL_RESERVOIR, gamma=2.0)),
          "gamma must lie in [0, 1]"),
         (dict(tasks=("narma2", "stm"), stm_delays=()),
-         "stm task requires at least one delay")],
-        ids=["bad_config_value", "stm_without_delays"])
+         "stm task requires at least one delay"),
+        (dict(config={"gama": 0.5}), "unknown config key 'gama'"),
+        (dict(config=dict(SMALL_RESERVOIR, coupling_seed=3)),
+         "unknown config key 'coupling_seed'"),
+        (dict(config=[("n_qubits", 4)]), "config must be a JSON object")],
+        ids=["bad_config_value", "stm_without_delays", "unknown_key",
+             "member_key", "config_list"])
     def test_a_bad_reservoir_manifest_fails_when_built(self, fields,
                                                        fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):

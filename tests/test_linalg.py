@@ -170,6 +170,38 @@ class TestBlasBinding:
         np.testing.assert_allclose(c, a @ b, rtol=1e-13)
 
 
+# Each output column of a product is the same sum, in the same order,
+# whichever call computes it, so a product split by output columns (the
+# kernel's split over processes) equals the one-call product bit for bit.
+# Odd split points give blocks that the library's kernels do not tile
+# evenly; a library that breaks the property fails here.
+@pytest.mark.parametrize("dim", [32, 64, 100, 128, 256])
+def test_column_blocks_equal_the_one_call_product(dim, one_thread_everywhere):
+    blas = kernel_blas()
+    rng = np.random.default_rng(dim)
+    a, b, c0 = (random_fortran(rng, dim) for _ in range(3))
+    splits = [(s,) for s in (1, 9, 17, 33, dim // 2 + 1, dim - 1) if s < dim]
+    splits.append((7, dim // 3, dim - 5))
+    for form in (dict(), dict(alpha=0.9, beta=1.0, conj_b=True)):
+        whole = c0.copy(order="F")
+        blas.gemm(a, b, whole, **form)()
+        for points in splits:
+            edges = (0, *points, dim)
+            c = c0.copy(order="F")
+            for lo, hi in zip(edges, edges[1:]):
+                blas.gemm(a, b, c, cols=slice(lo, hi), **form)()
+                assert c[:, hi:].tobytes() == c0[:, hi:].tobytes()
+            assert c.tobytes() == whole.tobytes(), (form, points)
+
+
+def test_binding_rejects_a_block_blas_cannot_take():
+    f = np.asfortranarray(np.eye(4, dtype=complex))
+    for cols in (slice(0, 4, 2), slice(2, 2), slice(3, 1)):
+        with pytest.raises(ValidationError, match="block of contiguous"):
+            kernel_blas().gemm(f, f.copy(order="F"), f.copy(order="F"),
+                               cols=cols)
+
+
 def test_binding_rejects_operands_blas_cannot_take():
     blas = kernel_blas()
     f = np.asfortranarray(np.eye(4, dtype=complex))

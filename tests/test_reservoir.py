@@ -529,6 +529,29 @@ def test_scipy_fallback_runs_the_kernel_bitwise_alike(monkeypatch):
         check_start_state(negative)
 
 
+def test_scipy_fallback_builds_u_at_any_numpy_thread_count(monkeypatch):
+    # With scipy's library behind the kernel, numpy's own OpenBLAS still
+    # runs the eigh of unitary_exp; the thread rule holds it at one thread.
+    fallback = load_blas(BLAS_LIBRARIES[1])
+    threads = linalg.numpy_threads()
+    if fallback is None or threads is None:
+        pytest.skip("needs scipy and numpy's bundled OpenBLAS")
+    for module in (linalg, reservoir):
+        monkeypatch.setattr(module, "kernel_blas", lambda: fallback)
+    get, set_ = threads
+    saved = get()
+    cfg = small_config(n_qubits=8)
+    built = {}
+    try:
+        for count in (1, 2):
+            set_(count)
+            built[count] = evolution_operator(cfg)
+            assert get() == count
+    finally:
+        set_(saved)
+    assert built[1].tobytes() == built[2].tobytes()
+
+
 def test_contraction_of_trace_distance():
     # the reset channel shrinks the distance between any two states by
     # exactly (1 - gamma) per step, independent of the inputs

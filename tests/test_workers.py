@@ -1,18 +1,23 @@
-"""Trajectories simulated in worker processes: identical output at any
-worker count, errors and dead workers reported, every child reaped."""
+"""Trajectories simulated in worker processes, and single trajectories
+split over helper processes: identical output at any count, errors and
+dead processes reported, every child reaped."""
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from spinqrc import experiment, reservoir, workers
+from spinqrc import experiment, reservoir, tasks, workers
 from spinqrc.cli import EXIT_NUMERICAL, main
 from spinqrc.errors import StateInvariantError
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                                 run_experiment)
+from spinqrc.qubits import ground_density
+from spinqrc.tasks import gen_stm
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
@@ -167,3 +172,138 @@ def test_dead_worker_fails_the_run(tmp_path, monkeypatch, forks):
         main(["sweep", "--config", str(config), "--out", str(out)])
     assert not (out / "metrics.csv").exists()
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+# A trajectory long enough for helpers at n = 6 (the default 440 steps).
+SIX = {"n_qubits": 6}
+
+
+def use_helpers(monkeypatch, count):
+    monkeypatch.setattr(workers, "idle_cpus", lambda: count)
+
+
+needs_helpers = pytest.mark.skipif(
+    not (hasattr(os, "fork") and workers._stores_in_order()),
+    reason="no helper process is forked on this platform")
+
+
+@needs_helpers
+@pytest.mark.parametrize("n_qubits, steps", [
+    (6, 300), (7, 40), (8, 6), (9, 3), (10, 3)])
+def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
+    drives = {"binary": gen_stm(steps, 42),
+              "narma": tasks.gen_narma_input(steps)}
+    config = reservoir.ReservoirConfig(
+        n_qubits=n_qubits, n_pre=steps - 2, n_fb=1, n_test=1)
+    for name, inputs in drives.items():
+        rows = []
+        for helpers in (0, 1):
+            use_helpers(monkeypatch, helpers)
+            rows.append(reservoir.run_sequence(config, inputs).z_rows)
+        assert rows[0].tobytes() == rows[1].tobytes(), name
+    assert len(forks) == len(drives)
+    assert all(reaped(pid) for pid in forks)
+
+
+def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
+    use_workers(monkeypatch, 1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    assert main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
+    assert forks == []
+
+
+@needs_helpers
+def test_a_single_draw_gets_a_helper(tmp_path, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    assert main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
+                                               forks):
+    use_workers(monkeypatch, 2)
+
+    def nan_ground_density(n_qubits):
+        rho = ground_density(n_qubits).astype(complex)
+        rho[0, 0] = float("nan")
+        return rho
+
+    monkeypatch.setattr(reservoir, "ground_density", nan_ground_density)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", "1", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: trace deviates from 1 by nan before step 0 (member: topology "
+        "linear, n_qubits 6, gamma 0.1, coupling_seed 0)\n")
+    assert not (out / "metrics.csv").exists()
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+def test_killed_helper_fails_the_run(tmp_path, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    check_state = reservoir._check_state
+    checks = []
+
+    def killing(rho, spare, full=True):
+        # Runs in the main process only; kills the helper mid-run.
+        checks.append(full)
+        if len(checks) == 20:
+            os.kill(forks[-1], signal.SIGKILL)
+        check_state(rho, spare, full)
+
+    monkeypatch.setattr(reservoir, "_check_state", killing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    out = tmp_path / "out"
+    with pytest.raises(ChildProcessError, match="exit status -9"):
+        main(["run", "--config", str(config), "--task", "narma2",
+              "--seeds", "1", "--out", str(out)])
+    assert len(checks) < 440
+    assert not (out / "metrics.csv").exists()
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_helper_exits_when_its_parent_is_killed(tmp_path):
+    src = str(Path(reservoir.__file__).resolve().parents[1])
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from spinqrc import reservoir, workers\n"
+        "workers.idle_cpus = lambda: 1\n"
+        "os.register_at_fork(after_in_child=lambda: print(os.getpid(), "
+        "flush=True))\n"
+        "config = reservoir.ReservoirConfig(n_qubits=6, n_pre=200_000)\n"
+        "reservoir.run_sequence(config, np.full(config.total_steps, 0.5))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    main_process = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                    stdout=subprocess.PIPE, text=True)
+    try:
+        helper = int(main_process.stdout.readline())
+    finally:
+        main_process.kill()
+        main_process.wait()
+        main_process.stdout.close()
+    stat = Path(f"/proc/{helper}/stat")
+    for _ in range(1000):  # 10 s
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] in "ZX":
+                break  # ended; waiting for its new parent to reap it
+        except FileNotFoundError:
+            break  # ended and reaped
+        time.sleep(0.01)
+    else:
+        os.kill(helper, signal.SIGKILL)
+        pytest.fail("the helper outlived its parent by 10 s")
