@@ -24,8 +24,9 @@ T = TypeVar("T")
 # Processes that ``run_groups`` runs at once; each of them sees the count.
 _concurrent = 1
 
-# Polls of a counter between two checks that the awaited process lives,
-# about a millisecond.
+# Polls of a counter between two yields of the CPU, about 10 us, and
+# between two checks that the awaited process lives, about a millisecond.
+_POLLS_PER_YIELD = 64
 _POLLS_PER_CHECK = 4096
 
 
@@ -226,8 +227,12 @@ class Crew:
             polls = 0
             while counters[8 * rank] < count:
                 polls += 1
-                if polls % _POLLS_PER_CHECK == 0:
-                    self._check(rank, count)
+                if polls % _POLLS_PER_YIELD == 0:
+                    # Lets the awaited process run if it shares this CPU,
+                    # as when another job runs beside this one.
+                    os.sched_yield()
+                    if polls % _POLLS_PER_CHECK == 0:
+                        self._check(rank, count)
 
     def _check(self, rank: int, count: int) -> None:
         """React to a process ``rank`` that is slow to post ``count``."""

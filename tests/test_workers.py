@@ -205,6 +205,25 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
     assert all(reaped(pid) for pid in forks)
 
 
+@needs_helpers
+def test_more_helpers_than_cpus_finish(monkeypatch, forks):
+    # Four processes spinning at barriers on at most two CPUs: each must
+    # yield its CPU while it waits, or every barrier waits out a time
+    # slice (about 50x slower here without the yield).
+    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
+                                       n_test=1)
+    inputs = tasks.gen_narma_input(config.total_steps)
+    elapsed, rows = [], []
+    for helpers in (0, 3):
+        use_helpers(monkeypatch, helpers)
+        started = time.perf_counter()
+        rows.append(reservoir.run_sequence(config, inputs).z_rows)
+        elapsed.append(time.perf_counter() - started)
+    assert rows[0].tobytes() == rows[1].tobytes()
+    assert elapsed[1] < 10 * elapsed[0] + 0.5, elapsed
+    assert len(forks) == 3 and all(reaped(pid) for pid in forks)
+
+
 def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
     use_workers(monkeypatch, 1)
     config = tmp_path / "config.json"
