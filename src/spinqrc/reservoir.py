@@ -412,6 +412,8 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
         rho_block, reset = rho[:, block], gamma_rho0[:, block]
         u_block, flip_block = U[:, block], u_flip[:, block]
         spare = np.empty_like(U)
+        spare_block = spare[:, block]
+        prop_blocks = [prop[:, block] for prop in props]
         # ``lru`` is the slot to overwrite next. A slot's BLAS calls, per
         # work buffer, are bound to its buffers when it is first composed.
         prop_keys = [None, None]
@@ -425,11 +427,11 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
             key = input_bits[k]
             slot = prop_keys.index(key) if key in prop_keys else lru
             if prop_keys[slot] != key:
-                prop, s = props[slot][:, block], inputs[k]
+                prop, s = prop_blocks[slot], inputs[k]
                 np.multiply(u_block, cos(half * s), out=prop)
                 np.multiply(flip_block, 1j * sin(half * s),
-                            out=spare[:, block])
-                np.add(prop, spare[:, block], out=prop)
+                            out=spare_block)
+                np.add(prop, spare_block, out=prop)
                 prop_keys[slot] = key
                 if products[slot] is None:
                     products[slot] = [
