@@ -142,7 +142,7 @@ def _stores_in_order() -> bool:
     """Whether other CPUs see this process's stores in program order, as a
     ``Crew`` needs: a counter is posted after the results it announces.
     x86-64 guarantees that order; weaker memory models (ARM, POWER) would
-    need fences that Python cannot issue."""
+    need fences that Python cannot emit."""
     return hasattr(os, "uname") and os.uname().machine.lower() in (
         "x86_64", "amd64")
 
