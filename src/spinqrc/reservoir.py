@@ -359,12 +359,12 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     state after input k. Every array evolves at one BLAS thread
     (``linalg.one_blas_thread``).
 
-    A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends the CPUs
+    A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends a CPU
     that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
-    and forked helpers splits each step's two products by output columns.
-    Each column of a product is the same ``zgemm`` sum whichever call
-    computes it, so the split changes no bit; the readout and the checks
-    stay in this process.
+    and one forked helper splits each step's two products by output
+    columns. Each column of a product is the same ``zgemm`` sum whichever
+    call computes it, so the split changes no bit; the readout and the
+    checks stay in this process.
     """
     n = U.shape[0].bit_length() - 1
     dim = 2**n
@@ -375,98 +375,100 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     np.multiply(rho0, gamma, out=gamma_rho0)
     keep = 1.0 - gamma
     signs = z_sign_table(n)
-    crew = workers.Crew(
-        workers.idle_cpus() if n >= _SPLIT_MIN_QUBITS
-        and len(inputs) * dim**3 >= _SPLIT_MIN_WORK else 0)
+    crew = workers.Crew(n >= _SPLIT_MIN_QUBITS and workers.idle_cpus() > 0
+                        and len(inputs) * dim**3 >= _SPLIT_MIN_WORK)
+    helped = crew.size > 1
 
-    # Each step computes work = prop rho, then refills rho, which is free
-    # once that product is done, with gamma rho0, so that the (1-gamma)
-    # mixing rides the second product's beta accumulation. Each process of
-    # the crew computes one column block of both: its block of work needs
-    # only its own block of rho, but its block of rho needs all of work and
-    # of prop. So rho, work and the propagators live in memory the crew
-    # shares, Fortran-ordered so that BLAS takes them without copies, and
-    # work alternates between two buffers by step parity: a process may
-    # write its block of the next step's work while another still reads
-    # this step's.
+    # Each step computes work = prop rho, then the next rho =
+    # (1-gamma) work prop† + gamma rho0, the mixing riding the second
+    # product's beta accumulation onto a copy of gamma rho0. Each process
+    # computes one column block of both: its block of work needs only its
+    # own block of rho, its block of the next rho needs all of work, so
+    # one sync per step (after the first product) suffices if each process
+    # composes the whole propagator itself and work and rho alternate
+    # between two shared buffers by step parity: a process may write the
+    # next step's blocks while the other still reads this step's, and rank
+    # 0 reads a state out while the helper writes the next. Alone, one
+    # buffer of each serves both parities, as rho is free once work is.
+    # The buffers are Fortran-ordered so that BLAS takes them without
+    # copies.
     def shared_matrix() -> np.ndarray:
         return np.frombuffer(crew.memory(U.nbytes), dtype=complex).reshape(
             (dim, dim), order="F")
 
-    rho = shared_matrix()
-    np.copyto(rho, start.rho)
-    work = shared_matrix()
-    works = (work, shared_matrix() if crew.size > 1 else work)
-    # The composed propagators of the last two distinct input values stay
-    # in ``props``, keyed on the values' float64 bits, so a binary drive
-    # composes two per trajectory.
-    props = (shared_matrix(), shared_matrix())
+    rhos = (shared_matrix(),) * 2
+    works = (shared_matrix(),) * 2
+    if helped:
+        rhos, works = (rhos[0], shared_matrix()), (works[0], shared_matrix())
+    np.copyto(rhos[0], start.rho)
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
     input_bits = memoryview(np.ascontiguousarray(inputs).view(np.uint64))
 
     def steps() -> None:
-        """The loop every process of the crew runs, on its column block."""
-        block = slice(crew.rank * dim // crew.size,
-                      (crew.rank + 1) * dim // crew.size)
-        rho_block, reset = rho[:, block], gamma_rho0[:, block]
-        u_block, flip_block = U[:, block], u_flip[:, block]
+        """The loop both processes run, each on its column block; rank 0
+        also reads every state out and checks it."""
+        main = crew.rank == 0
+        block = (slice(0, dim // crew.size) if main
+                 else slice(dim // crew.size, dim))
+        rho_blocks = [rho[:, block] for rho in rhos]
+        reset = gamma_rho0[:, block]
         spare = np.empty_like(U)
-        spare_block = spare[:, block]
-        prop_blocks = [prop[:, block] for prop in props]
-        # ``lru`` is the slot to overwrite next. A slot's BLAS calls, per
-        # work buffer, are bound to its buffers when it is first composed.
+        # The composed propagators of the last two distinct input values
+        # stay in ``props``, keyed on the values' float64 bits, so a binary
+        # drive composes two per trajectory; ``lru`` is the slot to
+        # overwrite next. A slot's BLAS calls, one pair per parity, are
+        # bound to its buffers when it is first composed.
+        props = (np.empty_like(U), np.empty_like(U))
         prop_keys = [None, None]
         products = [None, None]
         lru = 0
-
-        def products_of(k: int) -> list:
-            """The calls of input k's propagator, this block of which is
-            composed here unless a slot holds it."""
-            nonlocal lru
-            key = input_bits[k]
-            slot = prop_keys.index(key) if key in prop_keys else lru
-            if prop_keys[slot] != key:
-                prop, s = prop_blocks[slot], inputs[k]
-                np.multiply(u_block, cos(half * s), out=prop)
-                np.multiply(flip_block, 1j * sin(half * s),
-                            out=spare_block)
-                np.add(prop, spare_block, out=prop)
-                prop_keys[slot] = key
-                if products[slot] is None:
-                    products[slot] = [
-                        (blas.gemm(props[slot], rho, work, cols=block),
-                         blas.gemm(work, props[slot], rho, alpha=keep,
-                                   beta=1.0, conj_b=True, cols=block))
-                        for work in works]
-            lru = slot ^ 1
-            return products[slot]
-
-        k = -1
+        k = 0
         try:
-            if crew.rank == 0:
-                _check_state(rho, spare)
-            upcoming = products_of(0) if len(inputs) else None
-            crew.sync()  # every block of the first propagator is composed
-            for k in range(len(inputs)):
-                propagate, mix = upcoming[k & 1]
+            if main:
+                _check_state(rhos[0], spare)
+            for k, s in enumerate(inputs):
+                key = input_bits[k]
+                if key == prop_keys[0]:
+                    slot = 0
+                elif key == prop_keys[1]:
+                    slot = 1
+                else:
+                    slot, prop = lru, props[lru]
+                    np.multiply(U, cos(half * s), out=prop)
+                    np.multiply(u_flip, 1j * sin(half * s), out=spare)
+                    np.add(prop, spare, out=prop)
+                    prop_keys[slot] = key
+                    if products[slot] is None:
+                        products[slot] = [
+                            (blas.gemm(prop, rhos[p], works[p], cols=block),
+                             blas.gemm(works[p], prop, rhos[p ^ 1],
+                                       alpha=keep, beta=1.0, conj_b=True,
+                                       cols=block))
+                            for p in (0, 1)]
+                lru = slot ^ 1
+                propagate, mix = products[slot][k & 1]
                 propagate()  # work[:, b] = prop rho[:, b]
-                crew.sync()  # every block of work is written
-                np.copyto(rho_block, reset)
-                mix()  # rho[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
-                if k + 1 < len(inputs):
-                    upcoming = products_of(k + 1)
-                crew.sync()  # every block of rho and of the next prop is written
-                if crew.rank == 0:
-                    z_rows[k] = signs @ rho.diagonal().real
-                    _check_state(rho, spare,
-                                 full=(k + 1) % _CHECK_INTERVAL == 0
-                                 or k + 1 == len(inputs))
+                if helped:
+                    crew.sync()  # every block of work and of rho is written
+                if k and main:  # the state after input k - 1
+                    rho = rhos[k & 1]
+                    z_rows[k - 1] = signs @ rho.diagonal().real
+                    _check_state(rho, spare, full=k % _CHECK_INTERVAL == 0)
+                np.copyto(rho_blocks[(k + 1) & 1], reset)
+                mix()  # rho'[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
+            k = len(inputs)
+            if helped:
+                crew.sync()  # every block of the last state is written
+            if k and main:
+                rho = rhos[k & 1]
+                z_rows[k - 1] = signs @ rho.diagonal().real
+                _check_state(rho, spare)
         except StateInvariantError as exc:
-            where = (f"before step {start.step}" if k < 0
-                     else f"at step {start.step + k}")
+            where = (f"before step {start.step}" if k == 0
+                     else f"at step {start.step + k - 1}")
             raise StateInvariantError(f"{exc} {where}") from None
 
     with one_blas_thread():
         crew.run(steps)
-    return z_rows, rho
+    return z_rows, rhos[len(inputs) & 1]

@@ -8,9 +8,9 @@ from it, which sends its results back pickled through a pipe. One group,
 one CPU or a platform without ``fork`` runs everything in the calling
 process.
 
-A ``Crew`` spends the CPUs that leaves idle (``idle_cpus``) inside one
-job: the calling process and helpers forked from it run the same loop,
-each on its own part of the data, and meet at points marked by counters in
+A ``Crew`` spends a CPU that leaves idle (``idle_cpus``) inside one job:
+the calling process and one helper forked from it run the same loop, each
+on its own part of the data, and meet at points marked by counters in
 shared memory. Nothing is imported or started at import time.
 """
 from __future__ import annotations
@@ -21,8 +21,10 @@ from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# Processes that ``run_groups`` runs at once; each of them sees the count.
+# Processes that ``run_groups`` runs at once, which each of them sees, and
+# this process's index among them (0 for the calling process).
 _concurrent = 1
+_slot = 0
 
 # Polls of a counter between two yields of the CPU, about 10 us, and
 # between two checks that the awaited process lives, about a millisecond.
@@ -61,9 +63,9 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
     children = []
     saved, _concurrent = _concurrent, processes
     try:
-        for share in shares[1:]:
+        for slot, share in enumerate(shares[1:], 1):
             try:
-                children.append((_fork(run, jobs, share), share))
+                children.append((_fork(run, jobs, share, slot), share))
             except OSError:  # no process to spare: run the share here
                 shares[0] += share
         for i in shares[0]:
@@ -79,10 +81,12 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
     return results
 
 
-def _fork(run: Callable, jobs: Sequence[tuple],
-          share: list[int]) -> tuple[int, int]:
-    """Fork a child that runs ``share`` and writes ``(True, results)`` or
-    ``(False, exception)``, pickled, to a pipe; returns (pid, read end)."""
+def _fork(run: Callable, jobs: Sequence[tuple], share: list[int],
+          slot: int) -> tuple[int, int]:
+    """Fork child ``slot``, which runs ``share`` and writes
+    ``(True, results)`` or ``(False, exception)``, pickled, to a pipe;
+    returns (pid, read end)."""
+    global _slot
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -92,6 +96,7 @@ def _fork(run: Callable, jobs: Sequence[tuple],
         raise
     if pid == 0:
         try:
+            _slot = slot
             os.close(read_fd)
             try:
                 payload = pickle.dumps((True, [run(*jobs[i]) for i in share]))
@@ -138,6 +143,8 @@ def _collect(pid: int, fd: int) -> list:
     return value
 
 
+
+
 def _stores_in_order() -> bool:
     """Whether other CPUs see this process's stores in program order, as a
     ``Crew`` needs: a counter is posted after the results it announces.
@@ -148,130 +155,133 @@ def _stores_in_order() -> bool:
 
 
 class Crew:
-    """The calling process (rank 0) and ``helpers`` processes forked from
-    it, which run one body together, each on its own part of the data.
+    """The calling process (rank 0) and, given ``helper``, one process
+    forked from it (rank 1), which run one body together, each on its own
+    part of the data.
 
     At a ``sync`` each process counts its calls on a counter in shared
-    memory and spins until the others' counters have caught up, so no
-    step waits on the operating system. A spinning process watches the
-    one it waits for: rank 0 raises ChildProcessError when a helper has
-    ended, and a helper exits when its parent has. No helper is forked
-    where ``fork`` is missing or stores may reach other CPUs out of order.
+    memory and spins until the other's counter has caught up, so no step
+    waits on the operating system. A spinning process watches the other:
+    rank 0 raises ChildProcessError when the helper has ended, and the
+    helper exits when its parent has. No helper is forked where ``fork``
+    is missing or stores may reach the other CPU out of order.
     """
 
-    def __init__(self, helpers: int):
-        if not (hasattr(os, "fork") and _stores_in_order()):
-            helpers = 0
-        self.size = 1 + helpers
+    def __init__(self, helper: bool):
+        self.size = 2 if (helper and hasattr(os, "fork")
+                          and _stores_in_order()) else 1
         self.rank = 0
         self._parent = os.getpid()
-        self._helpers: dict[int, int] = {}  # rank -> pid, until reaped
+        self._helper: int | None = None  # its pid, until reaped
         self._syncs = 0
-        # One counter per process, a cache line (8 counters) apart.
-        self._counters = (memoryview(self.memory(64 * self.size)).cast("q")
-                          if helpers else None)
+        # One counter per process, a cache line apart.
+        self._counters = (memoryview(self.memory(128)).cast("q")
+                          if self.size > 1 else None)
 
     def memory(self, nbytes: int):
-        """A zeroed buffer that every process of the crew reads and writes:
-        a shared mapping when there are helpers, private memory otherwise.
-        Take it before ``run``."""
+        """A zeroed buffer that both processes read and write: a shared
+        mapping when there is a helper, private memory otherwise. Take it
+        before ``run``."""
         if self.size == 1:
             return bytearray(nbytes)
-        import mmap  # only where helpers run
+        import mmap  # only where a helper runs
 
         return mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
 
     def run(self, body: Callable[[], T]) -> T:
-        """``body()`` in this process and in each helper, forked here, with
+        """``body()`` in this process and in the helper, forked here, with
         ``rank`` set; returns rank 0's value. A helper that cannot be forked
-        leaves rank 0 to run alone (``size`` 1). Rank 0 and each helper are
-        pinned to distinct CPUs of this process's affinity set, which is
-        restored on return. Every helper is reaped before this returns or
-        raises: after an error, the helpers still running are killed."""
-        cpus = (sorted(os.sched_getaffinity(0))
-                if hasattr(os, "sched_setaffinity") else [])
+        leaves rank 0 to run alone (``size`` 1). Each process is pinned to
+        a CPU of its own (``_crew_cpus``); rank 0's affinity is restored on
+        return. The helper is reaped before this returns or raises: after
+        an error, it is killed first."""
+        cpus = _crew_cpus(self.size)
+        saved = os.sched_getaffinity(0) if cpus else None
         try:
-            for rank in range(1, self.size):
+            if self.size > 1:
                 try:
                     pid = os.fork()
                 except OSError:  # no process to spare: run alone
-                    self._stop_all()
                     self.size, self._counters = 1, None
-                    break
-                if pid == 0:
-                    self._serve(rank, body, cpus)
-                self._helpers[rank] = pid
-            if self.size > 1:
-                _pin(cpus, 0)
+                else:
+                    if pid == 0:
+                        self._serve(body, cpus)
+                    self._helper = pid
+                    _pin(cpus, 0)
             result = body()
-            while self._helpers:
-                _, pid = self._helpers.popitem()
+            if self._helper is not None:
+                pid, self._helper = self._helper, None
                 _, status = os.waitpid(pid, 0)
                 if status:
                     raise _ended(pid, status)
             return result
         finally:
-            self._stop_all()
-            if self.size > 1:
-                _pin(cpus, None)
+            if self._helper is not None:
+                _stop(self._helper)
+                self._helper = None
+            if saved is not None:
+                _pin(saved, None)
 
     def sync(self) -> None:
-        """Return once every process of the crew has made as many ``sync``
-        calls as this one: a barrier."""
-        if self._counters is None:
-            return
+        """Return once the other process has made as many ``sync`` calls
+        as this one: a barrier. Call it only with a helper (``size`` 2)."""
         self._syncs += 1
         count, counters = self._syncs, self._counters
         counters[8 * self.rank] = count
-        for rank in range(self.size):
-            polls = 0
-            while counters[8 * rank] < count:
-                polls += 1
-                if polls % _POLLS_PER_YIELD == 0:
-                    # Lets the awaited process run if it shares this CPU,
-                    # as when another job runs beside this one.
-                    os.sched_yield()
-                    if polls % _POLLS_PER_CHECK == 0:
-                        self._check(rank, count)
+        other = 8 - 8 * self.rank
+        polls = 0
+        while counters[other] < count:
+            polls += 1
+            if polls % _POLLS_PER_YIELD == 0:
+                # Lets the other process run if it shares this CPU, as
+                # when another job runs beside this one.
+                os.sched_yield()
+                if polls % _POLLS_PER_CHECK == 0:
+                    self._check(count)
 
-    def _check(self, rank: int, count: int) -> None:
-        """React to a process ``rank`` that is slow to post ``count``."""
+    def _check(self, count: int) -> None:
+        """React to the other process being slow to post ``count``."""
         if self.rank:
             if os.getppid() != self._parent:
                 os._exit(1)  # rank 0 is gone: nobody wants the results
             return
-        pid = self._helpers.get(rank)
-        if pid is None:
-            raise ChildProcessError(f"helper {rank} ended before its work")
+        pid = self._helper
         ended, status = os.waitpid(pid, os.WNOHANG)
         if ended:
-            del self._helpers[rank]
-            if self._counters[8 * rank] < count:  # not a helper that is done
+            self._helper = None
+            if status or self._counters[8] < count:  # not a finished helper
                 raise _ended(pid, status)
 
-    def _serve(self, rank: int, body: Callable[[], T], cpus: list[int]):
-        """A helper's whole life: run ``body`` as ``rank``, then exit."""
+    def _serve(self, body: Callable[[], T], cpus: list[int] | None):
+        """The helper's whole life: run ``body`` as rank 1, then exit."""
         code = 1
         try:
-            self.rank = rank
-            _pin(cpus, rank)
+            self.rank = 1
+            _pin(cpus, 1)
             body()
             code = 0
         finally:
             os._exit(code)
 
-    def _stop_all(self) -> None:
-        while self._helpers:
-            _stop(self._helpers.popitem()[1])
+
+def _crew_cpus(size: int) -> list[int] | None:
+    """The CPUs a crew of ``size`` processes pins its ranks onto: the
+    ``_slot``-th run of ``size`` CPUs in this process's affinity set, so
+    that the crews of the processes ``run_groups`` runs at once share no
+    CPU. None (no pinning) for a lone process, where affinity cannot be
+    set, or where the set holds no such run."""
+    if size == 1 or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))[_slot * size:(_slot + 1) * size]
+    return cpus if len(cpus) == size else None
 
 
-def _pin(cpus: list[int], rank: int | None) -> None:
-    """Run this process on CPU ``rank`` of ``cpus`` (modulo their number),
-    or on all of them for None; a refusal leaves it where it runs."""
+def _pin(cpus, rank: int | None) -> None:
+    """Run this process on CPU ``cpus[rank]``, or on all of ``cpus`` for
+    None; a refusal or no ``cpus`` leaves it where it runs."""
     if cpus:
         try:
-            os.sched_setaffinity(
-                0, cpus if rank is None else {cpus[rank % len(cpus)]})
+            os.sched_setaffinity(0, cpus if rank is None else {cpus[rank]})
         except OSError:
             pass
 

@@ -206,22 +206,81 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
 
 
 @needs_helpers
-def test_more_helpers_than_cpus_finish(monkeypatch, forks):
-    # Four processes spinning at barriers on at most two CPUs: each must
-    # yield its CPU while it waits, or every barrier waits out a time
-    # slice (about 50x slower here without the yield).
-    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
+def test_a_helper_sharing_one_cpu_finishes(monkeypatch, forks):
+    # Both processes spin at their barriers on one CPU: each must yield it
+    # while it waits, or every barrier waits out a time slice.
+    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=598, n_fb=1,
                                        n_test=1)
     inputs = tasks.gen_narma_input(config.total_steps)
     elapsed, rows = [], []
-    for helpers in (0, 3):
-        use_helpers(monkeypatch, helpers)
-        started = time.perf_counter()
-        rows.append(reservoir.run_sequence(config, inputs).z_rows)
-        elapsed.append(time.perf_counter() - started)
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        for helpers in (0, 1):
+            use_helpers(monkeypatch, helpers)
+            started = time.perf_counter()
+            rows.append(reservoir.run_sequence(config, inputs).z_rows)
+            elapsed.append(time.perf_counter() - started)
+    finally:
+        os.sched_setaffinity(0, saved)
     assert rows[0].tobytes() == rows[1].tobytes()
     assert elapsed[1] < 10 * elapsed[0] + 0.5, elapsed
-    assert len(forks) == 3 and all(reaped(pid) for pid in forks)
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+def test_many_idle_cpus_fork_one_helper(monkeypatch, forks):
+    # More idle CPUs than columns still split each product in two.
+    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
+                                       n_test=1)
+    inputs = tasks.gen_narma_input(config.total_steps)
+    rows = []
+    for helpers in (0, 1000):
+        use_helpers(monkeypatch, helpers)
+        rows.append(reservoir.run_sequence(config, inputs).z_rows)
+    assert rows[0].tobytes() == rows[1].tobytes()
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
+                                                       forks):
+    # Two draws on four CPUs: two workers, each with a helper. The four
+    # processes must each pin a CPU of its own. Pinning is recorded, not
+    # done, as the host may have fewer CPUs.
+    use_workers(monkeypatch, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    pins = tmp_path / "pins"
+
+    def recording_setaffinity(pid, cpus):
+        with open(pins, "a") as f:
+            f.write(f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    assert main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
+    # Seen here: the worker and this process's helper; the worker forks
+    # its own helper.
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+    single = {}
+    for line in pins.read_text().splitlines():
+        pid, *cpus = line.split()
+        if len(cpus) == 1:
+            single.setdefault(pid, set()).add(cpus[0])
+    assert len(single) == 4
+    assert sorted(cpu for cpus in single.values() for cpu in cpus) == [
+        "0", "1", "2", "3"]
+
+
+def test_two_draws_on_two_cpus_fork_no_helper(tmp_path, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIX))
+    assert main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 
 def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
