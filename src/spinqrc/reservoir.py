@@ -377,7 +377,6 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     signs = z_sign_table(n)
     crew = workers.Crew(n >= _SPLIT_MIN_QUBITS and workers.idle_cpus() > 0
                         and len(inputs) * dim**3 >= _SPLIT_MIN_WORK)
-    helped = crew.size > 1
 
     # Each step computes work = prop rho, then the next rho =
     # (1-gamma) work prop† + gamma rho0, the mixing riding the second
@@ -398,7 +397,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
 
     rhos = (shared_matrix(),) * 2
     works = (shared_matrix(),) * 2
-    if helped:
+    if crew.size > 1:
         rhos, works = (rhos[0], shared_matrix()), (works[0], shared_matrix())
     np.copyto(rhos[0], start.rho)
     z_rows = np.empty((len(inputs), n))
@@ -408,7 +407,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     def steps() -> None:
         """The loop both processes run, each on its column block; rank 0
         also reads every state out and checks it."""
-        main = crew.rank == 0
+        main, helped = crew.rank == 0, crew.size > 1  # size 1 if no fork
         block = (slice(0, dim // crew.size) if main
                  else slice(dim // crew.size, dim))
         rho_blocks = [rho[:, block] for rho in rhos]

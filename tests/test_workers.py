@@ -243,6 +243,24 @@ def test_many_idle_cpus_fork_one_helper(monkeypatch, forks):
 
 
 @needs_helpers
+def test_a_failed_helper_fork_runs_alone(monkeypatch):
+    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
+                                       n_test=1)
+    inputs = tasks.gen_narma_input(config.total_steps)
+    rows = []
+    for helpers in (0, 1):
+        use_helpers(monkeypatch, helpers)
+        rows.append(reservoir.run_sequence(config, inputs).z_rows)
+
+    def failing_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    rows.append(reservoir.run_sequence(config, inputs).z_rows)
+    assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+
+
+@needs_helpers
 def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
                                                        forks):
     # Two draws on four CPUs: two workers, each with a helper. The four
