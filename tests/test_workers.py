@@ -185,6 +185,9 @@ def use_helpers(monkeypatch, count):
 needs_helpers = pytest.mark.skipif(
     not (hasattr(os, "fork") and workers._stores_in_order()),
     reason="no helper process is forked on this platform")
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"),
+    reason="no CPU affinity on this platform")
 
 
 @needs_helpers
@@ -206,6 +209,7 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
 
 
 @needs_helpers
+@needs_affinity
 def test_a_helper_sharing_one_cpu_finishes(monkeypatch, forks):
     # Both processes spin at their barriers on one CPU: each must yield it
     # while it waits, or every barrier waits out a time slice.
@@ -261,6 +265,7 @@ def test_a_failed_helper_fork_runs_alone(monkeypatch):
 
 
 @needs_helpers
+@needs_affinity
 def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
                                                        forks):
     # Two draws on four CPUs: two workers, each with a helper. The four
