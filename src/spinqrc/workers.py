@@ -265,15 +265,18 @@ class Crew:
 
 
 def _crew_cpus(size: int) -> list[int] | None:
-    """The CPUs a crew of ``size`` processes pins its ranks onto: the
-    ``_slot``-th run of ``size`` CPUs in this process's affinity set, so
-    that the crews of the processes ``run_groups`` runs at once share no
-    CPU. None (no pinning) for a lone process, where affinity cannot be
-    set, or where the set holds no such run."""
+    """The CPUs a crew of ``size`` processes pins its ranks onto, where the
+    crews of the processes ``run_groups`` runs at once fill this process's
+    affinity set exactly: the ``_slot``-th run of ``size`` CPUs in it, so
+    that those crews share no CPU. Otherwise None (no pinning), which
+    leaves the CPUs they do not fill to the scheduler and to other jobs;
+    also for a lone process or where affinity cannot be set."""
     if size == 1 or not hasattr(os, "sched_setaffinity"):
         return None
-    cpus = sorted(os.sched_getaffinity(0))[_slot * size:(_slot + 1) * size]
-    return cpus if len(cpus) == size else None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) != _concurrent * size:
+        return None
+    return cpus[_slot * size:(_slot + 1) * size]
 
 
 def _pin(cpus, rank: int | None) -> None:

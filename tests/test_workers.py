@@ -264,16 +264,14 @@ def test_a_failed_helper_fork_runs_alone(monkeypatch):
     assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
 
 
-@needs_helpers
-@needs_affinity
-def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
-                                                       forks):
-    # Two draws on four CPUs: two workers, each with a helper. The four
-    # processes must each pin a CPU of its own. Pinning is recorded, not
-    # done, as the host may have fewer CPUs.
+def run_on_four_fake_cpus(tmp_path, monkeypatch, seeds):
+    """Single-CPU pins of a 1-task n = 6 ``run`` on an affinity set faked
+    as CPUs 0-3, as {pid: CPUs}. Pinning is recorded, not done, as the host
+    may have fewer CPUs."""
     use_workers(monkeypatch, 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     pins = tmp_path / "pins"
+    pins.touch()
 
     def recording_setaffinity(pid, cpus):
         with open(pins, "a") as f:
@@ -283,18 +281,37 @@ def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SIX))
     assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
-    # Seen here: the worker and this process's helper; the worker forks
-    # its own helper.
-    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
+                 "--seeds", str(seeds), "--out", str(tmp_path / "out")]) == 0
     single = {}
     for line in pins.read_text().splitlines():
         pid, *cpus = line.split()
         if len(cpus) == 1:
-            single.setdefault(pid, set()).add(cpus[0])
+            single.setdefault(pid, []).extend(cpus)
+    return single
+
+
+@needs_helpers
+@needs_affinity
+def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
+                                                       forks):
+    # Two draws on four CPUs: two workers, each with a helper. The four
+    # processes must each pin a CPU of its own.
+    single = run_on_four_fake_cpus(tmp_path, monkeypatch, seeds=2)
+    # Seen here: the worker and this process's helper; the worker forks
+    # its own helper.
+    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
     assert len(single) == 4
     assert sorted(cpu for cpus in single.values() for cpu in cpus) == [
         "0", "1", "2", "3"]
+
+
+@needs_helpers
+@needs_affinity
+def test_a_crew_that_leaves_cpus_idle_pins_none(tmp_path, monkeypatch, forks):
+    # One draw on four CPUs: one process and one helper leave two CPUs,
+    # which pinning to CPUs 0 and 1 could strand beside another job.
+    assert run_on_four_fake_cpus(tmp_path, monkeypatch, seeds=1) == {}
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 
 def test_two_draws_on_two_cpus_fork_no_helper(tmp_path, monkeypatch, forks):
