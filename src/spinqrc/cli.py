@@ -7,7 +7,8 @@ Subcommands:
 * ``esn``    echo-state-network baseline comparison
 * ``report`` re-emit metrics.csv from stored manifest files
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a
+Exit codes: 0 on success, 2 for configuration problems (a run that the
+configured sizes make too large for memory among them), 3 when a
 numerical invariant is violated during a run.
 """
 from __future__ import annotations
@@ -217,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except SpinChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError as exc:  # sized by the configuration
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -11,7 +11,13 @@ process.
 A ``Crew`` spends a CPU that leaves idle (``idle_cpus``) inside one job:
 the calling process and one helper forked from it run the same loop, each
 on its own part of the data, and meet at points marked by counters in
-shared memory. Nothing is imported or started at import time.
+shared memory.
+
+Every child goes through one lifecycle: ``_fork`` runs a body in it and
+pipes back the body's value or exception, ``_collect`` reads that, reaps
+the child and raises the exception here, and ``_stop`` kills and reaps a
+child whose value an error made unwanted. Nothing is imported or started
+at import time.
 """
 from __future__ import annotations
 
@@ -21,10 +27,8 @@ from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# Processes that ``run_groups`` runs at once, which each of them sees, and
-# this process's index among them (0 for the calling process).
+# Processes that ``run_groups`` runs at once, which each of them sees.
 _concurrent = 1
-_slot = 0
 
 # Polls of a counter between two yields of the CPU, about 10 us, and
 # between two checks that the awaited process lives, about a millisecond.
@@ -63,9 +67,10 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
     children = []
     saved, _concurrent = _concurrent, processes
     try:
-        for slot, share in enumerate(shares[1:], 1):
+        for share in shares[1:]:
             try:
-                children.append((_fork(run, jobs, share, slot), share))
+                children.append(
+                    (_fork(lambda: [run(*jobs[i]) for i in share]), share))
             except OSError:  # no process to spare: run the share here
                 shares[0] += share
         for i in shares[0]:
@@ -81,12 +86,10 @@ def run_groups(run: Callable, jobs: Sequence[tuple],
     return results
 
 
-def _fork(run: Callable, jobs: Sequence[tuple], share: list[int],
-          slot: int) -> tuple[int, int]:
-    """Fork child ``slot``, which runs ``share`` and writes
-    ``(True, results)`` or ``(False, exception)``, pickled, to a pipe;
-    returns (pid, read end)."""
-    global _slot
+def _fork(body: Callable[[], object]) -> tuple[int, int]:
+    """Fork a child that runs ``body()``, writes ``(True, value)`` or
+    ``(False, exception)``, pickled, to a pipe and exits; returns (pid,
+    read end) for ``_collect`` or ``_stop``."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -96,10 +99,9 @@ def _fork(run: Callable, jobs: Sequence[tuple], share: list[int],
         raise
     if pid == 0:
         try:
-            _slot = slot
             os.close(read_fd)
             try:
-                payload = pickle.dumps((True, [run(*jobs[i]) for i in share]))
+                payload = pickle.dumps((True, body()))
             except BaseException as exc:  # sent to the parent, raised there
                 try:
                     payload = pickle.dumps((False, exc))
@@ -114,18 +116,18 @@ def _fork(run: Callable, jobs: Sequence[tuple], share: list[int],
     return pid, read_fd
 
 
-def _stop(pid: int, fd: int | None = None) -> None:
+def _stop(pid: int, fd: int) -> None:
     """Kill and reap a child whose results an error made unwanted."""
     import signal  # only on this error path
 
-    if fd is not None:
-        os.close(fd)
+    os.close(fd)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
 
 
-def _collect(pid: int, fd: int) -> list:
-    """Read a child's results to the end of its pipe and reap it."""
+def _collect(pid: int, fd: int):
+    """Read a child's value to the end of its pipe and reap it; raise the
+    child's exception, or ChildProcessError if it sent nothing."""
     try:
         with open(fd, "rb") as pipe:
             data = pipe.read()
@@ -135,14 +137,12 @@ def _collect(pid: int, fd: int) -> list:
         ok, value = pickle.loads(data)
     except Exception:
         raise ChildProcessError(
-            f"worker process {pid} ended (exit status "
+            f"child process {pid} ended (exit status "
             f"{os.waitstatus_to_exitcode(status)}) without sending results"
         ) from None
     if not ok:
         raise value
     return value
-
-
 
 
 def _stores_in_order() -> bool:
@@ -162,9 +162,10 @@ class Crew:
     At a ``sync`` each process counts its calls on a counter in shared
     memory and spins until the other's counter has caught up, so no step
     waits on the operating system. A spinning process watches the other:
-    rank 0 raises ChildProcessError when the helper has ended, and the
-    helper exits when its parent has. No helper is forked where ``fork``
-    is missing or stores may reach the other CPU out of order.
+    rank 0 raises the helper's error, or ChildProcessError, when the
+    helper has ended short of the count, and the helper exits when its
+    parent has. No helper is forked where ``fork`` is missing or stores
+    may reach the other CPU out of order.
     """
 
     def __init__(self, helper: bool):
@@ -172,7 +173,7 @@ class Crew:
                           and _stores_in_order()) else 1
         self.rank = 0
         self._parent = os.getpid()
-        self._helper: int | None = None  # its pid, until reaped
+        self._helper = None  # its (pid, pipe), until reaped
         self._syncs = 0
         # One counter per process, a cache line apart.
         self._counters = (memoryview(self.memory(128)).cast("q")
@@ -190,37 +191,37 @@ class Crew:
 
     def run(self, body: Callable[[], T]) -> T:
         """``body()`` in this process and in the helper, forked here, with
-        ``rank`` set; returns rank 0's value. A helper that cannot be forked
-        leaves rank 0 to run alone (``size`` 1). Each process is pinned to
-        a CPU of its own (``_crew_cpus``); rank 0's affinity is restored on
-        return. The helper is reaped before this returns or raises: after
-        an error, it is killed first."""
+        ``rank`` set; returns rank 0's value and raises the helper's error
+        as rank 0's. A helper that cannot be forked leaves rank 0 to run
+        alone (``size`` 1). The processes are pinned as ``_crew_cpus``
+        says, and rank 0's affinity is restored on return. The helper is
+        reaped before this returns or raises: after an error, it is killed
+        first."""
         cpus = _crew_cpus(self.size)
-        saved = os.sched_getaffinity(0) if cpus else None
+
+        def serve() -> None:  # the helper's life, until ``_fork`` exits
+            self.rank = 1
+            _pin(cpus, 1)
+            body()
+
         try:
             if self.size > 1:
                 try:
-                    pid = os.fork()
+                    self._helper = _fork(serve)
                 except OSError:  # no process to spare: run alone
                     self.size, self._counters = 1, None
                 else:
-                    if pid == 0:
-                        self._serve(body, cpus)
-                    self._helper = pid
                     _pin(cpus, 0)
             result = body()
             if self._helper is not None:
-                pid, self._helper = self._helper, None
-                _, status = os.waitpid(pid, 0)
-                if status:
-                    raise _ended(pid, status)
+                helper, self._helper = self._helper, None
+                _collect(*helper)
             return result
         finally:
             if self._helper is not None:
-                _stop(self._helper)
+                _stop(*self._helper)
                 self._helper = None
-            if saved is not None:
-                _pin(saved, None)
+            _pin(cpus, None)
 
     def sync(self) -> None:
         """Return once the other process has made as many ``sync`` calls
@@ -245,38 +246,28 @@ class Crew:
             if os.getppid() != self._parent:
                 os._exit(1)  # rank 0 is gone: nobody wants the results
             return
-        pid = self._helper
-        ended, status = os.waitpid(pid, os.WNOHANG)
-        if ended:
-            self._helper = None
-            if status or self._counters[8] < count:  # not a finished helper
-                raise _ended(pid, status)
+        import select  # only while rank 0 waits
 
-    def _serve(self, body: Callable[[], T], cpus: list[int] | None):
-        """The helper's whole life: run ``body`` as rank 1, then exit."""
-        code = 1
-        try:
-            self.rank = 1
-            _pin(cpus, 1)
-            body()
-            code = 0
-        finally:
-            os._exit(code)
+        # The helper's pipe turns readable once its body has ended.
+        pid, fd = self._helper
+        if select.select([fd], [], [], 0)[0] and self._counters[8] < count:
+            self._helper = None
+            _collect(pid, fd)  # raises the helper's error
+            raise ChildProcessError(
+                f"helper process {pid} returned before sync {count}")
 
 
 def _crew_cpus(size: int) -> list[int] | None:
-    """The CPUs a crew of ``size`` processes pins its ranks onto, where the
-    crews of the processes ``run_groups`` runs at once fill this process's
-    affinity set exactly: the ``_slot``-th run of ``size`` CPUs in it, so
-    that those crews share no CPU. Otherwise None (no pinning), which
-    leaves the CPUs they do not fill to the scheduler and to other jobs;
-    also for a lone process or where affinity cannot be set."""
+    """The CPUs a crew of ``size`` processes pins its ranks onto, rank r
+    onto CPU r: this process's affinity set, where it holds exactly the
+    crew's CPUs, as for a lone trajectory on a 2-CPU host, the one case
+    where pinning was measured to pay. Otherwise None (no pinning), which
+    leaves the CPUs to the scheduler; also for a lone process or where
+    affinity cannot be set."""
     if size == 1 or not hasattr(os, "sched_setaffinity"):
         return None
     cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) != _concurrent * size:
-        return None
-    return cpus[_slot * size:(_slot + 1) * size]
+    return cpus if len(cpus) == size else None
 
 
 def _pin(cpus, rank: int | None) -> None:
@@ -287,9 +278,3 @@ def _pin(cpus, rank: int | None) -> None:
             os.sched_setaffinity(0, cpus if rank is None else {cpus[rank]})
         except OSError:
             pass
-
-
-def _ended(pid: int, status: int) -> ChildProcessError:
-    return ChildProcessError(
-        f"helper process {pid} ended with exit status "
-        f"{os.waitstatus_to_exitcode(status)}")

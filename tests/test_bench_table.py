@@ -68,3 +68,19 @@ def test_one_seed_n9_column():
     assert dict(columns(snapshot))["n9x1.median_s"] == "1.800"
     # Snapshots older than the entry print a dash.
     assert dict(columns({}))["n9x1.median_s"] == "-"
+
+
+def test_scored_per_control_columns():
+    columns = bench_table().columns
+    snapshot = {"scored": {
+        "sweep": {"metrics": {"wall_s": {"value": 0.5}},
+                  "control_s": [0.4, 0.6]},
+        "long_run": {"metrics": {"wall_s": {"value": 2.0}},
+                     "control_s": [0.8, 0.8]}}}
+    cells = dict(columns(snapshot))
+    assert (cells["sweep/control"], cells["long_run/control"]) == (
+        "1.00", "2.50")
+    # Snapshots older than the control beside the scored runs print a dash.
+    del snapshot["scored"]["long_run"]["control_s"]
+    assert dict(columns(snapshot))["long_run/control"] == "-"
+    assert dict(columns({}))["sweep/control"] == "-"

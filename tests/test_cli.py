@@ -308,6 +308,20 @@ def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
     assert not (out / "metrics.csv").exists()
 
 
+def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
+    # The NARMA drive's first array needs 800 PB, more than any address
+    # space holds, so its allocation fails at once.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_pre": 10**17}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--task", "narma2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command, cfg, unknown", [
     ("run", {"n_qubits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
              "n_test": 10}, "gama"),

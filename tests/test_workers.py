@@ -264,12 +264,13 @@ def test_a_failed_helper_fork_runs_alone(monkeypatch):
     assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
 
 
-def run_on_four_fake_cpus(tmp_path, monkeypatch, seeds):
-    """Single-CPU pins of a 1-task n = 6 ``run`` on an affinity set faked
-    as CPUs 0-3, as {pid: CPUs}. Pinning is recorded, not done, as the host
-    may have fewer CPUs."""
-    use_workers(monkeypatch, 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+def run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds):
+    """Exit code of a 1-task n = 6 ``run`` on an affinity set faked as
+    ``cpus``, and the CPUs each process set its affinity to, as {pid: [CPU
+    lists, in call order]}. Pinning is recorded, not done, as the host may
+    have other CPUs."""
+    use_workers(monkeypatch, len(cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     pins = tmp_path / "pins"
     pins.touch()
 
@@ -280,38 +281,55 @@ def run_on_four_fake_cpus(tmp_path, monkeypatch, seeds):
     monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SIX))
-    assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", str(seeds), "--out", str(tmp_path / "out")]) == 0
-    single = {}
+    code = main(["run", "--config", str(config), "--task", "narma2",
+                 "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+    calls = {}
     for line in pins.read_text().splitlines():
-        pid, *cpus = line.split()
-        if len(cpus) == 1:
-            single.setdefault(pid, []).extend(cpus)
-    return single
+        pid, *pinned = map(int, line.split())
+        calls.setdefault(pid, []).append(pinned)
+    return code, calls
 
 
 @needs_helpers
 @needs_affinity
-def test_crews_of_concurrent_workers_pin_disjoint_cpus(tmp_path, monkeypatch,
-                                                       forks):
-    # Two draws on four CPUs: two workers, each with a helper. The four
-    # processes must each pin a CPU of its own.
-    single = run_on_four_fake_cpus(tmp_path, monkeypatch, seeds=2)
-    # Seen here: the worker and this process's helper; the worker forks
-    # its own helper.
-    assert len(forks) == 2 and all(reaped(pid) for pid in forks)
-    assert len(single) == 4
-    assert sorted(cpu for cpus in single.values() for cpu in cpus) == [
-        "0", "1", "2", "3"]
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_a_lone_crew_pins_each_rank_to_its_cpu(tmp_path, monkeypatch, forks,
+                                               fails):
+    # One draw on two CPUs: the crew fills the affinity set, so rank 0 runs
+    # on CPU 0 and the helper on CPU 1, and rank 0 gets both CPUs back
+    # however the run ends.
+    if fails:
+        check_state = reservoir._check_state
+        checks = []
 
+        def failing(rho, spare, full=True):
+            checks.append(full)
+            if len(checks) == 20:
+                raise StateInvariantError("trace deviates from 1 by 1e-3")
+            check_state(rho, spare, full)
 
-@needs_helpers
-@needs_affinity
-def test_a_crew_that_leaves_cpus_idle_pins_none(tmp_path, monkeypatch, forks):
-    # One draw on four CPUs: one process and one helper leave two CPUs,
-    # which pinning to CPUs 0 and 1 could strand beside another job.
-    assert run_on_four_fake_cpus(tmp_path, monkeypatch, seeds=1) == {}
+        monkeypatch.setattr(reservoir, "_check_state", failing)
+    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, [0, 1], seeds=1)
+    assert code == (EXIT_NUMERICAL if fails else 0)
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+    assert calls == {os.getpid(): [[0], [0, 1]], forks[0]: [[1]]}
+
+
+@needs_helpers
+@needs_affinity
+@pytest.mark.parametrize("seeds", [2, 1], ids=["two_draws", "one_draw"])
+def test_crews_that_do_not_fill_the_cpus_pin_none(tmp_path, monkeypatch,
+                                                  forks, seeds):
+    # Four CPUs. Two draws: two workers, each with a helper, which pinning
+    # would have to keep apart. One draw: one crew leaves two CPUs, which
+    # pinning to CPUs 0 and 1 could strand beside another job.
+    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, [0, 1, 2, 3],
+                                   seeds)
+    assert code == 0 and calls == {}
+    # Seen here: this process's helper and, for two draws, the worker; the
+    # worker forks its own helper.
+    assert len(forks) == seeds
+    assert all(reaped(pid) for pid in forks)
 
 
 def test_two_draws_on_two_cpus_fork_no_helper(tmp_path, monkeypatch, forks):
@@ -362,6 +380,28 @@ def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
         "error: trace deviates from 1 by nan before step 0 (member: topology "
         "linear, n_qubits 6, gamma 0.1, coupling_seed 0)\n")
     assert not (out / "metrics.csv").exists()
+    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+@needs_helpers
+def test_a_helper_error_is_raised_as_itself(monkeypatch, forks):
+    use_helpers(monkeypatch, 1)
+    sync = workers.Crew.sync
+    calls = []
+
+    def failing(crew):
+        if crew.rank == 1:
+            calls.append(None)  # counted in the helper's own memory
+            if len(calls) == 5:
+                raise MemoryError("the helper ran out of memory")
+        sync(crew)
+
+    monkeypatch.setattr(workers.Crew, "sync", failing)
+    config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
+                                       n_test=1)
+    with pytest.raises(MemoryError, match="^the helper ran out of memory$"):
+        reservoir.run_sequence(config, tasks.gen_narma_input(300))
+    assert calls == []
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 

@@ -5,7 +5,9 @@
 Run from the root of a checkout. Stdlib only. The snapshot holds
 
 * ``scored``: the last JSON line of ``perfbench/run.py`` for the scored
-  ``sweep`` and ``long_run`` workloads (end-to-end metrics);
+  ``sweep`` and ``long_run`` workloads (end-to-end metrics), each with
+  ``control_s``, the seconds of the host control (``CONTROL``) run just
+  before and just after it in fresh processes;
 * ``traced``: the same for one ``--trace 1`` run of ``sweep`` (per-layer
   metrics);
 * ``sweep_10_seeds``: wall times and peak RSS of ``REPEATS`` default
@@ -71,11 +73,11 @@ CRITERION_1_RUNS = 5
 CRITERION_1_COST = re.compile(
     r"suite ([0-9.]+)s = ([0-9.]+)x the ([0-9.]+)s .*\(budget ([0-9.]+)x\)")
 
-# The host control: a fixed amount of BLAS work, timed next to each 10-seed
-# sweep so that snapshots taken while the host ran at different speeds
-# compare. It is criterion 1's floor, ``zgemm_floor`` in the acceptance
-# suite: the best of 3 timings of 10,000 pairs of the kernel's two dim-64
-# products at one BLAS thread. It prints its seconds.
+# The host control: a fixed amount of BLAS work, timed next to each scored
+# run and each 10-seed sweep so that snapshots taken while the host ran at
+# different speeds compare. It is criterion 1's floor, ``zgemm_floor`` in
+# the acceptance suite: the best of 3 timings of 10,000 pairs of the
+# kernel's two dim-64 products at one BLAS thread. It prints its seconds.
 CONTROL = """\
 import sys
 sys.path.insert(0, "tests")
@@ -219,6 +221,15 @@ def timed_control(root: Path) -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
+def scored_run(root: Path, workload: str, seconds: float) -> dict:
+    """One scored perfbench run, with the control timed before and after
+    it as ``control_s``."""
+    before = timed_control(root)
+    run = perfbench(root, workload, seconds, 0)
+    run["control_s"] = [round(before, 4), round(timed_control(root), 4)]
+    return run
+
+
 def sweep_record(checkouts: dict[str, Path], root: Path) -> dict:
     """The 10-seed sweeps of each checkout, alternating, each followed by
     the control in ``root``, the same code for every checkout."""
@@ -277,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                      "it measured")
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
 
-    scored = {w: perfbench(root, w, seconds, 0)
-              for w in ("sweep", "long_run")}
+    scored = {w: scored_run(root, w, seconds) for w in ("sweep", "long_run")}
     traced = perfbench(root, "sweep", seconds, 1)
     checkouts = {"change": root}
     if args.baseline is not None:

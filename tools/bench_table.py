@@ -8,7 +8,9 @@ scored ``sweep`` and ``long_run`` ``wall_s``, ``steps_per_s``,
 ``setup_s`` and ``peak_rss_mb``; the median of its default 10-seed
 ``sweep`` runs; the median criterion-1 ``zgemm`` floor; each wall time
 divided by that floor; the median of each 10-seed ``sweep`` wall time
-divided by the control timed next to it (``sweep10/control``); and
+divided by the control timed next to it (``sweep10/control``); each
+scored ``wall_s`` divided by the mean of the controls timed before and
+after its run (``sweep/control``, ``long_run/control``); and
 criterion 1's median cost ratio with its passed/total runs, such as
 ``1.52(5/5)``, so a red criterion 1 shows in the table; and the median
 wall time of the one-seed nine-qubit ``run`` (``n9x1.median_s``). The
@@ -51,14 +53,17 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     """(header, cell) of each column of one snapshot's row."""
     commit = _get(snapshot, "environment", "commit")
     cells = [("commit", commit[:10] if commit else "-")]
-    walls = []
+    walls, per_control = [], []
     for workload in SCORED:
         for name, spec in SCORED_METRICS:
             value = _get(snapshot, "scored", workload, "metrics", name, "value")
             cells.append((f"{workload}.{name}", _fmt(value, spec)))
-        walls.append((f"{workload}/floor",
-                       _get(snapshot, "scored", workload, "metrics", "wall_s",
-                            "value")))
+        wall = _get(snapshot, "scored", workload, "metrics", "wall_s", "value")
+        walls.append((f"{workload}/floor", wall))
+        controls = _get(snapshot, "scored", workload, "control_s")
+        per_control.append((f"{workload}/control",
+                            wall / statistics.mean(controls)
+                            if wall is not None and controls else None))
     median = _get(snapshot, "sweep_10_seeds", "change", "median_s")
     cells.append(("sweep10.median_s", _fmt(median, "{:.3f}")))
     walls.append(("sweep10/floor", median))
@@ -69,11 +74,10 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     for header, wall in walls:
         ratio = wall / floor if wall is not None and floor else None
         cells.append((header, _fmt(ratio, "{:.2f}")))
-    per_control = _get(snapshot, "sweep_10_seeds", "change",
-                       "wall_per_control")
-    cells.append(("sweep10/control",
-                  _fmt(statistics.median(per_control) if per_control
-                       else None, "{:.2f}")))
+    sweeps = _get(snapshot, "sweep_10_seeds", "change", "wall_per_control")
+    per_control.append(("sweep10/control",
+                        statistics.median(sweeps) if sweeps else None))
+    cells += [(header, _fmt(ratio, "{:.2f}")) for header, ratio in per_control]
     ratios = [run["ratio"] for run in runs if run.get("ratio") is not None]
     passed = sum(run.get("passed") is True for run in runs)
     cells.append(("crit1.ratio(passed)",
