@@ -23,8 +23,8 @@ from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
 from .esn import EsnConfig
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
-                         run_experiment, emit_report, unique_keys,
-                         write_metrics)
+                         emit_report, json_object, run_experiment,
+                         unique_keys, write_metrics)
 from .reservoir import ReservoirConfig, Schedule, Topology
 
 # Every ReservoirConfig field but the coupling seed, which each ensemble
@@ -71,22 +71,10 @@ def _load_config(path: str | None) -> dict:
         data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    _check_keys(f"config file {path}", data, CONFIG_KEYS)
+    json_object(data, f"config file {path}", CONFIG_KEYS)
     for block, keys in BLOCK_KEYS.items():
-        block_cfg = data.get(block, {})
-        if not isinstance(block_cfg, dict):
-            raise ConfigError(f"{block!r} must be a JSON object")
-        _check_keys(f"the {block!r} block of {path}", block_cfg, keys)
+        json_object(data.get(block, {}), f"the {block} block of {path}", keys)
     return data
-
-
-def _check_keys(where: str, data: dict, known: tuple[str, ...]) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
-                          f"{where}; known keys: {', '.join(sorted(known))}")
 
 
 def _reservoir_config_dict(file_cfg: dict, args: argparse.Namespace) -> dict:
@@ -141,12 +129,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_esn(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
-    esn_cfg = file_cfg.get("esn", {})
-    config = {k: esn_cfg[k] for k in ESN_CONFIG_KEYS if k in esn_cfg}
-    config.update({k: file_cfg[k] for k in PHASE_KEYS if k in file_cfg})
+    config = dict(file_cfg.get("esn", {}))  # ESN_CONFIG_KEYS and variants
     given = _manifest_fields(file_cfg, args)
-    if "variants" in esn_cfg:
-        given["variants"] = esn_cfg["variants"]
+    if "variants" in config:
+        given["variants"] = config.pop("variants")
+    config.update({k: file_cfg[k] for k in PHASE_KEYS if k in file_cfg})
     manifest = ExperimentManifest(kind="esn", config=config, **given)
     return _run_and_report([manifest], args.out)
 

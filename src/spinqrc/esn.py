@@ -62,7 +62,8 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     n = config.n_nodes
     stream = Stream(config.weight_seed)
-    w = np.array(stream.uniform(config.w_scale, n * n)).reshape(n, n)
+    w = np.empty((n, n))  # first: a size no memory holds fails at once
+    w.flat[:] = stream.uniform(config.w_scale, n * n)
     w_in = np.array(stream.uniform(config.w_in_scale, n))
     return w, w_in
 

@@ -12,11 +12,12 @@ import itertools
 import json
 import numbers
 import os
+import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
 from .tasks import NARMA_ORDERS, gen_stm
 
 MAX_SWEEP_CELLS = 10_000
+MAX_SEEDS = 10_000  # per manifest; run_experiment builds every member first
 
 TASK_NAMES = ("stm",) + tuple(f"narma{n}" for n in NARMA_ORDERS)
 
@@ -53,6 +55,42 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ConfigError(f"repeated key {key!r} in a JSON object")
         d[key] = value
     return d
+
+
+def json_object(value: object, where: str, keys: Collection[str] | None,
+                required: Collection[str] = ()) -> dict:
+    """``value``, a JSON object from outside, when it is a dict whose keys
+    all lie in ``keys`` (any key when ``keys`` is None) and include
+    ``required``; else ConfigError naming ``where`` it came from."""
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"{where} must be a JSON object, got {reprlib.repr(value)}")
+    unknown = [] if keys is None else [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                          f"in {where}; known keys: {', '.join(sorted(keys))}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"{where} has no {', '.join(map(repr, missing))}")
+    return value
+
+
+def json_list(values: object, where: str) -> tuple:
+    """``values``, a JSON list from outside, as a tuple when it is a list or
+    tuple that holds no value twice; else ConfigError naming ``where`` it
+    came from. Unhashable entries, which later checks reject, compare
+    pairwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(
+            f"{where} must be a list, got {reprlib.repr(values)}")
+    try:
+        repeated = len(set(values)) < len(values)
+    except TypeError:
+        repeated = any(v in values[:i] for i, v in enumerate(values))
+    if repeated:
+        raise ConfigError(
+            f"{where} has a duplicate value: {reprlib.repr(values)}")
+    return tuple(values)
 
 
 def parse_task(name: str) -> None:
@@ -94,9 +132,8 @@ class RowStats:
         """The row a ``to_dict`` value describes; ConfigError for any other
         value, so a damaged manifest cannot write a damaged row."""
         keys = ("task", "topology", "readout_type", "gamma", "metric")
-        if not isinstance(d, dict) or set(d) != {*keys, "per_seed"}:
-            raise ConfigError(f"a metrics row must be an object with the keys "
-                              f"{', '.join(keys)}, per_seed; got {d!r}")
+        json_object(d, "a metrics row", keys + ("per_seed",),
+                    required=keys + ("per_seed",))
         for key in keys:
             if not isinstance(d[key], str):
                 raise ConfigError(
@@ -143,9 +180,7 @@ class ExperimentManifest:
         if self.readout not in {r.value for r in ReadoutType}:
             raise ConfigError(f"unknown readout {self.readout}; expected 1 or 2")
         for name in ("tasks", "stm_delays", "variants"):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {values!r}")
+            values = json_list(getattr(self, name), name)
             for value in values:
                 if name == "tasks":
                     parse_task(value)
@@ -153,13 +188,12 @@ class ExperimentManifest:
                     check_numbers(SimpleNamespace(**{name: value}), (name,), ())
                 if name == "stm_delays" and not 0 <= value <= 99:
                     raise ConfigError(f"stm delay {value} outside [0, 99]")
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} has a duplicate value: {values}")
-            setattr(self, name, tuple(values))
+            setattr(self, name, values)
         if not self.tasks:
             raise ConfigError("tasks is empty; a manifest needs a task")
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be positive")
+        if not 1 <= self.n_seeds <= MAX_SEEDS:
+            raise ConfigError(
+                f"n_seeds must be in [1, {MAX_SEEDS}], got {self.n_seeds}")
         for name in ("base_seed", "input_seed", "ridge"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, "
@@ -181,22 +215,14 @@ class ExperimentManifest:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentManifest":
-        d = json.loads(text, object_pairs_hook=unique_keys)
-        if not isinstance(d, dict):
-            raise ConfigError(f"a manifest must hold a JSON object, got a "
-                              f"JSON {type(d).__name__}")
-        metrics = d.pop("metrics", {})
-        if not isinstance(metrics, dict):
-            raise ConfigError(f"metrics must be a JSON object, got {metrics!r}")
-        metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
         stored = [f for f in fields(ExperimentManifest)
                   if f.name != "trajectory"]
-        for key in d:
-            if key not in {f.name for f in stored}:
-                raise ConfigError(f"unknown manifest key {key!r}")
-        for f in stored:
-            if f.name not in d and f.default is f.default_factory is MISSING:
-                raise ConfigError(f"the manifest has no {f.name!r}")
+        d = json_object(json.loads(text, object_pairs_hook=unique_keys),
+                        "the manifest", [f.name for f in stored],
+                        [f.name for f in stored
+                         if f.default is f.default_factory is MISSING])
+        metrics = json_object(d.pop("metrics", {}), "metrics", None)
+        metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
             derived = {row.stats.row_id: row.stats for row in manifest_rows(m)}
@@ -269,13 +295,8 @@ def _member_config(cls: type, config: object, **member: object):
     """``cls`` built from a manifest's ``config`` and the ``member`` fields
     that the manifest sets itself; ConfigError unless ``config`` is a dict
     of ``cls``'s other fields."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"config must be a JSON object, got {config!r}")
-    keys = {f.name for f in fields(cls)} - set(member)
-    for key in config:
-        if key not in keys:
-            raise ConfigError(f"unknown config key {key!r}")
-    return cls(**config, **member)
+    keys = [f.name for f in fields(cls) if f.name not in member]
+    return cls(**json_object(config, "config", keys), **member)
 
 
 def _task_drive(task: str, length: int, input_seed: int) -> np.ndarray:
@@ -414,18 +435,12 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         for axis in fields(self):
-            axis_name, values = axis.name, getattr(self, axis.name)
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(
-                    f"sweep axis {axis_name} must be a list, got {values!r}")
+            # The configs built from the entries check them.
+            values = json_list(getattr(self, axis.name),
+                               f"sweep axis {axis.name}")
             if not values:
-                raise ConfigError(f"sweep axis {axis_name} is empty")
-            # Compared pairwise, not through a set: the entries are checked
-            # by the configs built from them, so they may be unhashable here.
-            if any(v in values[:i] for i, v in enumerate(values)):
-                raise ConfigError(
-                    f"sweep axis {axis_name} has a duplicate value: {values}")
-            object.__setattr__(self, axis_name, tuple(values))
+                raise ConfigError(f"sweep axis {axis.name} is empty")
+            object.__setattr__(self, axis.name, values)
 
     def manifests(self, base_config: dict,
                   **manifest_fields) -> list[ExperimentManifest]:

@@ -309,14 +309,6 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
     return ReservoirState(rho=rho, step=state.step + 1), z_rows[0]
 
 
-def _input_flip(n_qubits: int, input_qubit: int) -> np.ndarray:
-    """Column order of ``U X_q``: each basis index with the input qubit's bit
-    flipped. The input rotation acts on one qubit, so the composed
-    propagator is U R(s) = cos(pi s/2) U + i sin(pi s/2) U X_q, two scaled
-    adds instead of a matrix product."""
-    return np.arange(2**n_qubits) ^ (1 << (n_qubits - input_qubit))
-
-
 def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory:
     """Run one full prep/train/test sequence from the all-ground state.
 
@@ -370,7 +362,10 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     dim = 2**n
     blas = kernel_blas()
     U = np.asfortranarray(U, dtype=complex)
-    u_flip = np.asfortranarray(U[:, _input_flip(n, input_qubit)])
+    # U X_q, U's columns with the input qubit's bit flipped: the rotation
+    # acts on one qubit, so the propagator U R(s) = cos(pi s/2) U +
+    # i sin(pi s/2) U X_q takes two scaled adds, not a matrix product.
+    u_flip = np.asfortranarray(U[:, np.arange(dim) ^ (1 << (n - input_qubit))])
     gamma_rho0 = np.empty_like(U)
     np.multiply(rho0, gamma, out=gamma_rho0)
     keep = 1.0 - gamma
@@ -415,54 +410,53 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
         spare = np.empty_like(U)
         # The composed propagators of the last two distinct input values
         # stay in ``props``, keyed on the values' float64 bits, so a binary
-        # drive composes two per trajectory; ``lru`` is the slot to
-        # overwrite next. A slot's BLAS calls, one pair per parity, are
-        # bound to its buffers when it is first composed.
+        # drive composes two per trajectory; a new value overwrites the
+        # slot the last step did not use. A slot's BLAS calls, one pair per
+        # parity, are bound to its buffers when it is first composed.
         props = (np.empty_like(U), np.empty_like(U))
         prop_keys = [None, None]
         products = [None, None]
-        lru = 0
+        slot = 1
+        last = len(inputs)
         k = 0
         try:
             if main:
                 _check_state(rhos[0], spare)
-            for k, s in enumerate(inputs):
-                key = input_bits[k]
-                if key == prop_keys[0]:
-                    slot = 0
-                elif key == prop_keys[1]:
-                    slot = 1
-                else:
-                    slot, prop = lru, props[lru]
-                    np.multiply(U, cos(half * s), out=prop)
-                    np.multiply(u_flip, 1j * sin(half * s), out=spare)
-                    np.add(prop, spare, out=prop)
-                    prop_keys[slot] = key
-                    if products[slot] is None:
-                        products[slot] = [
-                            (blas.gemm(prop, rhos[p], works[p], cols=block),
-                             blas.gemm(works[p], prop, rhos[p ^ 1],
-                                       alpha=keep, beta=1.0, conj_b=True,
-                                       cols=block))
-                            for p in (0, 1)]
-                lru = slot ^ 1
-                propagate, mix = products[slot][k & 1]
-                propagate()  # work[:, b] = prop rho[:, b]
+            # Step k absorbs input k; its pass also reads out the state
+            # after input k - 1, and a last pass reads out the final state.
+            for k in range(last + 1):
+                if k < last:
+                    key = input_bits[k]
+                    if key == prop_keys[0]:
+                        slot = 0
+                    elif key == prop_keys[1]:
+                        slot = 1
+                    else:
+                        slot ^= 1
+                        prop, s = props[slot], inputs[k]
+                        np.multiply(U, cos(half * s), out=prop)
+                        np.multiply(u_flip, 1j * sin(half * s), out=spare)
+                        np.add(prop, spare, out=prop)
+                        prop_keys[slot] = key
+                        if products[slot] is None:
+                            products[slot] = [
+                                (blas.gemm(prop, rhos[p], works[p], cols=block),
+                                 blas.gemm(works[p], prop, rhos[p ^ 1],
+                                           alpha=keep, beta=1.0, conj_b=True,
+                                           cols=block))
+                                for p in (0, 1)]
+                    propagate, mix = products[slot][k & 1]
+                    propagate()  # work[:, b] = prop rho[:, b]
                 if helped:
                     crew.sync()  # every block of work and of rho is written
                 if k and main:  # the state after input k - 1
                     rho = rhos[k & 1]
                     z_rows[k - 1] = signs @ rho.diagonal().real
-                    _check_state(rho, spare, full=k % _CHECK_INTERVAL == 0)
-                np.copyto(rho_blocks[(k + 1) & 1], reset)
-                mix()  # rho'[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
-            k = len(inputs)
-            if helped:
-                crew.sync()  # every block of the last state is written
-            if k and main:
-                rho = rhos[k & 1]
-                z_rows[k - 1] = signs @ rho.diagonal().real
-                _check_state(rho, spare)
+                    _check_state(rho, spare, full=k % _CHECK_INTERVAL == 0
+                                 or k == last)
+                if k < last:
+                    np.copyto(rho_blocks[(k + 1) & 1], reset)
+                    mix()  # rho'[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
         except StateInvariantError as exc:
             where = (f"before step {start.step}" if k == 0
                      else f"at step {start.step + k - 1}")

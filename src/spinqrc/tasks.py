@@ -33,7 +33,9 @@ def gen_stm(length: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. binary input stream of the delayed-recall task."""
     if length < 1:
         raise ConfigError("length must be positive")
-    return np.array(Stream(seed).bits(length), dtype=float)
+    drive = np.empty(length)  # first: a length no memory holds fails at once
+    drive[:] = Stream(seed).bits(length)
+    return drive
 
 
 def gen_narma_input(length: int) -> np.ndarray:

@@ -84,3 +84,13 @@ def test_scored_per_control_columns():
     del snapshot["scored"]["long_run"]["control_s"]
     assert dict(columns(snapshot))["long_run/control"] == "-"
     assert dict(columns({}))["sweep/control"] == "-"
+
+
+def test_source_lines_column():
+    columns = bench_table().columns
+    snapshot = {"environment": {"src_lines": {"cli.py": 200,
+                                              "experiment.py": 530}}}
+    assert dict(columns(snapshot))["src_lines"] == "730"
+    # Snapshots older than the count print a dash.
+    assert dict(columns({}))["src_lines"] == "-"
+    assert dict(columns({"environment": {"commit": "abc"}}))["src_lines"] == "-"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,31 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("argv, cfg, error", [
+    # The STM drive's 10**17 bits, and the ESN's 10**18 recurrent weights,
+    # are allocated before they are drawn, so the allocation fails at once.
+    (["run", "--task", "stm"], {"n_pre": 10**17}, "out of memory: "),
+    (["esn", "--task", "narma2", "--seeds", "1"],
+     dict(PHASES, esn={"n_nodes": 10**9, "variants": [1]}), "out of memory: "),
+    # A manifest holds at most MAX_SEEDS members.
+    (["run", "--task", "narma2", "--seeds", str(10**12)], SMALL,
+     "n_seeds must be in [1, 10000], got 1000000000000"),
+], ids=["stm_drive", "esn_weights", "seeds"])
+def test_a_size_no_run_can_hold_exits_2_at_once(tmp_path, capsys, argv, cfg,
+                                                error):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == \
+        EXIT_CONFIG
+    assert time.monotonic() - started < 30
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg, unknown", [
     ("run", {"n_qubits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
              "n_test": 10}, "gama"),
@@ -363,7 +389,11 @@ BAD_MANIFEST_VALUES = {
                          "stm_delays must be an integer, got [1]"),
     "scalar_stm_delays": ({"stm_delays": 1}, "stm_delays must be a list"),
     "out_of_range_stm_delays": ({"stm_delays": [-1, 100]},
-                                "stm delay -1 outside [0, 99]")}
+                                "stm delay -1 outside [0, 99]"),
+    "repeated_stm_delays": ({"stm_delays": [1, 1]},
+                            "stm_delays has a duplicate value: [1, 1]"),
+    "scalar_tasks": ({"tasks": "narma2"}, "tasks must be a list, got 'narma2'"),
+    "zero_seeds": ({"seeds": 0}, "n_seeds must be in [1, 10000], got 0")}
 
 # A stored manifest that `report` reads, and broken variants of its metrics.
 ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
@@ -379,6 +409,13 @@ BAD_STORED_METRICS = {
                      "metrics row gamma must be a string, got 5"),
     "empty_per_seed": ({"r": dict(ROW, per_seed=[])},
                        "per_seed must be a non-empty list of numbers"),
+    "number_row": ({"r": 5}, "a metrics row must be a JSON object, got 5"),
+    "unknown_row_key": ({"r": dict(ROW, colour=1)},
+                        "unknown key(s) 'colour' in a metrics row; known "
+                        "keys: gamma, metric, per_seed, readout_type, task, "
+                        "topology"),
+    "missing_row_key": ({"r": {k: v for k, v in ROW.items() if k != "metric"}},
+                        "a metrics row has no 'metric'"),
     # Well-formed rows that are not the manifest's own: it produces the one
     # row narma2|linear|per_qubit|0.1, an nmse with 10 per-seed values.
     "foreign_row": ({"narma2|ring|per_qubit|0.1": dict(
@@ -404,6 +441,10 @@ BAD_STORED_METRICS = {
     ("run", dict(SMALL, topology="rign"), "unknown topology 'rign'"),
     ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[1, 1])),
      "variants has a duplicate value"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[])),
+     "need at least one ESN variant"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=3)),
+     "variants must be a list, got 3"),
     *(("run", dict(SMALL, **bad), fragment)
       for bad, fragment in BAD_MANIFEST_VALUES.values()),
     ("sweep", dict(SMALL, ridge="a"), "ridge must be a finite number"),
@@ -421,15 +462,17 @@ BAD_STORED_METRICS = {
      "base_seed must be non-negative, got -3"),
     *(("report", dict(MANIFEST, metrics=bad), fragment)
       for bad, fragment in BAD_STORED_METRICS.values()),
-    ("report", [MANIFEST], "a manifest must hold a JSON object"),
+    ("report", [MANIFEST], "the manifest must be a JSON object, got [{"),
     ("report", dict(MANIFEST, config={"gama": 0.5}),
-     "unknown config key 'gama'"),
+     "unknown key(s) 'gama' in config; known keys: gamma, input_qubit, "),
     ("report", dict(MANIFEST, config=[4]), "config must be a JSON object"),
-    ("report", dict(MANIFEST, colour=1), "unknown manifest key 'colour'"),
+    ("report", dict(MANIFEST, colour=1),
+     "unknown key(s) 'colour' in the manifest; known keys: base_seed, "),
     ("report", {k: v for k, v in MANIFEST.items() if k != "tasks"},
      "the manifest has no 'tasks'"),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
-        *BAD_MANIFEST_VALUES, "sweep_string_ridge", "sweep_fractional_n_seeds",
+        "no_variants", "scalar_variants", *BAD_MANIFEST_VALUES,
+        "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
         "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list",
@@ -447,6 +490,25 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, where, got", [
+    ("run", [SMALL], "config file {}",
+     "[{'n_fb': 30, 'n_pre': 10, 'n_qubits': 4, 'n_test': 10}]"),
+    ("sweep", dict(SMALL, sweep=[1]), "the sweep block of {}", "[1]"),
+    ("esn", dict(PHASES, esn="big"), "the esn block of {}", "'big'"),
+], ids=["file", "sweep_block", "esn_block"])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, command,
+                                                cfg, where, got):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--task", "narma2",
+                 "--seeds", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {where.format(path)} must be a JSON object, got {got}\n")
     assert not out.exists()
 
 

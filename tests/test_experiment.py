@@ -10,9 +10,9 @@ from spinqrc import experiment, workers
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, RowStats,
-                                SweepGrid, emit_report, metrics_csv_text,
-                                parse_task, run_experiment,
-                                trajectory_csv_text)
+                                SweepGrid, emit_report, json_list,
+                                json_object, metrics_csv_text, parse_task,
+                                run_experiment, trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
@@ -72,6 +72,34 @@ class TestParseTask:
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
             parse_task("narma3")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: json_object([1], "block", ("a",)),
+     "block must be a JSON object, got [1]"),
+    (lambda: json_object({"a": 1, "c": 2, "b": 3}, "block", ("b", "a")),
+     "unknown key(s) 'c' in block; known keys: a, b"),
+    (lambda: json_object({"a": 1}, "block", None, required=("a", "b", "c")),
+     "block has no 'b', 'c'"),
+    (lambda: json_list({"a": 1}, "axis"), "axis must be a list, got {'a': 1}"),
+    (lambda: json_list([[1], [2], [1]], "axis"),
+     "axis has a duplicate value: [[1], [2], [1]]"),
+    (lambda: json_list((0.5, 1, 1.0), "axis"),
+     "axis has a duplicate value: (0.5, 1, 1.0)"),
+], ids=["not_an_object", "unknown_key", "missing_key", "not_a_list",
+        "repeated_unhashable", "repeated_number"])
+def test_json_reader_names_where_the_value_came_from(call, message):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_json_reader_returns_the_value():
+    value = {"a": [1]}
+    assert json_object(value, "block", None) is value
+    assert json_object(value, "block", ("a", "b"), required=("a",)) is value
+    assert json_list([[1], [2]], "axis") == ([1], [2])
+    assert json_list([], "axis") == ()
 
 
 class TestManifest:
@@ -157,7 +185,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key", ["variant", "weight_seed", "n_nodez"])
     def test_an_esn_config_holds_no_member_or_unknown_key(self, key):
-        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown key(s) '{key}' in config; known keys: ")):
             esn_manifest(config=dict(SMALL_ESN, **{key: 3}))
 
     @pytest.mark.parametrize("fields, fragment", [
@@ -165,9 +194,10 @@ class TestRunExperiment:
          "gamma must lie in [0, 1]"),
         (dict(tasks=("narma2", "stm"), stm_delays=()),
          "stm task requires at least one delay"),
-        (dict(config={"gama": 0.5}), "unknown config key 'gama'"),
+        (dict(config={"gama": 0.5}),
+         "unknown key(s) 'gama' in config; known keys: "),
         (dict(config=dict(SMALL_RESERVOIR, coupling_seed=3)),
-         "unknown config key 'coupling_seed'"),
+         "unknown key(s) 'coupling_seed' in config; known keys: "),
         (dict(config=[("n_qubits", 4)]), "config must be a JSON object")],
         ids=["bad_config_value", "stm_without_delays", "unknown_key",
              "member_key", "config_list"])

@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+from spinqrc import linalg
 from spinqrc.errors import ValidationError
 from spinqrc.linalg import (BLAS_LIBRARIES, kernel_blas, load_blas,
                             trace_distance, unitary_exp)
@@ -216,3 +219,38 @@ def test_binding_rejects_operands_blas_cannot_take():
     frozen.flags.writeable = False
     with pytest.raises(ValidationError):
         blas.gemm(f, f.copy(order="F"), frozen)
+
+
+def _raising(exc_type):
+    def loader():
+        raise exc_type("library not found")
+    return loader
+
+
+@pytest.mark.parametrize("exc_type", [ImportError, OSError, AttributeError,
+                                      KeyError])
+def test_a_row_whose_loader_raises_is_absent(exc_type):
+    assert load_blas((_raising(exc_type), ctypes.c_int64, "x_{}")) is None
+
+
+def test_a_library_without_thread_symbols_has_no_thread_controls():
+    loader, index, _ = next(row for row in BLAS_LIBRARIES
+                            if load_blas(row) is not None)
+    blas = load_blas((loader, index, "no_such_symbol_{}_num_threads"))
+    assert blas.threads is None
+    a = np.asfortranarray(np.eye(4, dtype=complex))
+    c = np.empty_like(a)
+    blas.gemm(a, 2 * a, c)()
+    assert c.tobytes() == (2 * a).tobytes()
+
+
+def test_no_row_resolving_raises_import_error(monkeypatch):
+    monkeypatch.setattr(linalg, "BLAS_LIBRARIES",
+                        ((_raising(ImportError), ctypes.c_int64, "x_{}"),))
+    kernel_blas.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="found neither"):
+            kernel_blas()
+    finally:
+        monkeypatch.undo()
+        kernel_blas.cache_clear()

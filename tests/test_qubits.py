@@ -97,6 +97,13 @@ def test_ground_density_properties():
     assert np.allclose(z_sign_table(3) @ rho.diagonal().real, [1, 1, 1])
 
 
+@pytest.mark.parametrize("n_qubits", [0, 11])
+def test_ground_density_rejects_qubit_count_outside_range(n_qubits):
+    with pytest.raises(ValidationError,
+                       match=r"n_qubits must be in \[1, 10\]"):
+        ground_density(n_qubits)
+
+
 def test_z_sign_table_two_qubits():
     table = z_sign_table(2)
     assert np.allclose(table[0], [1, 1, -1, -1])

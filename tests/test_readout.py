@@ -110,6 +110,13 @@ class TestNmse:
         with pytest.raises(ValidationError):
             nmse(np.ones(3), np.zeros(3))
 
+    @pytest.mark.parametrize("predicted, target", [
+        (np.ones(3), np.ones(4)), (np.ones((3, 1)), np.ones(3)),
+        (np.ones((2, 2)), np.ones((2, 2))), (np.ones(0), np.ones(0))])
+    def test_shape_mismatch_rejected(self, predicted, target):
+        with pytest.raises(ValidationError, match="equal-length vectors"):
+            nmse(predicted, target)
+
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
            flip=st.sampled_from([1.0, -1.0]))
     @settings(max_examples=25, deadline=None)

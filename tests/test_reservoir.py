@@ -105,6 +105,13 @@ class TestCouplings:
         b = sample_couplings(Topology.LINEAR, 6, seed=1)
         assert [x.strength for x in a] != [x.strength for x in b]
 
+    @pytest.mark.parametrize("topology, n_qubits, message", [
+        ("linear", 1, "a coupled array needs at least 2 qubits"),
+        ("ring", 2, "a ring needs at least 3 qubits")])
+    def test_rejects_too_few_qubits(self, topology, n_qubits, message):
+        with pytest.raises(ConfigError, match=message):
+            topology_bonds(Topology(topology), n_qubits)
+
     def test_single_bond_chain_has_unit_coupling(self):
         # normalization forces the lone bond of a 2-site chain to 1
         bonds = sample_couplings(Topology.LINEAR, 2, seed=12345)
@@ -145,6 +152,12 @@ class TestHamiltonian:
     def test_rejects_qubit_outside_array(self):
         with pytest.raises(ValidationError):
             build_hamiltonian((Bond(1, 4, 1.0),), 3)
+
+    @pytest.mark.parametrize("n_qubits", [1, 11])
+    def test_rejects_qubit_count_outside_range(self, n_qubits):
+        with pytest.raises(ValidationError,
+                           match=r"n_qubits must be in \[2, 10\]"):
+            build_hamiltonian((Bond(1, 2, 1.0),), n_qubits)
 
 
 class TestEvolutionOperator:

@@ -40,7 +40,8 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
-  model, the commit and the git tree hash of ``src/``.
+  model, the commit, the git tree hash of ``src/`` and the line count of
+  each ``src/spinqrc`` module (``src_lines``).
 
 perfbench runs at ``SEED`` for BENCHMARK.json's ``run_seconds``, so a
 snapshot is comparable with the benchmark and with other snapshots. The
@@ -297,7 +298,11 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {**scored["sweep"].pop("environment"),
                         "cpu": cpu_model(), "machine": platform.machine(),
                         "commit": commit,
-                        "src_tree": git(root, "rev-parse", "HEAD:src")},
+                        "src_tree": git(root, "rev-parse", "HEAD:src"),
+                        "src_lines": {
+                            path.name: len(path.read_text().splitlines())
+                            for path in sorted(
+                                (root / "src" / "spinqrc").glob("*.py"))}},
         "scored": scored,
         "traced": traced,
         "sweep_10_seeds": sweep_record(checkouts, root),

@@ -12,8 +12,9 @@ divided by the control timed next to it (``sweep10/control``); each
 scored ``wall_s`` divided by the mean of the controls timed before and
 after its run (``sweep/control``, ``long_run/control``); and
 criterion 1's median cost ratio with its passed/total runs, such as
-``1.52(5/5)``, so a red criterion 1 shows in the table; and the median
-wall time of the one-seed nine-qubit ``run`` (``n9x1.median_s``). The
+``1.52(5/5)``, so a red criterion 1 shows in the table; the median
+wall time of the one-seed nine-qubit ``run`` (``n9x1.median_s``); and
+the total line count of the ``src/spinqrc`` modules (``src_lines``). The
 floor is a fixed amount of BLAS work timed on the same host, so the
 divided values compare snapshots taken on days the host ran at different
 speeds. A value the snapshot lacks prints as ``-``.
@@ -86,6 +87,9 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     cells.append(("n9x1.median_s",
                   _fmt(_get(snapshot, "n9_one_seed", "change", "median_s"),
                        "{:.3f}")))
+    lines = _get(snapshot, "environment", "src_lines")
+    cells.append(("src_lines", _fmt(sum(lines.values()) if lines else None,
+                                    "{}")))
     return cells
 
 
