@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .reservoir import Schedule, ScheduledRun, check_numbers
+from .reservoir import Schedule, ScheduledRun, number
 from .rng import Stream
+from .tasks import sized_array
 
 HISTORY_DEPTH = 5
 VARIANTS = (1, 3, 5)
@@ -28,25 +29,16 @@ _VARIANT_LAGS = {1: (1,), 3: (1, 3), 5: (1, 3, 5)}
 
 @dataclass(frozen=True)
 class EsnConfig(Schedule):
-    n_nodes: int = 6
-    variant: int = 1
-    w_scale: float = 0.4
-    w_in_scale: float = 0.4
-    weight_seed: int = 0
+    n_nodes: int = number(6, 1)
+    variant: int = number(1)
+    w_scale: float = number(0.4, above=0)
+    w_in_scale: float = number(0.4, above=0)
+    weight_seed: int = number(0, 0)
 
     def __post_init__(self) -> None:
-        check_numbers(self, ("n_nodes", "variant", "weight_seed"),
-                      ("w_scale", "w_in_scale"))
-        if self.n_nodes < 1:
-            raise ConfigError("n_nodes must be at least 1")
-        if self.weight_seed < 0:
-            raise ConfigError(
-                f"weight_seed must be non-negative, got {self.weight_seed}")
+        super().__post_init__()
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant}")
-        if self.w_scale <= 0.0 or self.w_in_scale <= 0.0:
-            raise ConfigError("weight scales must be positive")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,7 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     n = config.n_nodes
     stream = Stream(config.weight_seed)
-    w = np.empty((n, n))  # first: a size no memory holds fails at once
+    w = sized_array(np.empty, (n, n))  # first: an oversized W fails at once
     w.flat[:] = stream.uniform(config.w_scale, n * n)
     w_in = np.array(stream.uniform(config.w_in_scale, n))
     return w, w_in

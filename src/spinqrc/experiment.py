@@ -16,7 +16,6 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,11 +26,11 @@ from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
 from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
-from .reservoir import (ReservoirConfig, Trajectory, check_numbers,
+from .reservoir import (ReservoirConfig, Trajectory, check_ranges, number,
                         run_sequence)
 from .tasks import NARMA_ORDERS, gen_stm
 
-MAX_SWEEP_CELLS = 10_000
+MAX_SWEEP_ROWS = 10_000
 MAX_SEEDS = 10_000  # per manifest; run_experiment builds every member first
 
 TASK_NAMES = ("stm",) + tuple(f"narma{n}" for n in NARMA_ORDERS)
@@ -156,13 +155,13 @@ class ExperimentManifest:
     kind: str  # "reservoir" or "esn"
     config: dict
     tasks: tuple[str, ...]
-    readout: int = 1
-    stm_delays: tuple[int, ...] = tuple(range(11))
-    n_seeds: int = 10
-    base_seed: int = 0
-    input_seed: int = 42
-    ridge: float = 0.0
-    variants: tuple[int, ...] = VARIANTS
+    readout: int = number(1)
+    stm_delays: tuple[int, ...] = number(tuple(range(11)), 0, 99)
+    n_seeds: int = number(10, 1, MAX_SEEDS)
+    base_seed: int = number(0, 0)
+    input_seed: int = number(42, 0)
+    ridge: float = number(0.0, 0)
+    variants: tuple[int, ...] = number(VARIANTS)
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
@@ -174,30 +173,16 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if self.kind not in ("reservoir", "esn"):
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
-        check_numbers(self, ("n_seeds", "base_seed", "input_seed", "readout"),
-                      ("ridge",))
+        for name in ("tasks", "stm_delays", "variants"):
+            setattr(self, name, json_list(getattr(self, name), name))
+        for task in self.tasks:
+            parse_task(task)
+        check_ranges(type(self), vars(self))
         self.ridge = float(self.ridge)
         if self.readout not in {r.value for r in ReadoutType}:
             raise ConfigError(f"unknown readout {self.readout}; expected 1 or 2")
-        for name in ("tasks", "stm_delays", "variants"):
-            values = json_list(getattr(self, name), name)
-            for value in values:
-                if name == "tasks":
-                    parse_task(value)
-                else:
-                    check_numbers(SimpleNamespace(**{name: value}), (name,), ())
-                if name == "stm_delays" and not 0 <= value <= 99:
-                    raise ConfigError(f"stm delay {value} outside [0, 99]")
-            setattr(self, name, values)
         if not self.tasks:
             raise ConfigError("tasks is empty; a manifest needs a task")
-        if not 1 <= self.n_seeds <= MAX_SEEDS:
-            raise ConfigError(
-                f"n_seeds must be in [1, {MAX_SEEDS}], got {self.n_seeds}")
-        for name in ("base_seed", "input_seed", "ridge"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, "
-                                  f"got {getattr(self, name)}")
         if not self.version:
             from spinqrc import __version__
 
@@ -445,18 +430,22 @@ class SweepGrid:
     def manifests(self, base_config: dict,
                   **manifest_fields) -> list[ExperimentManifest]:
         """One reservoir manifest per grid point, each given
-        ``manifest_fields`` unchanged; the manifest defaults the rest."""
-        out = [ExperimentManifest(
-                   kind="reservoir", readout=readout,
-                   config=dict(base_config, topology=topology, gamma=gamma),
-                   **manifest_fields)
-               for topology in self.topologies for gamma in self.gammas
-               for readout in self.readouts]
-        rows = sum(len(manifest_rows(m)) for m in out)
-        if rows > MAX_SWEEP_CELLS:
-            raise ConfigError(f"sweep would produce {rows} cells; limit is "
-                              f"{MAX_SWEEP_CELLS}")
-        return out
+        ``manifest_fields`` unchanged; the manifest defaults the rest.
+        Every cell has the first one's rows, so a grid of more than
+        ``MAX_SWEEP_ROWS`` rows fails before a second cell is built."""
+        cells = (ExperimentManifest(
+                     kind="reservoir", readout=readout,
+                     config=dict(base_config, topology=topology, gamma=gamma),
+                     **manifest_fields)
+                 for topology in self.topologies for gamma in self.gammas
+                 for readout in self.readouts)
+        first = next(cells)
+        rows = (len(manifest_rows(first)) * len(self.topologies)
+                * len(self.gammas) * len(self.readouts))
+        if rows > MAX_SWEEP_ROWS:
+            raise ConfigError(f"sweep would produce {rows} rows; limit is "
+                              f"{MAX_SWEEP_ROWS}")
+        return [first, *cells]
 
 
 def metrics_csv_text(manifests: Iterable[ExperimentManifest]) -> str:

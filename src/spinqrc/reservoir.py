@@ -15,8 +15,10 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from dataclasses import dataclass
-from math import cos, isfinite, pi, sin
+import reprlib
+import sys
+from dataclasses import dataclass, field, fields
+from math import cos, inf, pi, sin
 from typing import Sequence
 
 import numpy as np
@@ -57,19 +59,54 @@ class Phase(str, enum.Enum):
     TEST = "test"
 
 
+def number(default, low=-inf, high=inf, *, above=None):
+    """A dataclass field that holds a number, ``default`` unless given: an
+    integer if ``default`` (for a tuple, each entry) is an int, else a
+    finite number. It lies in [``low``, ``high``], where ``high`` may name
+    an earlier field, and above ``above`` if given."""
+    return field(default=default, metadata={"range": (low, high, above)})
+
+
+def check_ranges(cls: type, values: dict) -> None:
+    """ConfigError unless each of ``values`` that names a ``number`` field of
+    the dataclass ``cls`` (each entry, for a tuple) has the field's kind and
+    lies in its range; a bool has neither kind. A rejection reads like
+    ``n_qubits must be an integer in [2, 10], got 11``."""
+    for f in fields(cls):
+        if "range" not in f.metadata or f.name not in values:
+            continue
+        low, high, above = f.metadata["range"]
+        high = values[high] if isinstance(high, str) else high
+        value, many = values[f.name], isinstance(f.default, tuple)
+        integer = isinstance(f.default[0] if many else f.default, int)
+        span = (f" > {above}" if above is not None
+                else f" in [{low}, {high}]" if high != inf
+                else f" >= {low}" if low != -inf else "")
+        entries = ([(f"{f.name}[{i}]", v) for i, v in enumerate(value)]
+                   if many else [(f.name, value)])
+        for name, value in entries:
+            # abs also fails NaN, infinities and ints too large for a float.
+            if (isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integer else numbers.Real)
+                    or not (integer or abs(value) <= sys.float_info.max)
+                    or not low <= value <= high
+                    or above is not None and value <= above):
+                raise ConfigError(
+                    f"{name} must be {'an integer' if integer else 'a number'}"
+                    f"{span}, got {reprlib.repr(value)}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """The prep/train/test window lengths; the reservoir and the ESN
     configs inherit them, so both run the same schedule by default."""
 
-    n_pre: int = 200
-    n_fb: int = 200
-    n_test: int = 40
+    n_pre: int = number(200, 1)
+    n_fb: int = number(200, 1)
+    n_test: int = number(40, 1)
 
     def __post_init__(self) -> None:
-        check_numbers(self, ("n_pre", "n_fb", "n_test"), ())
-        if min(self.n_pre, self.n_fb, self.n_test) < 1:
-            raise ConfigError("all phase lengths must be positive")
+        check_ranges(type(self), vars(self))  # a subclass's fields too
 
     @property
     def total_steps(self) -> int:
@@ -119,38 +156,17 @@ class Bond:
     strength: float
 
 
-def check_numbers(config, integers: tuple[str, ...],
-                  reals: tuple[str, ...]) -> None:
-    """Raise ConfigError unless each field named in ``integers`` holds an
-    integer and each one in ``reals`` a finite real number (bools are
-    neither), so a mistyped config value fails as a configuration error."""
-    for name in integers + reals:
-        value = getattr(config, name)
-        kind = numbers.Integral if name in integers else numbers.Real
-        if (isinstance(value, bool) or not isinstance(value, kind)
-                or not isfinite(value)):
-            what = "an integer" if name in integers else "a finite number"
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ReservoirConfig(Schedule):
-    n_qubits: int = 6
+    n_qubits: int = number(6, 2, MAX_QUBITS)
     topology: Topology = Topology.LINEAR
-    gamma: float = 0.1
-    theta0: float = 0.5
-    coupling_seed: int = 0
-    input_qubit: int = 1
+    gamma: float = number(0.1, 0, 1)
+    theta0: float = number(0.5, above=0)
+    coupling_seed: int = number(0, 0)
+    input_qubit: int = number(1, 1, "n_qubits")
 
     def __post_init__(self) -> None:
-        check_numbers(self, ("n_qubits", "coupling_seed", "input_qubit"),
-                      ("gamma", "theta0"))
-        if not 2 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(
-                f"n_qubits must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.coupling_seed < 0:
-            raise ConfigError(
-                f"coupling_seed must be non-negative, got {self.coupling_seed}")
+        super().__post_init__()
         if not isinstance(self.topology, Topology):
             try:
                 object.__setattr__(self, "topology", Topology(self.topology))
@@ -160,14 +176,6 @@ class ReservoirConfig(Schedule):
                     f"{', '.join(t.value for t in Topology)}") from None
         if self.topology is Topology.RING and self.n_qubits < 3:
             raise ConfigError("a ring needs at least 3 qubits")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.theta0 <= 0.0:
-            raise ConfigError(f"theta0 must be positive, got {self.theta0}")
-        super().__post_init__()
-        if not 1 <= self.input_qubit <= self.n_qubits:
-            raise ConfigError(
-                f"input qubit {self.input_qubit} outside [1, {self.n_qubits}]")
 
     @property
     def dt(self) -> float:
@@ -297,8 +305,7 @@ def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
     if (2**n_qubits != dim or state.rho.shape != (dim, dim)
             or U.shape != (dim, dim) or rho0.shape != (dim, dim)):
         raise ValidationError("state, U, and rho0 dimensions are inconsistent")
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
+    check_ranges(ReservoirConfig, {"gamma": gamma})
     if not 1 <= input_qubit <= n_qubits:
         raise ValidationError(
             f"input qubit {input_qubit} outside [1, {n_qubits}]")

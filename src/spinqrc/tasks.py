@@ -29,11 +29,20 @@ DIVERGENCE_LIMIT = 10.0
 NARMA_ORDERS = (2, 5, 10, 15, 20)
 
 
+def sized_array(make, size) -> np.ndarray:
+    """``make(size)``, an array sized by the configuration; MemoryError, as
+    for a size no memory holds, for a size past numpy's largest array."""
+    try:
+        return make(size)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", ...
+        raise MemoryError(str(exc)) from None
+
+
 def gen_stm(length: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. binary input stream of the delayed-recall task."""
     if length < 1:
         raise ConfigError("length must be positive")
-    drive = np.empty(length)  # first: a length no memory holds fails at once
+    drive = sized_array(np.empty, length)  # first: too long fails at once
     drive[:] = Stream(seed).bits(length)
     return drive
 
@@ -42,7 +51,7 @@ def gen_narma_input(length: int) -> np.ndarray:
     """Deterministic triple-sine drive, always within [0, 0.2]."""
     if length < 1:
         raise ConfigError("length must be positive")
-    k = np.arange(length)
+    k = sized_array(np.arange, length)
     prod = np.ones(length)
     for tone in NARMA_TONES:
         prod *= np.sin(2.0 * np.pi * tone * k / NARMA_PERIOD)

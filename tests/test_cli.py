@@ -331,8 +331,17 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
      dict(PHASES, esn={"n_nodes": 10**9, "variants": [1]}), "out of memory: "),
     # A manifest holds at most MAX_SEEDS members.
     (["run", "--task", "narma2", "--seeds", str(10**12)], SMALL,
-     "n_seeds must be in [1, 10000], got 1000000000000"),
-], ids=["stm_drive", "esn_weights", "seeds"])
+     "n_seeds must be an integer in [1, 10000], got 1000000000000"),
+    # Sizes past numpy's largest array fail as the allocation would.
+    (["run", "--task", "stm"], {"n_pre": 10**19}, "out of memory: "),
+    (["run", "--task", "narma2"], {"n_pre": 10**19}, "out of memory: "),
+    (["esn", "--task", "narma2", "--seeds", "1"],
+     dict(PHASES, esn={"n_nodes": 10**10, "variants": [1]}), "out of memory: "),
+    # A number too large for a float is checked without converting it.
+    (["run", "--task", "narma2"], dict(PHASES, n_qubits=10**400),
+     "n_qubits must be an integer in [2, 10], got 1000"),
+], ids=["stm_drive", "esn_weights", "seeds", "stm_drive_past_numpy",
+        "narma_drive_past_numpy", "esn_weights_past_numpy", "huge_n_qubits"])
 def test_a_size_no_run_can_hold_exits_2_at_once(tmp_path, capsys, argv, cfg,
                                                 error):
     path = tmp_path / "config.json"
@@ -374,26 +383,31 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
 
 # Each bad manifest value, and a fragment of the error it must raise.
 BAD_MANIFEST_VALUES = {
-    "string_seeds": ({"seeds": "x"}, "n_seeds must be an integer, got 'x'"),
+    "string_seeds": ({"seeds": "x"},
+                     "n_seeds must be an integer in [1, 10000], got 'x'"),
     "fractional_seeds": ({"seeds": 2.7}, "n_seeds must be an integer"),
     "fractional_seed": ({"seed": 1.5}, "base_seed must be an integer"),
     "string_input_seed": ({"input_seed": "42"},
-                          "input_seed must be an integer, got '42'"),
-    "negative_seed": ({"seed": -1}, "base_seed must be non-negative, got -1"),
+                          "input_seed must be an integer >= 0, got '42'"),
+    "negative_seed": ({"seed": -1},
+                      "base_seed must be an integer >= 0, got -1"),
     "negative_input_seed": ({"input_seed": -5},
-                            "input_seed must be non-negative, got -5"),
-    "string_ridge": ({"ridge": "a"}, "ridge must be a finite number"),
-    "negative_ridge": ({"ridge": -1}, "ridge must be non-negative, got -1"),
+                            "input_seed must be an integer >= 0, got -5"),
+    "string_ridge": ({"ridge": "a"}, "ridge must be a number >= 0, got 'a'"),
+    "negative_ridge": ({"ridge": -1}, "ridge must be a number >= 0, got -1"),
     "unknown_readout": ({"readout": 3}, "unknown readout 3"),
     "nested_stm_delay": ({"stm_delays": [[1]]},
-                         "stm_delays must be an integer, got [1]"),
+                         "stm_delays[0] must be an integer in [0, 99], "
+                         "got [1]"),
     "scalar_stm_delays": ({"stm_delays": 1}, "stm_delays must be a list"),
     "out_of_range_stm_delays": ({"stm_delays": [-1, 100]},
-                                "stm delay -1 outside [0, 99]"),
+                                "stm_delays[0] must be an integer in [0, 99], "
+                                "got -1"),
     "repeated_stm_delays": ({"stm_delays": [1, 1]},
                             "stm_delays has a duplicate value: [1, 1]"),
     "scalar_tasks": ({"tasks": "narma2"}, "tasks must be a list, got 'narma2'"),
-    "zero_seeds": ({"seeds": 0}, "n_seeds must be in [1, 10000], got 0")}
+    "zero_seeds": ({"seeds": 0},
+                   "n_seeds must be an integer in [1, 10000], got 0")}
 
 # A stored manifest that `report` reads, and broken variants of its metrics.
 ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
@@ -447,19 +461,19 @@ BAD_STORED_METRICS = {
      "variants must be a list, got 3"),
     *(("run", dict(SMALL, **bad), fragment)
       for bad, fragment in BAD_MANIFEST_VALUES.values()),
-    ("sweep", dict(SMALL, ridge="a"), "ridge must be a finite number"),
+    ("sweep", dict(SMALL, ridge="a"), "ridge must be a number >= 0, got 'a'"),
     ("sweep", dict(SMALL, seeds=1.5), "n_seeds must be an integer"),
     ("sweep", dict(SMALL, sweep={"gammas": 0.1}),
      "sweep axis gammas must be a list, got 0.1"),
     ("sweep", dict(SMALL, sweep={"topologies": "ring"}),
      "sweep axis topologies must be a list, got 'ring'"),
     ("sweep", dict(SMALL, sweep={"gammas": [[0.1]]}),
-     "gamma must be a finite number, got [0.1]"),
+     "gamma must be a number in [0, 1], got [0.1]"),
     ("sweep", dict(SMALL, trajectory="false"),
      "trajectory must be true or false, got 'false'"),
     ("esn", dict(SMALL, tasks=[]), "tasks is empty"),
     ("esn", dict(PHASES, seed=-3, esn=dict(n_nodes=4)),
-     "base_seed must be non-negative, got -3"),
+     "base_seed must be an integer >= 0, got -3"),
     *(("report", dict(MANIFEST, metrics=bad), fragment)
       for bad, fragment in BAD_STORED_METRICS.values()),
     ("report", [MANIFEST], "the manifest must be a JSON object, got [{"),
@@ -599,6 +613,38 @@ def test_run_reads_top_level_tasks(tmp_path):
     assert (out / "manifest_multi_linear_g0.1_r1.json").exists()
 
 
+def test_a_seed_of_any_size_runs(tmp_path, config_file):
+    seed = 10**400
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_file, "--task", "narma2",
+                 "--seeds", "2", "--seed", str(seed), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest_narma2_linear_g0.1_r1.json")
+                          .read_text())
+    assert manifest["base_seed"] == seed
+    assert main(["report", "--out", str(out)]) == 0
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_environment(tmp_path):
+    # Every array evolves at one BLAS thread whatever the environment asks
+    # for; OpenBLAS rounds a two-thread product differently.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_qubits": 8, "n_pre": 30, "n_fb": 30,
+                                "n_test": 10}))
+    src = str(Path(spinqrc.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "spinqrc.cli", "run", "--config",
+                        str(path), "--task", "narma2", "--seeds", "2",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        written.append((out / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_run_defaults_to_narma2(tmp_path, config_file):
     out = tmp_path / "out"
     assert main(["run", "--config", config_file, "--seeds", "1",
@@ -615,7 +661,8 @@ def test_too_many_qubits_exit_2_before_simulating(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--seeds", "1",
                  "--out", str(out)]) == EXIT_CONFIG
-    assert "n_qubits must be in [2, 10]" in capsys.readouterr().err
+    assert "n_qubits must be an integer in [2, 10], got 11" in \
+        capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -632,7 +679,7 @@ def test_report_reemits_metrics(tmp_path, config_file):
 
 @pytest.mark.parametrize("config, fragment", [
     ({"n_qubits": "x", "gama": 3}, "'gama'"),
-    ({"n_qubits": "x"}, "n_qubits must be an integer, got 'x'")],
+    ({"n_qubits": "x"}, "n_qubits must be an integer in [2, 10], got 'x'")],
     ids=["misspelled_key", "string_n_qubits"])
 def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
                                                      fragment):

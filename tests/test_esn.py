@@ -29,9 +29,9 @@ class TestConfig:
             assert (cfg.n_pre, cfg.n_fb, cfg.n_test) == phases
 
     @pytest.mark.parametrize("kw, message", [
-        (dict(n_fb=0), "all phase lengths must be positive"),
-        (dict(n_test=2.0), "n_test must be an integer, got 2.0"),
-    ])
+        (dict(n_fb=0), "n_fb must be an integer >= 1, got 0"),
+        (dict(n_test=2.0), "n_test must be an integer >= 1, got 2.0"),
+    ], ids=["zero_n_fb", "float_n_test"])
     def test_schedule_checks_its_lengths(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             Schedule(**kw)

@@ -126,12 +126,14 @@ class TestManifest:
     @pytest.mark.parametrize("delays", [(-1,), (0, 100)])
     @pytest.mark.parametrize("task", ["stm", "narma2"])
     def test_rejects_stm_delay_out_of_range(self, task, delays):
-        with pytest.raises(ConfigError, match=r"outside \[0, 99\]"):
+        with pytest.raises(ConfigError, match=(
+                r"stm_delays\[\d\] must be an integer in \[0, 99\], got ")):
             narma_manifest(tasks=(task,), stm_delays=delays)
 
     def test_rejects_negative_ridge_before_simulating(self, monkeypatch):
         calls = count_simulations(monkeypatch)
-        with pytest.raises(ConfigError, match="ridge must be non-negative"):
+        with pytest.raises(ConfigError,
+                           match="ridge must be a number >= 0, got -1$"):
             run_experiment([narma_manifest(ridge=-1)])
         assert calls == []
 
@@ -180,7 +182,8 @@ class TestRunExperiment:
     def test_checks_every_cell_before_simulating(self):
         # A manifest derives its rows, building each cell's member-0
         # config, when it is built; so no bad cell reaches run_experiment.
-        with pytest.raises(ConfigError, match="n_nodes must be at least 1"):
+        with pytest.raises(ConfigError,
+                           match="n_nodes must be an integer >= 1, got 0$"):
             esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
 
     @pytest.mark.parametrize("key", ["variant", "weight_seed", "n_nodez"])
@@ -191,7 +194,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("fields, fragment", [
         (dict(config=dict(SMALL_RESERVOIR, gamma=2.0)),
-         "gamma must lie in [0, 1]"),
+         "gamma must be a number in [0, 1], got 2.0"),
         (dict(tasks=("narma2", "stm"), stm_delays=()),
          "stm task requires at least one delay"),
         (dict(config={"gama": 0.5}),
@@ -285,6 +288,18 @@ class TestSweepGrid:
         with pytest.raises(ConfigError):
             SweepGrid(gammas=tuple(np.linspace(0.01, 1.0, 60))).manifests(
                 {}, tasks=("stm",), stm_delays=tuple(range(100)))
+
+    def test_an_oversized_grid_fails_after_building_one_manifest(
+            self, monkeypatch):
+        built = []
+        check = ExperimentManifest.__post_init__
+        monkeypatch.setattr(ExperimentManifest, "__post_init__",
+                            lambda m: (built.append(m), check(m))[1])
+        grid = SweepGrid(gammas=tuple(i / 5000 for i in range(5001)))
+        with pytest.raises(ConfigError, match=(
+                "^sweep would produce 20004 rows; limit is 10000$")):
+            grid.manifests(dict(SMALL_RESERVOIR), tasks=("narma2",))
+        assert len(built) == 1
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ConfigError):

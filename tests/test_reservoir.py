@@ -71,10 +71,17 @@ class TestConfig:
         dict(gamma=float("nan")),
         dict(theta0="0.5"),
         dict(coupling_seed=-1),
+        dict(theta0=True),
+        dict(theta0=float("nan")),
+        dict(gamma=10**400),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             small_config(**kw)
+
+    @pytest.mark.parametrize("gamma", [0, 1, 0.0, 1.0])
+    def test_accepts_gamma_at_its_bounds(self, gamma):
+        assert small_config(gamma=gamma).gamma == gamma
 
     def test_ring_needs_three_sites(self):
         with pytest.raises(ConfigError):
