@@ -14,7 +14,6 @@ numerical invariant is violated during a run.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,8 +22,8 @@ from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
 from .esn import EsnConfig
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
-                         emit_report, json_object, run_experiment,
-                         unique_keys, write_metrics)
+                         emit_report, json_object, read_json, run_experiment,
+                         write_metrics)
 from .reservoir import ReservoirConfig, Schedule, Topology
 
 # Every ReservoirConfig field but the coupling seed, which each ensemble
@@ -63,15 +62,8 @@ EXIT_NUMERICAL = 3
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    json_object(data, f"config file {path}", CONFIG_KEYS)
+    data = json_object(read_json(path, "config file"), f"config file {path}",
+                       CONFIG_KEYS)
     for block, keys in BLOCK_KEYS.items():
         json_object(data.get(block, {}), f"the {block} block of {path}", keys)
     return data
@@ -157,9 +149,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"no manifest files found under {out_dir}")
     manifests = []
     for path in paths:
+        value = read_json(path, "manifest")
         try:
-            manifests.append(ExperimentManifest.from_json(path.read_text()))
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            manifests.append(ExperimentManifest.from_json(value))
+        except ConfigError as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}")
     print(write_metrics(manifests, out_dir))
     return EXIT_OK

@@ -56,6 +56,18 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return d
 
 
+def read_json(path: str | Path, what: str) -> object:
+    """The JSON value in the UTF-8 file at ``path``, with no key repeated
+    in any object; else ConfigError ``cannot read {what} {path}: ...``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and Python's
+    # limit on an integer's digits; RecursionError its nesting limit.
+    except (OSError, ValueError, RecursionError, ConfigError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def json_object(value: object, where: str, keys: Collection[str] | None,
                 required: Collection[str] = ()) -> dict:
     """``value``, a JSON object from outside, when it is a dict whose keys
@@ -90,12 +102,6 @@ def json_list(values: object, where: str) -> tuple:
         raise ConfigError(
             f"{where} has a duplicate value: {reprlib.repr(values)}")
     return tuple(values)
-
-
-def parse_task(name: str) -> None:
-    """Raise ConfigError unless ``name`` is one of TASK_NAMES."""
-    if name not in TASK_NAMES:
-        raise ConfigError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,9 @@ class ExperimentManifest:
         for name in ("tasks", "stm_delays", "variants"):
             setattr(self, name, json_list(getattr(self, name), name))
         for task in self.tasks:
-            parse_task(task)
+            if task not in TASK_NAMES:
+                raise ConfigError(
+                    f"unknown task {task!r}; expected one of {TASK_NAMES}")
         check_ranges(type(self), vars(self))
         self.ridge = float(self.ridge)
         if self.readout not in {r.value for r in ReadoutType}:
@@ -199,11 +207,12 @@ class ExperimentManifest:
         return json.dumps(d, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "ExperimentManifest":
+    def from_json(value: object) -> "ExperimentManifest":
+        """The manifest that ``value``, a parsed ``to_json`` text, describes;
+        ConfigError for any other value."""
         stored = [f for f in fields(ExperimentManifest)
                   if f.name != "trajectory"]
-        d = json_object(json.loads(text, object_pairs_hook=unique_keys),
-                        "the manifest", [f.name for f in stored],
+        d = json_object(value, "the manifest", [f.name for f in stored],
                         [f.name for f in stored
                          if f.default is f.default_factory is MISSING])
         metrics = json_object(d.pop("metrics", {}), "metrics", None)

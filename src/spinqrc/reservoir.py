@@ -174,8 +174,7 @@ class ReservoirConfig(Schedule):
                 raise ConfigError(
                     f"unknown topology {self.topology!r}; expected one of "
                     f"{', '.join(t.value for t in Topology)}") from None
-        if self.topology is Topology.RING and self.n_qubits < 3:
-            raise ConfigError("a ring needs at least 3 qubits")
+        topology_bonds(self.topology, self.n_qubits)  # checks the ring rule
 
     @property
     def dt(self) -> float:
@@ -232,9 +231,7 @@ def build_hamiltonian(bonds: Sequence[Bond], n_qubits: int) -> np.ndarray:
     with amplitude 2J. Every entry receives the same sums in the same order
     as a sum of Pauli Kronecker chains, so the two agree bitwise.
     """
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise ValidationError(
-            f"n_qubits must be in [2, {MAX_QUBITS}], got {n_qubits}")
+    check_ranges(ReservoirConfig, {"n_qubits": n_qubits})
     dim = 2**n_qubits
     idx = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)

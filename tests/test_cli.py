@@ -74,8 +74,8 @@ def test_run_simulates_each_member_once(tmp_path, config_file, monkeypatch):
     # The trajectory report reuses member 0's run; a manifest read back from
     # disk carries no trajectory, and the report refuses it.
     assert calls == [0, 1]
-    manifest = experiment.ExperimentManifest.from_json(
-        (out / "manifest_narma2_linear_g0.1_r1.json").read_text())
+    manifest = experiment.ExperimentManifest.from_json(experiment.read_json(
+        out / "manifest_narma2_linear_g0.1_r1.json", "manifest"))
     assert manifest.trajectory is None
     with pytest.raises(ConfigError, match="run_experiment"):
         experiment.trajectory_csv_text(manifest)
@@ -783,6 +783,35 @@ def test_malformed_config_exits_2(tmp_path):
     path.write_text("{not json")
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+# Files that Python's JSON parsing refuses with another error than a
+# JSONDecodeError: nesting past the recursion limit, an integer past the
+# digit limit, and bytes that are not UTF-8.
+UNPARSABLE = {"nested": b'{"seed": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+              "long_integer": b'{"seed": 1' + b"0" * 4999 + b"}",
+              "not_utf8": b"\xff\xfe{}"}
+
+
+@pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE)
+@pytest.mark.parametrize("command", ["run", "sweep", "esn", "report"])
+def test_a_file_python_cannot_parse_exits_2(tmp_path, capsys, command,
+                                            content):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "report":  # reads every manifest_*.json under --out
+        path = out / "manifest_x.json"
+        argv = [command, "--out", str(out)]
+    else:
+        path = tmp_path / "config.json"
+        argv = [command, "--config", str(path), "--out", str(out)]
+    path.write_bytes(content)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot read ")
+    assert line.count(str(path)) == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_unknown_task_rejected_by_parser(tmp_path):

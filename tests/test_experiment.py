@@ -11,7 +11,7 @@ from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, RowStats,
                                 SweepGrid, emit_report, json_list,
-                                json_object, metrics_csv_text, parse_task,
+                                json_object, metrics_csv_text, read_json,
                                 run_experiment, trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
@@ -64,14 +64,16 @@ def count_esn_runs(monkeypatch):
 
 
 class TestParseTask:
+    """A manifest's task check."""
+
     def test_accepts_known_names(self):
         for name in ("stm", "narma2", "narma5", "narma10", "narma15",
                      "narma20"):
-            parse_task(name)
+            narma_manifest(tasks=(name,))
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
-            parse_task("narma3")
+            narma_manifest(tasks=("narma3",))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -139,7 +141,7 @@ class TestManifest:
 
     def test_json_roundtrip_preserves_metrics(self):
         [m] = run_experiment([narma_manifest()])
-        restored = ExperimentManifest.from_json(m.to_json())
+        restored = ExperimentManifest.from_json(json.loads(m.to_json()))
         assert restored.tasks == m.tasks
         assert restored.created == m.created
         assert set(restored.metrics) == set(m.metrics)
@@ -400,7 +402,7 @@ class TestEmitReport:
         assert names == {"metrics.csv", f"manifest_{m.cell_id}.json",
                          f"trajectory_{m.cell_id}.csv"}
         loaded = ExperimentManifest.from_json(
-            (tmp_path / f"manifest_{m.cell_id}.json").read_text())
+            read_json(tmp_path / f"manifest_{m.cell_id}.json", "manifest"))
         assert metrics_csv_text([loaded]) == (tmp_path / "metrics.csv").read_text()
 
     def test_manifest_json_is_sorted_and_versioned(self, tmp_path):

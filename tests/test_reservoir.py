@@ -162,8 +162,8 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("n_qubits", [1, 11])
     def test_rejects_qubit_count_outside_range(self, n_qubits):
-        with pytest.raises(ValidationError,
-                           match=r"n_qubits must be in \[2, 10\]"):
+        with pytest.raises(ConfigError, match=r"n_qubits must be an integer "
+                           rf"in \[2, 10\], got {n_qubits}$"):
             build_hamiltonian((Bond(1, 2, 1.0),), n_qubits)
 
 
