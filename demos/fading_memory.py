@@ -12,27 +12,24 @@ import numpy as np
 
 from spinqrc.linalg import trace_distance
 from spinqrc.qubits import ground_density
-from spinqrc.reservoir import ReservoirConfig, ReservoirState, evolution_operator, step
+from spinqrc.reservoir import ReservoirConfig, evolution_operator, step
 
 
 def converging_pair(gamma: float, n_steps: int) -> list[float]:
     cfg = ReservoirConfig(n_qubits=3, gamma=gamma)
     u = evolution_operator(cfg)
-    rho0 = ground_density(cfg.n_qubits)
-    dim = rho0.shape[0]
+    a = ground_density(cfg.n_qubits)
+    dim = a.shape[0]
 
-    excited = np.zeros((dim, dim), dtype=complex)
-    excited[dim - 1, dim - 1] = 1.0
-
-    a = ReservoirState(rho=rho0.copy())
-    b = ReservoirState(rho=excited)
+    b = np.zeros((dim, dim), dtype=complex)  # the all-ones basis state
+    b[dim - 1, dim - 1] = 1.0
     drive = np.random.default_rng(11).uniform(0.0, 1.0, n_steps)
 
-    distances = [trace_distance(a.rho, b.rho)]
+    distances = [trace_distance(a, b)]
     for s in drive:
-        a, _ = step(a, float(s), u, gamma, rho0)
-        b, _ = step(b, float(s), u, gamma, rho0)
-        distances.append(trace_distance(a.rho, b.rho))
+        a, _ = step(a, float(s), u, gamma)
+        b, _ = step(b, float(s), u, gamma)
+        distances.append(trace_distance(a, b))
     return distances
 
 

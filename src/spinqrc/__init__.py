@@ -9,7 +9,7 @@ comparison.
 """
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError, ValidationError)
-from .reservoir import (ReservoirConfig, ReservoirState, Topology, Trajectory,
+from .reservoir import (ReservoirConfig, Topology, Trajectory,
                         evolution_operator, run_sequence, sample_couplings,
                         step)
 from .readout import (ReadoutType, ReadoutWeights, make_features, nmse,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DivergenceError", "SpinChainError", "StateInvariantError",
     "ValidationError",
-    "ReservoirConfig", "ReservoirState", "Topology", "Trajectory",
+    "ReservoirConfig", "Topology", "Trajectory",
     "evolution_operator", "run_sequence", "sample_couplings", "step",
     "ReadoutType", "ReadoutWeights", "make_features", "nmse", "predict",
     "stm_capacity", "train_weights",

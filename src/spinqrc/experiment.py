@@ -89,15 +89,15 @@ def json_object(value: object, where: str, keys: Collection[str] | None,
 def json_list(values: object, where: str) -> tuple:
     """``values``, a JSON list from outside, as a tuple when it is a list or
     tuple that holds no value twice; else ConfigError naming ``where`` it
-    came from. Unhashable entries, which later checks reject, compare
-    pairwise."""
+    came from. A list with an unhashable entry skips the duplicate test:
+    every caller rejects such an entry with its own message."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(
             f"{where} must be a list, got {reprlib.repr(values)}")
     try:
         repeated = len(set(values)) < len(values)
     except TypeError:
-        repeated = any(v in values[:i] for i, v in enumerate(values))
+        repeated = False
     if repeated:
         raise ConfigError(
             f"{where} has a duplicate value: {reprlib.repr(values)}")
@@ -527,7 +527,7 @@ def trajectory_csv_text(manifest: ExperimentManifest) -> str:
     lines = [",".join(["step", "phase", "s_k", *z_cols, "y_pred", "y_target"])]
     for k in range(config.total_steps):
         values = (traj.inputs[k], *traj.z_rows[k], y_pred[k], target[k])
-        lines.append(",".join([str(k), config.phase_of(k).value,
+        lines.append(",".join([str(k), config.phase_of(k),
                                *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 

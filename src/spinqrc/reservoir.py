@@ -53,12 +53,6 @@ class Topology(str, enum.Enum):
     RING = "ring"
 
 
-class Phase(str, enum.Enum):
-    PREP = "prep"
-    TRAIN = "train"
-    TEST = "test"
-
-
 def number(default, low=-inf, high=inf, *, above=None):
     """A dataclass field that holds a number, ``default`` unless given: an
     integer if ``default`` (for a tuple, each entry) is an int, else a
@@ -123,12 +117,13 @@ class Schedule:
             raise ConfigError("inputs must lie in [0, 1]")
         return inputs
 
-    def phase_of(self, step_index: int) -> Phase:
+    def phase_of(self, step_index: int) -> str:
+        """``"prep"``, ``"train"`` or ``"test"``: the window of the step."""
         if step_index < self.n_pre:
-            return Phase.PREP
+            return "prep"
         if step_index < self.n_pre + self.n_fb:
-            return Phase.TRAIN
-        return Phase.TEST
+            return "train"
+        return "test"
 
 
 @dataclass(frozen=True)
@@ -185,12 +180,6 @@ class ReservoirConfig(Schedule):
         """The fields that fix the free-evolution unitary U; gamma, the
         drive and the input qubit do not enter it."""
         return (self.topology, self.n_qubits, self.coupling_seed, self.theta0)
-
-
-@dataclass
-class ReservoirState:
-    rho: np.ndarray
-    step: int = 0
 
 
 @dataclass(frozen=True)
@@ -286,31 +275,29 @@ def _check_state(rho: np.ndarray, spare: np.ndarray,
             "state has an eigenvalue below tolerance") from None
 
 
-def step(state: ReservoirState, s_k: float, U: np.ndarray, gamma: float,
-         rho0: np.ndarray, input_qubit: int = 1
-         ) -> tuple[ReservoirState, np.ndarray]:
-    """Advance the reservoir by one input value; return the next state and
-    its per-qubit Z expectations.
+def step(rho: np.ndarray, s_k: float, U: np.ndarray, gamma: float,
+         input_qubit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the density matrix ``rho`` by one input value; return the
+    next density matrix and its per-qubit Z expectations.
 
     ``U`` is the free-evolution unitary; the input rotation is applied
     before it. This is one step of the kernel ``run_sequence`` runs, so
-    the state is validated on entry (numerical drift surfaces at the step
-    that first sees it) and on exit.
+    the state is validated on entry (``before step 0``) and on exit
+    (``at step 0``).
     """
-    dim = state.rho.shape[0]
+    dim = rho.shape[0]
     n_qubits = dim.bit_length() - 1
-    if (2**n_qubits != dim or state.rho.shape != (dim, dim)
-            or U.shape != (dim, dim) or rho0.shape != (dim, dim)):
-        raise ValidationError("state, U, and rho0 dimensions are inconsistent")
+    if 2**n_qubits != dim or rho.shape != (dim, dim) or U.shape != (dim, dim):
+        raise ValidationError("rho and U dimensions are inconsistent")
     check_ranges(ReservoirConfig, {"gamma": gamma})
     if not 1 <= input_qubit <= n_qubits:
         raise ValidationError(
             f"input qubit {input_qubit} outside [1, {n_qubits}]")
     if not 0.0 <= s_k <= 1.0:
         raise ValidationError(f"input value must lie in [0, 1], got {s_k}")
-    z_rows, rho = _evolve(U, gamma, rho0, state, np.array([s_k], dtype=float),
+    z_rows, rho = _evolve(U, gamma, rho, np.array([s_k], dtype=float),
                           input_qubit)
-    return ReservoirState(rho=rho, step=state.step + 1), z_rows[0]
+    return rho, z_rows[0]
 
 
 def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory:
@@ -322,9 +309,8 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     state within tolerance (see the cadence note above).
     """
     inputs = config.check_drive(inputs)
-    rho0 = ground_density(config.n_qubits)
     z_rows, _ = _evolve(_draw_unitary(config.coupling_draw), config.gamma,
-                        rho0, ReservoirState(rho=rho0), inputs,
+                        ground_density(config.n_qubits), inputs,
                         config.input_qubit)
     return Trajectory(config=config, inputs=inputs, z_rows=z_rows)
 
@@ -342,18 +328,17 @@ def _draw_unitary(draw: tuple) -> np.ndarray:
     return u
 
 
-def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
-            start: ReservoirState, inputs: np.ndarray,
+def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
             input_qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """The channel kernel of ``step`` and ``run_sequence``: Z expectations
-    after every input, and the final state (Fortran-ordered).
+    after every input, and the final state (Fortran-ordered), from the
+    start state ``rho``.
 
     The start state is checked in full; after it the trace is checked on
     every state, Hermiticity and positivity every ``_CHECK_INTERVAL`` steps
-    and on the final state. A failure names the step: ``before step k``
-    for the start state, whose ``step`` is k, and ``at step k`` for the
-    state after input k. Every array evolves at one BLAS thread
-    (``linalg.one_blas_thread``).
+    and on the final state. A failure names the step: ``before step 0``
+    for the start state and ``at step k`` for the state after input k.
+    Every array evolves at one BLAS thread (``linalg.one_blas_thread``).
 
     A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends a CPU
     that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
@@ -370,8 +355,8 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     # acts on one qubit, so the propagator U R(s) = cos(pi s/2) U +
     # i sin(pi s/2) U X_q takes two scaled adds, not a matrix product.
     u_flip = np.asfortranarray(U[:, np.arange(dim) ^ (1 << (n - input_qubit))])
-    gamma_rho0 = np.empty_like(U)
-    np.multiply(rho0, gamma, out=gamma_rho0)
+    gamma_rho0 = np.zeros_like(U)  # the reset target, rho0 = |0..0><0..0|
+    gamma_rho0[0, 0] = gamma
     keep = 1.0 - gamma
     signs = z_sign_table(n)
     crew = workers.Crew(n >= _SPLIT_MIN_QUBITS and workers.idle_cpus() > 0
@@ -398,7 +383,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
     works = (shared_matrix(),) * 2
     if crew.size > 1:
         rhos, works = (rhos[0], shared_matrix()), (works[0], shared_matrix())
-    np.copyto(rhos[0], start.rho)
+    np.copyto(rhos[0], rho)
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
     input_bits = memoryview(np.ascontiguousarray(inputs).view(np.uint64))
@@ -462,8 +447,7 @@ def _evolve(U: np.ndarray, gamma: float, rho0: np.ndarray,
                     np.copyto(rho_blocks[(k + 1) & 1], reset)
                     mix()  # rho'[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
         except StateInvariantError as exc:
-            where = (f"before step {start.step}" if k == 0
-                     else f"at step {start.step + k - 1}")
+            where = "before step 0" if k == 0 else f"at step {k - 1}"
             raise StateInvariantError(f"{exc} {where}") from None
 
     with one_blas_thread():

@@ -15,9 +15,8 @@ from spinqrc.linalg import kernel_blas, one_blas_thread, trace_distance
 from spinqrc.qubits import ground_density
 from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
                              stm_capacity, train_weights)
-from spinqrc.reservoir import (ReservoirConfig, ReservoirState,
-                               evolution_operator, run_sequence,
-                               sample_couplings, step)
+from spinqrc.reservoir import (ReservoirConfig, evolution_operator,
+                               run_sequence, sample_couplings, step)
 from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
 
 N_SEEDS = 10
@@ -163,19 +162,17 @@ def test_criterion_1_exactness():
     for gamma in (0.01, 0.1):
         small = ReservoirConfig(gamma=gamma)
         u_g = evolution_operator(small)
-        rho0 = ground_density(small.n_qubits)
         dim = 2**small.n_qubits
         sigma = np.zeros((dim, dim), dtype=complex)
         sigma[dim - 1, dim - 1] = 1.0
-        a_state = ReservoirState(rho=rho0.copy())
-        b_state = ReservoirState(rho=sigma)
-        d0 = trace_distance(a_state.rho, b_state.rho)
+        a, b = ground_density(small.n_qubits), sigma
+        d0 = trace_distance(a, b)
         drive = np.random.default_rng(7).uniform(0.0, 1.0, 40)
         for k, s in enumerate(drive, start=1):
-            a_state, _ = step(a_state, float(s), u_g, gamma, rho0)
-            b_state, _ = step(b_state, float(s), u_g, gamma, rho0)
+            a, _ = step(a, float(s), u_g, gamma)
+            b, _ = step(b, float(s), u_g, gamma)
             expected = (1 - gamma) ** k * d0
-            rel = abs(trace_distance(a_state.rho, b_state.rho) - expected)
+            rel = abs(trace_distance(a, b) - expected)
             rel /= expected
             worst_rel = max(worst_rel, rel)
     assert worst_rel < 1e-8
@@ -217,17 +214,16 @@ def test_criterion_2_two_qubit_oracle():
     rho_oracle[0, 0] = 1.0
 
     u_pkg = evolution_operator(cfg)
-    rho0 = ground_density(2)
-    state = ReservoirState(rho=rho0.copy())
+    rho0 = rho = ground_density(2)
     drive = np.random.default_rng(20).uniform(0.0, 1.0, 50)
 
     worst = 0.0
     for s in drive:
-        state, _ = step(state, float(s), u_pkg, cfg.gamma, rho0)
+        rho, _ = step(rho, float(s), u_pkg, cfg.gamma)
         prop = u_oracle @ rotation_oracle(float(s))
         rho_oracle = ((1 - cfg.gamma) * (prop @ rho_oracle @ prop.conj().T)
                       + cfg.gamma * rho0)
-        worst = max(worst, np.abs(state.rho - rho_oracle).max())
+        worst = max(worst, np.abs(rho - rho_oracle).max())
     print(f"criterion 2: max per-entry deviation over 50 steps {worst:.2e}")
     assert worst < 1e-9
 

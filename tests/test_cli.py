@@ -92,6 +92,23 @@ def test_run_rejects_duplicate_stm_delay(tmp_path):
     assert not out.exists()
 
 
+def test_a_long_list_of_unhashable_entries_exits_2_at_once(tmp_path, capsys):
+    # 20,000 one-element lists (a 169 KB file): the entry check rejects the
+    # first, with no duplicate test comparing them pairwise before it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        dict(SMALL, stm_delays=[[d] for d in range(20_000)])))
+    out = tmp_path / "out"
+    started = time.monotonic()
+    code = main(["run", "--config", str(path), "--task", "stm",
+                 "--seeds", "1", "--out", str(out)])
+    assert time.monotonic() - started < 1.0
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: stm_delays[0] must be an integer in [0, 99], got [0]\n")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(load_blas(BLAS_LIBRARIES[0]) is None,
                     reason="numpy carries no bundled OpenBLAS")
 def test_simulation_never_imports_scipy():
@@ -99,12 +116,10 @@ def test_simulation_never_imports_scipy():
         "import sys\n"
         "import numpy as np\n"
         "import spinqrc.cli\n"
-        "from spinqrc.reservoir import (ReservoirConfig, ReservoirState,\n"
-        "                               run_sequence, step)\n"
+        "from spinqrc.reservoir import ReservoirConfig, run_sequence, step\n"
         "cfg = ReservoirConfig(n_qubits=2, n_pre=4, n_fb=4, n_test=4)\n"
         "run_sequence(cfg, np.full(cfg.total_steps, 0.3))\n"
-        "step(ReservoirState(rho=np.eye(4) / 4), 0.3, np.eye(4), 0.1,\n"
-        "     np.eye(4) / 4)\n"
+        "step(np.eye(4) / 4, 0.3, np.eye(4), 0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(spinqrc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

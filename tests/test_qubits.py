@@ -3,7 +3,7 @@ import pytest
 
 from spinqrc.errors import ValidationError
 from spinqrc.qubits import ground_density, z_sign_table
-from spinqrc.reservoir import Bond, ReservoirState, build_hamiltonian, step
+from spinqrc.reservoir import Bond, build_hamiltonian, step
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -43,11 +43,9 @@ def random_density(n_qubits, seed):
 def rotate(rho, s, qubit=1):
     """R(s) rho R(s)† for the input rotation R(s) = exp(+i pi s X_q / 2),
     as ``step`` applies it: no free evolution (U = I) and no reset."""
-    dim = rho.shape[0]
-    state, _ = step(ReservoirState(rho=rho), s, np.eye(dim, dtype=complex),
-                    0.0, ground_density(dim.bit_length() - 1),
-                    input_qubit=qubit)
-    return state.rho
+    rotated, _ = step(rho, s, np.eye(rho.shape[0], dtype=complex), 0.0,
+                      input_qubit=qubit)
+    return rotated
 
 
 def test_rotation_zero_is_identity():

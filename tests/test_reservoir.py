@@ -7,8 +7,8 @@ from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
 from spinqrc.linalg import (BLAS_LIBRARIES, load_blas, one_blas_thread,
                             trace_distance)
 from spinqrc.qubits import ground_density
-from spinqrc.reservoir import (Bond, Phase, ReservoirConfig, ReservoirState,
-                               Topology, build_hamiltonian, evolution_operator,
+from spinqrc.reservoir import (Bond, ReservoirConfig, Topology,
+                               build_hamiltonian, evolution_operator,
                                run_sequence, sample_couplings, step,
                                topology_bonds)
 
@@ -48,11 +48,11 @@ class TestConfig:
 
     def test_phase_boundaries(self):
         cfg = small_config()
-        assert cfg.phase_of(0) is Phase.PREP
-        assert cfg.phase_of(9) is Phase.PREP
-        assert cfg.phase_of(10) is Phase.TRAIN
-        assert cfg.phase_of(29) is Phase.TRAIN
-        assert cfg.phase_of(30) is Phase.TEST
+        assert cfg.phase_of(0) == "prep"
+        assert cfg.phase_of(9) == "prep"
+        assert cfg.phase_of(10) == "train"
+        assert cfg.phase_of(29) == "train"
+        assert cfg.phase_of(30) == "test"
 
     def test_topology_coercion_from_string(self):
         cfg = small_config(topology="ring")
@@ -200,13 +200,11 @@ def nonfinite_states() -> dict[str, np.ndarray]:
 NONFINITE = nonfinite_states()
 
 
-def check_start_state(rho, step_index=0):
+def check_start_state(rho):
     """Run ``step``'s full check of its start state on ``rho``: one step with
     no input, no evolution and no reset, which leaves a valid state as it
     is."""
-    dim = rho.shape[0]
-    step(ReservoirState(rho=rho, step=step_index), 0.0,
-         np.eye(dim, dtype=complex), 0.0, ground_density(dim.bit_length() - 1))
+    step(rho, 0.0, np.eye(rho.shape[0], dtype=complex), 0.0)
 
 
 class TestCheckDensityMatrix:
@@ -256,8 +254,8 @@ class TestCheckDensityMatrix:
 
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_state(self, name):
-        with pytest.raises(StateInvariantError, match="before step 2$"):
-            check_start_state(NONFINITE[name], step_index=2)
+        with pytest.raises(StateInvariantError, match="before step 0$"):
+            check_start_state(NONFINITE[name])
 
 
 class TestStep:
@@ -265,35 +263,29 @@ class TestStep:
         cfg = small_config()
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
-        state = ReservoirState(rho=rho0.copy())
-        new, z = step(state, 0.73, u, gamma=1.0, rho0=rho0)
-        assert np.allclose(new.rho, rho0, atol=1e-12)
+        new, z = step(rho0, 0.73, u, gamma=1.0)
+        assert np.allclose(new, rho0, atol=1e-12)
         assert np.allclose(z, 1.0)
-        assert new.step == 1
 
     def test_identity_evolution_is_noop(self):
         rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
-        state = ReservoirState(rho=rho)
-        new, _ = step(state, 0.0, np.eye(4, dtype=complex), gamma=0.0,
-                      rho0=ground_density(2))
-        assert np.allclose(new.rho, rho, atol=1e-14)
+        new, _ = step(rho, 0.0, np.eye(4, dtype=complex), gamma=0.0)
+        assert np.allclose(new, rho, atol=1e-14)
 
     def test_single_qubit_flip(self):
-        state = ReservoirState(rho=ground_density(1))
-        _, z = step(state, 1.0, np.eye(2, dtype=complex), gamma=0.0,
-                    rho0=ground_density(1))
+        _, z = step(ground_density(1), 1.0, np.eye(2, dtype=complex),
+                    gamma=0.0)
         assert z[0] == pytest.approx(-1.0)
 
     def test_rejects_invalid_entry_state(self):
-        bad = ReservoirState(rho=np.eye(4, dtype=complex))  # trace 4
+        bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(StateInvariantError):
-            step(bad, 0.0, np.eye(4, dtype=complex), 0.1, ground_density(2))
+            step(bad, 0.0, np.eye(4, dtype=complex), 0.1)
 
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_entry_state(self, name):
-        state = ReservoirState(rho=NONFINITE[name])
         with pytest.raises(StateInvariantError) as raised:
-            step(state, 0.3, np.eye(4, dtype=complex), 0.1, ground_density(2))
+            step(NONFINITE[name], 0.3, np.eye(4, dtype=complex), 0.1)
         assert exit_code_for(raised.value) == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("rho, message", [
@@ -301,48 +293,43 @@ class TestStep:
         (np.diag([1.2, -0.2]), "eigenvalue below tolerance"),
     ])
     def test_bad_start_state_names_its_step(self, rho, message):
-        state = ReservoirState(rho=rho.astype(complex), step=5)
         with pytest.raises(StateInvariantError,
-                           match=f"{message}.* before step 5$"):
-            step(state, 0.3, np.eye(2, dtype=complex), 0.1, ground_density(1))
+                           match=f"{message}.* before step 0$"):
+            step(rho.astype(complex), 0.3, np.eye(2, dtype=complex), 0.1)
 
     def test_checkpoint_catches_a_state_gone_bad(self):
-        # A reset target with a negative eigenvalue makes the state after
-        # the input non-positive; the full check on the final state sees it.
-        state = ReservoirState(rho=ground_density(1), step=3)
+        # A non-unitary U = diag(1, 100) keeps the trace at 1 but scales the
+        # off-diagonal entry 100-fold, past what positivity allows; the full
+        # check on the final state sees it.
+        rho = np.array([[1, 1e-6], [1e-6, 0]], dtype=complex)
         with pytest.raises(StateInvariantError,
-                           match="eigenvalue below tolerance at step 3$"):
-            step(state, 0.3, np.eye(2, dtype=complex), 1.0,
-                 np.diag([1.2, -0.2]).astype(complex))
+                           match="eigenvalue below tolerance at step 0$"):
+            step(rho, 0.0, np.diag([1, 100]).astype(complex), 0.0)
 
     def test_rejects_dimension_mismatch(self):
-        state = ReservoirState(rho=ground_density(2))
         with pytest.raises(ValidationError):
-            step(state, 0.0, np.eye(8, dtype=complex), 0.1, ground_density(2))
+            step(ground_density(2), 0.0, np.eye(8, dtype=complex), 0.1)
 
     def test_rejects_bad_gamma(self):
-        state = ReservoirState(rho=ground_density(2))
         with pytest.raises(ConfigError):
-            step(state, 0.0, np.eye(4, dtype=complex), 1.5, ground_density(2))
+            step(ground_density(2), 0.0, np.eye(4, dtype=complex), 1.5)
 
     @pytest.mark.parametrize("s, qubit", [(0.2, 0), (0.2, 3),
                                           (float("nan"), 1), (-1e-9, 1),
                                           (1.0 + 1e-9, 1), (2.0, 1),
                                           (float("inf"), 1)])
     def test_rejects_bad_input_qubit_or_value(self, s, qubit):
-        state = ReservoirState(rho=ground_density(2))
         with pytest.raises(ValidationError):
-            step(state, s, np.eye(4, dtype=complex), 0.1, ground_density(2),
+            step(ground_density(2), s, np.eye(4, dtype=complex), 0.1,
                  input_qubit=qubit)
 
     def test_unitary_step_preserves_purity(self):
         cfg = small_config()
         u = evolution_operator(cfg)
-        rho0 = ground_density(cfg.n_qubits)
-        state = ReservoirState(rho=rho0.copy())
+        rho = ground_density(cfg.n_qubits)
         for s in (0.3, 0.8, 0.1):
-            state, _ = step(state, s, u, gamma=0.0, rho0=rho0)
-        purity = np.trace(state.rho @ state.rho).real
+            rho, _ = step(rho, s, u, gamma=0.0)
+        purity = np.trace(rho @ rho).real
         assert purity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -378,11 +365,8 @@ class TestRunSequence:
         cfg = small_config()
         traj = run_sequence(cfg, np.zeros(cfg.total_steps))
         phases = [cfg.phase_of(k) for k in range(len(traj.inputs))]
-        assert phases.count(Phase.PREP) == cfg.n_pre
-        assert phases.count(Phase.TRAIN) == cfg.n_fb
-        assert phases.count(Phase.TEST) == cfg.n_test
-        assert phases == sorted(phases, key=[Phase.PREP, Phase.TRAIN,
-                                             Phase.TEST].index)
+        assert phases == (["prep"] * cfg.n_pre + ["train"] * cfg.n_fb
+                          + ["test"] * cfg.n_test)
         assert traj.z_rows[traj.train_slice].shape == (cfg.n_fb, cfg.n_qubits)
         assert traj.z_rows[traj.test_slice].shape == (cfg.n_test, cfg.n_qubits)
 
@@ -393,13 +377,12 @@ class TestRunSequence:
         traj = run_sequence(cfg, inputs)
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
-        state = ReservoirState(rho=rho0.copy())
-        rho_kron = rho0.copy()
+        rho, rho_kron = rho0, rho0
         for k, s in enumerate(inputs):
-            state, z = step(state, float(s), u, cfg.gamma, rho0)
+            rho, z = step(rho, float(s), u, cfg.gamma)
             assert np.allclose(traj.z_rows[k], z, atol=1e-12)
             rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0)
-            assert np.abs(state.rho - rho_kron).max() <= 1e-14
+            assert np.abs(rho - rho_kron).max() <= 1e-14
 
     def test_offcenter_input_qubit_matches_single_step_route(self):
         cfg = small_config(input_qubit=3)
@@ -408,15 +391,13 @@ class TestRunSequence:
         traj = run_sequence(cfg, inputs)
         u = evolution_operator(cfg)
         rho0 = ground_density(cfg.n_qubits)
-        state = ReservoirState(rho=rho0.copy())
-        rho_kron = rho0.copy()
+        rho, rho_kron = rho0, rho0
         for k, s in enumerate(inputs):
-            state, z = step(state, float(s), u, cfg.gamma, rho0,
-                            input_qubit=3)
+            rho, z = step(rho, float(s), u, cfg.gamma, input_qubit=3)
             assert np.allclose(traj.z_rows[k], z, atol=1e-12)
             rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0,
                                        input_qubit=3)
-            assert np.abs(state.rho - rho_kron).max() <= 1e-14
+            assert np.abs(rho - rho_kron).max() <= 1e-14
 
     def test_repeated_inputs_match_single_step_route(self):
         # A drive over three values reuses, then evicts, the two cached
@@ -426,21 +407,20 @@ class TestRunSequence:
         inputs = rng.choice([0.0, 1.0, 0.35], cfg.total_steps)
         traj = run_sequence(cfg, inputs)
         u = evolution_operator(cfg)
-        rho0 = ground_density(cfg.n_qubits)
-        state = ReservoirState(rho=rho0.copy())
+        rho = ground_density(cfg.n_qubits)
         for k, s in enumerate(inputs):
-            state, z = step(state, float(s), u, cfg.gamma, rho0)
+            rho, z = step(rho, float(s), u, cfg.gamma)
             assert np.allclose(traj.z_rows[k], z, atol=1e-12)
 
     def test_hermiticity_checked_every_check_interval_steps(self):
-        # A non-Hermitian reset target spoils the state from the first
-        # input on; the trace stays 1, so the first full checkpoint, after
-        # input _CHECK_INTERVAL - 1, is where it surfaces.
-        rho0 = np.array([[1, 1e-6], [0, 0]], dtype=complex)
-        start = ReservoirState(rho=ground_density(1))
+        # A non-unitary U = diag(1, 1.1) grows a start state's one-sided
+        # off-diagonal entry 1.1-fold per input, past the Hermiticity
+        # tolerance from input 24 on; the trace stays 1, so the first full
+        # checkpoint, after input _CHECK_INTERVAL - 1, is where it surfaces.
+        rho = np.array([[1, 1e-11], [0, 0]], dtype=complex)
         with pytest.raises(StateInvariantError, match=(
                 f"not Hermitian.* at step {reservoir._CHECK_INTERVAL - 1}$")):
-            reservoir._evolve(np.eye(2, dtype=complex), 0.5, rho0, start,
+            reservoir._evolve(np.diag([1, 1.1]).astype(complex), 0.0, rho,
                               np.zeros(2 * reservoir._CHECK_INTERVAL), 1)
 
     def test_expectations_in_physical_range(self):
@@ -486,13 +466,12 @@ class TestBlasThreadPolicy:
         cfg = small_config(n_qubits=6)
         inputs = np.random.default_rng(5).uniform(0, 1, cfg.total_steps)
         u = evolution_operator(cfg)
-        rho0 = ground_density(cfg.n_qubits)
         rows = {}
         for count in (1, 2):
             set_(count)
             rows[count] = run_sequence(cfg, inputs).z_rows
             assert get() == count
-            step(ReservoirState(rho=rho0.copy()), 0.3, u, cfg.gamma, rho0)
+            step(ground_density(cfg.n_qubits), 0.3, u, cfg.gamma)
             assert get() == count
         assert rows[1].tobytes() == rows[2].tobytes()
 
@@ -527,10 +506,9 @@ class TestBlasThreadPolicy:
     def test_caller_count_restored_after_error(self, caller_threads):
         get, set_ = caller_threads
         set_(2)
-        rho0 = ground_density(6)
         u = evolution_operator(small_config(n_qubits=6))
         with pytest.raises(StateInvariantError):
-            step(ReservoirState(rho=2 * rho0), 0.3, u, 0.1, rho0)
+            step(2 * ground_density(6), 0.3, u, 0.1)
         assert get() == 2
 
 
@@ -578,15 +556,12 @@ def test_contraction_of_trace_distance():
     cfg = small_config(gamma=0.2)
     u = evolution_operator(cfg)
     dim = 2**cfg.n_qubits
-    rho0 = ground_density(cfg.n_qubits)
-    a = ReservoirState(rho=basis_density(dim, 0))
-    b = ReservoirState(rho=basis_density(dim, dim - 1))
-    d0 = trace_distance(a.rho, b.rho)
+    a, b = basis_density(dim, 0), basis_density(dim, dim - 1)
+    d0 = trace_distance(a, b)
     rng = np.random.default_rng(0)
     for k in range(1, 21):
         s = float(rng.uniform(0, 1))
-        a, _ = step(a, s, u, cfg.gamma, rho0)
-        b, _ = step(b, s, u, cfg.gamma, rho0)
+        a, _ = step(a, s, u, cfg.gamma)
+        b, _ = step(b, s, u, cfg.gamma)
         expected = (1 - cfg.gamma) ** k * d0
-        assert trace_distance(a.rho, b.rho) == pytest.approx(expected,
-                                                             rel=1e-10)
+        assert trace_distance(a, b) == pytest.approx(expected, rel=1e-10)
