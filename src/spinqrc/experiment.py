@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 import os
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -113,7 +112,8 @@ class RowStats:
     readout_type: str
     gamma_str: str
     metric: str
-    per_seed: tuple[float, ...]
+    # A number field, so that check_ranges checks a stored row's values.
+    per_seed: tuple[float, ...] = number((0.0,))
 
     @property
     def mean(self) -> float:
@@ -126,32 +126,6 @@ class RowStats:
     @property
     def row_id(self) -> str:
         return "|".join((self.task, self.topology, self.readout_type, self.gamma_str))
-
-    def to_dict(self) -> dict:
-        return {"task": self.task, "topology": self.topology,
-                "readout_type": self.readout_type, "gamma": self.gamma_str,
-                "metric": self.metric, "per_seed": list(self.per_seed)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RowStats":
-        """The row a ``to_dict`` value describes; ConfigError for any other
-        value, so a damaged manifest cannot write a damaged row."""
-        keys = ("task", "topology", "readout_type", "gamma", "metric")
-        json_object(d, "a metrics row", keys + ("per_seed",),
-                    required=keys + ("per_seed",))
-        for key in keys:
-            if not isinstance(d[key], str):
-                raise ConfigError(
-                    f"metrics row {key} must be a string, got {d[key]!r}")
-        values = d["per_seed"]
-        if (not isinstance(values, list) or not values
-                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                       for v in values)):
-            raise ConfigError("metrics row per_seed must be a non-empty list "
-                              f"of numbers, got {values!r}")
-        return RowStats(task=d["task"], topology=d["topology"],
-                        readout_type=d["readout_type"], gamma_str=d["gamma"],
-                        metric=d["metric"], per_seed=tuple(values))
 
 
 @dataclass
@@ -202,36 +176,44 @@ class ExperimentManifest:
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)
              if f.name != "trajectory"}
-        d["metrics"] = {k: v.to_dict() if isinstance(v, RowStats) else v
-                        for k, v in self.metrics.items()}
+        d["metrics"] = {k: list(v.per_seed) for k, v in self.metrics.items()}
         return json.dumps(d, indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(value: object) -> "ExperimentManifest":
         """The manifest that ``value``, a parsed ``to_json`` text, describes;
-        ConfigError for any other value."""
+        ConfigError for any other value. Each stored row holds only its
+        per-seed values; ``manifest_rows`` gives the rest."""
         stored = [f for f in fields(ExperimentManifest)
                   if f.name != "trajectory"]
         d = json_object(value, "the manifest", [f.name for f in stored],
                         [f.name for f in stored
-                         if f.default is f.default_factory is MISSING])
+                         if f.default is f.default_factory is MISSING
+                         or f.name in ("version", "created")])
+        for name in ("version", "created"):
+            if not isinstance(d[name], str) or not d[name]:
+                raise ConfigError(f"{name} must be a non-empty string, "
+                                  f"got {reprlib.repr(d[name])}")
         metrics = json_object(d.pop("metrics", {}), "metrics", None)
-        metrics = {k: RowStats.from_dict(v) for k, v in metrics.items()}
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
             derived = {row.stats.row_id: row.stats for row in manifest_rows(m)}
             if set(metrics) != set(derived):
                 raise ConfigError(f"the stored rows {sorted(metrics)} are not "
                                   f"the manifest's rows {sorted(derived)}")
-            for key, stats in metrics.items():
-                if (replace(stats, per_seed=()), len(stats.per_seed)) != (
-                        derived[key], m.n_seeds):
-                    raise ConfigError(
-                        f"stored row {key} holds row {stats.row_id}, metric "
-                        f"{stats.metric!r}, n_seeds {len(stats.per_seed)}; "
-                        f"the manifest gives metric {derived[key].metric!r}, "
-                        f"n_seeds {m.n_seeds}")
-        m.metrics = metrics
+            for key, values in metrics.items():
+                try:
+                    if not isinstance(values, list):
+                        raise ConfigError("per_seed must be a list, got "
+                                          f"{reprlib.repr(values)}")
+                    check_ranges(RowStats, {"per_seed": values})
+                    if len(values) != m.n_seeds:
+                        raise ConfigError(
+                            f"per_seed must hold n_seeds = {m.n_seeds} "
+                            f"values, got {len(values)}")
+                except ConfigError as exc:
+                    raise ConfigError(f"stored row {key}: {exc}") from None
+                m.metrics[key] = replace(derived[key], per_seed=tuple(values))
         return m
 
     @property

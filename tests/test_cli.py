@@ -425,44 +425,51 @@ BAD_MANIFEST_VALUES = {
                    "n_seeds must be an integer in [1, 10000], got 0")}
 
 # A stored manifest that `report` reads, and broken variants of its metrics.
-ROW = {"task": "narma2", "topology": "linear", "readout_type": "per_qubit",
-       "gamma": "0.1", "metric": "nmse", "per_seed": [0.5]}
+# The manifest produces the one row ROW_ID, which holds n_seeds = 10 values.
 ROW_ID = "narma2|linear|per_qubit|0.1"
+ROW = [0.5] * 10
 MANIFEST = json.loads(experiment.ExperimentManifest(
     kind="reservoir", config=dict(SMALL), tasks=("narma2",)).to_json())
 BAD_STORED_METRICS = {
     "metrics_list": ([], "metrics must be a JSON object, got []"),
-    "string_per_seed": ({"r": dict(ROW, per_seed=["a"])},
-                        "per_seed must be a non-empty list of numbers"),
-    "number_gamma": ({"r": dict(ROW, gamma=5)},
-                     "metrics row gamma must be a string, got 5"),
-    "empty_per_seed": ({"r": dict(ROW, per_seed=[])},
-                       "per_seed must be a non-empty list of numbers"),
-    "number_row": ({"r": 5}, "a metrics row must be a JSON object, got 5"),
-    "unknown_row_key": ({"r": dict(ROW, colour=1)},
-                        "unknown key(s) 'colour' in a metrics row; known "
-                        "keys: gamma, metric, per_seed, readout_type, task, "
-                        "topology"),
-    "missing_row_key": ({"r": {k: v for k, v in ROW.items() if k != "metric"}},
-                        "a metrics row has no 'metric'"),
-    # Well-formed rows that are not the manifest's own: it produces the one
-    # row narma2|linear|per_qubit|0.1, an nmse with 10 per-seed values.
-    "foreign_row": ({"narma2|ring|per_qubit|0.1": dict(
-        ROW, topology="ring", per_seed=[0.5] * 10)},
-        "stored rows ['narma2|ring|per_qubit|0.1'] are not the manifest's "
-        f"rows ['{ROW_ID}']"),
-    "misfiled_row": ({"r": dict(ROW, per_seed=[0.5] * 10)},
+    "string_per_seed": ({ROW_ID: ["a"]},
+                        f"stored row {ROW_ID}: per_seed[0] must be a "
+                        "number, got 'a'"),
+    "empty_per_seed": ({ROW_ID: []},
+                       f"stored row {ROW_ID}: per_seed must hold n_seeds "
+                       "= 10 values, got 0"),
+    "number_row": ({ROW_ID: 5},
+                   f"stored row {ROW_ID}: per_seed must be a list, got 5"),
+    "nan_per_seed": ({ROW_ID: [float("nan")] * 10},
+                     "per_seed[0] must be a number, got nan"),
+    "infinite_per_seed": ({ROW_ID: [0.5, float("inf")] + [0.5] * 8},
+                          "per_seed[1] must be a number, got inf"),
+    "huge_per_seed": ({ROW_ID: [10**400] * 10},
+                      "per_seed[0] must be a number, got 1000000"),
+    "bool_per_seed": ({ROW_ID: [True] * 10},
+                      "per_seed[0] must be a number, got True"),
+    # Rows that are not the manifest's own.
+    "foreign_row": ({"narma2|ring|per_qubit|0.1": ROW},
+                    "stored rows ['narma2|ring|per_qubit|0.1'] are not the "
+                    f"manifest's rows ['{ROW_ID}']"),
+    "misfiled_row": ({"r": ROW},
                      "stored rows ['r'] are not the manifest's rows"),
-    "mislabelled_row": ({ROW_ID: dict(ROW, topology="ring",
-                                      per_seed=[0.5] * 10)},
-                        f"stored row {ROW_ID} holds row narma2|ring|"
-                        "per_qubit|0.1, metric 'nmse', n_seeds 10"),
-    "wrong_metric": ({ROW_ID: dict(ROW, metric="stm_capacity",
-                                   per_seed=[0.5] * 10)},
-                     "metric 'stm_capacity', n_seeds 10; the manifest gives "
-                     "metric 'nmse', n_seeds 10"),
-    "short_per_seed": ({ROW_ID: ROW}, "metric 'nmse', n_seeds 1; the "
-                       "manifest gives metric 'nmse', n_seeds 10")}
+    "short_per_seed": ({ROW_ID: [0.5]},
+                       f"stored row {ROW_ID}: per_seed must hold n_seeds "
+                       "= 10 values, got 1")}
+# Stored `version` and `created` values that `to_json` never writes.
+BAD_STORED_STAMPS = {
+    **{f"missing_{key}": ({k: v for k, v in MANIFEST.items() if k != key},
+                          f"the manifest has no {key!r}")
+       for key in ("version", "created")},
+    "number_version": (dict(MANIFEST, version=7),
+                       "version must be a non-empty string, got 7"),
+    "empty_version": (dict(MANIFEST, version=""),
+                      "version must be a non-empty string, got ''"),
+    "list_created": (dict(MANIFEST, created=[]),
+                     "created must be a non-empty string, got []"),
+    "number_created": (dict(MANIFEST, created=5),
+                       "created must be a non-empty string, got 5")}
 
 
 @pytest.mark.parametrize("command, cfg, fragment", [
@@ -491,6 +498,8 @@ BAD_STORED_METRICS = {
      "base_seed must be an integer >= 0, got -3"),
     *(("report", dict(MANIFEST, metrics=bad), fragment)
       for bad, fragment in BAD_STORED_METRICS.values()),
+    *(("report", bad, fragment)
+      for bad, fragment in BAD_STORED_STAMPS.values()),
     ("report", [MANIFEST], "the manifest must be a JSON object, got [{"),
     ("report", dict(MANIFEST, config={"gama": 0.5}),
      "unknown key(s) 'gama' in config; known keys: gamma, input_qubit, "),
@@ -504,7 +513,8 @@ BAD_STORED_METRICS = {
         "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
-        "esn_negative_seed", *BAD_STORED_METRICS, "report_manifest_list",
+        "esn_negative_seed", *BAD_STORED_METRICS, *BAD_STORED_STAMPS,
+        "report_manifest_list",
         "report_unknown_config_key", "report_config_list",
         "report_unknown_manifest_key", "report_missing_tasks"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
@@ -698,12 +708,11 @@ def test_report_reemits_metrics(tmp_path, config_file):
     ids=["misspelled_key", "string_n_qubits"])
 def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
                                                      fragment):
-    # Its one row has the fields `run` writes, but no config produces it.
-    row = dict(ROW, topology="nowhere", gamma="7.5")
+    # Its one row is well formed, but no config produces it.
     path = tmp_path / "manifest_x.json"
     path.write_text(json.dumps(dict(
-        MANIFEST, config=config, n_seeds=10,
-        metrics={"narma2|nowhere|per_qubit|7.5": row})))
+        MANIFEST, config=config,
+        metrics={"narma2|nowhere|per_qubit|7.5": ROW})))
     out = tmp_path / "out"
     assert main(["report", "--config", str(path), "--out", str(out)]) \
         == EXIT_CONFIG

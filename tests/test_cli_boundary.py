@@ -53,7 +53,8 @@ def nested(depth: int) -> Raw:
 # Values of the wrong kind for most keys, and the huge and the deep.
 ODD_VALUES = ["x", True, None, [], {}, 1.5, -1, 0, [[1]], {"a": 1},
               ["stm", "narma2"], [[[[[1]]]]], 2**64, 10**400,
-              Raw("1" + "0" * 4999), nested(2000), float("inf")]
+              Raw("1" + "0" * 4999), nested(2000), float("inf"),
+              float("nan")]
 
 BASE_N_QUBITS = 3
 # A 10-step schedule that every subcommand runs, on a small grid.
@@ -62,10 +63,12 @@ BASE_CONFIG = {
     "seeds": 2, "tasks": ["narma2"], "stm_delays": [0, 1],
     "sweep": {"gammas": [0.1], "topologies": ["linear"], "readouts": [1]},
     "esn": {"n_nodes": 3, "variants": [1]}}
-BASE_MANIFEST = json.loads(ExperimentManifest(
+# A stored run of one row, narma2 on the chain, with a value per seed.
+BASE_MANIFEST = dict(json.loads(ExperimentManifest(
     kind="reservoir", tasks=("narma2",), n_seeds=2,
     config={k: v for k, v in BASE_CONFIG.items()
-            if k in cli.RESERVOIR_CONFIG_KEYS}).to_json())
+            if k in cli.RESERVOIR_CONFIG_KEYS}).to_json()),
+    metrics={"narma2|linear|per_qubit|0.1": [0.25, 0.5]})
 
 # Sizes at their upper bound that a run would simulate for seconds; only
 # a stored manifest, which `report` never simulates, holds them.
@@ -127,8 +130,14 @@ def edited(draw, base: dict, top: dict, inner: str, inner_values: dict,
            slow: dict) -> Obj:
     """``base`` with up to three keys set to values tried for them, at the
     top level (keys of ``top``) or in its ``inner`` object, but no key to
-    its value in ``slow``, and perhaps one key repeated."""
+    its value in ``slow``, and perhaps one key repeated. When ``base`` is
+    a stored run, each of its per-seed values may be an odd value too."""
     objects = {None: dict(base), inner: dict(base[inner])}
+    if "metrics" in base:
+        objects[None]["metrics"] = {
+            row: [draw(st.sampled_from(ODD_VALUES)) if draw(st.booleans())
+                  else v for v in per_seed]
+            for row, per_seed in base["metrics"].items()}
     for _ in range(draw(st.integers(0, 3))):
         where = draw(st.sampled_from([None, inner]))
         tried = top if where is None else inner_values

@@ -9,10 +9,10 @@ import pytest
 from spinqrc import experiment, workers
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
-from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, RowStats,
-                                SweepGrid, emit_report, json_list,
-                                json_object, metrics_csv_text, read_json,
-                                run_experiment, trajectory_csv_text)
+from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
+                                emit_report, json_list, json_object,
+                                metrics_csv_text, read_json, run_experiment,
+                                trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
@@ -413,6 +413,12 @@ class TestEmitReport:
         data = json.loads((tmp_path / f"manifest_{m.cell_id}.json").read_text())
         assert list(data) == sorted(data)
         assert data["version"] == m.version
+        # Each stored row is its per-seed values alone, one float per seed.
+        assert data["metrics"] == {key: list(stats.per_seed)
+                                   for key, stats in m.metrics.items()}
+        for values in data["metrics"].values():
+            assert len(values) == m.n_seeds
+            assert all(type(v) is float for v in values)
 
     def test_rejects_empty_list(self, tmp_path):
         with pytest.raises(ConfigError):
