@@ -15,7 +15,7 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -104,9 +104,15 @@ def json_list(values: object, where: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class RowStats:
-    """One metrics row plus the per-seed values behind it."""
+class Row:
+    """One metrics row of a manifest: the target ``task`` of the ``drive``
+    task, fitted on the ``readout`` features of the cell whose ensemble
+    member 0 runs ``config``, with its labels, its metric and the per-seed
+    values behind it (none in a ``manifest_rows`` row)."""
 
+    config: ReservoirConfig | EsnConfig
+    readout: ReadoutType
+    drive: str
     task: str
     topology: str
     readout_type: str
@@ -197,7 +203,7 @@ class ExperimentManifest:
         metrics = json_object(d.pop("metrics", {}), "metrics", None)
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
-            derived = {row.stats.row_id: row.stats for row in manifest_rows(m)}
+            derived = {row.row_id: row for row in manifest_rows(m)}
             if set(metrics) != set(derived):
                 raise ConfigError(f"the stored rows {sorted(metrics)} are not "
                                   f"the manifest's rows {sorted(derived)}")
@@ -206,7 +212,7 @@ class ExperimentManifest:
                     if not isinstance(values, list):
                         raise ConfigError("per_seed must be a list, got "
                                           f"{reprlib.repr(values)}")
-                    check_ranges(RowStats, {"per_seed": values})
+                    check_ranges(Row, {"per_seed": values})
                     if len(values) != m.n_seeds:
                         raise ConfigError(
                             f"per_seed must hold n_seeds = {m.n_seeds} "
@@ -221,26 +227,24 @@ class ExperimentManifest:
         task_tag = self.tasks[0] if len(self.tasks) == 1 else "multi"
         if self.kind == "esn":
             return f"{task_tag}_esn"
-        row = manifest_rows(self)[0].stats
+        row = manifest_rows(self)[0]
         return f"{task_tag}_{row.topology}_g{row.gamma_str}_r{self.readout}"
-
-
-class Row(NamedTuple):
-    """One metrics row of a manifest: ``stats`` (its labels and metric, with
-    no per-seed values) of a target of ``task``, fitted on the ``readout``
-    features of the cell whose ensemble member 0 runs ``config``."""
-
-    config: ReservoirConfig | EsnConfig
-    readout: ReadoutType
-    task: str
-    stats: RowStats
 
 
 def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
     """Every metrics row of a manifest, cell by cell (the manifest itself
     for a reservoir, one per variant for an ESN), task by task, target by
     target (one per STM delay, in order). Builds member 0's config of each
-    cell, which checks it, and never another member's."""
+    cell, which checks it, and never another member's. A field that the
+    manifest's kind never reads (``readout`` for an ESN, ``variants`` for
+    a reservoir) must keep its default."""
+    unread = "readout" if manifest.kind == "esn" else "variants"
+    value = getattr(manifest, unread)
+    default = getattr(ExperimentManifest, unread)
+    if value != default:
+        raise ConfigError(f"a manifest of kind {manifest.kind!r} never reads "
+                          f"{unread}, so it must be {default!r}; got "
+                          f"{reprlib.repr(value)}")
     seed = manifest.base_seed
     if manifest.kind == "esn":
         if not manifest.variants:
@@ -256,15 +260,14 @@ def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
                   repr(float(config.gamma)))]
     if "stm" in manifest.tasks and not manifest.stm_delays:
         raise ConfigError("stm task requires at least one delay")
-    return [Row(config, readout, task, RowStats(
-                task=target, topology=label,
+    return [Row(config, readout, drive, task=target, topology=label,
                 readout_type=_READOUT_LABEL[readout], gamma_str=gamma_str,
-                metric="nmse" if task.startswith("narma") else "stm_capacity",
-                per_seed=()))
+                metric="nmse" if drive.startswith("narma") else "stm_capacity",
+                per_seed=())
             for config, readout, label, gamma_str in cells
-            for task in manifest.tasks
+            for drive in manifest.tasks
             for target in ([f"stm_tau{tau:02d}" for tau in manifest.stm_delays]
-                           if task == "stm" else [task])]
+                           if drive == "stm" else [drive])]
 
 
 def _member_config(cls: type, config: object, **member: object):
@@ -317,12 +320,13 @@ def _simulate(config: ReservoirConfig | EsnConfig, inputs: np.ndarray
 def _simulate_all(jobs: list[tuple]) -> list[tuple]:
     """``_simulate`` of every (config, inputs) job, in worker processes.
 
-    Jobs are grouped by draw, so that each group builds its U once and
-    runs its jobs in the given order: a reservoir's draw is its
-    ``coupling_draw``, an ESN's its weight seed, which all its variants
-    share. ``workers.run_groups`` spreads the groups over processes, all
-    at one BLAS thread, so each job computes the same bits in whichever
-    process runs it.
+    Jobs are grouped by draw, and each group runs its jobs in the given
+    order in one process. A reservoir's draw is its ``coupling_draw``, so
+    its group builds its U once. An ESN's draw is its weight seed, which
+    all its variants share; that group shares only its process, since
+    ``run_esn`` draws W and w_in on every call. ``workers.run_groups``
+    spreads the groups over processes, all at one BLAS thread, so each
+    job computes the same bits in whichever process runs it.
     """
     groups: dict[object, list[int]] = {}
     for i, (config, _) in enumerate(jobs):
@@ -358,44 +362,42 @@ def run_experiment(
     plans = []
     for manifest in cells:
         seed_key = "weight_seed" if manifest.kind == "esn" else "coupling_seed"
-        for (config, readout), cell_rows in itertools.groupby(
-                manifest_rows(manifest), key=lambda row: row[:2]):
+        for (config, _), cell_rows in itertools.groupby(
+                manifest_rows(manifest), key=lambda r: (r.config, r.readout)):
             members = [replace(config, **{seed_key: manifest.base_seed + m})
                        for m in range(manifest.n_seeds)]
-            for task, rows in itertools.groupby(cell_rows, lambda r: r.task):
-                key = (task, config.total_steps, manifest.input_seed,
+            for drive, rows in itertools.groupby(cell_rows, lambda r: r.drive):
+                key = (drive, config.total_steps, manifest.input_seed,
                        manifest.stm_delays)
                 if key not in streams:
                     inputs = _task_drive(*key[:3])
-                    streams[key] = inputs, _task_targets(task, inputs, key[3])
-                plans.append((manifest, members, readout, task, list(rows),
-                              *streams[key]))
+                    streams[key] = inputs, _task_targets(drive, inputs, key[3])
+                plans.append((manifest, members, list(rows), *streams[key]))
 
     jobs: dict[tuple, tuple] = {}
-    for _, members, _, _, _, inputs, _ in plans:
+    for _, members, _, inputs, _ in plans:
         for config in members:
             jobs.setdefault((config, inputs.tobytes()), (config, inputs))
     trajectories = dict(zip(jobs, _simulate_all(list(jobs.values()))))
 
     for manifest in cells:
         manifest.metrics = {}
-    for manifest, members, readout, task, rows, inputs, targets in plans:
-        drive = inputs.tobytes()
-        if task == manifest.tasks[0] and manifest.kind == "reservoir":
-            manifest.trajectory = trajectories[(members[0], drive)][0]
+    for manifest, members, rows, inputs, targets in plans:
+        bits = inputs.tobytes()
+        if rows[0].drive == manifest.tasks[0] and manifest.kind == "reservoir":
+            manifest.trajectory = trajectories[(members[0], bits)][0]
         per_seed: list[list[float]] = [[] for _ in rows]
         for config in members:
-            traj, features = trajectories[(config, drive)]
-            feats = make_features(features, readout)
+            traj, features = trajectories[(config, bits)]
+            feats = make_features(features, rows[0].readout)
             tr, te = traj.train_slice, traj.test_slice
             for row, target, values in zip(rows, targets, per_seed):
                 weights = train_weights(feats[tr], target[tr],
                                         ridge=manifest.ridge)
-                score = nmse if row.stats.metric == "nmse" else stm_capacity
+                score = nmse if row.metric == "nmse" else stm_capacity
                 values.append(score(predict(weights, feats[te]), target[te]))
         for row, values in zip(rows, per_seed):
-            manifest.metrics[row.stats.row_id] = replace(
-                row.stats, per_seed=tuple(values))
+            manifest.metrics[row.row_id] = replace(row, per_seed=tuple(values))
     return list(cells)
 
 

@@ -106,7 +106,7 @@ def narma_errors():
 
 @pytest.fixture(scope="module")
 def esn_metrics():
-    """RowStats list from the baseline comparison at 10 shared seeds."""
+    """The metrics rows of the baseline comparison at 10 shared seeds."""
     manifest = ExperimentManifest(
         kind="esn", config={}, tasks=("stm", "narma2", "narma5", "narma10"),
         stm_delays=(2, 3, 4), n_seeds=N_SEEDS, variants=(1, 3, 5))

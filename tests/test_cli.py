@@ -430,6 +430,8 @@ ROW_ID = "narma2|linear|per_qubit|0.1"
 ROW = [0.5] * 10
 MANIFEST = json.loads(experiment.ExperimentManifest(
     kind="reservoir", config=dict(SMALL), tasks=("narma2",)).to_json())
+ESN_MANIFEST = json.loads(experiment.ExperimentManifest(
+    kind="esn", config=dict(PHASES, n_nodes=4), tasks=("narma2",)).to_json())
 BAD_STORED_METRICS = {
     "metrics_list": ([], "metrics must be a JSON object, got []"),
     "string_per_seed": ({ROW_ID: ["a"]},
@@ -508,6 +510,12 @@ BAD_STORED_STAMPS = {
      "unknown key(s) 'colour' in the manifest; known keys: base_seed, "),
     ("report", {k: v for k, v in MANIFEST.items() if k != "tasks"},
      "the manifest has no 'tasks'"),
+    # A field that the manifest's kind never reads keeps its default.
+    ("report", dict(ESN_MANIFEST, readout=2),
+     "a manifest of kind 'esn' never reads readout, so it must be 1; got 2"),
+    ("report", dict(MANIFEST, variants=[7, 9]),
+     "a manifest of kind 'reservoir' never reads variants, so it must be "
+     "(1, 3, 5); got (7, 9)"),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
         "no_variants", "scalar_variants", *BAD_MANIFEST_VALUES,
         "sweep_string_ridge", "sweep_fractional_n_seeds",
@@ -516,7 +524,8 @@ BAD_STORED_STAMPS = {
         "esn_negative_seed", *BAD_STORED_METRICS, *BAD_STORED_STAMPS,
         "report_manifest_list",
         "report_unknown_config_key", "report_config_list",
-        "report_unknown_manifest_key", "report_missing_tasks"])
+        "report_unknown_manifest_key", "report_missing_tasks",
+        "report_esn_readout", "report_reservoir_variants"])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -529,6 +538,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinqrc import cli, workers
@@ -166,8 +166,25 @@ def inputs(draw) -> tuple[str, Obj]:
                                 BLOCK_VALUES[block], slow=SLOW))
 
 
+def stored_value(value) -> tuple[str, Obj]:
+    """``report`` of ``BASE_MANIFEST`` with ``value`` as the first per-seed
+    value of its stored row."""
+    [(row, per_seed)] = BASE_MANIFEST["metrics"].items()
+    metrics = Obj([(row, [value, *per_seed[1:]])])
+    return "report", Obj(dict(BASE_MANIFEST, metrics=metrics).items())
+
+
+def each_stored_value(test):
+    """``test`` with one explicit example per odd value in the per-seed
+    slot, which the generated examples reach only by chance."""
+    for value in ODD_VALUES:
+        test = example(stored_value(value))(test)
+    return test
+
+
 @PROPERTY
 @given(inputs())
+@each_stored_value
 def test_cli_exits_0_2_or_3_and_a_rejection_writes_nothing(case):
     command, document = case
     with tempfile.TemporaryDirectory() as tmp, \

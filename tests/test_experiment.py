@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                                 emit_report, json_list, json_object,
-                                metrics_csv_text, read_json, run_experiment,
-                                trajectory_csv_text)
+                                manifest_rows, metrics_csv_text, read_json,
+                                run_experiment, trajectory_csv_text)
 from spinqrc.reservoir import run_sequence
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
@@ -149,6 +150,19 @@ class TestManifest:
         assert set(restored.metrics) == set(m.metrics)
         for key in m.metrics:
             assert restored.metrics[key].per_seed == m.metrics[key].per_seed
+
+    @pytest.mark.parametrize("make", [narma_manifest, esn_manifest],
+                             ids=["reservoir", "esn"])
+    def test_a_stored_row_is_a_manifest_row_with_its_values(self, make):
+        [m] = run_experiment([make(tasks=("stm", "narma2"),
+                                   stm_delays=(0, 1))])
+        restored = ExperimentManifest.from_json(json.loads(m.to_json()))
+        rows = {row.row_id: row for row in manifest_rows(m)}
+        for manifest in (m, restored):
+            assert manifest.metrics.keys() == rows.keys()
+            for key, row in manifest.metrics.items():
+                assert len(row.per_seed) == m.n_seeds
+                assert replace(row, per_seed=()) == rows[key]
 
     def test_cell_id_encodes_configuration(self):
         m = narma_manifest(config=dict(SMALL_RESERVOIR, topology="ring",
