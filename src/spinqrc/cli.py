@@ -20,16 +20,17 @@ from pathlib import Path
 
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
-from .esn import EsnConfig
+from .esn import VARIANTS, EsnConfig
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
-                         emit_report, json_object, read_json, run_experiment,
-                         write_metrics)
+                         emit_report, json_list, json_object, read_json,
+                         run_experiment, write_metrics)
 from .reservoir import ReservoirConfig, Schedule, Topology
 
 # Every ReservoirConfig field but the coupling seed, which each ensemble
 # member takes from the seeds. The phase lengths among them (PHASE_KEYS)
 # set the ESN's schedule as well; the `esn` block holds the other EsnConfig
-# fields but the variant and weight seed, which the manifest sets.
+# fields but the variant, which its `variants` list sets one manifest each,
+# and the weight seed, which each ensemble member takes from the seeds.
 RESERVOIR_CONFIG_KEYS = tuple(f.name for f in fields(ReservoirConfig)
                               if f.name != "coupling_seed")
 PHASE_KEYS = tuple(f.name for f in fields(Schedule))
@@ -123,11 +124,13 @@ def _cmd_esn(args: argparse.Namespace) -> int:
     file_cfg = _load_config(args.config)
     config = dict(file_cfg.get("esn", {}))  # ESN_CONFIG_KEYS and variants
     given = _manifest_fields(file_cfg, args)
-    if "variants" in config:
-        given["variants"] = config.pop("variants")
+    variants = json_list(config.pop("variants", VARIANTS), "variants")
+    if not variants:
+        raise ConfigError("need at least one ESN variant")
     config.update({k: file_cfg[k] for k in PHASE_KEYS if k in file_cfg})
-    manifest = ExperimentManifest(kind="esn", config=config, **given)
-    return _run_and_report([manifest], args.out)
+    manifests = [ExperimentManifest(kind="esn", config=dict(config, variant=v),
+                                    **given) for v in variants]
+    return _run_and_report(manifests, args.out)
 
 
 def _run_and_report(manifests: list[ExperimentManifest], out: str,

@@ -11,6 +11,7 @@ differences in performance isolate the history depth.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +39,8 @@ class EsnConfig(Schedule):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant}")
+            raise ConfigError(f"variant must be one of {VARIANTS}, got "
+                              f"{reprlib.repr(self.variant)}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tasks, workers
 from .errors import ConfigError, StateInvariantError
-from .esn import VARIANTS, EsnConfig, EsnTrajectory, run_esn
+from .esn import EsnConfig, EsnTrajectory, run_esn
 from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
@@ -136,18 +136,19 @@ class Row:
 
 @dataclass
 class ExperimentManifest:
-    """Reproducible description of one experiment cell (or ESN comparison)."""
+    """Reproducible description of one experiment cell, a reservoir and its
+    readout or one ESN variant: ``config`` holds every field of the kind's
+    config class but the member seed, which ``base_seed`` sets."""
 
     kind: str  # "reservoir" or "esn"
     config: dict
     tasks: tuple[str, ...]
-    readout: int = number(1)
+    readout: int = number(1, 1, 2)
     stm_delays: tuple[int, ...] = number(tuple(range(11)), 0, 99)
     n_seeds: int = number(10, 1, MAX_SEEDS)
     base_seed: int = number(0, 0)
     input_seed: int = number(42, 0)
     ridge: float = number(0.0, 0)
-    variants: tuple[int, ...] = number(VARIANTS)
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
@@ -159,7 +160,7 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if self.kind not in ("reservoir", "esn"):
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
-        for name in ("tasks", "stm_delays", "variants"):
+        for name in ("tasks", "stm_delays"):
             setattr(self, name, json_list(getattr(self, name), name))
         for task in self.tasks:
             if task not in TASK_NAMES:
@@ -167,8 +168,6 @@ class ExperimentManifest:
                     f"unknown task {task!r}; expected one of {TASK_NAMES}")
         check_ranges(type(self), vars(self))
         self.ridge = float(self.ridge)
-        if self.readout not in {r.value for r in ReadoutType}:
-            raise ConfigError(f"unknown readout {self.readout}; expected 1 or 2")
         if not self.tasks:
             raise ConfigError("tasks is empty; a manifest needs a task")
         if not self.version:
@@ -177,7 +176,7 @@ class ExperimentManifest:
             self.version = __version__
         if not self.created:
             self.created = datetime.now(timezone.utc).isoformat()
-        manifest_rows(self)  # builds, so checks, each cell's config
+        manifest_rows(self)  # builds, so checks, member 0's config
 
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)
@@ -225,46 +224,47 @@ class ExperimentManifest:
     @property
     def cell_id(self) -> str:
         task_tag = self.tasks[0] if len(self.tasks) == 1 else "multi"
-        if self.kind == "esn":
-            return f"{task_tag}_esn"
         row = manifest_rows(self)[0]
+        if self.kind == "esn":
+            return f"{task_tag}_{row.topology}"
         return f"{task_tag}_{row.topology}_g{row.gamma_str}_r{self.readout}"
 
 
 def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
-    """Every metrics row of a manifest, cell by cell (the manifest itself
-    for a reservoir, one per variant for an ESN), task by task, target by
-    target (one per STM delay, in order). Builds member 0's config of each
-    cell, which checks it, and never another member's. A field that the
-    manifest's kind never reads (``readout`` for an ESN, ``variants`` for
-    a reservoir) must keep its default."""
-    unread = "readout" if manifest.kind == "esn" else "variants"
-    value = getattr(manifest, unread)
-    default = getattr(ExperimentManifest, unread)
-    if value != default:
-        raise ConfigError(f"a manifest of kind {manifest.kind!r} never reads "
-                          f"{unread}, so it must be {default!r}; got "
-                          f"{reprlib.repr(value)}")
+    """Every metrics row of a manifest, task by task, target by target (one
+    per STM delay, in order). Builds member 0's config, which checks it,
+    and never another member's. An ESN manifest never reads ``readout``,
+    so it must keep its default. A schedule too short for the fits fails
+    here, before anything runs: ``n_fb`` below the readout's feature
+    columns, or ``n_test`` below the two points an STM capacity needs."""
     seed = manifest.base_seed
     if manifest.kind == "esn":
-        if not manifest.variants:
-            raise ConfigError("need at least one ESN variant")
-        cells = [(_member_config(EsnConfig, manifest.config, variant=v,
-                                 weight_seed=seed),
-                  ReadoutType.PER_QUBIT, f"esn{v}", "")
-                 for v in manifest.variants]
+        if manifest.readout != 1:
+            raise ConfigError("a manifest of kind 'esn' never reads readout, "
+                              f"so it must be 1; got {manifest.readout}")
+        config = _member_config(EsnConfig, manifest.config, weight_seed=seed)
+        readout, columns = ReadoutType.PER_QUBIT, config.n_nodes + 1
+        label, gamma_str = f"esn{config.variant}", ""
     else:
         config = _member_config(ReservoirConfig, manifest.config,
                                 coupling_seed=seed)
-        cells = [(config, ReadoutType(manifest.readout), config.topology.value,
-                  repr(float(config.gamma)))]
-    if "stm" in manifest.tasks and not manifest.stm_delays:
-        raise ConfigError("stm task requires at least one delay")
+        readout = ReadoutType(manifest.readout)
+        columns = config.n_qubits + 1 if readout is ReadoutType.PER_QUBIT else 2
+        label, gamma_str = config.topology.value, repr(float(config.gamma))
+    if config.n_fb < columns:
+        raise ConfigError(f"n_fb must be an integer >= {columns}, one training "
+                          "step per feature column of the readout, got "
+                          f"{config.n_fb}")
+    if "stm" in manifest.tasks:
+        if not manifest.stm_delays:
+            raise ConfigError("stm task requires at least one delay")
+        if config.n_test < 2:
+            raise ConfigError("n_test must be an integer >= 2 for the stm "
+                              f"task's capacity, got {config.n_test}")
     return [Row(config, readout, drive, task=target, topology=label,
                 readout_type=_READOUT_LABEL[readout], gamma_str=gamma_str,
                 metric="nmse" if drive.startswith("narma") else "stm_capacity",
                 per_seed=())
-            for config, readout, label, gamma_str in cells
             for drive in manifest.tasks
             for target in ([f"stm_tau{tau:02d}" for tau in manifest.stm_delays]
                            if drive == "stm" else [drive])]
@@ -342,13 +342,13 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
 
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
-    """Fill each manifest's metrics, one row per ``manifest_rows`` entry,
-    by running its seed ensembles.
+    """Fill each manifest (one cell each) with its metrics, one row per
+    ``manifest_rows`` entry, by running its seed ensemble.
 
-    An ESN cell's members share W and w_in with the other variants' (same
-    weight seed), so their metric differences isolate the history depth.
     Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
-    input stream is shared by all members. Within one call every distinct
+    input stream is shared by all members. ESN manifests that differ only
+    in variant share W and w_in (same weight seed), so their metric
+    differences isolate the history depth. Within one call every distinct
     task stream is generated once, and every distinct (config, drive)
     trajectory is simulated once and shared by each cell and target that
     uses it: cells that differ only in readout, and tasks that share a
@@ -361,18 +361,18 @@ def run_experiment(
     streams: dict[tuple, tuple[np.ndarray, list[np.ndarray]]] = {}
     plans = []
     for manifest in cells:
+        cell_rows = manifest_rows(manifest)
+        config = cell_rows[0].config
         seed_key = "weight_seed" if manifest.kind == "esn" else "coupling_seed"
-        for (config, _), cell_rows in itertools.groupby(
-                manifest_rows(manifest), key=lambda r: (r.config, r.readout)):
-            members = [replace(config, **{seed_key: manifest.base_seed + m})
-                       for m in range(manifest.n_seeds)]
-            for drive, rows in itertools.groupby(cell_rows, lambda r: r.drive):
-                key = (drive, config.total_steps, manifest.input_seed,
-                       manifest.stm_delays)
-                if key not in streams:
-                    inputs = _task_drive(*key[:3])
-                    streams[key] = inputs, _task_targets(drive, inputs, key[3])
-                plans.append((manifest, members, list(rows), *streams[key]))
+        members = [replace(config, **{seed_key: manifest.base_seed + m})
+                   for m in range(manifest.n_seeds)]
+        for drive, rows in itertools.groupby(cell_rows, lambda r: r.drive):
+            key = (drive, config.total_steps, manifest.input_seed,
+                   manifest.stm_delays)
+            if key not in streams:
+                inputs = _task_drive(*key[:3])
+                streams[key] = inputs, _task_targets(drive, inputs, key[3])
+            plans.append((manifest, members, list(rows), *streams[key]))
 
     jobs: dict[tuple, tuple] = {}
     for _, members, _, inputs, _ in plans:

@@ -150,7 +150,8 @@ def test_cli_never_imports_numpy_random(tmp_path, config_file):
         [sys.executable, "-c", script, config_file, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "out" / "manifest_stm_esn.json").exists()
+    for variant in (1, 3, 5):
+        assert (tmp_path / "out" / f"manifest_stm_esn{variant}.json").exists()
 
 
 def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
@@ -339,11 +340,15 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, cfg, error", [
-    # The STM drive's 10**17 bits, and the ESN's 10**18 recurrent weights,
-    # are allocated before they are drawn, so the allocation fails at once.
+    # The STM drive's 10**17 bits are allocated before they are drawn, so
+    # the allocation fails at once.
     (["run", "--task", "stm"], {"n_pre": 10**17}, "out of memory: "),
+    # An ESN of 10**9 nodes needs more training steps than a drive any
+    # memory holds, so it fails before its weights are allocated
+    # (test_esn.py's test_a_weight_matrix_no_memory_holds_fails_at_once).
     (["esn", "--task", "narma2", "--seeds", "1"],
-     dict(PHASES, esn={"n_nodes": 10**9, "variants": [1]}), "out of memory: "),
+     dict(PHASES, esn={"n_nodes": 10**9, "variants": [1]}),
+     "n_fb must be an integer >= 1000000001, "),
     # A manifest holds at most MAX_SEEDS members.
     (["run", "--task", "narma2", "--seeds", str(10**12)], SMALL,
      "n_seeds must be an integer in [1, 10000], got 1000000000000"),
@@ -351,7 +356,8 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
     (["run", "--task", "stm"], {"n_pre": 10**19}, "out of memory: "),
     (["run", "--task", "narma2"], {"n_pre": 10**19}, "out of memory: "),
     (["esn", "--task", "narma2", "--seeds", "1"],
-     dict(PHASES, esn={"n_nodes": 10**10, "variants": [1]}), "out of memory: "),
+     dict(PHASES, esn={"n_nodes": 10**10, "variants": [1]}),
+     "n_fb must be an integer >= 10000000001, "),
     # A number too large for a float is checked without converting it.
     (["run", "--task", "narma2"], dict(PHASES, n_qubits=10**400),
      "n_qubits must be an integer in [2, 10], got 1000"),
@@ -410,7 +416,8 @@ BAD_MANIFEST_VALUES = {
                             "input_seed must be an integer >= 0, got -5"),
     "string_ridge": ({"ridge": "a"}, "ridge must be a number >= 0, got 'a'"),
     "negative_ridge": ({"ridge": -1}, "ridge must be a number >= 0, got -1"),
-    "unknown_readout": ({"readout": 3}, "unknown readout 3"),
+    "unknown_readout": ({"readout": 3},
+                        "readout must be an integer in [1, 2], got 3"),
     "nested_stm_delay": ({"stm_delays": [[1]]},
                          "stm_delays[0] must be an integer in [0, 99], "
                          "got [1]"),
@@ -483,6 +490,15 @@ BAD_STORED_STAMPS = {
      "need at least one ESN variant"),
     ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=3)),
      "variants must be a list, got 3"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[10**400])),
+     "variant must be one of (1, 3, 5), got 100000000000000000...0000000000"
+     "000000000\n"),
+    # A schedule too short for its fits fails before anything runs.
+    ("run", dict(SMALL, n_qubits=8, n_fb=1),
+     "n_fb must be an integer >= 9, one training step per feature column "
+     "of the readout, got 1"),
+    ("run", dict(SMALL, n_qubits=8, n_test=1, tasks=["stm"]),
+     "n_test must be an integer >= 2 for the stm task's capacity, got 1"),
     *(("run", dict(SMALL, **bad), fragment)
       for bad, fragment in BAD_MANIFEST_VALUES.values()),
     ("sweep", dict(SMALL, ridge="a"), "ridge must be a number >= 0, got 'a'"),
@@ -513,11 +529,12 @@ BAD_STORED_STAMPS = {
     # A field that the manifest's kind never reads keeps its default.
     ("report", dict(ESN_MANIFEST, readout=2),
      "a manifest of kind 'esn' never reads readout, so it must be 1; got 2"),
-    ("report", dict(MANIFEST, variants=[7, 9]),
-     "a manifest of kind 'reservoir' never reads variants, so it must be "
-     "(1, 3, 5); got (7, 9)"),
+    # A manifest stored before each manifest was one cell.
+    ("report", dict(MANIFEST, variants=[1, 3, 5]),
+     "unknown key(s) 'variants' in the manifest; known keys: base_seed, "),
 ], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
-        "no_variants", "scalar_variants", *BAD_MANIFEST_VALUES,
+        "no_variants", "scalar_variants", "huge_variant", "short_n_fb",
+        "short_n_test_for_stm", *BAD_MANIFEST_VALUES,
         "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
         "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
@@ -617,10 +634,23 @@ def test_esn_subcommand(tmp_path):
     code = main(["esn", "--config", str(path), "--task", "narma2",
                  "--seeds", "2", "--out", str(out)])
     assert code == 0
-    rows = (out / "metrics.csv").read_text().splitlines()
+    written = (out / "metrics.csv").read_bytes()
+    rows = written.decode().splitlines()
     assert len(rows) == 3
     assert rows[1].startswith("narma2,esn1,")
     assert rows[2].startswith("narma2,esn3,")
+    # One manifest, so one cell, per variant.
+    assert sorted(p.name for p in out.glob("manifest_*.json")) == [
+        "manifest_narma2_esn1.json", "manifest_narma2_esn3.json"]
+    for variant in (1, 3):
+        manifest = experiment.ExperimentManifest.from_json(experiment.read_json(
+            out / f"manifest_narma2_esn{variant}.json", "manifest"))
+        assert manifest.config["variant"] == variant
+        assert len({(row.config, row.readout)
+                    for row in manifest.metrics.values()}) == 1
+    (out / "metrics.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == written
 
 
 def test_esn_reads_top_level_phase_lengths(tmp_path):
@@ -630,9 +660,9 @@ def test_esn_reads_top_level_phase_lengths(tmp_path):
     out = tmp_path / "out"
     assert main(["esn", "--config", str(path), "--task", "narma2",
                  "--seeds", "1", "--out", str(out)]) == 0
-    config = json.loads((out / "manifest_narma2_esn.json").read_text())[
+    config = json.loads((out / "manifest_narma2_esn1.json").read_text())[
         "config"]
-    assert config == {"n_pre": 3, "n_fb": 20, "n_test": 7}
+    assert config == {"n_pre": 3, "n_fb": 20, "n_test": 7, "variant": 1}
 
 
 def test_run_reads_top_level_tasks(tmp_path):

@@ -117,7 +117,7 @@ CONFIG_VALUES = {
     **values(ExperimentManifest, dict(cli.MANIFEST_KEYS, readout="readout"))}
 BLOCK_VALUES = {
     "esn": {**values(EsnConfig, cli.ESN_CONFIG_KEYS),
-            **values(ExperimentManifest, ["variants"])},
+            **values(EsnConfig, {"variants": "variant"}, listed=True)},
     "sweep": values(ReservoirConfig, {"gammas": "gamma"}, listed=True)}
 MANIFEST_VALUES = values(ExperimentManifest, [
     f.name for f in fields(ExperimentManifest)
@@ -174,6 +174,13 @@ def stored_value(value) -> tuple[str, Obj]:
     return "report", Obj(dict(BASE_MANIFEST, metrics=metrics).items())
 
 
+def esn_variants(value) -> tuple[str, Obj]:
+    """``esn`` of ``BASE_CONFIG`` with ``value`` as its block's
+    ``variants``."""
+    block = Obj(dict(BASE_CONFIG["esn"], variants=value).items())
+    return "esn", Obj(dict(BASE_CONFIG, esn=block).items())
+
+
 def each_stored_value(test):
     """``test`` with one explicit example per odd value in the per-seed
     slot, which the generated examples reach only by chance."""
@@ -182,9 +189,19 @@ def each_stored_value(test):
     return test
 
 
+def each_odd_variants(test):
+    """``test`` with one explicit example per odd ``variants`` list of the
+    ``esn`` block: each builds one manifest per entry, so each entry's
+    check runs apart from the list's."""
+    for value in ([[1]], [True], [2], [10**400], [1, 1], []):
+        test = example(esn_variants(value))(test)
+    return test
+
+
 @PROPERTY
 @given(inputs())
 @each_stored_value
+@each_odd_variants
 def test_cli_exits_0_2_or_3_and_a_rejection_writes_nothing(case):
     command, document = case
     with tempfile.TemporaryDirectory() as tmp, \

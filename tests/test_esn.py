@@ -57,6 +57,15 @@ class TestWeights:
         assert a_w.min() >= 0 and a_w.max() <= 0.4
         assert a_in.min() >= 0 and a_in.max() <= 0.4
 
+    @pytest.mark.parametrize("n_nodes", [10**9, 10**10],
+                             ids=["no_memory", "past_numpy"])
+    def test_a_weight_matrix_no_memory_holds_fails_at_once(self, n_nodes):
+        # W is allocated before it is drawn: 10**18 entries are more than
+        # any address space holds, and 10**20 more than numpy's largest
+        # array; both raise MemoryError, which the CLI exits 2 on.
+        with pytest.raises(MemoryError):
+            esn_weights(EsnConfig(n_nodes=n_nodes))
+
     def test_variants_share_weights(self):
         # differences between variants must come from history depth alone
         w1, in1 = esn_weights(small_config(variant=1, weight_seed=9))

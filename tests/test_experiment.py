@@ -43,9 +43,9 @@ def count_simulations(monkeypatch):
     return calls
 
 
-def esn_manifest(**kw):
-    fields = dict(kind="esn", config=dict(SMALL_ESN), tasks=("narma2",),
-                  n_seeds=2, variants=(1, 3))
+def esn_manifest(variant=1, **kw):
+    fields = dict(kind="esn", config=dict(SMALL_ESN, variant=variant),
+                  tasks=("narma2",), n_seeds=2)
     fields.update(kw)
     return ExperimentManifest(**fields)
 
@@ -122,7 +122,7 @@ class TestManifest:
             narma_manifest(tasks=("narma7",))
 
     @pytest.mark.parametrize("kw", [dict(stm_delays=(1, 1, 2)),
-                                    dict(variants=(1, 3, 1)),
+                                    dict(tasks=("narma2", "stm", "narma2")),
                                     dict(tasks=("narma2", "narma2"))])
     def test_rejects_repeated_value(self, kw):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -168,6 +168,7 @@ class TestManifest:
         m = narma_manifest(config=dict(SMALL_RESERVOIR, topology="ring",
                                        gamma=0.01), readout=2)
         assert m.cell_id == "narma2_ring_g0.01_r2"
+        assert esn_manifest(3).cell_id == "narma2_esn3"
 
 
 class TestRunExperiment:
@@ -204,11 +205,15 @@ class TestRunExperiment:
                            match="n_nodes must be an integer >= 1, got 0$"):
             esn_manifest(config=dict(SMALL_ESN, n_nodes=0))
 
-    @pytest.mark.parametrize("key", ["variant", "weight_seed", "n_nodez"])
+    @pytest.mark.parametrize("key", ["weight_seed", "n_nodez"])
     def test_an_esn_config_holds_no_member_or_unknown_key(self, key):
         with pytest.raises(ConfigError, match=re.escape(
                 f"unknown key(s) '{key}' in config; known keys: ")):
             esn_manifest(config=dict(SMALL_ESN, **{key: 3}))
+
+    def test_an_esn_config_without_variant_runs_esn1(self):
+        m = esn_manifest(config=dict(SMALL_ESN))
+        assert [row.topology for row in manifest_rows(m)] == ["esn1"]
 
     @pytest.mark.parametrize("fields, fragment", [
         (dict(config=dict(SMALL_RESERVOIR, gamma=2.0)),
@@ -226,6 +231,28 @@ class TestRunExperiment:
                                                        fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             narma_manifest(**fields)
+
+    @pytest.mark.parametrize("make, columns", [
+        (lambda **c: narma_manifest(config=dict(SMALL_RESERVOIR, **c)), 5),
+        (lambda **c: narma_manifest(config=dict(SMALL_RESERVOIR, **c),
+                                    readout=2), 2),
+        (lambda **c: esn_manifest(config=dict(SMALL_ESN, **c)), 5)],
+        ids=["per_qubit", "averaged", "esn"])
+    def test_n_fb_holds_one_step_per_feature_column(self, make, columns):
+        run_experiment([make(n_fb=columns)])
+        with pytest.raises(ConfigError, match=re.escape(
+                f"n_fb must be an integer >= {columns}, ")):
+            make(n_fb=columns - 1)
+
+    def test_stm_needs_two_test_steps(self):
+        run_experiment([narma_manifest(config=dict(SMALL_RESERVOIR, n_test=1)),
+                        narma_manifest(config=dict(SMALL_RESERVOIR, n_test=2),
+                                       tasks=("stm",), stm_delays=(0,))])
+        with pytest.raises(ConfigError, match=re.escape(
+                "n_test must be an integer >= 2 for the stm task's capacity, "
+                "got 1")):
+            narma_manifest(config=dict(SMALL_RESERVOIR, n_test=1),
+                           tasks=("narma2", "stm"))
 
     def test_simulates_each_config_and_drive_once(self, monkeypatch):
         calls = count_simulations(monkeypatch)
@@ -261,30 +288,31 @@ class TestRunExperiment:
 
 class TestRunEsnComparison:
     def test_rows_per_variant(self):
-        [m] = run_experiment([esn_manifest()])
-        topologies = sorted(s.topology for s in m.metrics.values())
-        assert topologies == ["esn1", "esn3"]
-        assert all(s.readout_type == "per_qubit" for s in m.metrics.values())
-        assert all(s.gamma_str == "" for s in m.metrics.values())
+        cells = run_experiment([esn_manifest(1), esn_manifest(3)])
+        rows = [s for m in cells for s in m.metrics.values()]
+        assert [s.topology for s in rows] == ["esn1", "esn3"]
+        assert all(s.readout_type == "per_qubit" for s in rows)
+        assert all(s.gamma_str == "" for s in rows)
 
     def test_rejects_unknown_variant(self, monkeypatch):
         calls = count_esn_runs(monkeypatch)
         with pytest.raises(ConfigError, match="variant"):
-            run_experiment([esn_manifest(variants=(1, 2))])
+            run_experiment([esn_manifest(1), esn_manifest(2)])
         assert calls == []
 
     def test_simulates_each_variant_and_drive_once(self, monkeypatch):
         calls = count_esn_runs(monkeypatch)
-        run_experiment([esn_manifest(tasks=("stm", "narma2", "narma5"),
-                                     stm_delays=(0, 1))])
+        run_experiment([esn_manifest(v, tasks=("stm", "narma2", "narma5"),
+                                     stm_delays=(0, 1)) for v in (1, 3)])
         # 2 variants x 2 seeds x 2 drives (stm, narma); NARMA orders share
         # one drive.
         assert len(calls) == 8
         assert len(set(calls)) == 8
 
     def test_shares_a_call_with_reservoir_cells(self):
-        together = run_experiment([narma_manifest(), esn_manifest()])
-        for cell, alone in zip(together, (narma_manifest(), esn_manifest())):
+        cells = (narma_manifest, esn_manifest, lambda: esn_manifest(3))
+        together = run_experiment([make() for make in cells])
+        for cell, alone in zip(together, [make() for make in cells]):
             run_experiment([alone])
             assert cell.metrics.keys() == alone.metrics.keys()
             for key, stats in cell.metrics.items():
