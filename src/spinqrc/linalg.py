@@ -91,13 +91,9 @@ def _complex(z: complex) -> ctypes.Array:
     return (ctypes.c_double * 2)(z.real, z.imag)
 
 
-def _numpy_library() -> ctypes.CDLL:
-    return ctypes.CDLL(
-        importlib.import_module("numpy._core._multiarray_umath").__file__)
-
-
 def _numpy_openblas() -> tuple:
-    lib = _numpy_library()
+    lib = ctypes.CDLL(
+        importlib.import_module("numpy._core._multiarray_umath").__file__)
     return lib, lib.scipy_zgemm_64_
 
 
@@ -156,18 +152,6 @@ def _thread_controls(lib: ctypes.CDLL, thread_symbol: str
 
 
 @functools.cache
-def numpy_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) thread counts of the OpenBLAS bundled with numpy, which
-    runs numpy's own products and eigensolvers whichever library
-    ``kernel_blas`` binds; None when numpy bundles no such library."""
-    try:
-        lib = _numpy_library()
-    except (ImportError, OSError):
-        return None
-    return _thread_controls(lib, BLAS_LIBRARIES[0][2])
-
-
-@functools.cache
 def kernel_blas() -> Blas:
     """The first ``BLAS_LIBRARIES`` row that resolves, found on first use
     rather than at import."""
@@ -183,26 +167,25 @@ def kernel_blas() -> Blas:
 def one_blas_thread() -> Iterator[None]:
     """Run the body at one BLAS thread.
 
-    Governs the library ``kernel_blas`` calls and numpy's own bundled
-    OpenBLAS (``numpy_threads``), behind numpy's products and eigensolvers;
-    with numpy's row both are one library. The caller's thread counts are
-    restored on exit, errors included; libraries without thread symbols run
-    untouched. The thread count is process-wide, so Python threads that use
-    BLAS concurrently share it. A library already at one thread sees no
-    thread-count call: in a forked process, OpenBLAS's first such call
-    starts a worker thread that spins for about 0.1 s of CPU.
+    Governs the library ``kernel_blas`` calls. Where numpy bundles an
+    OpenBLAS with thread symbols, ``kernel_blas`` binds that library, so
+    the rule also holds numpy's own products and eigensolvers. The
+    caller's thread count is restored on exit, errors included; a library
+    without thread symbols runs untouched. The thread count is
+    process-wide, so Python threads that use BLAS concurrently share it. A
+    library already at one thread sees no thread-count call: in a forked
+    process, OpenBLAS's first such call starts a worker thread that spins
+    for about 0.1 s of CPU.
     """
-    changed = []
-    for controls in (kernel_blas().threads, numpy_threads()):
-        count = 1 if controls is None else controls[0]()
-        if count != 1:
-            controls[1](1)
-            changed.append((controls[1], count))
+    controls = kernel_blas().threads
+    count = 1 if controls is None else controls[0]()
+    if count != 1:
+        controls[1](1)
     try:
         yield
     finally:
-        for set_, count in reversed(changed):
-            set_(count)
+        if count != 1:
+            controls[1](count)
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -220,14 +203,19 @@ def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
     ``h = V diag(w) V†``.
 
     Raises ValidationError when h is not Hermitian to HERMITICITY_RTOL
-    relative to its Frobenius norm.
+    relative to its Frobenius norm, or when a phase ``t w`` overflows.
     """
     h = _as_square(h, "h")
     scale = np.linalg.norm(h)
     if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = -1j * t * w
+    if not np.isfinite(phases).all():
+        raise ValidationError(f"a phase t w of exp(-i t h) is not finite at "
+                              f"t = {t!r}")
+    return (v * np.exp(phases)) @ v.conj().T
 
 
 @one_blas_thread()

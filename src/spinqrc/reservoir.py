@@ -245,7 +245,12 @@ def evolution_operator(config: ReservoirConfig) -> np.ndarray:
     """
     bonds = sample_couplings(config.topology, config.n_qubits,
                              config.coupling_seed)
-    return unitary_exp(build_hamiltonian(bonds, config.n_qubits), config.dt)
+    h = build_hamiltonian(bonds, config.n_qubits)
+    try:
+        return unitary_exp(h, config.dt)
+    except ValidationError as exc:  # h is finite and Hermitian: dt overflowed
+        raise ConfigError(f"theta0 {config.theta0!r} is too large: {exc}"
+                          ) from None
 
 
 def _check_state(rho: np.ndarray, spare: np.ndarray,

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
-per criterion. Shared ensembles are computed once per module and reused
-across criteria.
+per criterion. Criteria 3-7 score the rows of one ``run_experiment`` call,
+made once per module: the loop that ``spinqrc run``, ``sweep`` and ``esn``
+run, so they score exactly what the CLI computes.
 """
 import time
 
@@ -10,19 +11,16 @@ import numpy as np
 import pytest
 
 from spinqrc.cli import main as cli_main
-from spinqrc.experiment import ExperimentManifest, run_experiment
+from spinqrc.experiment import ExperimentManifest, SweepGrid, run_experiment
 from spinqrc.linalg import kernel_blas, one_blas_thread, trace_distance
 from spinqrc.qubits import ground_density
-from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
-                             stm_capacity, train_weights)
 from spinqrc.reservoir import (ReservoirConfig, evolution_operator,
                                run_sequence, sample_couplings, step)
-from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
 
 N_SEEDS = 10
 DELAYS = tuple(range(11))
 TOPOLOGIES = ("linear", "ring")
-READOUTS = (ReadoutType.PER_QUBIT, ReadoutType.AVERAGED)
+READOUTS = ("per_qubit", "averaged")
 
 # Held-out steps that score criterion 3's capacity curve. Over the default
 # 40 the binary drive has chance correlations at long lags (squared 0.128
@@ -37,89 +35,39 @@ STM_CURVE_TEST_STEPS = 400
 EXACTNESS_COST_FACTOR = 2.0
 
 
-def shifted_target(inputs: np.ndarray, tau: int) -> np.ndarray:
-    out = np.zeros_like(inputs)
-    if tau < len(inputs):
-        out[tau:] = inputs[: len(inputs) - tau]
-    return out
-
-
-def stm_capacity_table(n_test: int, readouts) -> dict:
-    """capacities[(topology, readout, tau)] -> per-seed array at gamma=0.1,
-    the default washout and training, and ``n_test`` held-out steps."""
-    length = ReservoirConfig(n_test=n_test).total_steps
-    inputs = gen_stm(length, seed=42)
-    targets = {tau: shifted_target(inputs, tau) for tau in DELAYS}
-    caps = {(t, r, tau): [] for t in TOPOLOGIES for r in readouts
-            for tau in DELAYS}
-    for topology in TOPOLOGIES:
-        for seed in range(N_SEEDS):
-            cfg = ReservoirConfig(topology=topology, coupling_seed=seed,
-                                  n_test=n_test)
-            traj = run_sequence(cfg, inputs)
-            tr, te = traj.train_slice, traj.test_slice
-            for readout in readouts:
-                feats = make_features(traj.z_rows, readout)
-                for tau in DELAYS:
-                    w = train_weights(feats[tr], targets[tau][tr])
-                    caps[(topology, readout, tau)].append(
-                        stm_capacity(predict(w, feats[te]), targets[tau][te]))
-    return {k: np.array(v) for k, v in caps.items()}
-
-
 @pytest.fixture(scope="module")
-def stm_capacities():
-    """Both readouts over the default 40 held-out steps."""
-    return stm_capacity_table(ReservoirConfig().n_test, READOUTS)
-
-
-@pytest.fixture(scope="module")
-def stm_curve_capacities():
-    """Per-qubit readout over STM_CURVE_TEST_STEPS held-out steps."""
-    return stm_capacity_table(STM_CURVE_TEST_STEPS, (ReadoutType.PER_QUBIT,))
-
-
-@pytest.fixture(scope="module")
-def narma_errors():
-    """errors[(order, topology, gamma, readout)] -> per-seed NMSE array."""
-    length = ReservoirConfig().total_steps
-    inputs = gen_narma_input(length)
-    orders = (2, 5, 10)
-    targets = {n: gen_narma_target(inputs, n) for n in orders}
-    errs = {(n, t, g, r): [] for n in orders for t in TOPOLOGIES
-            for g in (0.1, 0.01) for r in READOUTS}
-    for topology in TOPOLOGIES:
-        for gamma in (0.1, 0.01):
-            for seed in range(N_SEEDS):
-                cfg = ReservoirConfig(topology=topology, gamma=gamma,
-                                      coupling_seed=seed)
-                traj = run_sequence(cfg, inputs)
-                tr, te = traj.train_slice, traj.test_slice
-                for readout in READOUTS:
-                    feats = make_features(traj.z_rows, readout)
-                    for n in orders:
-                        w = train_weights(feats[tr], targets[n][tr])
-                        errs[(n, topology, gamma, readout)].append(
-                            nmse(predict(w, feats[te]), targets[n][te]))
-    return {k: np.array(v) for k, v in errs.items()}
-
-
-@pytest.fixture(scope="module")
-def esn_metrics():
-    """The metrics rows of the baseline comparison at 10 shared seeds."""
-    manifests = [ExperimentManifest(
-        kind="esn", config={"variant": variant},
-        tasks=("stm", "narma2", "narma5", "narma10"), stm_delays=(2, 3, 4),
-        n_seeds=N_SEEDS) for variant in (1, 3, 5)]
-    run_experiment(manifests)
-    return [row for m in manifests for row in m.metrics.values()]
+def per_seed():
+    """per_seed[ensemble][row_id] -> the row's per-seed array over N_SEEDS
+    seeds, such as ``per_seed["stm"]["stm_tau01|linear|per_qubit|0.1"]``,
+    for every ensemble the criteria score."""
+    ensembles = {
+        # criterion 6: both readouts over the default 40 held-out steps
+        "stm": SweepGrid(gammas=(0.1,)).manifests(
+            {}, tasks=("stm",), n_seeds=N_SEEDS),
+        # criterion 3
+        "stm_curve": SweepGrid(gammas=(0.1,), readouts=(1,)).manifests(
+            {"n_test": STM_CURVE_TEST_STEPS}, tasks=("stm",), n_seeds=N_SEEDS),
+        # criteria 4 and 5
+        "narma": SweepGrid().manifests(
+            {}, tasks=("narma2", "narma5", "narma10"), n_seeds=N_SEEDS),
+        # criterion 7
+        "esn": [ExperimentManifest(
+            kind="esn", config={"variant": variant},
+            tasks=("stm", "narma2", "narma5", "narma10"), stm_delays=(2, 3, 4),
+            n_seeds=N_SEEDS) for variant in (1, 3, 5)],
+    }
+    run_experiment([m for cells in ensembles.values() for m in cells])
+    return {name: {row_id: np.array(row.per_seed) for m in cells
+                   for row_id, row in m.metrics.items()}
+            for name, cells in ensembles.items()}
 
 
 def zgemm_floor(dim: int = 64, steps: int = 10_000, repeats: int = 3) -> float:
     """Best of ``repeats`` timings of the two dim x dim complex products that
     each of ``steps`` reservoir steps makes (``P rho``, then
     ``(1-gamma) W P† + rho'``), through the zgemm binding the kernel calls,
-    at the package's one BLAS thread."""
+    at the package's one BLAS thread. ``tools/bench_record.py`` times it
+    as its host control."""
     rng = np.random.default_rng(0)
     prop, rho = (np.asfortranarray(rng.standard_normal((dim, dim))
                                    + 1j * rng.standard_normal((dim, dim)))
@@ -229,7 +177,7 @@ def test_criterion_2_two_qubit_oracle():
     assert worst < 1e-9
 
 
-def test_criterion_3_stm_curve(stm_curve_capacities):
+def test_criterion_3_stm_curve(per_seed):
     """Mean delay-1 capacity above 0.9, near-monotone decay, and delay-8
     capacity below 0.5, for at least one arrangement at gamma=0.1, scored
     over STM_CURVE_TEST_STEPS held-out steps.
@@ -241,8 +189,8 @@ def test_criterion_3_stm_curve(stm_curve_capacities):
     passed = False
     for topology in TOPOLOGIES:
         curve = np.array([
-            stm_curve_capacities[(topology, ReadoutType.PER_QUBIT, tau)].mean()
-            for tau in DELAYS])
+            per_seed["stm_curve"][f"stm_tau{tau:02d}|{topology}|per_qubit|0.1"]
+            .mean() for tau in DELAYS])
         high_recall = curve[1] > 0.9
         monotone = bool(np.all(curve[1:] <= curve[:-1] + 0.05))
         forgotten = curve[8] < 0.5
@@ -256,11 +204,10 @@ def test_criterion_3_stm_curve(stm_curve_capacities):
     assert passed, "; ".join(report)
 
 
-def test_criterion_4_narma_accuracy(narma_errors):
+def test_criterion_4_narma_accuracy(per_seed):
     """Mean NMSE at gamma=0.1 under the per-qubit readout: NARMA2 below
     1e-3, NARMA5 and NARMA10 below 5e-2."""
-    means = {n: narma_errors[(n, "linear", 0.1,
-                              ReadoutType.PER_QUBIT)].mean()
+    means = {n: per_seed["narma"][f"narma{n}|linear|per_qubit|0.1"].mean()
              for n in (2, 5, 10)}
     print(f"criterion 4: NARMA2 {means[2]:.2e}, NARMA5 {means[5]:.2e}, "
           f"NARMA10 {means[10]:.2e}")
@@ -269,58 +216,52 @@ def test_criterion_4_narma_accuracy(narma_errors):
     assert means[10] < 5e-2
 
 
-def test_criterion_5_dissipation_direction(narma_errors):
+def test_criterion_5_dissipation_direction(per_seed):
     """Stronger reset must help: mean NMSE at gamma=0.1 below gamma=0.01
     for every task, topology, and readout combination."""
     failures = []
     for n in (2, 5, 10):
         for topology in TOPOLOGIES:
             for readout in READOUTS:
-                strong = narma_errors[(n, topology, 0.1, readout)].mean()
-                weak = narma_errors[(n, topology, 0.01, readout)].mean()
+                strong, weak = (
+                    per_seed["narma"][f"narma{n}|{topology}|{readout}|{gamma}"]
+                    .mean() for gamma in ("0.1", "0.01"))
                 if not strong < weak:
-                    failures.append(f"narma{n}/{topology}/type{int(readout)}: "
+                    failures.append(f"narma{n}/{topology}/{readout}: "
                                     f"{strong:.2e} !< {weak:.2e}")
     print(f"criterion 5: 12 comparisons, {len(failures)} violations")
     assert not failures, "; ".join(failures)
 
 
-def test_criterion_6_readout_dominance(stm_capacities):
+def test_criterion_6_readout_dominance(per_seed):
     """Per-qubit readout at least matches the site-averaged one at every
     delay, averaging seeds across both arrangements."""
     gaps = []
     for tau in DELAYS:
-        per_qubit = np.concatenate([
-            stm_capacities[(t, ReadoutType.PER_QUBIT, tau)]
-            for t in TOPOLOGIES]).mean()
-        averaged = np.concatenate([
-            stm_capacities[(t, ReadoutType.AVERAGED, tau)]
-            for t in TOPOLOGIES]).mean()
+        per_qubit, averaged = (np.concatenate([
+            per_seed["stm"][f"stm_tau{tau:02d}|{t}|{readout}|0.1"]
+            for t in TOPOLOGIES]).mean() for readout in READOUTS)
         gaps.append(per_qubit - averaged)
     worst = min(gaps)
     print(f"criterion 6: smallest type I - type II gap {worst:+.4f}")
     assert worst >= 0.0, f"type II beat type I by {-worst:.4f} at some delay"
 
 
-def test_criterion_7_esn_baseline(esn_metrics):
+def test_criterion_7_esn_baseline(per_seed):
     """Deeper history must not help recall (ESN1 >= ESN3 >= ESN5 on the
     delay 2-4 set), and ESN1 vs ESN3 NARMA error stays within 10x.
 
     The defaults miss the NARMA2 spread (about 12x): the readout fit's rank
     cutoff drops real directions of the saturated ESN3 features (README,
     "Tests")."""
-    def capacity_mean(variant):
-        rows = [s for s in esn_metrics
-                if s.topology == f"esn{variant}" and s.task.startswith("stm")]
-        assert len(rows) == 3
-        return float(np.mean([s.mean for s in rows]))
+    def mean(task, variant):
+        return per_seed["esn"][f"{task}|esn{variant}|per_qubit|"].mean()
 
-    c1, c3, c5 = (capacity_mean(v) for v in (1, 3, 5))
+    c1, c3, c5 = (np.mean([mean(f"stm_tau{tau:02d}", v) for tau in (2, 3, 4)])
+                  for v in (1, 3, 5))
     ratios = {}
     for n in (2, 5, 10):
-        means = {s.topology: s.mean for s in esn_metrics
-                 if s.task == f"narma{n}"}
-        ratio = means["esn1"] / means["esn3"]
+        ratio = mean(f"narma{n}", 1) / mean(f"narma{n}", 3)
         ratios[n] = max(ratio, 1.0 / ratio)
     report = (f"capacities ESN1 {c1:.3f}, ESN3 {c3:.3f}, ESN5 {c5:.3f} "
               "(need ESN1 >= ESN3 >= ESN5); NARMA 1-vs-3 spread "

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import statistics
@@ -9,9 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CRITERION_1 = "crit1.ratio(passed)"
 
 
-def bench_table():
+def tool(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_table", ROOT / "tools" / "bench_table.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,7 +42,7 @@ def test_one_row_per_committed_snapshot():
 
 
 def test_failed_criterion_1_runs_show_in_their_column():
-    columns = bench_table().columns
+    columns = tool("bench_table").columns
     runs = [{"ratio": r, "passed": r <= 2.0, "floor_s": 1.0}
             for r in (1.6, 2.1, 2.3)]
     cells = dict(columns({"criterion_1": {"change": runs}}))
@@ -50,7 +51,7 @@ def test_failed_criterion_1_runs_show_in_their_column():
 
 
 def test_sweep_per_control_column():
-    columns = bench_table().columns
+    columns = tool("bench_table").columns
     snapshot = {"sweep_10_seeds": {"change": {
         "wall_s": [3.0, 3.3, 6.0], "control_s": [1.0, 1.1, 1.5],
         "wall_per_control": [3.0, 3.0, 4.0]}}}
@@ -61,7 +62,7 @@ def test_sweep_per_control_column():
 
 
 def test_one_seed_n9_column():
-    columns = bench_table().columns
+    columns = tool("bench_table").columns
     snapshot = {"n9_one_seed": {"change": {"wall_s": [1.9, 1.7, 1.8],
                                            "median_s": 1.8},
                                 "baseline": {"median_s": 2.5}}}
@@ -71,7 +72,7 @@ def test_one_seed_n9_column():
 
 
 def test_scored_per_control_columns():
-    columns = bench_table().columns
+    columns = tool("bench_table").columns
     snapshot = {"scored": {
         "sweep": {"metrics": {"wall_s": {"value": 0.5}},
                   "control_s": [0.4, 0.6]},
@@ -87,10 +88,30 @@ def test_scored_per_control_columns():
 
 
 def test_source_lines_column():
-    columns = bench_table().columns
+    columns = tool("bench_table").columns
     snapshot = {"environment": {"src_lines": {"cli.py": 200,
                                               "experiment.py": 530}}}
     assert dict(columns(snapshot))["src_lines"] == "730"
     # Snapshots older than the count print a dash.
     assert dict(columns({}))["src_lines"] == "-"
     assert dict(columns({"environment": {"commit": "abc"}}))["src_lines"] == "-"
+
+
+def test_the_host_control_imports_a_callable(monkeypatch):
+    # bench_record's CONTROL imports the floor from the acceptance suite
+    # through sys.path; run its set-up, as the tool does from the root of
+    # the checkout, and check that each name it imports resolves. Not timed.
+    *setup, _ = ast.parse(tool("bench_record").CONTROL).body
+    imports = [node for node in setup if isinstance(node, ast.ImportFrom)]
+    assert imports
+    monkeypatch.chdir(ROOT)
+    # Only CONTROL's own sys.path entry may find the module.
+    monkeypatch.setattr(sys, "path", [entry for entry in sys.path if
+                                      Path(entry).resolve() != ROOT / "tests"])
+    for node in imports:
+        monkeypatch.delitem(sys.modules, node.module, raising=False)
+    namespace = {}
+    exec(compile(ast.Module(setup, []), "CONTROL", "exec"), namespace)
+    for node in imports:
+        for alias in node.names:
+            assert callable(namespace[alias.asname or alias.name])

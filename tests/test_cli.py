@@ -484,6 +484,9 @@ BAD_STORED_STAMPS = {
 @pytest.mark.parametrize("command, cfg, fragment", [
     ("run", dict(SMALL, n_qubits="4"), "n_qubits must be an integer"),
     ("run", dict(SMALL, topology="rign"), "unknown topology 'rign'"),
+    # A U whose phases overflow; theta0 1e307 still runs.
+    ("run", dict(SMALL, theta0=5e307, seeds=1),
+     "theta0 5e+307 is too large: a phase t w of exp(-i t h) is not finite"),
     ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[1, 1])),
      "variants has a duplicate value"),
     ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[])),
@@ -532,7 +535,8 @@ BAD_STORED_STAMPS = {
     # A manifest stored before each manifest was one cell.
     ("report", dict(MANIFEST, variants=[1, 3, 5]),
      "unknown key(s) 'variants' in the manifest; known keys: base_seed, "),
-], ids=["string_n_qubits", "misspelled_topology", "repeated_variant",
+], ids=["string_n_qubits", "misspelled_topology", "huge_theta0",
+        "repeated_variant",
         "no_variants", "scalar_variants", "huge_variant", "short_n_fb",
         "short_n_test_for_stm", *BAD_MANIFEST_VALUES,
         "sweep_string_ridge", "sweep_fractional_n_seeds",

@@ -14,7 +14,10 @@ from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                                 emit_report, json_list, json_object,
                                 manifest_rows, metrics_csv_text, read_json,
                                 run_experiment, trajectory_csv_text)
-from spinqrc.reservoir import run_sequence
+from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
+                             stm_capacity, train_weights)
+from spinqrc.reservoir import ReservoirConfig, run_sequence
+from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
 
 SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
 SMALL_ESN = dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10)
@@ -272,6 +275,33 @@ class TestRunExperiment:
                                narma_manifest(input_seed=7)])
         assert len(calls) == 2
         assert a.metrics == b.metrics
+
+    def test_rows_are_the_primitives_scores_bit_for_bit(self):
+        # Each row's value per seed is the score, on the test window, of a
+        # readout trained on the member's own trajectory; an stm target is
+        # the drive delayed by tau steps, zero before the drive starts.
+        [cell] = run_experiment([narma_manifest(
+            tasks=("stm", "narma2"), stm_delays=(0, 3), readout=2)])
+        config = ReservoirConfig(**SMALL_RESERVOIR)
+        total = config.total_steps
+        stm, narma = gen_stm(total, 42), gen_narma_input(total)
+        targets = {f"stm_tau{tau:02d}": (stm, stm_capacity, np.array(
+                       [stm[k - tau] if k >= tau else 0.0
+                        for k in range(total)]))
+                   for tau in (0, 3)}
+        targets["narma2"] = (narma, nmse, gen_narma_target(narma, 2))
+        assert list(cell.metrics) == [f"{task}|linear|averaged|0.1"
+                                      for task in targets]
+        for task, (drive, score, target) in targets.items():
+            expected = []
+            for seed in range(2):
+                traj = run_sequence(replace(config, coupling_seed=seed), drive)
+                feats = make_features(traj.z_rows, ReadoutType.AVERAGED)
+                tr, te = traj.train_slice, traj.test_slice
+                weights = train_weights(feats[tr], target[tr])
+                expected.append(score(predict(weights, feats[te]), target[te]))
+            assert cell.metrics[f"{task}|linear|averaged|0.1"].per_seed == (
+                tuple(expected))
 
     def test_batched_call_matches_cells_run_alone(self):
         grid = SweepGrid()

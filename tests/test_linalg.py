@@ -1,4 +1,5 @@
 import ctypes
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def test_unitary_exp_rejects_nonfinite():
     bad = np.array([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError):
         unitary_exp(bad, 1.0)
+
+
+@pytest.mark.parametrize("t", [1e308, np.inf])
+def test_unitary_exp_rejects_a_phase_that_overflows(t):
+    # pi * theta0 times an eigenvalue of 3 leaves the float range for a
+    # theta0 of 5e307; the check raises before any numpy warning.
+    with np.errstate(all="raise"), pytest.raises(
+            ValidationError, match=re.escape(f"not finite at t = {t!r}")):
+        unitary_exp(np.diag([1.0, -3.0]), t)
 
 
 def test_unitary_exp_rejects_nonhermitian():

@@ -1,3 +1,6 @@
+import ctypes
+import importlib
+
 import numpy as np
 import pytest
 
@@ -527,27 +530,25 @@ def test_scipy_fallback_runs_the_kernel_bitwise_alike(monkeypatch):
         check_start_state(negative)
 
 
-def test_scipy_fallback_builds_u_at_any_numpy_thread_count(monkeypatch):
-    # With scipy's library behind the kernel, numpy's own OpenBLAS still
-    # runs the eigh of unitary_exp; the thread rule holds it at one thread.
-    fallback = load_blas(BLAS_LIBRARIES[1])
-    threads = linalg.numpy_threads()
-    if fallback is None or threads is None:
-        pytest.skip("needs scipy and numpy's bundled OpenBLAS")
-    for module in (linalg, reservoir):
-        monkeypatch.setattr(module, "kernel_blas", lambda: fallback)
-    get, set_ = threads
-    saved = get()
-    cfg = small_config(n_qubits=8)
-    built = {}
+def test_numpy_thread_symbols_are_the_kernel_library_s():
+    # one_blas_thread sets only kernel_blas().threads. That holds numpy's own
+    # products and eigensolvers too (the eigh of unitary_exp) because,
+    # whenever numpy's library exports thread symbols, the kernel binds it.
+    lib = ctypes.CDLL(
+        importlib.import_module("numpy._core._multiarray_umath").__file__)
     try:
-        for count in (1, 2):
-            set_(count)
-            built[count] = evolution_operator(cfg)
-            assert get() == count
-    finally:
-        set_(saved)
-    assert built[1].tobytes() == built[2].tobytes()
+        get, set_ = (getattr(lib, f"scipy_openblas_{verb}_num_threads64_")
+                     for verb in ("get", "set"))
+    except AttributeError:
+        pytest.skip("numpy's library exports no OpenBLAS thread symbols")
+
+    def address(function):
+        return ctypes.cast(function, ctypes.c_void_p).value
+
+    blas = linalg.kernel_blas()
+    assert address(blas.zgemm) == address(lib.scipy_zgemm_64_)
+    assert blas.index is ctypes.c_int64
+    assert [address(f) for f in blas.threads] == [address(get), address(set_)]
 
 
 def test_contraction_of_trace_distance():
