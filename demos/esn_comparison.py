@@ -13,12 +13,11 @@ the deeper variants.
 """
 import numpy as np
 
-from spinqrc.esn import EsnConfig, run_esn
+from spinqrc.esn import VARIANTS, EsnConfig, run_esn
 from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
                              stm_capacity, train_weights)
 from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
 
-VARIANTS = (1, 3, 5)
 SEEDS = range(5)
 STM_DELAYS = (2, 3, 4)
 NARMA_ORDERS = (2, 5, 10)

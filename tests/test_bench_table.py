@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION_1 = "crit1.ratio(passed)"
 
@@ -115,3 +117,118 @@ def test_the_host_control_imports_a_callable(monkeypatch):
     for node in imports:
         for alias in node.names:
             assert callable(namespace[alias.asname or alias.name])
+
+
+def test_paired_alternates_checkouts_and_keeps_run_order(tmp_path):
+    calls = []
+
+    def job(checkout, out):
+        calls.append(checkout)
+        return len(calls)
+
+    checkouts = {"change": tmp_path / "c", "baseline": tmp_path / "b"}
+    record = tool("bench_record").paired(checkouts, 3, job)
+    assert calls == [checkouts["change"], checkouts["baseline"]] * 3
+    assert record == {"change": [1, 3, 5], "baseline": [2, 4, 6]}
+
+
+def test_paired_compares_the_metrics_csv_bytes(tmp_path):
+    paired = tool("bench_record").paired
+
+    def writer(text):
+        def job(checkout, out):
+            out.mkdir()
+            (out / "metrics.csv").write_text(text[checkout.name])
+        return job
+
+    checkouts = {"change": tmp_path / "c", "baseline": tmp_path / "b"}
+    same = paired(checkouts, 2, writer({"c": "x\n", "b": "x\n"}))
+    assert same["metrics_csv_identical"] is True
+    other = paired(checkouts, 2, writer({"c": "x\n", "b": "y\n"}))
+    assert other["metrics_csv_identical"] is False
+    alone = paired({"change": checkouts["change"]}, 2, writer({"c": "x\n"}))
+    assert "metrics_csv_identical" not in alone
+
+
+def shape(value):
+    """The nested keys and value types of a JSON value."""
+    if isinstance(value, dict):
+        return {key: shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return sorted({json.dumps(shape(item), sort_keys=True)
+                       for item in value})
+    return type(value).__name__
+
+
+def test_records_keep_the_shape_of_bench_20(tmp_path, monkeypatch):
+    # A fake child in place of each process the jobs start: it writes the
+    # --out directory's metrics.csv and prints what the real child prints.
+    record = tool("bench_record")
+
+    def timed(checkout, *argv, check=True):
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1])
+            out.mkdir()
+            (out / "metrics.csv").write_text("row\n")
+        if record.CONTROL in argv:
+            stdout = "0.7\n"
+        elif record.COUNT_FORKS in argv:
+            stdout = "out\nforks=1\n"
+        else:
+            stdout = "suite 0.9s = 1.3x the 0.7s floor (budget 2.0x)\n"
+        return 0, 2.5, 35.0, stdout
+
+    monkeypatch.setattr(record, "timed", timed)
+    checkouts = {"change": tmp_path / "c", "baseline": tmp_path / "b"}
+    built = {
+        "sweep_10_seeds": record.sweep_record(checkouts, tmp_path),
+        "criterion_1": record.paired(checkouts, record.CRITERION_1_RUNS,
+                                     record.criterion_1_run),
+        "n9_one_seed": record.columns(
+            record.paired(checkouts, record.N9_ONE_SEED_RUNS,
+                          record.n9_one_seed_run), checkouts)}
+    bench_20 = json.loads((ROOT / "BENCH_20.json").read_text())
+    for key, value in built.items():
+        assert shape(json.loads(json.dumps(value))) == shape(bench_20[key])
+
+
+def git_checkout(path):
+    """A git repository at ``path`` with one commit of a checkout's files."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text("")
+    (path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+           "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "x"]):
+        subprocess.run(git + argv, cwd=path, check=True)
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_clean_commit_is_the_commit_of_a_clean_checkout(tmp_path):
+    clean_commit = tool("bench_record").clean_commit
+    commit = git_checkout(tmp_path)
+    assert len(commit) == 40
+    assert clean_commit(tmp_path) == commit
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    assert clean_commit(tmp_path) == ""
+
+
+def test_a_modified_baseline_is_refused_before_anything_runs(
+        tmp_path, monkeypatch, capsys):
+    record = tool("bench_record")
+    started = []
+    monkeypatch.setattr(record, "timed", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(record, "perfbench",
+                        lambda *a, **k: started.append(a))
+    git_checkout(tmp_path / "change")
+    git_checkout(tmp_path / "baseline")
+    (tmp_path / "baseline" / "perfbench" / "run.py").write_text("edit")
+    monkeypatch.chdir(tmp_path / "change")
+    with pytest.raises(SystemExit) as exit_:
+        record.main(["--out", str(tmp_path / "snapshot.json"),
+                     "--baseline", str(tmp_path / "baseline")])
+    assert exit_.value.code == 2
+    assert "commit each checkout's tree first" in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "snapshot.json").exists()

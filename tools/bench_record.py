@@ -12,30 +12,20 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   metrics);
 * ``sweep_10_seeds``: wall times and peak RSS of ``REPEATS`` default
   10-seed ``spinqrc sweep`` runs (the ``--seeds`` default), each in a
-  fresh process, with the number of worker processes it used (forks
-  counted with ``os.register_at_fork``, plus the process itself). The
-  peak RSS is ``os.wait4``'s ``ru_maxrss``: that of the largest process
-  of the job, the sweep's own or one of its workers. With
-  ``--baseline`` (another checkout, for example the parent commit) the
-  same job alternates between the two checkouts and the record says
-  whether their ``metrics.csv`` bytes agree. Each sweep is followed by
-  the host control (``CONTROL``) in a fresh process of this checkout; the
-  record keeps its seconds and each wall time divided by them;
+  fresh process, their median, and the number of worker processes each
+  used (forks counted with ``os.register_at_fork``, plus the process
+  itself). The peak RSS is that of the largest process of the job, the
+  sweep's own or one of its workers. Each sweep is followed by the host
+  control (``CONTROL``) in a fresh process of this checkout; the record
+  keeps its seconds and each wall time divided by them;
 * ``criterion_1``: ``CRITERION_1_RUNS`` runs of the acceptance suite's
-  criterion 1 (``pytest -s``, each in a fresh process, alternating with
-  the ``--baseline`` checkout when one is given): the ratio of its wall
-  time to its ``zgemm`` floor, the floor and whether it passed. A failing
-  run is recorded like a passing one;
-* ``n9_reproducibility``: per checkout, one short nine-qubit
-  ``spinqrc run --seeds 2`` at ``OPENBLAS_NUM_THREADS=1`` and at ``=2``,
-  their wall times, and whether the two ``metrics.csv`` files are
-  identical (OpenBLAS rounds a two-thread product differently);
-* ``n9_one_seed``: wall times of ``N9_ONE_SEED_RUNS`` one-seed runs of the
-  same nine-qubit ``run --task narma2`` per checkout, each in a fresh
-  process in the default thread environment, alternating with the
-  ``--baseline`` checkout when one is given, their median, and whether
-  the checkouts' ``metrics.csv`` bytes agree. One draw is one group, so
-  the run uses one worker process: unlike the two-seed runs, whose draws
+  criterion 1 (``pytest -s``, each in a fresh process): the ratio of its
+  wall time to its ``zgemm`` floor, the floor and whether it passed. A
+  failing run is recorded like a passing one;
+* ``n9_one_seed``: wall times of ``N9_ONE_SEED_RUNS`` one-seed runs of a
+  short nine-qubit ``run --task narma2``, each in a fresh process in the
+  default thread environment, and their median. One draw is one group,
+  so the run uses one worker process: unlike a two-seed run, whose draws
   fill both CPUs of a 2-CPU host, it shows a change that spreads one
   trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
@@ -43,11 +33,19 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   model, the commit, the git tree hash of ``src/`` and the line count of
   each ``src/spinqrc`` module (``src_lines``).
 
+Each of the 10-seed, criterion-1 and nine-qubit records keeps this
+checkout's runs under ``change``. With ``--baseline`` (another checkout,
+for example the parent commit) those jobs alternate between the two
+checkouts (``paired``), each record gains a ``baseline`` entry, the
+10-seed and nine-qubit records say whether the two checkouts'
+``metrics.csv`` bytes agree (``metrics_csv_identical``), and
+``environment`` adds the baseline's commit (``baseline_commit``).
+
 perfbench runs at ``SEED`` for BENCHMARK.json's ``run_seconds``, so a
 snapshot is comparable with the benchmark and with other snapshots. The
-tool refuses a checkout whose tracked files differ from its commit, so
-the recorded commit is the code that was measured. Snapshots are never
-edited: a later change records a new file.
+tool refuses a checkout, this one or the baseline, whose tracked files
+differ from its commit, so each recorded commit is the code that was
+measured. Snapshots are never edited: a later change records a new file.
 """
 from __future__ import annotations
 
@@ -86,14 +84,15 @@ from test_acceptance import zgemm_floor
 print(zgemm_floor())
 """
 
-# Runs the CLI and reports on stderr how many processes it forked.
+# Runs the CLI and prints, as its last stdout line, how many processes it
+# forked.
 COUNT_FORKS = """\
 import os, sys
-forks = [0]
-os.register_at_fork(after_in_parent=lambda: forks.__setitem__(0, forks[0] + 1))
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
 from spinqrc.cli import main
 code = main(sys.argv[1:])
-print(f"forks={forks[0]}", file=sys.stderr)
+print(f"forks={len(forks)}")
 sys.exit(code)
 """
 
@@ -109,154 +108,112 @@ def perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
     return {"argv": argv[1:], **json.loads(environment), **json.loads(result)}
 
 
-def checkout_env(checkout: Path) -> dict[str, str]:
-    """The caller's environment with ``checkout``'s sources on the path
-    and no BLAS thread-count override."""
+def timed(checkout: Path, *argv: str,
+          check: bool = True) -> tuple[int, float, float, str]:
+    """Exit code, wall seconds, peak RSS in MB and stdout of one
+    ``python argv`` child run in ``checkout`` with its sources and no BLAS
+    thread-count override. The peak RSS is ``os.wait4``'s ``ru_maxrss``:
+    that of the largest process of the job, the child or one it forked.
+    With ``check``, a failed child raises ``CalledProcessError``."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(checkout / "src")
-    return env
-
-
-def criterion_1_run(checkout: Path) -> dict:
-    """Cost ratio, floor and outcome of one criterion-1 run; the numbers
-    are None when the run failed before printing its cost."""
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-         CRITERION_1], cwd=checkout, env=checkout_env(checkout),
-        capture_output=True, text=True)
-    cost = CRITERION_1_COST.search(done.stdout)
-    suite_s, ratio, floor_s, budget = (map(float, cost.groups()) if cost
-                                       else (None,) * 4)
-    return {"passed": done.returncode == 0, "ratio": ratio,
-            "floor_s": floor_s, "suite_s": suite_s, "budget": budget}
-
-
-def criterion_1_record(checkouts: dict[str, Path]) -> dict:
-    record = {name: [] for name in checkouts}
-    for _ in range(CRITERION_1_RUNS):
-        for name, checkout in checkouts.items():
-            record[name].append(criterion_1_run(checkout))
-    return record
-
-
-# A nine-qubit config short enough for a snapshot: 70 steps per seed.
-N9_CONFIG = {"n_qubits": 9, "n_pre": 30, "n_fb": 30, "n_test": 10}
-
-
-def n9_run(checkout: Path, config: Path, seeds: int, out: Path,
-           env: dict[str, str]) -> float:
-    """Wall seconds of one nine-qubit ``run --task narma2``."""
     started = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "spinqrc.cli", "run", "--config", str(config),
-         "--seeds", str(seeds), "--task", "narma2", "--out", str(out)],
-        cwd=checkout, env=env, capture_output=True, check=True)
-    return round(time.perf_counter() - started, 3)
-
-
-def n9_record(checkouts: dict[str, Path]) -> dict:
-    record = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "n9.json"
-        config.write_text(json.dumps(N9_CONFIG))
-        for name, checkout in checkouts.items():
-            entry = record[name] = {"wall_s": {}}
-            outputs = set()
-            for threads in ("1", "2"):
-                out = Path(tmp) / f"{name}{threads}"
-                env = dict(checkout_env(checkout), OPENBLAS_NUM_THREADS=threads)
-                entry["wall_s"][threads] = n9_run(checkout, config, 2, out,
-                                                  env)
-                outputs.add((out / "metrics.csv").read_bytes())
-            entry["metrics_csv_identical"] = len(outputs) == 1
-    return record
-
-
-N9_ONE_SEED_RUNS = 5
-
-
-def n9_one_seed_record(checkouts: dict[str, Path]) -> dict:
-    record = {name: {"wall_s": []} for name in checkouts}
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "n9.json"
-        config.write_text(json.dumps(N9_CONFIG))
-        outputs = {}
-        for i in range(N9_ONE_SEED_RUNS):
-            for name, checkout in checkouts.items():
-                out = Path(tmp) / f"{name}{i}"
-                record[name]["wall_s"].append(
-                    n9_run(checkout, config, 1, out, checkout_env(checkout)))
-                outputs.setdefault(name, (out / "metrics.csv").read_bytes())
-    for entry in record.values():
-        entry["median_s"] = statistics.median(entry["wall_s"])
-    if len(outputs) > 1:
-        record["metrics_csv_identical"] = len(set(outputs.values())) == 1
-    return record
-
-
-def timed_sweep(checkout: Path, out: Path) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MB and worker processes of one default
-    10-seed sweep."""
-    argv = [sys.executable, "-c", COUNT_FORKS, "sweep", "--out", str(out)]
-    started = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=checkout, env=checkout_env(checkout),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            text=True)
-    with proc.stderr:
-        stderr = proc.stderr.read()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=checkout, env=env,
+                            stdout=subprocess.PIPE, text=True)
+    with proc.stdout:
+        stdout = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - started
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, argv,
-                                            stderr=stderr)
-    forks = int(stderr.strip().splitlines()[-1].removeprefix("forks="))
-    return wall, usage.ru_maxrss / 1024.0, forks + 1
+    if check and proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv, stdout)
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0, stdout
 
 
-def timed_control(root: Path) -> float:
+def paired(checkouts: dict[str, Path], runs: int, job) -> dict:
+    """``runs`` rounds of ``job(checkout, out)``, each round running every
+    checkout once, in turn, with ``out`` a fresh path in one temporary
+    directory: each checkout's results in run order, and, when more than
+    one checkout's first run wrote ``out/metrics.csv``, whether those
+    files are byte-identical (``metrics_csv_identical``)."""
+    record = {name: [] for name in checkouts}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(runs):
+            for name, checkout in checkouts.items():
+                record[name].append(job(checkout, Path(tmp) / f"{name}{i}"))
+        firsts = [Path(tmp) / f"{name}0" / "metrics.csv" for name in checkouts]
+        outputs = [path.read_bytes() for path in firsts if path.is_file()]
+    if len(outputs) > 1:
+        record["metrics_csv_identical"] = len(set(outputs)) == 1
+    return record
+
+
+def control(root: Path) -> float:
     """Seconds of one ``CONTROL`` run with ``root``'s sources."""
-    done = subprocess.run([sys.executable, "-c", CONTROL], cwd=root,
-                          env=checkout_env(root), capture_output=True,
-                          text=True, check=True)
-    return float(done.stdout.strip().splitlines()[-1])
+    return float(timed(root, "-c", CONTROL)[3].split()[-1])
 
 
 def scored_run(root: Path, workload: str, seconds: float) -> dict:
     """One scored perfbench run, with the control timed before and after
     it as ``control_s``."""
-    before = timed_control(root)
+    before = control(root)
     run = perfbench(root, workload, seconds, 0)
-    run["control_s"] = [round(before, 4), round(timed_control(root), 4)]
+    run["control_s"] = [round(before, 4), round(control(root), 4)]
     return run
+
+
+def columns(record: dict, checkouts: dict[str, Path]) -> dict:
+    """``paired``'s ``record`` with each checkout's runs turned into each
+    key's values, in run order, and the median of their ``wall_s``."""
+    for name in checkouts:
+        runs = record[name]
+        record[name] = {key: [run[key] for run in runs] for key in runs[0]}
+        record[name]["median_s"] = statistics.median(record[name]["wall_s"])
+    return record
 
 
 def sweep_record(checkouts: dict[str, Path], root: Path) -> dict:
     """The 10-seed sweeps of each checkout, alternating, each followed by
     the control in ``root``, the same code for every checkout."""
-    record = {name: {"wall_s": [], "peak_rss_mb": [], "workers": set(),
-                     "control_s": [], "wall_per_control": []}
-              for name in checkouts}
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = {}
-        for i in range(REPEATS):
-            for name, checkout in checkouts.items():
-                out = Path(tmp) / f"{name}{i}"
-                wall, rss, workers = timed_sweep(checkout, out)
-                control = timed_control(root)
-                record[name]["wall_s"].append(round(wall, 3))
-                record[name]["control_s"].append(round(control, 4))
-                record[name]["wall_per_control"].append(
-                    round(wall / control, 3))
-                record[name]["peak_rss_mb"].append(round(rss, 2))
-                record[name]["workers"].add(workers)
-                outputs.setdefault(name, (out / "metrics.csv").read_bytes())
-        for entry in record.values():
-            entry["median_s"] = statistics.median(entry["wall_s"])
-            entry["workers"] = sorted(entry["workers"])
-        if len(outputs) > 1:
-            record["metrics_csv_identical"] = len(set(outputs.values())) == 1
+    def job(checkout: Path, out: Path) -> dict:
+        _, wall, rss, stdout = timed(checkout, "-c", COUNT_FORKS, "sweep",
+                                     "--out", str(out))
+        seconds = control(root)
+        return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 2),
+                "workers": 1 + int(stdout.split()[-1].removeprefix("forks=")),
+                "control_s": round(seconds, 4),
+                "wall_per_control": round(wall / seconds, 3)}
+
+    record = columns(paired(checkouts, REPEATS, job), checkouts)
+    for name in checkouts:
+        record[name]["workers"] = sorted(set(record[name]["workers"]))
     return record
+
+
+def criterion_1_run(checkout: Path, out: Path) -> dict:
+    """Cost ratio, floor and outcome of one criterion-1 run; the numbers
+    are None when the run failed before printing its cost."""
+    code, _, _, stdout = timed(checkout, "-m", "pytest", "-q", "-s", "-p",
+                               "no:cacheprovider", CRITERION_1, check=False)
+    cost = CRITERION_1_COST.search(stdout)
+    values = map(float, cost.groups()) if cost else (None,) * 4
+    return {"passed": code == 0,
+            **dict(zip(("suite_s", "ratio", "floor_s", "budget"), values))}
+
+
+# A nine-qubit config short enough for a snapshot: 70 steps per seed.
+N9_CONFIG = {"n_qubits": 9, "n_pre": 30, "n_fb": 30, "n_test": 10}
+N9_ONE_SEED_RUNS = 5
+
+
+def n9_one_seed_run(checkout: Path, out: Path) -> dict:
+    """Wall seconds of one one-seed nine-qubit ``run --task narma2``."""
+    config = out.parent / "n9.json"
+    config.write_text(json.dumps(N9_CONFIG))
+    _, wall, _, _ = timed(checkout, "-m", "spinqrc.cli", "run", "--config",
+                          str(config), "--seeds", "1", "--task", "narma2",
+                          "--out", str(out))
+    return {"wall_s": round(wall, 3)}
 
 
 def cpu_model() -> str | None:
@@ -274,6 +231,13 @@ def git(root: Path, *argv: str) -> str:
                           text=True).stdout.strip()
 
 
+def clean_commit(checkout: Path) -> str:
+    """The commit of ``checkout``, or "" when it is no git checkout or its
+    tracked files differ from that commit."""
+    dirty = git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return "" if dirty else git(checkout, "rev-parse", "HEAD")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -283,21 +247,22 @@ def main(argv: list[str] | None = None) -> int:
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         parser.error("run from the root of a checkout")
-    commit = git(root, "rev-parse", "HEAD")
-    if not commit or git(root, "status", "--porcelain", "--untracked-files=no"):
-        parser.error("commit the tree first: a snapshot names the commit "
-                     "it measured")
+    checkouts = {"change": root}
+    if args.baseline is not None:
+        checkouts["baseline"] = args.baseline.resolve()
+    commits = {key: clean_commit(checkout) for key, checkout
+               in zip(("commit", "baseline_commit"), checkouts.values())}
+    if not all(commits.values()):
+        parser.error("commit each checkout's tree first: a snapshot names "
+                     "the commits it measured")
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
 
     scored = {w: scored_run(root, w, seconds) for w in ("sweep", "long_run")}
     traced = perfbench(root, "sweep", seconds, 1)
-    checkouts = {"change": root}
-    if args.baseline is not None:
-        checkouts["baseline"] = args.baseline.resolve()
     snapshot = {
         "environment": {**scored["sweep"].pop("environment"),
                         "cpu": cpu_model(), "machine": platform.machine(),
-                        "commit": commit,
+                        **commits,
                         "src_tree": git(root, "rev-parse", "HEAD:src"),
                         "src_lines": {
                             path.name: len(path.read_text().splitlines())
@@ -306,9 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         "scored": scored,
         "traced": traced,
         "sweep_10_seeds": sweep_record(checkouts, root),
-        "criterion_1": criterion_1_record(checkouts),
-        "n9_reproducibility": n9_record(checkouts),
-        "n9_one_seed": n9_one_seed_record(checkouts),
+        "criterion_1": paired(checkouts, CRITERION_1_RUNS, criterion_1_run),
+        "n9_one_seed": columns(
+            paired(checkouts, N9_ONE_SEED_RUNS, n9_one_seed_run), checkouts),
     }
     for run in (scored["long_run"], traced):
         run.pop("environment", None)
