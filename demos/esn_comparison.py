@@ -44,10 +44,10 @@ def main() -> None:
     for seed in SEEDS:
         for v in VARIANTS:
             cfg = EsnConfig(variant=v, weight_seed=seed)
+            tr, te = cfg.train_slice, cfg.test_slice
 
-            traj = run_esn(cfg, stm_inputs)
-            feats = make_features(traj.states, ReadoutType.PER_QUBIT)
-            tr, te = traj.train_slice, traj.test_slice
+            feats = make_features(run_esn(cfg, stm_inputs),
+                                  ReadoutType.PER_QUBIT)
             per_delay = []
             for tau in STM_DELAYS:
                 target = shifted(stm_inputs, tau)
@@ -55,9 +55,8 @@ def main() -> None:
                 per_delay.append(stm_capacity(predict(w, feats[te]), target[te]))
             caps[v].append(float(np.mean(per_delay)))
 
-            traj = run_esn(cfg, narma_inputs)
-            feats = make_features(traj.states, ReadoutType.PER_QUBIT)
-            tr, te = traj.train_slice, traj.test_slice
+            feats = make_features(run_esn(cfg, narma_inputs),
+                                  ReadoutType.PER_QUBIT)
             for n in NARMA_ORDERS:
                 w = train_weights(feats[tr], narma_targets[n][tr])
                 errs[(v, n)].append(nmse(predict(w, feats[te]), narma_targets[n][te]))

@@ -22,8 +22,9 @@ from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
 from .esn import VARIANTS, EsnConfig
 from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
-                         emit_report, json_list, json_object, read_json,
-                         run_experiment, write_metrics)
+                         emit_report, json_list, json_object,
+                         metrics_csv_text, read_json, run_experiment,
+                         write_files)
 from .reservoir import ReservoirConfig, Schedule, Topology
 
 # Every ReservoirConfig field but the coupling seed, which each ensemble
@@ -157,7 +158,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             manifests.append(ExperimentManifest.from_json(value))
         except ConfigError as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}")
-    print(write_metrics(manifests, out_dir))
+    print(*write_files(out_dir,
+                       [("metrics.csv", metrics_csv_text(manifests))]))
     return EXIT_OK
 
 

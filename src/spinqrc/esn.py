@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .reservoir import Schedule, ScheduledRun, number
+from .reservoir import Schedule, number
 from .rng import Stream
 from .tasks import sized_array
 
@@ -43,11 +43,6 @@ class EsnConfig(Schedule):
                               f"{reprlib.repr(self.variant)}")
 
 
-@dataclass(frozen=True)
-class EsnTrajectory(ScheduledRun):
-    states: np.ndarray  # shape (total_steps, n_nodes)
-
-
 def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw (W, w_in) from one seeded stream: W first, then w_in.
 
@@ -62,9 +57,10 @@ def esn_weights(config: EsnConfig) -> tuple[np.ndarray, np.ndarray]:
     return w, w_in
 
 
-def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
+def run_esn(config: EsnConfig, inputs: Sequence[float]) -> np.ndarray:
     """Run a full prep/train/test sequence from zero-initialized history;
-    the drive must hold one value in [0, 1] per step."""
+    the drive must hold one value in [0, 1] per step. Row k of the result,
+    shape (total_steps, n_nodes), is the state after input k."""
     inputs = config.check_drive(inputs)
     w, w_in = esn_weights(config)
     lags = _VARIANT_LAGS[config.variant]
@@ -75,5 +71,4 @@ def run_esn(config: EsnConfig, inputs: Sequence[float]) -> EsnTrajectory:
         for lag in lags:
             mixed = mixed + history[k - lag]
         history[k] = np.tanh(w @ mixed + w_in * float(s))
-    return EsnTrajectory(config=config, inputs=inputs,
-                         states=history[HISTORY_DEPTH:])
+    return history[HISTORY_DEPTH:]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tasks, workers
 from .errors import ConfigError, StateInvariantError
-from .esn import EsnConfig, EsnTrajectory, run_esn
+from .esn import EsnConfig, run_esn
 from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
@@ -298,16 +298,14 @@ def _task_targets(task: str, inputs: np.ndarray,
             for tau in delays]
 
 
-def _simulate(config: ReservoirConfig | EsnConfig, inputs: np.ndarray
-              ) -> tuple[Trajectory | EsnTrajectory, np.ndarray]:
-    """One member's trajectory and the rows its readout features come from;
-    a StateInvariantError names the member."""
+def _simulate(config: ReservoirConfig | EsnConfig,
+              inputs: np.ndarray) -> np.ndarray:
+    """One member's per-step rows, a reservoir's Z expectations or an ESN's
+    states; a StateInvariantError names the member."""
     try:
         if isinstance(config, EsnConfig):
-            traj = run_esn(config, inputs)
-            return traj, traj.states
-        traj = run_sequence(config, inputs)
-        return traj, traj.z_rows
+            return run_esn(config, inputs)
+        return run_sequence(config, inputs).z_rows
     except StateInvariantError as exc:
         member = (f"variant {config.variant}, weight_seed {config.weight_seed}"
                   if isinstance(config, EsnConfig) else
@@ -378,19 +376,19 @@ def run_experiment(
     for _, members, _, inputs, _ in plans:
         for config in members:
             jobs.setdefault((config, inputs.tobytes()), (config, inputs))
-    trajectories = dict(zip(jobs, _simulate_all(list(jobs.values()))))
+    simulated = dict(zip(jobs, _simulate_all(list(jobs.values()))))
 
     for manifest in cells:
         manifest.metrics = {}
     for manifest, members, rows, inputs, targets in plans:
         bits = inputs.tobytes()
         if rows[0].drive == manifest.tasks[0] and manifest.kind == "reservoir":
-            manifest.trajectory = trajectories[(members[0], bits)][0]
+            manifest.trajectory = Trajectory(
+                members[0], inputs, simulated[(members[0], bits)])
         per_seed: list[list[float]] = [[] for _ in rows]
         for config in members:
-            traj, features = trajectories[(config, bits)]
-            feats = make_features(features, rows[0].readout)
-            tr, te = traj.train_slice, traj.test_slice
+            feats = make_features(simulated[(config, bits)], rows[0].readout)
+            tr, te = config.train_slice, config.test_slice
             for row, target, values in zip(rows, targets, per_seed):
                 weights = train_weights(feats[tr], target[tr],
                                         ridge=manifest.ridge)
@@ -460,31 +458,32 @@ def metrics_csv_text(manifests: Iterable[ExperimentManifest]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> Path:
-    """Write ``text`` to ``path`` through a temporary file in its directory
-    and ``os.replace``, so that ``path`` holds either its old content or
-    all of ``text``, even when the process dies while writing. An OSError
-    removes the temporary file and is raised as a ConfigError naming the
-    path."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise ConfigError(f"cannot write {path}: {exc}") from None
-    return path
-
-
-def write_metrics(manifests: Iterable[ExperimentManifest],
-                  out_dir: Path) -> Path:
-    """Create ``out_dir`` and write the manifests' metrics.csv into it."""
-    text = metrics_csv_text(manifests)
+def write_files(out_dir: Path, files: list[tuple[str, str]]) -> list[Path]:
+    """Create ``out_dir`` and write each (name, text) of ``files`` into it,
+    in order, each through a temporary file and ``os.replace``: a process
+    that dies leaves each file old or whole. Returns the paths. A repeated
+    name, or an OSError, is a ConfigError naming the path; the former is
+    raised before anything is created or written."""
+    seen = set()
+    for name, _ in files:
+        if name in seen:
+            raise ConfigError(f"the report would write {out_dir / name} twice")
+        seen.add(name)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
-    return _write_atomic(out_dir / "metrics.csv", text)
+    written = []
+    for name, text in files:
+        path, tmp = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        written.append(path)
+    return written
 
 
 def trajectory_csv_text(manifest: ExperimentManifest) -> str:
@@ -504,8 +503,8 @@ def trajectory_csv_text(manifest: ExperimentManifest) -> str:
     delays = (min(manifest.stm_delays),) if task == "stm" else ()
     [target] = _task_targets(task, traj.inputs, delays)
     feats = make_features(traj.z_rows, ReadoutType(manifest.readout))
-    weights = train_weights(feats[traj.train_slice], target[traj.train_slice],
-                            ridge=manifest.ridge)
+    tr = config.train_slice
+    weights = train_weights(feats[tr], target[tr], ridge=manifest.ridge)
     y_pred = predict(weights, feats)
     z_cols = [f"z_{i}" for i in range(1, config.n_qubits + 1)]
     lines = [",".join(["step", "phase", "s_k", *z_cols, "y_pred", "y_target"])]
@@ -519,17 +518,14 @@ def trajectory_csv_text(manifest: ExperimentManifest) -> str:
 def emit_report(manifests: list[ExperimentManifest], out_dir: Path,
                 trajectories: bool = False) -> list[Path]:
     """Write metrics.csv, one manifest JSON per experiment, and optional
-    trajectory CSVs. Returns the written paths."""
+    trajectory CSVs, each built before any is written. Returns the paths."""
     if not manifests:
         raise ConfigError("nothing to report")
-    out_dir = Path(out_dir)
-    written = [write_metrics(manifests, out_dir)]
+    files = [("metrics.csv", metrics_csv_text(manifests))]
     for manifest in manifests:
-        written.append(_write_atomic(
-            out_dir / f"manifest_{manifest.cell_id}.json",
-            manifest.to_json() + "\n"))
+        files.append((f"manifest_{manifest.cell_id}.json",
+                      manifest.to_json() + "\n"))
         if trajectories and manifest.kind == "reservoir":
-            written.append(_write_atomic(
-                out_dir / f"trajectory_{manifest.cell_id}.csv",
-                trajectory_csv_text(manifest)))
-    return written
+            files.append((f"trajectory_{manifest.cell_id}.csv",
+                          trajectory_csv_text(manifest)))
+    return write_files(Path(out_dir), files)

@@ -117,31 +117,22 @@ class Schedule:
             raise ConfigError("inputs must lie in [0, 1]")
         return inputs
 
-    def phase_of(self, step_index: int) -> str:
-        """``"prep"``, ``"train"`` or ``"test"``: the window of the step."""
-        if step_index < self.n_pre:
-            return "prep"
-        if step_index < self.n_pre + self.n_fb:
-            return "train"
-        return "test"
-
-
-@dataclass(frozen=True)
-class ScheduledRun:
-    """A run's config and drive; subclasses add its per-step rows."""
-
-    config: Schedule
-    inputs: np.ndarray
-
     @property
     def train_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre, c.n_pre + c.n_fb)
+        return slice(self.n_pre, self.n_pre + self.n_fb)
 
     @property
     def test_slice(self) -> slice:
-        c = self.config
-        return slice(c.n_pre + c.n_fb, c.total_steps)
+        return slice(self.n_pre + self.n_fb, self.total_steps)
+
+    def phase_of(self, step_index: int) -> str:
+        """``"prep"``, ``"train"`` or ``"test"``: the window of the step,
+        split where ``train_slice`` and ``test_slice`` start."""
+        if step_index < self.train_slice.start:
+            return "prep"
+        if step_index < self.test_slice.start:
+            return "train"
+        return "test"
 
 
 @dataclass(frozen=True)
@@ -183,9 +174,11 @@ class ReservoirConfig(Schedule):
 
 
 @dataclass(frozen=True)
-class Trajectory(ScheduledRun):
-    """Per-step readout of one reservoir run."""
+class Trajectory:
+    """One reservoir run: its config, its drive and its per-step readout."""
 
+    config: ReservoirConfig
+    inputs: np.ndarray
     z_rows: np.ndarray  # shape (total_steps, n_qubits)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import astuple
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from spinqrc import esn
 from spinqrc.errors import ConfigError
 from spinqrc.esn import EsnConfig, esn_weights, run_esn
-from spinqrc.reservoir import ReservoirConfig, Schedule
+from spinqrc.reservoir import ReservoirConfig, Schedule, run_sequence
 
 
 def small_config(**kw):
@@ -81,7 +82,7 @@ class TestStep:
         monkeypatch.setattr(esn, "esn_weights",
                             lambda config: (np.zeros((6, 6)), w_in))
         inputs = np.linspace(0.0, 0.2, cfg.total_steps)
-        states = run_esn(cfg, inputs).states
+        states = run_esn(cfg, inputs)
         assert np.allclose(states[:, 0], np.tanh(inputs), atol=1e-15)
         assert np.all(states[:, 1:] == 0.0)
 
@@ -93,7 +94,7 @@ class TestStep:
         for variant, lags in ((1, [1]), (3, [1, 3]), (5, [1, 3, 5])):
             cfg = small_config(n_nodes=4, variant=variant, weight_seed=5)
             w, w_in = esn_weights(cfg)
-            states = run_esn(cfg, inputs).states
+            states = run_esn(cfg, inputs)
             for k, s in enumerate(inputs):
                 mixed = sum((states[k - lag] for lag in lags if k >= lag),
                             np.zeros(4))
@@ -104,21 +105,25 @@ class TestStep:
 class TestRunEsn:
     def test_zero_input_stays_at_origin(self):
         cfg = small_config()
-        traj = run_esn(cfg, np.zeros(cfg.total_steps))
-        assert np.all(traj.states == 0.0)
+        assert np.all(run_esn(cfg, np.zeros(cfg.total_steps)) == 0.0)
 
     def test_states_bounded_by_tanh(self):
         cfg = small_config(variant=5)
         rng = np.random.default_rng(1)
-        traj = run_esn(cfg, rng.uniform(0, 0.2, cfg.total_steps))
-        assert np.abs(traj.states).max() <= 1.0
+        states = run_esn(cfg, rng.uniform(0, 0.2, cfg.total_steps))
+        assert np.abs(states).max() <= 1.0
 
     def test_deterministic(self):
         cfg = small_config(variant=3)
         inputs = np.linspace(0, 0.2, cfg.total_steps)
         a = run_esn(cfg, inputs)
         b = run_esn(cfg, inputs)
-        assert a.states.tobytes() == b.states.tobytes()
+        assert a.tobytes() == b.tobytes()
+        # The rows' bytes from before run_esn returned them bare: returning
+        # the rows alone changed no arithmetic.
+        assert a.shape == (cfg.total_steps, cfg.n_nodes)
+        assert hashlib.sha256(a.tobytes()).hexdigest() == (
+            "2cb0d0482e1ce7dde083b1c093be711fd2307406fe86bce795974bf5a72d15ff")
 
     def test_length_validation(self):
         cfg = small_config()
@@ -134,11 +139,27 @@ class TestRunEsn:
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             run_esn(cfg, inputs)
 
-    def test_slices_cover_phases(self):
-        cfg = small_config()
-        traj = run_esn(cfg, np.zeros(cfg.total_steps))
-        assert traj.states[traj.train_slice].shape == (cfg.n_fb, cfg.n_nodes)
-        assert traj.states[traj.test_slice].shape == (cfg.n_test, cfg.n_nodes)
+    @pytest.mark.parametrize("schedule", [
+        dict(n_pre=20, n_fb=40, n_test=20), dict(n_pre=1, n_fb=1, n_test=1),
+        dict(n_pre=1, n_fb=3, n_test=1), dict(n_pre=4, n_fb=1, n_test=2)])
+    @pytest.mark.parametrize("kind", ["esn", "reservoir"])
+    def test_slices_cover_phases(self, kind, schedule):
+        # The schedule owns the windows: its slices cut either kind's rows
+        # into the windows that phase_of names.
+        if kind == "esn":
+            cfg = small_config(**schedule)
+            rows = run_esn(cfg, np.zeros(cfg.total_steps))
+        else:
+            cfg = ReservoirConfig(n_qubits=2, **schedule)
+            rows = run_sequence(cfg, np.zeros(cfg.total_steps)).z_rows
+        width = rows.shape[1]
+        assert rows.shape == (cfg.total_steps, width)
+        assert rows[cfg.train_slice].shape == (cfg.n_fb, width)
+        assert rows[cfg.test_slice].shape == (cfg.n_test, width)
+        steps = range(cfg.total_steps)
+        for k in steps:
+            assert (cfg.phase_of(k) == "train") == (k in steps[cfg.train_slice])
+            assert (cfg.phase_of(k) == "test") == (k in steps[cfg.test_slice])
 
 
 @pytest.mark.parametrize("variant", [1, 3, 5])
@@ -150,6 +171,6 @@ def test_fading_memory(variant):
     a = rng.uniform(0, 0.2, cfg.total_steps)
     b = a.copy()
     b[:20] = rng.uniform(0, 0.2, 20)
-    xa, xb = run_esn(cfg, a).states, run_esn(cfg, b).states
+    xa, xb = run_esn(cfg, a), run_esn(cfg, b)
     assert np.linalg.norm(xa[19] - xb[19]) > 1e-4
     assert np.linalg.norm(xa[-1] - xb[-1]) < 1e-6

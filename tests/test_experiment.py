@@ -295,9 +295,10 @@ class TestRunExperiment:
         for task, (drive, score, target) in targets.items():
             expected = []
             for seed in range(2):
-                traj = run_sequence(replace(config, coupling_seed=seed), drive)
-                feats = make_features(traj.z_rows, ReadoutType.AVERAGED)
-                tr, te = traj.train_slice, traj.test_slice
+                member = replace(config, coupling_seed=seed)
+                feats = make_features(run_sequence(member, drive).z_rows,
+                                      ReadoutType.AVERAGED)
+                tr, te = member.train_slice, member.test_slice
                 weights = train_weights(feats[tr], target[tr])
                 expected.append(score(predict(weights, feats[te]), target[te]))
             assert cell.metrics[f"{task}|linear|averaged|0.1"].per_seed == (
@@ -495,3 +496,22 @@ class TestEmitReport:
     def test_rejects_empty_list(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report([], tmp_path)
+
+    def test_two_manifests_of_one_cell_write_nothing(self, tmp_path):
+        # Both are cell multi_linear_g0.1_r1: one manifest file would hold
+        # one of them, and report would rebuild half of metrics.csv.
+        cells = run_experiment([narma_manifest(
+            config=dict(SMALL_RESERVOIR, n_qubits=3), n_seeds=1, tasks=tasks)
+            for tasks in (("stm", "narma2"), ("narma5", "narma10"))])
+        assert cells[0].cell_id == cells[1].cell_id
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(
+                str(out / f"manifest_{cells[0].cell_id}.json"))):
+            emit_report(cells, out)
+        assert not out.exists()
+
+    def test_a_trajectory_it_cannot_build_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="run_experiment"):
+            emit_report([narma_manifest()], out, trajectories=True)
+        assert not out.exists()

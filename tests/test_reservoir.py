@@ -7,6 +7,7 @@ import pytest
 from spinqrc import linalg, reservoir
 from spinqrc.cli import EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
+from spinqrc.esn import EsnConfig, run_esn
 from spinqrc.linalg import (BLAS_LIBRARIES, load_blas, one_blas_thread,
                             trace_distance)
 from spinqrc.qubits import ground_density
@@ -364,14 +365,27 @@ class TestRunSequence:
         b = run_sequence(cfg, inputs)
         assert a.z_rows.tobytes() == b.z_rows.tobytes()
 
-    def test_phase_tags(self):
-        cfg = small_config()
-        traj = run_sequence(cfg, np.zeros(cfg.total_steps))
-        phases = [cfg.phase_of(k) for k in range(len(traj.inputs))]
+    @pytest.mark.parametrize("schedule", [
+        dict(n_pre=10, n_fb=20, n_test=10), dict(n_pre=1, n_fb=1, n_test=1),
+        dict(n_pre=3, n_fb=1, n_test=2), dict(n_pre=1, n_fb=2, n_test=1)])
+    @pytest.mark.parametrize("make", [small_config, EsnConfig],
+                             ids=["reservoir", "esn"])
+    def test_phase_tags(self, make, schedule):
+        # One owner for the windows: phase_of tags step k "train" or "test"
+        # exactly when train_slice or test_slice holds it.
+        cfg = make(**schedule)
+        inputs = np.zeros(cfg.total_steps)
+        rows = (run_esn(cfg, inputs) if isinstance(cfg, EsnConfig)
+                else run_sequence(cfg, inputs).z_rows)
+        steps = range(len(rows))
+        phases = [cfg.phase_of(k) for k in steps]
         assert phases == (["prep"] * cfg.n_pre + ["train"] * cfg.n_fb
                           + ["test"] * cfg.n_test)
-        assert traj.z_rows[traj.train_slice].shape == (cfg.n_fb, cfg.n_qubits)
-        assert traj.z_rows[traj.test_slice].shape == (cfg.n_test, cfg.n_qubits)
+        for k, phase in zip(steps, phases):
+            assert (phase == "train") == (k in steps[cfg.train_slice])
+            assert (phase == "test") == (k in steps[cfg.test_slice])
+        assert len(rows[cfg.train_slice]) == cfg.n_fb
+        assert len(rows[cfg.test_slice]) == cfg.n_test
 
     def test_matches_single_step_route(self):
         cfg = small_config(gamma=0.17)
