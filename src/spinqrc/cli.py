@@ -21,23 +21,23 @@ from pathlib import Path
 from .errors import (ConfigError, DivergenceError, SpinChainError,
                      StateInvariantError)
 from .esn import VARIANTS, EsnConfig
-from .experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
+from .experiment import (KINDS, TASK_NAMES, ExperimentManifest, SweepGrid,
                          emit_report, json_list, json_object,
                          metrics_csv_text, read_json, run_experiment,
                          write_files)
 from .reservoir import ReservoirConfig, Schedule, Topology
 
-# Every ReservoirConfig field but the coupling seed, which each ensemble
-# member takes from the seeds. The phase lengths among them (PHASE_KEYS)
-# set the ESN's schedule as well; the `esn` block holds the other EsnConfig
-# fields but the variant, which its `variants` list sets one manifest each,
-# and the weight seed, which each ensemble member takes from the seeds.
+# Every ReservoirConfig field but the member seed (KINDS), which each
+# ensemble member takes from the seeds. The phase lengths among them
+# (PHASE_KEYS) set the ESN's schedule as well; the `esn` block holds the
+# other EsnConfig fields but the variant, which its `variants` list sets
+# one manifest each, and the member seed.
 RESERVOIR_CONFIG_KEYS = tuple(f.name for f in fields(ReservoirConfig)
-                              if f.name != "coupling_seed")
+                              if f.name != KINDS["reservoir"][1])
 PHASE_KEYS = tuple(f.name for f in fields(Schedule))
 ESN_CONFIG_KEYS = tuple(
     f.name for f in fields(EsnConfig)
-    if f.name not in PHASE_KEYS + ("variant", "weight_seed"))
+    if f.name not in PHASE_KEYS + ("variant", KINDS["esn"][1]))
 # The top-level keys that set a manifest field in `run`, `sweep` and `esn`,
 # and that field; a flag of the same name overrides the key, and `--task X`
 # overrides `tasks` with [X]. A field that neither sets takes the manifest's

@@ -22,10 +22,9 @@ from .reservoir import Schedule, number
 from .rng import Stream
 from .tasks import sized_array
 
-HISTORY_DEPTH = 5
-VARIANTS = (1, 3, 5)
-
 _VARIANT_LAGS = {1: (1,), 3: (1, 3), 5: (1, 3, 5)}
+VARIANTS = tuple(_VARIANT_LAGS)
+HISTORY_DEPTH = max(max(lags) for lags in _VARIANT_LAGS.values())
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,19 @@ from .esn import EsnConfig, run_esn
 from .linalg import one_blas_thread
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
-from .reservoir import (ReservoirConfig, Trajectory, check_ranges, number,
-                        run_sequence)
+from .reservoir import ReservoirConfig, check_ranges, number, run_sequence
 from .tasks import NARMA_ORDERS, gen_stm
 
 MAX_SWEEP_ROWS = 10_000
 MAX_SEEDS = 10_000  # per manifest; run_experiment builds every member first
 
 TASK_NAMES = ("stm",) + tuple(f"narma{n}" for n in NARMA_ORDERS)
+
+# Each manifest kind's config class, and the field of it that the manifest
+# sets per ensemble member, base_seed + m; the manifest's config holds the
+# class's other fields.
+KINDS = {"reservoir": (ReservoirConfig, "coupling_seed"),
+         "esn": (EsnConfig, "weight_seed")}
 
 _READOUT_LABEL = {ReadoutType.PER_QUBIT: "per_qubit", ReadoutType.AVERAGED: "averaged"}
 
@@ -152,13 +157,14 @@ class ExperimentManifest:
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
-    # Ensemble member 0's trajectory on the first task's drive, kept by
-    # run_experiment for the trajectory report; never serialized.
-    trajectory: Trajectory | None = field(default=None, repr=False,
+    # Ensemble member 0's report on the first task, kept by run_experiment
+    # for trajectory_csv_text: one row per step of the drive, the Z rows,
+    # the prediction and the target of its shown row; never serialized.
+    trajectory: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("reservoir", "esn"):
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown manifest kind {self.kind!r}")
         for name in ("tasks", "stm_delays"):
             setattr(self, name, json_list(getattr(self, name), name))
@@ -237,17 +243,17 @@ def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
     so it must keep its default. A schedule too short for the fits fails
     here, before anything runs: ``n_fb`` below the readout's feature
     columns, or ``n_test`` below the two points an STM capacity needs."""
-    seed = manifest.base_seed
+    if manifest.kind == "esn" and manifest.readout != 1:
+        raise ConfigError("a manifest of kind 'esn' never reads readout, "
+                          f"so it must be 1; got {manifest.readout}")
+    cls, seed_field = KINDS[manifest.kind]
+    keys = [f.name for f in fields(cls) if f.name != seed_field]
+    config = cls(**json_object(manifest.config, "config", keys),
+                 **{seed_field: manifest.base_seed})
     if manifest.kind == "esn":
-        if manifest.readout != 1:
-            raise ConfigError("a manifest of kind 'esn' never reads readout, "
-                              f"so it must be 1; got {manifest.readout}")
-        config = _member_config(EsnConfig, manifest.config, weight_seed=seed)
         readout, columns = ReadoutType.PER_QUBIT, config.n_nodes + 1
         label, gamma_str = f"esn{config.variant}", ""
     else:
-        config = _member_config(ReservoirConfig, manifest.config,
-                                coupling_seed=seed)
         readout = ReadoutType(manifest.readout)
         columns = config.n_qubits + 1 if readout is ReadoutType.PER_QUBIT else 2
         label, gamma_str = config.topology.value, repr(float(config.gamma))
@@ -268,14 +274,6 @@ def manifest_rows(manifest: ExperimentManifest) -> list[Row]:
             for drive in manifest.tasks
             for target in ([f"stm_tau{tau:02d}" for tau in manifest.stm_delays]
                            if drive == "stm" else [drive])]
-
-
-def _member_config(cls: type, config: object, **member: object):
-    """``cls`` built from a manifest's ``config`` and the ``member`` fields
-    that the manifest sets itself; ConfigError unless ``config`` is a dict
-    of ``cls``'s other fields."""
-    keys = [f.name for f in fields(cls) if f.name not in member]
-    return cls(**json_object(config, "config", keys), **member)
 
 
 def _task_drive(task: str, length: int, input_seed: int) -> np.ndarray:
@@ -353,16 +351,17 @@ def run_experiment(
     drive (all NARMA orders). Every trajectory is simulated before any
     fit, in worker processes (``_simulate_all``); the results do not
     depend on how many. Returns the manifests, filled in place; each
-    reservoir manifest also keeps its member-0 trajectory on its first
-    task for ``trajectory_csv_text``.
+    reservoir manifest also keeps, for ``trajectory_csv_text``, member 0's
+    drive, Z rows, prediction and target of the first task's shown row:
+    its one target for NARMA, the smallest delay's for stm.
     """
     streams: dict[tuple, tuple[np.ndarray, list[np.ndarray]]] = {}
     plans = []
     for manifest in cells:
         cell_rows = manifest_rows(manifest)
         config = cell_rows[0].config
-        seed_key = "weight_seed" if manifest.kind == "esn" else "coupling_seed"
-        members = [replace(config, **{seed_key: manifest.base_seed + m})
+        seed_field = KINDS[manifest.kind][1]
+        members = [replace(config, **{seed_field: manifest.base_seed + m})
                    for m in range(manifest.n_seeds)]
         for drive, rows in itertools.groupby(cell_rows, lambda r: r.drive):
             key = (drive, config.total_steps, manifest.input_seed,
@@ -382,18 +381,24 @@ def run_experiment(
         manifest.metrics = {}
     for manifest, members, rows, inputs, targets in plans:
         bits = inputs.tobytes()
+        shown = None  # the index of the shown row among rows, if any
         if rows[0].drive == manifest.tasks[0] and manifest.kind == "reservoir":
-            manifest.trajectory = Trajectory(
-                members[0], inputs, simulated[(members[0], bits)])
+            delays = manifest.stm_delays if rows[0].drive == "stm" else (0,)
+            shown = delays.index(min(delays))
         per_seed: list[list[float]] = [[] for _ in rows]
-        for config in members:
-            feats = make_features(simulated[(config, bits)], rows[0].readout)
+        for m, config in enumerate(members):
+            z_rows = simulated[(config, bits)]
+            feats = make_features(z_rows, rows[0].readout)
             tr, te = config.train_slice, config.test_slice
-            for row, target, values in zip(rows, targets, per_seed):
+            for i, (row, target, values) in enumerate(
+                    zip(rows, targets, per_seed)):
                 weights = train_weights(feats[tr], target[tr],
                                         ridge=manifest.ridge)
                 score = nmse if row.metric == "nmse" else stm_capacity
                 values.append(score(predict(weights, feats[te]), target[te]))
+                if (m, i) == (0, shown):
+                    manifest.trajectory = np.column_stack(
+                        (inputs, z_rows, predict(weights, feats), target))
         for row, values in zip(rows, per_seed):
             manifest.metrics[row.row_id] = replace(row, per_seed=tuple(values))
     return list(cells)
@@ -488,28 +493,21 @@ def write_files(out_dir: Path, files: list[tuple[str, str]]) -> list[Path]:
 
 def trajectory_csv_text(manifest: ExperimentManifest) -> str:
     """Per-step rows (step, phase, s_k, z_1..z_n, y_pred, y_target) of
-    ensemble member 0 on the manifest's first task, from the trajectory
-    that ``run_experiment`` kept; ConfigError for a manifest it has not
-    run.
+    ensemble member 0 on the manifest's first task, as ``run_experiment``
+    kept them; ConfigError for a manifest it has not run.
 
-    Predictions come from weights trained on the train window; for the
-    stm task the smallest requested delay is used.
+    The prediction is that of the fit that scored member 0's row, trained
+    on the train window; for the stm task the smallest requested delay is
+    shown.
     """
-    traj = manifest.trajectory
-    if traj is None:  # an ESN manifest, or one run_experiment has not run
+    report = manifest.trajectory
+    if report is None:  # an ESN manifest, or one run_experiment has not run
         raise ConfigError("the manifest holds no trajectory: run a reservoir "
                           "manifest with run_experiment first")
-    task, config = manifest.tasks[0], traj.config
-    delays = (min(manifest.stm_delays),) if task == "stm" else ()
-    [target] = _task_targets(task, traj.inputs, delays)
-    feats = make_features(traj.z_rows, ReadoutType(manifest.readout))
-    tr = config.train_slice
-    weights = train_weights(feats[tr], target[tr], ridge=manifest.ridge)
-    y_pred = predict(weights, feats)
+    config = manifest_rows(manifest)[0].config
     z_cols = [f"z_{i}" for i in range(1, config.n_qubits + 1)]
     lines = [",".join(["step", "phase", "s_k", *z_cols, "y_pred", "y_target"])]
-    for k in range(config.total_steps):
-        values = (traj.inputs[k], *traj.z_rows[k], y_pred[k], target[k])
+    for k, values in enumerate(report):
         lines.append(",".join([str(k), config.phase_of(k),
                                *map(_fmt, values)]))
     return "\n".join(lines) + "\n"

@@ -175,10 +175,9 @@ class ReservoirConfig(Schedule):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One reservoir run: its config, its drive and its per-step readout."""
+    """One reservoir run's per-step readout; its caller holds the config
+    and the drive."""
 
-    config: ReservoirConfig
-    inputs: np.ndarray
     z_rows: np.ndarray  # shape (total_steps, n_qubits)
 
 
@@ -310,7 +309,7 @@ def run_sequence(config: ReservoirConfig, inputs: Sequence[float]) -> Trajectory
     z_rows, _ = _evolve(_draw_unitary(config.coupling_draw), config.gamma,
                         ground_density(config.n_qubits), inputs,
                         config.input_qubit)
-    return Trajectory(config=config, inputs=inputs, z_rows=z_rows)
+    return Trajectory(z_rows)
 
 
 @functools.lru_cache(maxsize=1)

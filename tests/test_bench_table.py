@@ -52,17 +52,6 @@ def test_failed_criterion_1_runs_show_in_their_column():
     assert dict(columns({}))[CRITERION_1] == "-"
 
 
-def test_sweep_per_control_column():
-    columns = tool("bench_table").columns
-    snapshot = {"sweep_10_seeds": {"change": {
-        "wall_s": [3.0, 3.3, 6.0], "control_s": [1.0, 1.1, 1.5],
-        "wall_per_control": [3.0, 3.0, 4.0]}}}
-    assert dict(columns(snapshot))["sweep10/control"] == "3.00"
-    # Snapshots older than the control have no such record.
-    old = {"sweep_10_seeds": {"change": {"wall_s": [3.0]}}}
-    assert dict(columns(old))["sweep10/control"] == "-"
-
-
 def test_one_seed_n9_column():
     columns = tool("bench_table").columns
     snapshot = {"n9_one_seed": {"change": {"wall_s": [1.9, 1.7, 1.8],
@@ -164,30 +153,32 @@ def test_records_keep_the_shape_of_bench_20(tmp_path, monkeypatch):
     # A fake child in place of each process the jobs start: it writes the
     # --out directory's metrics.csv and prints what the real child prints.
     record = tool("bench_record")
+    started = []
 
     def timed(checkout, *argv, check=True):
+        started.append(argv)
         if "--out" in argv:
             out = Path(argv[argv.index("--out") + 1])
             out.mkdir()
             (out / "metrics.csv").write_text("row\n")
-        if record.CONTROL in argv:
-            stdout = "0.7\n"
-        elif record.COUNT_FORKS in argv:
-            stdout = "out\nforks=1\n"
-        else:
-            stdout = "suite 0.9s = 1.3x the 0.7s floor (budget 2.0x)\n"
-        return 0, 2.5, 35.0, stdout
+        return 0, 2.5, 35.0, "suite 0.9s = 1.3x the 0.7s floor (budget 2.0x)\n"
 
     monkeypatch.setattr(record, "timed", timed)
     checkouts = {"change": tmp_path / "c", "baseline": tmp_path / "b"}
-    built = {
-        "sweep_10_seeds": record.sweep_record(checkouts, tmp_path),
+    built = {"sweep_10_seeds": record.sweep_record(checkouts)}
+    # One child per sweep: no host control runs beside it.
+    assert len(started) == record.REPEATS * len(checkouts)
+    built.update({
         "criterion_1": record.paired(checkouts, record.CRITERION_1_RUNS,
                                      record.criterion_1_run),
         "n9_one_seed": record.columns(
             record.paired(checkouts, record.N9_ONE_SEED_RUNS,
-                          record.n9_one_seed_run), checkouts)}
+                          record.n9_one_seed_run), checkouts)})
     bench_20 = json.loads((ROOT / "BENCH_20.json").read_text())
+    # The sweep record has dropped its per-run control and worker count.
+    for name in checkouts:
+        for key in ("workers", "control_s", "wall_per_control"):
+            del bench_20["sweep_10_seeds"][name][key]
     for key, value in built.items():
         assert shape(json.loads(json.dumps(value))) == shape(bench_20[key])
 

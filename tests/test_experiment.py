@@ -67,7 +67,7 @@ def count_esn_runs(monkeypatch):
     return calls
 
 
-class TestParseTask:
+class TestManifestTaskNames:
     """A manifest's task check."""
 
     def test_accepts_known_names(self):
@@ -317,7 +317,7 @@ class TestRunExperiment:
                 assert stats.per_seed == single.metrics[key].per_seed
 
 
-class TestRunEsnComparison:
+class TestRunExperimentEsnCells:
     def test_rows_per_variant(self):
         cells = run_experiment([esn_manifest(1), esn_manifest(3)])
         rows = [s for m in cells for s in m.metrics.values()]
@@ -447,11 +447,24 @@ class TestTrajectoryCsv:
         s_vals = np.array([float(r[2]) for r in rows])
         targets = np.array([float(r[-1]) for r in rows])
         assert np.all(targets[2:] == s_vals[:-2])
+        # The prediction is member 0's delay-2 fit, trained on the train
+        # window and applied to every step, wherever delay 2 is listed.
+        member = manifest_rows(m)[0].config
+        drive = gen_stm(member.total_steps, m.input_seed)
+        target = np.concatenate((np.zeros(2), drive))[:len(drive)]
+        feats = make_features(run_sequence(member, drive).z_rows,
+                              ReadoutType.PER_QUBIT)
+        tr = member.train_slice
+        y_pred = predict(train_weights(feats[tr], target[tr]), feats)
+        assert [r[-2] for r in rows] == [experiment._fmt(y) for y in y_pred]
+        [later] = run_experiment([narma_manifest(tasks=("stm",),
+                                                 stm_delays=(5, 2))])
+        assert trajectory_csv_text(later) == trajectory_csv_text(m)
 
     @pytest.mark.parametrize("task", ["stm", "narma2"])
     def test_reads_the_kept_trajectory_only(self, monkeypatch, task):
-        # The drive and the states come from the run: the report neither
-        # simulates nor regenerates a drive.
+        # The drive, the states, the prediction and the target come from the
+        # run: the report neither simulates, regenerates a drive nor fits.
         [m] = run_experiment([narma_manifest(tasks=(task,))])
         text = trajectory_csv_text(m)
 
@@ -460,7 +473,11 @@ class TestTrajectoryCsv:
 
         for name in ("spinqrc.experiment.run_sequence",
                      "spinqrc.experiment.gen_stm",
-                     "spinqrc.tasks.gen_narma_input"):
+                     "spinqrc.tasks.gen_narma_input",
+                     "spinqrc.tasks.gen_narma_target",
+                     "spinqrc.experiment.make_features",
+                     "spinqrc.experiment.train_weights",
+                     "spinqrc.experiment.predict"):
             monkeypatch.setattr(name, forbidden)
         assert trajectory_csv_text(m) == text
 

@@ -12,12 +12,8 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   metrics);
 * ``sweep_10_seeds``: wall times and peak RSS of ``REPEATS`` default
   10-seed ``spinqrc sweep`` runs (the ``--seeds`` default), each in a
-  fresh process, their median, and the number of worker processes each
-  used (forks counted with ``os.register_at_fork``, plus the process
-  itself). The peak RSS is that of the largest process of the job, the
-  sweep's own or one of its workers. Each sweep is followed by the host
-  control (``CONTROL``) in a fresh process of this checkout; the record
-  keeps its seconds and each wall time divided by them;
+  fresh process, and their median. The peak RSS is that of the largest
+  process of the job, the sweep's own or one of its workers;
 * ``criterion_1``: ``CRITERION_1_RUNS`` runs of the acceptance suite's
   criterion 1 (``pytest -s``, each in a fresh process): the ratio of its
   wall time to its ``zgemm`` floor, the floor and whether it passed. A
@@ -72,28 +68,16 @@ CRITERION_1_RUNS = 5
 CRITERION_1_COST = re.compile(
     r"suite ([0-9.]+)s = ([0-9.]+)x the ([0-9.]+)s .*\(budget ([0-9.]+)x\)")
 
-# The host control: a fixed amount of BLAS work, timed next to each scored
-# run and each 10-seed sweep so that snapshots taken while the host ran at
-# different speeds compare. It is criterion 1's floor, ``zgemm_floor`` in
-# the acceptance suite: the best of 3 timings of 10,000 pairs of the
-# kernel's two dim-64 products at one BLAS thread. It prints its seconds.
+# The host control: a fixed amount of BLAS work, timed before and after each
+# scored run so that snapshots taken while the host ran at different speeds
+# compare. It is criterion 1's floor, ``zgemm_floor`` in the acceptance
+# suite: the best of 3 timings of 10,000 pairs of the kernel's two dim-64
+# products at one BLAS thread. It prints its seconds.
 CONTROL = """\
 import sys
 sys.path.insert(0, "tests")
 from test_acceptance import zgemm_floor
 print(zgemm_floor())
-"""
-
-# Runs the CLI and prints, as its last stdout line, how many processes it
-# forked.
-COUNT_FORKS = """\
-import os, sys
-forks = []
-os.register_at_fork(after_in_parent=lambda: forks.append(1))
-from spinqrc.cli import main
-code = main(sys.argv[1:])
-print(f"forks={len(forks)}")
-sys.exit(code)
 """
 
 
@@ -172,22 +156,14 @@ def columns(record: dict, checkouts: dict[str, Path]) -> dict:
     return record
 
 
-def sweep_record(checkouts: dict[str, Path], root: Path) -> dict:
-    """The 10-seed sweeps of each checkout, alternating, each followed by
-    the control in ``root``, the same code for every checkout."""
+def sweep_record(checkouts: dict[str, Path]) -> dict:
+    """The 10-seed sweeps of each checkout, alternating."""
     def job(checkout: Path, out: Path) -> dict:
-        _, wall, rss, stdout = timed(checkout, "-c", COUNT_FORKS, "sweep",
-                                     "--out", str(out))
-        seconds = control(root)
-        return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 2),
-                "workers": 1 + int(stdout.split()[-1].removeprefix("forks=")),
-                "control_s": round(seconds, 4),
-                "wall_per_control": round(wall / seconds, 3)}
+        _, wall, rss, _ = timed(checkout, "-m", "spinqrc.cli", "sweep",
+                                "--out", str(out))
+        return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 2)}
 
-    record = columns(paired(checkouts, REPEATS, job), checkouts)
-    for name in checkouts:
-        record[name]["workers"] = sorted(set(record[name]["workers"]))
-    return record
+    return columns(paired(checkouts, REPEATS, job), checkouts)
 
 
 def criterion_1_run(checkout: Path, out: Path) -> dict:
@@ -270,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
                                 (root / "src" / "spinqrc").glob("*.py"))}},
         "scored": scored,
         "traced": traced,
-        "sweep_10_seeds": sweep_record(checkouts, root),
+        "sweep_10_seeds": sweep_record(checkouts),
         "criterion_1": paired(checkouts, CRITERION_1_RUNS, criterion_1_run),
         "n9_one_seed": columns(
             paired(checkouts, N9_ONE_SEED_RUNS, n9_one_seed_run), checkouts),

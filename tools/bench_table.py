@@ -7,17 +7,16 @@ checkout, in snapshot order. Each row holds the snapshot's commit; the
 scored ``sweep`` and ``long_run`` ``wall_s``, ``steps_per_s``,
 ``setup_s`` and ``peak_rss_mb``; the median of its default 10-seed
 ``sweep`` runs; the median criterion-1 ``zgemm`` floor; each wall time
-divided by that floor; the median of each 10-seed ``sweep`` wall time
-divided by the control timed next to it (``sweep10/control``); each
-scored ``wall_s`` divided by the mean of the controls timed before and
-after its run (``sweep/control``, ``long_run/control``); and
-criterion 1's median cost ratio with its passed/total runs, such as
-``1.52(5/5)``, so a red criterion 1 shows in the table; the median
-wall time of the one-seed nine-qubit ``run`` (``n9x1.median_s``); and
-the total line count of the ``src/spinqrc`` modules (``src_lines``). The
-floor is a fixed amount of BLAS work timed on the same host, so the
-divided values compare snapshots taken on days the host ran at different
-speeds. A value the snapshot lacks prints as ``-``.
+divided by that floor; each scored ``wall_s`` divided by the mean of
+the controls timed before and after its run (``sweep/control``,
+``long_run/control``); criterion 1's median cost ratio with its
+passed/total runs, such as ``1.52(5/5)``, so a red criterion 1 shows in
+the table; the median wall time of the one-seed nine-qubit ``run``
+(``n9x1.median_s``); and the total line count of the ``src/spinqrc``
+modules (``src_lines``). The floor is a fixed amount of BLAS work timed
+on the same host, so the divided values compare snapshots taken on days
+the host ran at different speeds. A value the snapshot lacks prints as
+``-``.
 """
 from __future__ import annotations
 
@@ -75,9 +74,6 @@ def columns(snapshot: dict) -> list[tuple[str, str]]:
     for header, wall in walls:
         ratio = wall / floor if wall is not None and floor else None
         cells.append((header, _fmt(ratio, "{:.2f}")))
-    sweeps = _get(snapshot, "sweep_10_seeds", "change", "wall_per_control")
-    per_control.append(("sweep10/control",
-                        statistics.median(sweeps) if sweeps else None))
     cells += [(header, _fmt(ratio, "{:.2f}")) for header, ratio in per_control]
     ratios = [run["ratio"] for run in runs if run.get("ratio") is not None]
     passed = sum(run.get("passed") is True for run in runs)
