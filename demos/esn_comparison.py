@@ -13,64 +13,35 @@ the deeper variants.
 """
 import numpy as np
 
-from spinqrc.esn import VARIANTS, EsnConfig, run_esn
-from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
-                             stm_capacity, train_weights)
-from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
+from spinqrc.esn import VARIANTS
+from spinqrc.experiment import ExperimentManifest, run_experiment
 
-SEEDS = range(5)
+SEEDS = 5
 STM_DELAYS = (2, 3, 4)
 NARMA_ORDERS = (2, 5, 10)
 
 
-def shifted(inputs: np.ndarray, tau: int) -> np.ndarray:
-    out = np.zeros_like(inputs)
-    out[tau:] = inputs[: len(inputs) - tau]
-    return out
-
-
 def main() -> None:
-    length = EsnConfig().total_steps
-    stm_inputs = gen_stm(length, seed=42)
-    narma_inputs = gen_narma_input(length)
-    narma_targets = {n: gen_narma_target(narma_inputs, n) for n in NARMA_ORDERS}
+    tasks = ("stm", *(f"narma{n}" for n in NARMA_ORDERS))
+    cells = run_experiment([
+        ExperimentManifest(kind="esn", config={"variant": v}, tasks=tasks,
+                           stm_delays=STM_DELAYS, n_seeds=SEEDS)
+        for v in VARIANTS])
 
-    caps: dict[int, list[float]] = {v: [] for v in VARIANTS}
-    errs: dict[tuple[int, int], list[float]] = {
-        (v, n): [] for v in VARIANTS for n in NARMA_ORDERS}
-    ranks: dict[int, list[int]] = {v: [] for v in VARIANTS}
-    conds: dict[int, list[float]] = {v: [] for v in VARIANTS}
-
-    for seed in SEEDS:
-        for v in VARIANTS:
-            cfg = EsnConfig(variant=v, weight_seed=seed)
-            tr, te = cfg.train_slice, cfg.test_slice
-
-            feats = make_features(run_esn(cfg, stm_inputs),
-                                  ReadoutType.PER_QUBIT)
-            per_delay = []
-            for tau in STM_DELAYS:
-                target = shifted(stm_inputs, tau)
-                w = train_weights(feats[tr], target[tr])
-                per_delay.append(stm_capacity(predict(w, feats[te]), target[te]))
-            caps[v].append(float(np.mean(per_delay)))
-
-            feats = make_features(run_esn(cfg, narma_inputs),
-                                  ReadoutType.PER_QUBIT)
-            for n in NARMA_ORDERS:
-                w = train_weights(feats[tr], narma_targets[n][tr])
-                errs[(v, n)].append(nmse(predict(w, feats[te]), narma_targets[n][te]))
-            ranks[v].append(w.rank)
-            conds[v].append(w.condition)
-
-    print(f"echo-state baselines, {len(list(SEEDS))} shared weight draws")
+    print(f"echo-state baselines, {SEEDS} shared weight draws")
     print(f"{'variant':>8}  {'C(2..4)':>8}  "
           + "  ".join(f"narma{n:<2}" for n in NARMA_ORDERS)
           + f"  {'rank':>5}  {'cond':>9}")
-    for v in VARIANTS:
-        row = "  ".join(f"{np.mean(errs[(v, n)]):.1e}" for n in NARMA_ORDERS)
-        print(f"{'esn' + str(v):>8}  {np.mean(caps[v]):>8.3f}  {row}"
-              f"  {np.median(ranks[v]):>5.0f}  {np.median(conds[v]):>9.1e}")
+    for cell in cells:
+        rows = list(cell.metrics.values())
+        stm, narma = rows[:len(STM_DELAYS)], rows[len(STM_DELAYS):]
+        # Each seed's mean capacity over the delays, then the mean over seeds.
+        capacity = np.mean(np.mean([row.per_seed for row in stm], axis=0))
+        errors = "  ".join(f"{row.mean:.1e}" for row in narma)
+        fits = cell.diagnostics[narma[-1].row_id]  # the narma10 fits
+        print(f"{rows[0].topology:>8}  {capacity:>8.3f}  {errors}"
+              f"  {np.median(fits['rank']):>5.0f}"
+              f"  {np.median(fits['condition']):>9.1e}")
     print()
     print("recall drops with tap depth while the NARMA errors sit roughly a")
     print("decade apart; the collapsing rank shows the deeper variants")

@@ -2,9 +2,10 @@
 
 A manifest snapshots everything needed to reproduce a set of metrics:
 the physical configuration, the task list, and every seed. Running a
-manifest fills in per-seed metrics; emitting a report turns manifests
-into a deterministic ``metrics.csv`` (and optional per-step trajectory
-files). Re-running the same manifest always reproduces the same bytes.
+manifest fills in per-seed metrics and fit diagnostics; emitting a
+report turns manifests into a deterministic ``metrics.csv`` (and
+optional per-step trajectory files). Re-running the same manifest
+always reproduces the same bytes.
 """
 from __future__ import annotations
 
@@ -157,6 +158,10 @@ class ExperimentManifest:
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
+    # Each row's fit diagnostics, {"rank": [...], "condition": [...]} with
+    # one value per ensemble member, kept by run_experiment and written,
+    # but never read back: metrics.csv does not depend on them.
+    diagnostics: dict = field(default_factory=dict)
     # Ensemble member 0's report on the first task, kept by run_experiment
     # for trajectory_csv_text: one row per step of the drive, the Z rows,
     # the prediction and the target of its shown row; never serialized.
@@ -206,6 +211,7 @@ class ExperimentManifest:
                 raise ConfigError(f"{name} must be a non-empty string, "
                                   f"got {reprlib.repr(d[name])}")
         metrics = json_object(d.pop("metrics", {}), "metrics", None)
+        d.pop("diagnostics", None)
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
             derived = {row.row_id: row for row in manifest_rows(m)}
@@ -339,7 +345,8 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
     """Fill each manifest (one cell each) with its metrics, one row per
-    ``manifest_rows`` entry, by running its seed ensemble.
+    ``manifest_rows`` entry, by running its seed ensemble, and with the
+    ``rank`` and ``condition`` of each row's fit per member (``diagnostics``).
 
     Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
     input stream is shared by all members. ESN manifests that differ only
@@ -378,29 +385,35 @@ def run_experiment(
     simulated = dict(zip(jobs, _simulate_all(list(jobs.values()))))
 
     for manifest in cells:
-        manifest.metrics = {}
+        manifest.metrics, manifest.diagnostics = {}, {}
     for manifest, members, rows, inputs, targets in plans:
         bits = inputs.tobytes()
         shown = None  # the index of the shown row among rows, if any
         if rows[0].drive == manifest.tasks[0] and manifest.kind == "reservoir":
             delays = manifest.stm_delays if rows[0].drive == "stm" else (0,)
             shown = delays.index(min(delays))
-        per_seed: list[list[float]] = [[] for _ in rows]
+        # Each row's (score, fit) per member.
+        fitted: list[list[tuple]] = [[] for _ in rows]
         for m, config in enumerate(members):
             z_rows = simulated[(config, bits)]
             feats = make_features(z_rows, rows[0].readout)
             tr, te = config.train_slice, config.test_slice
-            for i, (row, target, values) in enumerate(
-                    zip(rows, targets, per_seed)):
+            for i, (row, target, fits) in enumerate(
+                    zip(rows, targets, fitted)):
                 weights = train_weights(feats[tr], target[tr],
                                         ridge=manifest.ridge)
                 score = nmse if row.metric == "nmse" else stm_capacity
-                values.append(score(predict(weights, feats[te]), target[te]))
+                fits.append((score(predict(weights, feats[te]), target[te]),
+                             weights))
                 if (m, i) == (0, shown):
                     manifest.trajectory = np.column_stack(
                         (inputs, z_rows, predict(weights, feats), target))
-        for row, values in zip(rows, per_seed):
-            manifest.metrics[row.row_id] = replace(row, per_seed=tuple(values))
+        for row, fits in zip(rows, fitted):
+            values, weights = zip(*fits)
+            manifest.metrics[row.row_id] = replace(row, per_seed=values)
+            manifest.diagnostics[row.row_id] = {
+                "rank": [w.rank for w in weights],
+                "condition": [w.condition for w in weights]}
     return list(cells)
 
 

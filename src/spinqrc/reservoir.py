@@ -340,9 +340,11 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends a CPU
     that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
     and one forked helper splits each step's two products by output
-    columns. Each column of a product is the same ``zgemm`` sum whichever
-    call computes it, so the split changes no bit; the readout and the
-    checks stay in this process.
+    columns; the readout and the checks stay in this process. The split
+    changes no bit where a column block of a ``zgemm`` product equals the
+    same columns of the one-call product. OpenBLAS's ``SkylakeX`` kernel,
+    under which the goldens were frozen, keeps that; its ``Haswell`` and
+    ``Sandybridge`` kernels do not (README, Tests).
     """
     n = U.shape[0].bit_length() - 1
     dim = 2**n

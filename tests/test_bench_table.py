@@ -88,6 +88,38 @@ def test_source_lines_column():
     assert dict(columns({"environment": {"commit": "abc"}}))["src_lines"] == "-"
 
 
+def test_code_lines_column():
+    columns = tool("bench_table").columns
+    snapshot = {"environment": {"src_lines": {"cli.py": 200},
+                                "src_code_lines": {"cli.py": 120,
+                                                   "experiment.py": 330}}}
+    assert dict(columns(snapshot))["src_code_lines"] == "450"
+    # Snapshots older than the count print a dash.
+    assert dict(columns({}))["src_code_lines"] == "-"
+    assert dict(columns({"environment": {"src_lines": {"cli.py": 200}}}))[
+        "src_code_lines"] == "-"
+
+
+SOURCE = '''"""A module docstring
+over two lines."""
+import os  # a comment after code
+
+# A comment line.
+def f():
+    """A function docstring."""
+    text = """a string that is no docstring,
+
+# with a blank line and a comment-like line in it"""
+    return text
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    # Code: import, def, the three lines of the assigned string, return.
+    assert tool("bench_record").code_lines(SOURCE) == 6
+    assert tool("bench_record").code_lines("") == 0
+
+
 def test_the_host_control_imports_a_callable(monkeypatch):
     # bench_record's CONTROL imports the floor from the acceptance suite
     # through sys.path; run its set-up, as the tool does from the root of

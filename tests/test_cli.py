@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import frozen_under
 
 import spinqrc
 from spinqrc import experiment, reservoir, workers
@@ -258,13 +259,15 @@ def test_sweep_reads_top_level_stm_delays(tmp_path):
 def test_default_sweep_matches_frozen_golden(tmp_path):
     assert main(["sweep", "--seeds", "1", "--seed", "10",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "metrics.csv").read_bytes() == SWEEP_GOLDEN.read_bytes()
+    assert ((tmp_path / "metrics.csv").read_bytes()
+            == SWEEP_GOLDEN.read_bytes()), frozen_under()
 
 
 def test_default_esn_matches_frozen_golden(tmp_path):
     assert main(["esn", "--seeds", "40", "--seed", "10",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "metrics.csv").read_bytes() == ESN_GOLDEN.read_bytes()
+    assert ((tmp_path / "metrics.csv").read_bytes()
+            == ESN_GOLDEN.read_bytes()), frozen_under()
 
 
 def test_dissipation_curve_matches_frozen_golden(tmp_path):
@@ -274,7 +277,7 @@ def test_dissipation_curve_matches_frozen_golden(tmp_path):
         assert main(["sweep", "--config", str(DISSIPATION_CONFIG),
                      "--out", str(tmp_path)]) == 0
     assert ((tmp_path / "metrics.csv").read_bytes()
-            == DISSIPATION_GOLDEN.read_bytes())
+            == DISSIPATION_GOLDEN.read_bytes()), frozen_under()
 
 
 def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,

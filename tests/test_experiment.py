@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinqrc import experiment, workers
+from spinqrc.cli import main
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
@@ -348,6 +349,60 @@ class TestRunExperimentEsnCells:
             assert cell.metrics.keys() == alone.metrics.keys()
             for key, stats in cell.metrics.items():
                 assert stats.per_seed == alone.metrics[key].per_seed
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("make", [narma_manifest, esn_manifest],
+                             ids=["reservoir", "esn"])
+    def test_each_row_holds_each_members_fit(self, make):
+        # Member by member, a row's rank and condition are those of the fit
+        # on the member's own trajectory and the row's target.
+        [m] = run_experiment([make(tasks=("stm", "narma2"),
+                                   stm_delays=(0, 3))])
+        rows = manifest_rows(m)
+        config = rows[0].config
+        total = config.total_steps
+        drives = {"stm": gen_stm(total, m.input_seed),
+                  "narma2": gen_narma_input(total)}
+        seed_field = "weight_seed" if m.kind == "esn" else "coupling_seed"
+        assert m.diagnostics.keys() == m.metrics.keys()
+        for row in rows:
+            drive = drives[row.drive]
+            target = (gen_narma_target(drive, 2) if row.drive == "narma2"
+                      else np.concatenate((np.zeros(int(row.task[-2:])),
+                                           drive))[:total])
+            fits = m.diagnostics[row.row_id]
+            assert len(fits["rank"]) == len(fits["condition"]) == m.n_seeds
+            for seed in range(m.n_seeds):
+                member = replace(config, **{seed_field: seed})
+                states = (run_esn(member, drive) if m.kind == "esn"
+                          else run_sequence(member, drive).z_rows)
+                feats = make_features(states, row.readout)
+                tr = member.train_slice
+                weights = train_weights(feats[tr], target[tr])
+                assert (fits["rank"][seed], fits["condition"][seed]) == (
+                    weights.rank, weights.condition)
+
+    def test_report_rebuilds_metrics_with_or_without_the_block(
+            self, tmp_path):
+        cells = run_experiment([
+            narma_manifest(tasks=("stm", "narma2"), stm_delays=(0, 1)),
+            esn_manifest(3)])
+        run = tmp_path / "run"
+        emit_report(cells, run)
+        written = (run / "metrics.csv").read_bytes()
+        # A manifest without the block is one written before it existed.
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for cell in cells:
+            name = f"manifest_{cell.cell_id}.json"
+            data = json.loads((run / name).read_text())
+            assert data["diagnostics"] == cell.diagnostics
+            del data["diagnostics"]
+            (bare / name).write_text(json.dumps(data))
+        for out in (run, bare):
+            assert main(["report", "--out", str(out)]) == 0
+            assert (out / "metrics.csv").read_bytes() == written
 
 
 class TestSweepGrid:

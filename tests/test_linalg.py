@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import frozen_under
 
 from spinqrc import linalg
 from spinqrc.errors import ValidationError
@@ -204,7 +205,8 @@ def test_column_blocks_equal_the_one_call_product(dim, one_thread_everywhere):
             for lo, hi in zip(edges, edges[1:]):
                 blas.gemm(a, b, c, cols=slice(lo, hi), **form)()
                 assert c[:, hi:].tobytes() == c0[:, hi:].tobytes()
-            assert c.tobytes() == whole.tobytes(), (form, points)
+            assert c.tobytes() == whole.tobytes(), (
+                f"{form}, {points}: {frozen_under()}")
 
 
 def test_binding_rejects_a_block_blas_cannot_take():

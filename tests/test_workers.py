@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import frozen_under
 
 from spinqrc import experiment, reservoir, tasks, workers
 from spinqrc.cli import EXIT_NUMERICAL, main
@@ -77,7 +78,7 @@ def test_goldens_at_one_and_two_workers(tmp_path, monkeypatch, forks, argv,
     use_workers(monkeypatch, count)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert ((tmp_path / "metrics.csv").read_bytes()
-            == (GOLDENS / golden).read_bytes())
+            == (GOLDENS / golden).read_bytes()), frozen_under()
     assert len(forks) == count - 1
     assert all(reaped(pid) for pid in forks)
 
@@ -203,7 +204,8 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
         for helpers in (0, 1):
             use_helpers(monkeypatch, helpers)
             rows.append(reservoir.run_sequence(config, inputs).z_rows)
-        assert rows[0].tobytes() == rows[1].tobytes(), name
+        assert rows[0].tobytes() == rows[1].tobytes(), (
+            f"{name} drive, {frozen_under()}")
     assert len(forks) == len(drives)
     assert all(reaped(pid) for pid in forks)
 

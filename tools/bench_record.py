@@ -26,8 +26,9 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
-  model, the commit, the git tree hash of ``src/`` and the line count of
-  each ``src/spinqrc`` module (``src_lines``).
+  model, the commit, the git tree hash of ``src/``, and each
+  ``src/spinqrc`` module's line count (``src_lines``) and code line count
+  (``src_code_lines``, by ``code_lines``).
 
 Each of the 10-seed, criterion-1 and nine-qubit records keeps this
 checkout's runs under ``change``. With ``--baseline`` (another checkout,
@@ -46,6 +47,8 @@ measured. Snapshots are never edited: a later change records a new file.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -55,6 +58,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -192,6 +196,26 @@ def n9_one_seed_run(checkout: Path, out: Path) -> dict:
     return {"wall_s": round(wall, 3)}
 
 
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: not blank, not a
+    comment and not inside a docstring. Every line of any other string
+    literal is code."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno,
+                                    node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                              tokenize.INDENT, tokenize.DEDENT,
+                              tokenize.ENDMARKER):
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def cpu_model() -> str | None:
     try:
         lines = Path("/proc/cpuinfo").read_text().splitlines()
@@ -235,15 +259,17 @@ def main(argv: list[str] | None = None) -> int:
 
     scored = {w: scored_run(root, w, seconds) for w in ("sweep", "long_run")}
     traced = perfbench(root, "sweep", seconds, 1)
+    sources = {path.name: path.read_text()
+               for path in sorted((root / "src" / "spinqrc").glob("*.py"))}
     snapshot = {
         "environment": {**scored["sweep"].pop("environment"),
                         "cpu": cpu_model(), "machine": platform.machine(),
                         **commits,
                         "src_tree": git(root, "rev-parse", "HEAD:src"),
-                        "src_lines": {
-                            path.name: len(path.read_text().splitlines())
-                            for path in sorted(
-                                (root / "src" / "spinqrc").glob("*.py"))}},
+                        "src_lines": {name: len(text.splitlines())
+                                      for name, text in sources.items()},
+                        "src_code_lines": {name: code_lines(text)
+                                           for name, text in sources.items()}},
         "scored": scored,
         "traced": traced,
         "sweep_10_seeds": sweep_record(checkouts),
