@@ -158,9 +158,10 @@ class ExperimentManifest:
     version: str = ""
     created: str = ""
     metrics: dict = field(default_factory=dict)
-    # Each row's fit diagnostics, {"rank": [...], "condition": [...]} with
-    # one value per ensemble member, kept by run_experiment and written,
-    # but never read back: metrics.csv does not depend on them.
+    # Each row's fit diagnostics, {"rank": [...], "condition": [...],
+    # "residual_rms": [...]} with one value per ensemble member, kept by
+    # run_experiment and written, but never read back: metrics.csv does
+    # not depend on them.
     diagnostics: dict = field(default_factory=dict)
     # Ensemble member 0's report on the first task, kept by run_experiment
     # for trajectory_csv_text: one row per step of the drive, the Z rows,
@@ -346,7 +347,8 @@ def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
     """Fill each manifest (one cell each) with its metrics, one row per
     ``manifest_rows`` entry, by running its seed ensemble, and with the
-    ``rank`` and ``condition`` of each row's fit per member (``diagnostics``).
+    ``rank``, ``condition`` and ``residual_rms`` of each row's fit per
+    member (``diagnostics``).
 
     Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
     input stream is shared by all members. ESN manifests that differ only
@@ -413,7 +415,8 @@ def run_experiment(
             manifest.metrics[row.row_id] = replace(row, per_seed=values)
             manifest.diagnostics[row.row_id] = {
                 "rank": [w.rank for w in weights],
-                "condition": [w.condition for w in weights]}
+                "condition": [w.condition for w in weights],
+                "residual_rms": [w.residual_rms for w in weights]}
     return list(cells)
 
 

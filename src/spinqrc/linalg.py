@@ -9,7 +9,9 @@ its inputs.
 The module also binds the one BLAS routine the evolution kernel calls
 directly (``kernel_blas``: ``zgemm`` through ctypes, from the OpenBLAS
 bundled with numpy, so that scipy is imported only where numpy bundles
-none), and holds the package's one BLAS thread rule
+none), checks whether that ``zgemm`` splits a product by column blocks
+bit for bit (``splits_exactly``), and holds the package's one BLAS thread
+rule
 (``one_blas_thread``): the kernel and both functions above run at one
 thread at every array size. OpenBLAS rounds a multithreaded product
 differently, so one fixed count keeps results independent of the host's
@@ -186,6 +188,30 @@ def one_blas_thread() -> Iterator[None]:
     finally:
         if count != 1:
             controls[1](count)
+
+
+@functools.cache
+@one_blas_thread()
+def splits_exactly(dim: int) -> bool:
+    """Whether ``kernel_blas`` computes the two half-width column blocks of
+    a dim x dim product bit for bit as one call computes them, in both
+    forms the evolution kernel calls: ``a b``, and ``alpha a b† + c``.
+
+    The check runs once per ``dim``, on fixed operands, so a True is
+    evidence, not proof. OpenBLAS's ``Haswell`` kernel gives False from
+    dim 8 on; its ``SkylakeX``, ``Sandybridge`` and ``Katmai`` kernels give
+    True.
+    """
+    x = np.arange(dim * dim).reshape((dim, dim), order="F")
+    a, b = (np.cos(k * x) + 1j * np.sin(k * x + 1) for k in (0.3, 0.7))
+    for form in ({}, {"alpha": 0.9, "beta": 1.0, "conj_b": True}):
+        whole, split = b.copy(order="F"), b.copy(order="F")
+        kernel_blas().gemm(a, b, whole, **form)()
+        for cols in (slice(0, dim // 2), slice(dim // 2, dim)):
+            kernel_blas().gemm(a, b, split, cols=cols, **form)()
+        if whole.tobytes() != split.tobytes():
+            return False
+    return True
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import workers
 from .errors import ConfigError, StateInvariantError, ValidationError
-from .linalg import kernel_blas, one_blas_thread, unitary_exp
+from .linalg import kernel_blas, one_blas_thread, splits_exactly, unitary_exp
 from .qubits import MAX_QUBITS, ground_density, z_sign_table
 from .rng import Stream
 
@@ -340,11 +340,13 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     A long run from ``_SPLIT_MIN_QUBITS`` qubits on also spends a CPU
     that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
     and one forked helper splits each step's two products by output
-    columns; the readout and the checks stay in this process. The split
-    changes no bit where a column block of a ``zgemm`` product equals the
-    same columns of the one-call product. OpenBLAS's ``SkylakeX`` kernel,
-    under which the goldens were frozen, keeps that; its ``Haswell`` and
-    ``Sandybridge`` kernels do not (README, Tests).
+    columns; the readout and the checks stay in this process. The helper
+    is forked only where ``linalg.splits_exactly`` finds that the library
+    computes each half-width column block as the one call does, so that
+    the split changes no bit. That is evidence from fixed operands, not
+    proof. OpenBLAS's ``SkylakeX`` kernel, under which the goldens were
+    frozen, passes it; its ``Haswell`` kernel does not, so a ``Haswell``
+    host runs every trajectory alone (README, Parallel simulation).
     """
     n = U.shape[0].bit_length() - 1
     dim = 2**n
@@ -359,7 +361,8 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     keep = 1.0 - gamma
     signs = z_sign_table(n)
     crew = workers.Crew(n >= _SPLIT_MIN_QUBITS and workers.idle_cpus() > 0
-                        and len(inputs) * dim**3 >= _SPLIT_MIN_WORK)
+                        and len(inputs) * dim**3 >= _SPLIT_MIN_WORK
+                        and splits_exactly(dim))
 
     # Each step computes work = prop rho, then the next rho =
     # (1-gamma) work prop† + gamma rho0, the mixing riding the second

@@ -193,15 +193,10 @@ class Crew:
         """``body()`` in this process and in the helper, forked here, with
         ``rank`` set; returns rank 0's value and raises the helper's error
         as rank 0's. A helper that cannot be forked leaves rank 0 to run
-        alone (``size`` 1). The processes are pinned as ``_crew_cpus``
-        says, and rank 0's affinity is restored on return. The helper is
-        reaped before this returns or raises: after an error, it is killed
-        first."""
-        cpus = _crew_cpus(self.size)
-
+        alone (``size`` 1). The helper is reaped before this returns or
+        raises: after an error, it is killed first."""
         def serve() -> None:  # the helper's life, until ``_fork`` exits
             self.rank = 1
-            _pin(cpus, 1)
             body()
 
         try:
@@ -210,8 +205,6 @@ class Crew:
                     self._helper = _fork(serve)
                 except OSError:  # no process to spare: run alone
                     self.size, self._counters = 1, None
-                else:
-                    _pin(cpus, 0)
             result = body()
             if self._helper is not None:
                 helper, self._helper = self._helper, None
@@ -221,7 +214,6 @@ class Crew:
             if self._helper is not None:
                 _stop(*self._helper)
                 self._helper = None
-            _pin(cpus, None)
 
     def sync(self) -> None:
         """Return once the other process has made as many ``sync`` calls
@@ -255,26 +247,3 @@ class Crew:
             _collect(pid, fd)  # raises the helper's error
             raise ChildProcessError(
                 f"helper process {pid} returned before sync {count}")
-
-
-def _crew_cpus(size: int) -> list[int] | None:
-    """The CPUs a crew of ``size`` processes pins its ranks onto, rank r
-    onto CPU r: this process's affinity set, where it holds exactly the
-    crew's CPUs, as for a lone trajectory on a 2-CPU host, the one case
-    where pinning was measured to pay. Otherwise None (no pinning), which
-    leaves the CPUs to the scheduler; also for a lone process or where
-    affinity cannot be set."""
-    if size == 1 or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpus = sorted(os.sched_getaffinity(0))
-    return cpus if len(cpus) == size else None
-
-
-def _pin(cpus, rank: int | None) -> None:
-    """Run this process on CPU ``cpus[rank]``, or on all of ``cpus`` for
-    None; a refusal or no ``cpus`` leaves it where it runs."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus if rank is None else {cpus[rank]})
-        except OSError:
-            pass

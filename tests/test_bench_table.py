@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import blas_core
 
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION_1 = "crit1.ratio(passed)"
@@ -213,6 +214,22 @@ def test_records_keep_the_shape_of_bench_20(tmp_path, monkeypatch):
             del bench_20["sweep_10_seeds"][name][key]
     for key, value in built.items():
         assert shape(json.loads(json.dumps(value))) == shape(bench_20[key])
+
+
+def test_the_environment_names_the_blas_core(tmp_path, monkeypatch):
+    # The snapshot reads the core in a child with the checkout's sources,
+    # as the suite reads it, so a snapshot taken under Haswell says so.
+    record = tool("bench_record")
+    assert record.blas_core(ROOT) == blas_core()
+    started = []
+
+    def timed(checkout, *argv, check=True):
+        started.append((checkout, argv))
+        return 0, 0.4, 30.0, "Haswell\n"
+
+    monkeypatch.setattr(record, "timed", timed)
+    assert record.blas_core(tmp_path) == "Haswell"
+    assert started == [(tmp_path, ("-c", record.BLAS_CORE))]
 
 
 def git_checkout(path):

@@ -355,8 +355,8 @@ class TestDiagnostics:
     @pytest.mark.parametrize("make", [narma_manifest, esn_manifest],
                              ids=["reservoir", "esn"])
     def test_each_row_holds_each_members_fit(self, make):
-        # Member by member, a row's rank and condition are those of the fit
-        # on the member's own trajectory and the row's target.
+        # Member by member, a row's rank, condition and residual are those
+        # of the fit on the member's own trajectory and the row's target.
         [m] = run_experiment([make(tasks=("stm", "narma2"),
                                    stm_delays=(0, 3))])
         rows = manifest_rows(m)
@@ -372,7 +372,8 @@ class TestDiagnostics:
                       else np.concatenate((np.zeros(int(row.task[-2:])),
                                            drive))[:total])
             fits = m.diagnostics[row.row_id]
-            assert len(fits["rank"]) == len(fits["condition"]) == m.n_seeds
+            assert fits.keys() == {"rank", "condition", "residual_rms"}
+            assert all(len(values) == m.n_seeds for values in fits.values())
             for seed in range(m.n_seeds):
                 member = replace(config, **{seed_field: seed})
                 states = (run_esn(member, drive) if m.kind == "esn"
@@ -380,8 +381,10 @@ class TestDiagnostics:
                 feats = make_features(states, row.readout)
                 tr = member.train_slice
                 weights = train_weights(feats[tr], target[tr])
-                assert (fits["rank"][seed], fits["condition"][seed]) == (
-                    weights.rank, weights.condition)
+                assert ({key: values[seed] for key, values in fits.items()}
+                        == {"rank": weights.rank,
+                            "condition": weights.condition,
+                            "residual_rms": weights.residual_rms})
 
     def test_report_rebuilds_metrics_with_or_without_the_block(
             self, tmp_path):

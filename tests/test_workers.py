@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import frozen_under
 
-from spinqrc import experiment, reservoir, tasks, workers
+from spinqrc import experiment, linalg, reservoir, tasks, workers
 from spinqrc.cli import EXIT_NUMERICAL, main
 from spinqrc.errors import StateInvariantError
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
@@ -183,6 +183,13 @@ def use_helpers(monkeypatch, count):
     monkeypatch.setattr(workers, "idle_cpus", lambda: count)
 
 
+@pytest.fixture
+def exact_splits(monkeypatch):
+    """Helpers forked on any BLAS kernel, for tests of the crew's mechanics
+    rather than of its bits."""
+    monkeypatch.setattr(reservoir, "splits_exactly", lambda dim: True)
+
+
 needs_helpers = pytest.mark.skipif(
     not (hasattr(os, "fork") and workers._stores_in_order()),
     reason="no helper process is forked on this platform")
@@ -191,27 +198,72 @@ needs_affinity = pytest.mark.skipif(
     reason="no CPU affinity on this platform")
 
 
-@needs_helpers
-@pytest.mark.parametrize("n_qubits, steps", [
-    (6, 300), (7, 40), (8, 6), (9, 3), (10, 3)])
-def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
+def lone_and_helped_rows(n_qubits, steps, set_helpers):
+    """The ``z_rows`` bytes of an n-qubit run of ``steps`` steps on the
+    binary and the NARMA drive, alone and after ``set_helpers(1)``, as
+    {drive: [alone, helped]}."""
     drives = {"binary": gen_stm(steps, 42),
               "narma": tasks.gen_narma_input(steps)}
     config = reservoir.ReservoirConfig(
         n_qubits=n_qubits, n_pre=steps - 2, n_fb=1, n_test=1)
+    runs = {}
     for name, inputs in drives.items():
-        rows = []
         for helpers in (0, 1):
-            use_helpers(monkeypatch, helpers)
-            rows.append(reservoir.run_sequence(config, inputs).z_rows)
-        assert rows[0].tobytes() == rows[1].tobytes(), (
-            f"{name} drive, {frozen_under()}")
-    assert len(forks) == len(drives)
+            set_helpers(helpers)
+            runs.setdefault(name, []).append(
+                reservoir.run_sequence(config, inputs).z_rows.tobytes())
+    return runs
+
+
+@needs_helpers
+@pytest.mark.parametrize("n_qubits, steps", [
+    (6, 300), (7, 40), (8, 6), (9, 3), (10, 3)])
+def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
+    runs = lone_and_helped_rows(n_qubits, steps,
+                                lambda count: use_helpers(monkeypatch, count))
+    for name, (alone, helped) in runs.items():
+        assert alone == helped, f"{name} drive, {frozen_under()}"
+    # A helper is forked only where the library splits a product exactly.
+    assert len(forks) == len(runs) * linalg.splits_exactly(2**n_qubits)
     assert all(reaped(pid) for pid in forks)
+
+
+# test_a_helper_changes_no_bit[6-300] in a child process under OpenBLAS's
+# Haswell kernel, whose column blocks differ from the one-call product. It
+# prints the child's core, then each drive whose rows a helper changed.
+HASWELL_CHILD = """\
+import sys
+sys.path[:0] = sys.argv[1:]
+from conftest import blas_core
+from spinqrc import workers
+from test_workers import lone_and_helped_rows
+
+def set_helpers(count):
+    workers.idle_cpus = lambda: count
+
+runs = lone_and_helped_rows(6, 300, set_helpers)
+print(blas_core(), *[name for name, (alone, helped) in runs.items()
+                     if alone != helped])
+"""
+
+
+@needs_helpers
+def test_a_helper_changes_no_bit_under_haswell():
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-c", HASWELL_CHILD, str(tests),
+         str(tests.parent / "src")],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        capture_output=True, text=True, check=True)
+    core, *changed = done.stdout.split()
+    if core != "Haswell":
+        pytest.skip(f"the child ran OpenBLAS core {core}, not Haswell")
+    assert changed == [], f"a helper changed the {changed} drive's rows"
 
 
 @needs_helpers
 @needs_affinity
+@pytest.mark.usefixtures("exact_splits")
 def test_a_helper_sharing_one_cpu_finishes(monkeypatch, forks):
     # Both processes spin at their barriers on one CPU: each must yield it
     # while it waits, or every barrier waits out a time slice.
@@ -235,6 +287,7 @@ def test_a_helper_sharing_one_cpu_finishes(monkeypatch, forks):
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_many_idle_cpus_fork_one_helper(monkeypatch, forks):
     # More idle CPUs than columns still split each product in two.
     config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
@@ -249,6 +302,7 @@ def test_many_idle_cpus_fork_one_helper(monkeypatch, forks):
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_a_failed_helper_fork_runs_alone(monkeypatch):
     config = reservoir.ReservoirConfig(n_qubits=6, n_pre=298, n_fb=1,
                                        n_test=1)
@@ -294,12 +348,17 @@ def run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds):
 
 @needs_helpers
 @needs_affinity
+@pytest.mark.usefixtures("exact_splits")
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-def test_a_lone_crew_pins_each_rank_to_its_cpu(tmp_path, monkeypatch, forks,
-                                               fails):
-    # One draw on two CPUs: the crew fills the affinity set, so rank 0 runs
-    # on CPU 0 and the helper on CPU 1, and rank 0 gets both CPUs back
-    # however the run ends.
+@pytest.mark.parametrize("seeds", [1, 2], ids=["one_draw", "two_draws"])
+@pytest.mark.parametrize("cpus", [[0, 1], [0, 1, 2, 3]],
+                         ids=["two_cpus", "four_cpus"])
+def test_no_crew_touches_cpu_affinity(tmp_path, monkeypatch, forks, cpus,
+                                      seeds, fails):
+    # A helper decides which process runs which column block, never where
+    # either process runs: the crew that fills the CPUs (one draw on two)
+    # and those that do not leave every affinity set as it is, however the
+    # run ends.
     if fails:
         check_state = reservoir._check_state
         checks = []
@@ -311,26 +370,13 @@ def test_a_lone_crew_pins_each_rank_to_its_cpu(tmp_path, monkeypatch, forks,
             check_state(rho, spare, full)
 
         monkeypatch.setattr(reservoir, "_check_state", failing)
-    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, [0, 1], seeds=1)
+    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds)
     assert code == (EXIT_NUMERICAL if fails else 0)
-    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
-    assert calls == {os.getpid(): [[0], [0, 1]], forks[0]: [[1]]}
-
-
-@needs_helpers
-@needs_affinity
-@pytest.mark.parametrize("seeds", [2, 1], ids=["two_draws", "one_draw"])
-def test_crews_that_do_not_fill_the_cpus_pin_none(tmp_path, monkeypatch,
-                                                  forks, seeds):
-    # Four CPUs. Two draws: two workers, each with a helper, which pinning
-    # would have to keep apart. One draw: one crew leaves two CPUs, which
-    # pinning to CPUs 0 and 1 could strand beside another job.
-    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, [0, 1, 2, 3],
-                                   seeds)
-    assert code == 0 and calls == {}
-    # Seen here: this process's helper and, for two draws, the worker; the
-    # worker forks its own helper.
-    assert len(forks) == seeds
+    assert calls == {}
+    # Seen here: the worker of the second draw, and this process's helper
+    # where a CPU is idle (all but two draws on two CPUs); a worker forks
+    # its own helper.
+    assert len(forks) == (seeds if len(cpus) == 4 else 1)
     assert all(reaped(pid) for pid in forks)
 
 
@@ -353,6 +399,7 @@ def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_a_single_draw_gets_a_helper(tmp_path, monkeypatch, forks):
     use_workers(monkeypatch, 2)
     config = tmp_path / "config.json"
@@ -363,6 +410,7 @@ def test_a_single_draw_gets_a_helper(tmp_path, monkeypatch, forks):
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
                                                forks):
     use_workers(monkeypatch, 2)
@@ -386,6 +434,7 @@ def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_a_helper_error_is_raised_as_itself(monkeypatch, forks):
     use_helpers(monkeypatch, 1)
     sync = workers.Crew.sync
@@ -408,6 +457,7 @@ def test_a_helper_error_is_raised_as_itself(monkeypatch, forks):
 
 
 @needs_helpers
+@pytest.mark.usefixtures("exact_splits")
 def test_killed_helper_fails_the_run(tmp_path, monkeypatch, forks):
     use_workers(monkeypatch, 2)
     check_state = reservoir._check_state
@@ -442,6 +492,7 @@ def test_helper_exits_when_its_parent_is_killed(tmp_path):
         "import numpy as np\n"
         "from spinqrc import reservoir, workers\n"
         "workers.idle_cpus = lambda: 1\n"
+        "reservoir.splits_exactly = lambda dim: True\n"
         "os.register_at_fork(after_in_child=lambda: print(os.getpid(), "
         "flush=True))\n"
         "config = reservoir.ReservoirConfig(n_qubits=6, n_pre=200_000)\n"

@@ -25,7 +25,8 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   fill both CPUs of a 2-CPU host, it shows a change that spreads one
   trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
-  scipy, BLAS libraries and thread counts, CPU counts), plus the CPU
+  scipy, BLAS libraries and thread counts, CPU counts), plus the kernel
+  core of numpy's OpenBLAS (``blas_core``, such as ``SkylakeX``), the CPU
   model, the commit, the git tree hash of ``src/``, and each
   ``src/spinqrc`` module's line count (``src_lines``) and code line count
   (``src_code_lines``, by ``code_lines``).
@@ -84,6 +85,15 @@ from test_acceptance import zgemm_floor
 print(zgemm_floor())
 """
 
+# The kernel core numpy's bundled OpenBLAS picks in a fresh process, as the
+# test suite reads it; the goldens' bits depend on it. It prints the name.
+BLAS_CORE = """\
+import sys
+sys.path.insert(0, "tests")
+from conftest import blas_core
+print(blas_core())
+"""
+
 
 def perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
     """The environment and result lines of one perfbench run."""
@@ -139,6 +149,12 @@ def paired(checkouts: dict[str, Path], runs: int, job) -> dict:
 def control(root: Path) -> float:
     """Seconds of one ``CONTROL`` run with ``root``'s sources."""
     return float(timed(root, "-c", CONTROL)[3].split()[-1])
+
+
+def blas_core(root: Path) -> str:
+    """The name ``BLAS_CORE`` prints in a child run with ``root``'s
+    sources."""
+    return timed(root, "-c", BLAS_CORE)[3].split()[-1]
 
 
 def scored_run(root: Path, workload: str, seconds: float) -> dict:
@@ -263,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
                for path in sorted((root / "src" / "spinqrc").glob("*.py"))}
     snapshot = {
         "environment": {**scored["sweep"].pop("environment"),
-                        "cpu": cpu_model(), "machine": platform.machine(),
+                        "blas_core": blas_core(root), "cpu": cpu_model(),
+                        "machine": platform.machine(),
                         **commits,
                         "src_tree": git(root, "rev-parse", "HEAD:src"),
                         "src_lines": {name: len(text.splitlines())
