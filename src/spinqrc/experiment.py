@@ -23,7 +23,7 @@ import numpy as np
 from . import tasks, workers
 from .errors import ConfigError, StateInvariantError
 from .esn import EsnConfig, run_esn
-from .linalg import one_blas_thread
+from .linalg import one_blas_thread, provenance
 from .readout import (ReadoutType, make_features, nmse, predict, stm_capacity,
                       train_weights)
 from .reservoir import ReservoirConfig, check_ranges, number, run_sequence
@@ -159,7 +159,8 @@ class ExperimentManifest:
     created: str = ""
     metrics: dict = field(default_factory=dict)
     # Each row's fit diagnostics, {"rank": [...], "condition": [...],
-    # "residual_rms": [...]} with one value per ensemble member, kept by
+    # "residual_rms": [...]} with one value per ensemble member, and the
+    # BLAS of the run under "blas" (linalg.provenance); kept by
     # run_experiment and written, but never read back: metrics.csv does
     # not depend on them.
     diagnostics: dict = field(default_factory=dict)
@@ -320,8 +321,10 @@ def _simulate(config: ReservoirConfig | EsnConfig,
         raise StateInvariantError(f"{exc} (member: {member})") from None
 
 
-def _simulate_all(jobs: list[tuple]) -> list[tuple]:
-    """``_simulate`` of every (config, inputs) job, in worker processes.
+def _simulate_all(jobs: list[tuple]) -> tuple[list, dict]:
+    """``_simulate`` of every (config, inputs) job, in worker processes,
+    and the BLAS they ran on (``linalg.provenance``, read at the thread
+    count they ran at).
 
     Jobs are grouped by draw, and each group runs its jobs in the given
     order in one process. A reservoir's draw is its ``coupling_draw``, so
@@ -340,15 +343,16 @@ def _simulate_all(jobs: list[tuple]) -> list[tuple]:
     # calls that, after a fork, start an OpenBLAS worker thread spinning
     # for about 0.1 s of CPU beside the workers (one_blas_thread).
     with one_blas_thread():
-        return workers.run_groups(_simulate, jobs, list(groups.values()))
+        return (workers.run_groups(_simulate, jobs, list(groups.values())),
+                provenance())
 
 
 def run_experiment(
         cells: Sequence[ExperimentManifest]) -> list[ExperimentManifest]:
     """Fill each manifest (one cell each) with its metrics, one row per
-    ``manifest_rows`` entry, by running its seed ensemble, and with the
-    ``rank``, ``condition`` and ``residual_rms`` of each row's fit per
-    member (``diagnostics``).
+    ``manifest_rows`` entry, by running its seed ensemble, and with its
+    ``diagnostics``: the ``rank``, ``condition`` and ``residual_rms`` of
+    each row's fit per member, and the BLAS the run used (``blas``).
 
     Ensemble member m uses coupling (or weight) seed ``base_seed + m``; the
     input stream is shared by all members. ESN manifests that differ only
@@ -384,10 +388,11 @@ def run_experiment(
     for _, members, _, inputs, _ in plans:
         for config in members:
             jobs.setdefault((config, inputs.tobytes()), (config, inputs))
-    simulated = dict(zip(jobs, _simulate_all(list(jobs.values()))))
+    results, blas = _simulate_all(list(jobs.values()))
+    simulated = dict(zip(jobs, results))
 
     for manifest in cells:
-        manifest.metrics, manifest.diagnostics = {}, {}
+        manifest.metrics, manifest.diagnostics = {}, {"blas": dict(blas)}
     for manifest, members, rows, inputs, targets in plans:
         bits = inputs.tobytes()
         shown = None  # the index of the shown row among rows, if any

@@ -6,16 +6,21 @@ non-Hermitian input) and ``trace_distance``. Each takes square, finite
 matrices of any memory layout and returns a fresh value, never aliased to
 its inputs.
 
-The module also binds the one BLAS routine the evolution kernel calls
-directly (``kernel_blas``: ``zgemm`` through ctypes, from the OpenBLAS
-bundled with numpy, so that scipy is imported only where numpy bundles
-none), checks whether that ``zgemm`` splits a product by column blocks
-bit for bit (``splits_exactly``), and holds the package's one BLAS thread
-rule
-(``one_blas_thread``): the kernel and both functions above run at one
-thread at every array size. OpenBLAS rounds a multithreaded product
-differently, so one fixed count keeps results independent of the host's
-core count; parallelism comes from worker processes instead.
+The module also owns the BLAS the evolution kernel calls directly
+(``kernel_blas``: ``zgemm`` through ctypes, from the OpenBLAS bundled with
+numpy, so that scipy is imported only where numpy bundles none), and each
+fact about it:
+
+* which kernel the library runs (``Blas.core`` and ``Blas.config``, read
+  from OpenBLAS; ``provenance`` adds the thread count);
+* whether a helper process may split that ``zgemm``'s products by column
+  blocks without changing a bit (``splits_exactly``, the one statement of
+  that rule);
+* the package's one BLAS thread rule (``one_blas_thread``): the kernel and
+  both functions above run at one thread at every array size. OpenBLAS
+  rounds a multithreaded product differently, so one fixed count keeps
+  results independent of the host's core count; parallelism comes from
+  worker processes instead.
 """
 from __future__ import annotations
 
@@ -34,12 +39,17 @@ HERMITICITY_RTOL = 1e-10
 
 class Blas(NamedTuple):
     """``zgemm`` of one BLAS library, called through ctypes with the Fortran
-    calling convention and ``index`` integers, and the library's (get, set)
-    thread-count functions when it exposes them."""
+    calling convention and ``index`` integers, and what the library's
+    OpenBLAS symbols give: its (get, set) thread-count functions, the name
+    of the kernel core it picked for this CPU (``SkylakeX``, say; forced by
+    ``OPENBLAS_CORETYPE``) and its build's config string. Each of the three
+    is None where the library lacks the symbols."""
 
     zgemm: Callable[..., None]
     index: type
     threads: tuple[Callable[[], int], Callable[[int], None]] | None
+    core: str | None
+    config: str | None
 
     def gemm(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
              alpha: complex = 1.0, beta: complex = 0.0,
@@ -114,22 +124,22 @@ def _capsule_function(module, name: str) -> Callable[..., None]:
     return ctypes.CFUNCTYPE(None)(get_pointer(capsule, get_name(capsule)))
 
 
-# (loader of a library handle with its zgemm, integer type, thread-count
-# symbol with "{}" for get/set), in order of preference: numpy's bundled
-# 64-bit-integer OpenBLAS, then the 32-bit-integer BLAS behind scipy's
-# Cython API, which every scipy build exports and which is imported only
-# when the first row is missing.
+# (loader of a library handle with its zgemm, integer type, OpenBLAS symbol
+# name with "{}" for the routine, such as get_num_threads), in order of
+# preference: numpy's bundled 64-bit-integer OpenBLAS, then the
+# 32-bit-integer BLAS behind scipy's Cython API, which every scipy build
+# exports and which is imported only when the first row is missing.
 BLAS_LIBRARIES = (
-    (_numpy_openblas, ctypes.c_int64, "scipy_openblas_{}_num_threads64_"),
-    (_scipy_cython_api, ctypes.c_int32, "scipy_openblas_{}_num_threads"),
+    (_numpy_openblas, ctypes.c_int64, "scipy_openblas_{}64_"),
+    (_scipy_cython_api, ctypes.c_int32, "scipy_openblas_{}"),
 )
 
 
 def load_blas(row: tuple) -> Blas | None:
     """The binding one ``BLAS_LIBRARIES`` row describes, or None when its
-    module or routine is absent. Missing thread symbols (another BLAS
-    behind scipy) leave ``threads`` None."""
-    loader, index, thread_symbol = row
+    module or routine is absent. Missing OpenBLAS symbols (another BLAS
+    behind scipy) leave ``threads``, ``core`` and ``config`` None."""
+    loader, index, symbol = row
     try:
         lib, zgemm = loader()
     except (ImportError, OSError, AttributeError, KeyError):
@@ -138,19 +148,20 @@ def load_blas(row: tuple) -> Blas | None:
     # ctypes objects. Declared argtypes would convert all 13 arguments
     # again on every call, about 2.7 us of a 120 us step.
     zgemm.argtypes, zgemm.restype = None, None
-    return Blas(zgemm, index, _thread_controls(lib, thread_symbol))
 
+    def routine(name: str, restype, *argtypes) -> Callable | None:
+        function = getattr(lib, symbol.format(name), None)
+        if function is not None:
+            function.argtypes, function.restype = argtypes, restype
+        return function
 
-def _thread_controls(lib: ctypes.CDLL, thread_symbol: str
-                     ) -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    try:
-        get = getattr(lib, thread_symbol.format("get"))
-        set_ = getattr(lib, thread_symbol.format("set"))
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    get = routine("get_num_threads", ctypes.c_int)
+    set_ = routine("set_num_threads", None, ctypes.c_int)
+    core, config = (None if text is None else text().decode()
+                    for text in (routine("get_corename", ctypes.c_char_p),
+                                 routine("get_config", ctypes.c_char_p)))
+    threads = None if get is None or set_ is None else (get, set_)
+    return Blas(zgemm, index, threads, core, config)
 
 
 @functools.cache
@@ -190,6 +201,16 @@ def one_blas_thread() -> Iterator[None]:
             controls[1](count)
 
 
+def provenance() -> dict:
+    """The ``core`` and ``config`` of the library ``kernel_blas`` binds, and
+    its thread count at this moment (``threads``): inside
+    ``one_blas_thread``, the count the kernel runs at. Each is None where
+    the library does not say."""
+    blas = kernel_blas()
+    return {"core": blas.core, "config": blas.config,
+            "threads": None if blas.threads is None else blas.threads[0]()}
+
+
 @functools.cache
 @one_blas_thread()
 def splits_exactly(dim: int) -> bool:
@@ -197,7 +218,11 @@ def splits_exactly(dim: int) -> bool:
     a dim x dim product bit for bit as one call computes them, in both
     forms the evolution kernel calls: ``a b``, and ``alpha a b† + c``.
 
-    The check runs once per ``dim``, on fixed operands, so a True is
+    This is the package's one rule for splitting a product exactly: a
+    helper process computes half the columns of each step's products only
+    where it holds (``reservoir._evolve``), so a helper changes no bit of
+    a trajectory. Nothing else assumes that a kernel splits exactly. The
+    check runs once per ``dim``, on fixed operands, so a True is
     evidence, not proof. OpenBLAS's ``Haswell`` kernel gives False from
     dim 8 on; its ``SkylakeX``, ``Sandybridge`` and ``Katmai`` kernels give
     True.

@@ -341,12 +341,9 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     that ``workers.idle_cpus`` counts: a ``workers.Crew`` of this process
     and one forked helper splits each step's two products by output
     columns; the readout and the checks stay in this process. The helper
-    is forked only where ``linalg.splits_exactly`` finds that the library
-    computes each half-width column block as the one call does, so that
-    the split changes no bit. That is evidence from fixed operands, not
-    proof. OpenBLAS's ``SkylakeX`` kernel, under which the goldens were
-    frozen, passes it; its ``Haswell`` kernel does not, so a ``Haswell``
-    host runs every trajectory alone (README, Parallel simulation).
+    is forked only where ``linalg.splits_exactly(dim)`` holds, the rule
+    under which the split changes no bit; elsewhere the trajectory runs
+    alone (README, Parallel simulation).
     """
     n = U.shape[0].bit_length() - 1
     dim = 2**n

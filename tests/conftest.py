@@ -1,6 +1,3 @@
-import ctypes
-import importlib
-
 import pytest
 
 from spinqrc import linalg, workers
@@ -10,23 +7,15 @@ from spinqrc import linalg, workers
 MAX_TEST_WORKERS = 2
 
 # The BLAS under which the goldens (perfbench/goldens and
-# dissipation_curve.csv) were frozen. Their bytes, and a column block's
-# equality with the one-call product, hold on its kernel; other OpenBLAS
-# kernels round differently (README, Tests).
+# dissipation_curve.csv) were frozen. Their bytes hold on its kernel;
+# other OpenBLAS kernels round differently (README, Tests).
 GOLDEN_PROVENANCE = "OpenBLAS 0.3.31.188.0, core SkylakeX, numpy 2.4.6"
 
 
-def blas_core() -> str:
-    """The kernel core of numpy's bundled OpenBLAS in this process, such
-    as ``SkylakeX``, or "unknown" where numpy bundles no OpenBLAS."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module(
-            "numpy._core._multiarray_umath").__file__)
-        corename = lib.scipy_openblas_get_corename64_
-    except (ImportError, OSError, AttributeError):
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+def blas_core() -> str | None:
+    """The kernel core of the BLAS the kernel calls, as ``linalg`` reads
+    it, such as ``SkylakeX``; None where that library does not say."""
+    return linalg.kernel_blas().core
 
 
 def frozen_under() -> str:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import blas_core
 
 from spinqrc import experiment, workers
 from spinqrc.cli import main
@@ -15,6 +16,7 @@ from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                                 emit_report, json_list, json_object,
                                 manifest_rows, metrics_csv_text, read_json,
                                 run_experiment, trajectory_csv_text)
+from spinqrc.linalg import kernel_blas
 from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
                              stm_capacity, train_weights)
 from spinqrc.reservoir import ReservoirConfig, run_sequence
@@ -365,7 +367,7 @@ class TestDiagnostics:
         drives = {"stm": gen_stm(total, m.input_seed),
                   "narma2": gen_narma_input(total)}
         seed_field = "weight_seed" if m.kind == "esn" else "coupling_seed"
-        assert m.diagnostics.keys() == m.metrics.keys()
+        assert m.diagnostics.keys() - {"blas"} == m.metrics.keys()
         for row in rows:
             drive = drives[row.drive]
             target = (gen_narma_target(drive, 2) if row.drive == "narma2"
@@ -385,6 +387,28 @@ class TestDiagnostics:
                         == {"rank": weights.rank,
                             "condition": weights.condition,
                             "residual_rms": weights.residual_rms})
+
+    def test_a_sweep_names_the_blas_it_ran_on(self, tmp_path,
+                                              caller_threads):
+        # Each manifest records the kernel's core and config as linalg
+        # reads them, and the one thread it ran at whatever the caller's
+        # count.
+        caller_threads[1](2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            SMALL_RESERVOIR, tasks=["narma2"],
+            sweep={"topologies": ["linear", "ring"], "gammas": [0.1],
+                   "readouts": [1]})))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--seeds", "1",
+                     "--out", str(out)]) == 0
+        manifests = sorted(out.glob("manifest_*.json"))
+        assert len(manifests) == 2
+        for path in manifests:
+            blas = json.loads(path.read_text())["diagnostics"]["blas"]
+            assert blas == {"core": blas_core(),
+                            "config": kernel_blas().config, "threads": 1}
+        assert caller_threads[0]() == 2
 
     def test_report_rebuilds_metrics_with_or_without_the_block(
             self, tmp_path):

@@ -174,6 +174,13 @@ class TestBlasBinding:
             expected = scipy_blas.zgemm(0.9, a, b, 1.0, c0, trans_b=2)
             assert c.tobytes() == expected.tobytes()
 
+    def test_reads_the_core_its_config_names(self, blas):
+        # OpenBLAS's config string names the core it picked, so the two
+        # symbols agree, under a forced OPENBLAS_CORETYPE too.
+        if blas.core is None:
+            pytest.skip("the library names no kernel core")
+        assert blas.core in blas.config.split()
+
     def test_gemm_reuses_its_buffers(self, blas):
         rng = np.random.default_rng(2)
         a, b = random_fortran(rng, 8), random_fortran(rng, 8)
@@ -184,29 +191,29 @@ class TestBlasBinding:
         np.testing.assert_allclose(c, a @ b, rtol=1e-13)
 
 
-# Each output column of a product is the same sum, in the same order,
-# whichever call computes it, so a product split by output columns (the
-# kernel's split over processes) equals the one-call product bit for bit.
-# Odd split points give blocks that the library's kernels do not tile
-# evenly; a library that breaks the property fails here.
+# splits_exactly is the one statement of whether a helper may split a
+# product by output columns (one helper, so only at dim // 2). On random
+# operands, in both kernel forms, its answer must match a direct bit
+# comparison of the two half-width column blocks with the one-call
+# product, whichever way the library's kernel rounds.
 @pytest.mark.parametrize("dim", [32, 64, 100, 128, 256])
 def test_column_blocks_equal_the_one_call_product(dim, one_thread_everywhere):
     blas = kernel_blas()
     rng = np.random.default_rng(dim)
     a, b, c0 = (random_fortran(rng, dim) for _ in range(3))
-    splits = [(s,) for s in (1, 9, 17, 33, dim // 2 + 1, dim - 1) if s < dim]
-    splits.append((7, dim // 3, dim - 5))
-    for form in (dict(), dict(alpha=0.9, beta=1.0, conj_b=True)):
-        whole = c0.copy(order="F")
+    exact = {}
+    for name, form in (("a b", {}),
+                       ("alpha a b† + c", dict(alpha=0.9, beta=1.0,
+                                               conj_b=True))):
+        whole, split = c0.copy(order="F"), c0.copy(order="F")
         blas.gemm(a, b, whole, **form)()
-        for points in splits:
-            edges = (0, *points, dim)
-            c = c0.copy(order="F")
-            for lo, hi in zip(edges, edges[1:]):
-                blas.gemm(a, b, c, cols=slice(lo, hi), **form)()
-                assert c[:, hi:].tobytes() == c0[:, hi:].tobytes()
-            assert c.tobytes() == whole.tobytes(), (
-                f"{form}, {points}: {frozen_under()}")
+        for cols in (slice(0, dim // 2), slice(dim // 2, dim)):
+            blas.gemm(a, b, split, cols=cols, **form)()
+            rest = slice(cols.stop, dim)
+            assert split[:, rest].tobytes() == c0[:, rest].tobytes()
+        exact[name] = split.tobytes() == whole.tobytes()
+    assert linalg.splits_exactly(dim) == all(exact.values()), (
+        f"{exact}: {frozen_under()}")
 
 
 def test_binding_rejects_a_block_blas_cannot_take():
@@ -249,7 +256,7 @@ def test_a_library_without_thread_symbols_has_no_thread_controls():
     loader, index, _ = next(row for row in BLAS_LIBRARIES
                             if load_blas(row) is not None)
     blas = load_blas((loader, index, "no_such_symbol_{}_num_threads"))
-    assert blas.threads is None
+    assert blas.threads is blas.core is blas.config is None
     a = np.asfortranarray(np.eye(4, dtype=complex))
     c = np.empty_like(a)
     blas.gemm(a, 2 * a, c)()

@@ -190,6 +190,17 @@ def exact_splits(monkeypatch):
     monkeypatch.setattr(reservoir, "splits_exactly", lambda dim: True)
 
 
+def assert_same_rows(*rows):
+    """n = 6 ``z_rows`` equal bit for bit where the library splits a dim-64
+    product exactly. Elsewhere ``exact_splits`` forces the split that
+    ``linalg.splits_exactly`` refuses, which rounds differently, so they
+    agree to 1e-12."""
+    if linalg.splits_exactly(64):
+        assert len({r.tobytes() for r in rows}) == 1, frozen_under()
+    else:
+        assert max(abs(r - rows[0]).max() for r in rows) <= 1e-12
+
+
 needs_helpers = pytest.mark.skipif(
     not (hasattr(os, "fork") and workers._stores_in_order()),
     reason="no helper process is forked on this platform")
@@ -230,20 +241,23 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
 
 # test_a_helper_changes_no_bit[6-300] in a child process under OpenBLAS's
 # Haswell kernel, whose column blocks differ from the one-call product. It
-# prints the child's core, then each drive whose rows a helper changed.
+# prints the child's core, splits_exactly(64), the number of processes its
+# runs forked, then each drive whose rows a helper changed.
 HASWELL_CHILD = """\
+import os
 import sys
 sys.path[:0] = sys.argv[1:]
-from conftest import blas_core
-from spinqrc import workers
+from spinqrc import linalg, workers
 from test_workers import lone_and_helped_rows
 
 def set_helpers(count):
     workers.idle_cpus = lambda: count
 
+forks = []
+os.register_at_fork(before=lambda: forks.append(None))
 runs = lone_and_helped_rows(6, 300, set_helpers)
-print(blas_core(), *[name for name, (alone, helped) in runs.items()
-                     if alone != helped])
+print(linalg.kernel_blas().core, linalg.splits_exactly(64), len(forks),
+      *[name for name, (alone, helped) in runs.items() if alone != helped])
 """
 
 
@@ -255,9 +269,11 @@ def test_a_helper_changes_no_bit_under_haswell():
          str(tests.parent / "src")],
         env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
         capture_output=True, text=True, check=True)
-    core, *changed = done.stdout.split()
+    core, exact, forked, *changed = done.stdout.split()
     if core != "Haswell":
         pytest.skip(f"the child ran OpenBLAS core {core}, not Haswell")
+    assert exact == "False"
+    assert forked == "0"
     assert changed == [], f"a helper changed the {changed} drive's rows"
 
 
@@ -281,7 +297,7 @@ def test_a_helper_sharing_one_cpu_finishes(monkeypatch, forks):
             elapsed.append(time.perf_counter() - started)
     finally:
         os.sched_setaffinity(0, saved)
-    assert rows[0].tobytes() == rows[1].tobytes()
+    assert_same_rows(*rows)
     assert elapsed[1] < 10 * elapsed[0] + 0.5, elapsed
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
@@ -297,7 +313,7 @@ def test_many_idle_cpus_fork_one_helper(monkeypatch, forks):
     for helpers in (0, 1000):
         use_helpers(monkeypatch, helpers)
         rows.append(reservoir.run_sequence(config, inputs).z_rows)
-    assert rows[0].tobytes() == rows[1].tobytes()
+    assert_same_rows(*rows)
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 
@@ -317,7 +333,7 @@ def test_a_failed_helper_fork_runs_alone(monkeypatch):
 
     monkeypatch.setattr(os, "fork", failing_fork)
     rows.append(reservoir.run_sequence(config, inputs).z_rows)
-    assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+    assert_same_rows(*rows)
 
 
 def run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds):

@@ -26,10 +26,10 @@ Run from the root of a checkout. Stdlib only. The snapshot holds
   trajectory's work over CPUs;
 * ``environment``: perfbench's environment block (interpreter, numpy,
   scipy, BLAS libraries and thread counts, CPU counts), plus the kernel
-  core of numpy's OpenBLAS (``blas_core``, such as ``SkylakeX``), the CPU
-  model, the commit, the git tree hash of ``src/``, and each
-  ``src/spinqrc`` module's line count (``src_lines``) and code line count
-  (``src_code_lines``, by ``code_lines``).
+  core of the evolution kernel's OpenBLAS (``blas_core``, such as
+  ``SkylakeX``), the CPU model, the commit, the git tree hash of
+  ``src/``, and each ``src/spinqrc`` module's line count (``src_lines``)
+  and code line count (``src_code_lines``, by ``code_lines``).
 
 Each of the 10-seed, criterion-1 and nine-qubit records keeps this
 checkout's runs under ``change``. With ``--baseline`` (another checkout,
@@ -85,13 +85,13 @@ from test_acceptance import zgemm_floor
 print(zgemm_floor())
 """
 
-# The kernel core numpy's bundled OpenBLAS picks in a fresh process, as the
-# test suite reads it; the goldens' bits depend on it. It prints the name.
+# The kernel core of the BLAS the evolution kernel calls, as a fresh
+# process of the checkout reads it (``linalg.kernel_blas``); the goldens'
+# bits depend on it. It prints the name, or None where the library does
+# not say.
 BLAS_CORE = """\
-import sys
-sys.path.insert(0, "tests")
-from conftest import blas_core
-print(blas_core())
+from spinqrc.linalg import kernel_blas
+print(kernel_blas().core)
 """
 
 
