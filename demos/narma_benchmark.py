@@ -17,21 +17,19 @@ GAMMAS = (0.1, 0.01)
 N_SEEDS = 3
 
 
-def mean_errors(gamma: float) -> dict[int, float]:
-    manifest = ExperimentManifest(
-        kind="reservoir", config={"gamma": gamma},
-        tasks=tuple(f"narma{n}" for n in ORDERS), n_seeds=N_SEEDS)
-    run_experiment([manifest])
-    means = {row.task: row.mean for row in manifest.metrics.values()}
-    return {n: means[f"narma{n}"] for n in ORDERS}
-
-
 def main() -> None:
+    cells = run_experiment([
+        ExperimentManifest(kind="reservoir", config={"gamma": g},
+                           tasks=tuple(f"narma{n}" for n in ORDERS),
+                           n_seeds=N_SEEDS)
+        for g in GAMMAS])
+    # Each gamma's mean errors, one per order in ORDERS order.
+    by_gamma = [[row.mean for row in cell.metrics.values()] for cell in cells]
+
     print(f"NARMA prediction error (NMSE), linear chain, {N_SEEDS} coupling draws")
-    by_gamma = {g: mean_errors(g) for g in GAMMAS}
     print(f"{'order':>6}  " + "  ".join(f"gamma={g:<5}" for g in GAMMAS))
-    for n in ORDERS:
-        row = "  ".join(f"{by_gamma[g][n]:>10.2e}" for g in GAMMAS)
+    for i, n in enumerate(ORDERS):
+        row = "  ".join(f"{errors[i]:>10.2e}" for errors in by_gamma)
         print(f"{n:>6}  {row}")
     print()
     print("NARMA2 sits near 1e-4: the quadratic input term is well inside")

@@ -15,19 +15,17 @@ DELAYS = range(9)
 N_SEEDS = 3
 
 
-def capacity_curve(topology: str) -> list[float]:
-    manifest = ExperimentManifest(
-        kind="reservoir", config={"topology": topology}, tasks=("stm",),
-        stm_delays=tuple(DELAYS), n_seeds=N_SEEDS)
-    run_experiment([manifest])
-    means = {row.task: row.mean for row in manifest.metrics.values()}
-    return [means[f"stm_tau{tau:02d}"] for tau in DELAYS]
-
-
 def main() -> None:
+    cells = run_experiment([
+        ExperimentManifest(kind="reservoir", config={"topology": t},
+                           tasks=("stm",), stm_delays=tuple(DELAYS),
+                           n_seeds=N_SEEDS)
+        for t in ("linear", "ring")])
+    # Each arrangement's rows, one per delay in DELAYS order.
+    linear, ring = ([row.mean for row in cell.metrics.values()]
+                    for cell in cells)
+
     print(f"memory capacity by delay, gamma=0.1, {N_SEEDS} coupling draws")
-    linear = capacity_curve("linear")
-    ring = capacity_curve("ring")
     print(f"{'tau':>4}  {'linear':>8}  {'ring':>8}")
     for tau in DELAYS:
         print(f"{tau:>4}  {linear[tau]:>8.3f}  {ring[tau]:>8.3f}")

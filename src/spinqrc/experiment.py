@@ -4,8 +4,10 @@ A manifest snapshots everything needed to reproduce a set of metrics:
 the physical configuration, the task list, and every seed. Running a
 manifest fills in per-seed metrics and fit diagnostics; emitting a
 report turns manifests into a deterministic ``metrics.csv`` (and
-optional per-step trajectory files). Re-running the same manifest
-always reproduces the same bytes.
+optional per-step trajectory files). A manifest holds nothing but its
+inputs and its results, no timestamp or version stamp, so re-running
+it reproduces every file, manifests included, byte for byte on one
+OpenBLAS core.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import json
 import os
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
@@ -94,13 +95,16 @@ def json_object(value: object, where: str, keys: Collection[str] | None,
 def json_list(values: object, where: str) -> tuple:
     """``values``, a JSON list from outside, as a tuple when it is a list or
     tuple that holds no value twice; else ConfigError naming ``where`` it
-    came from. A list with an unhashable entry skips the duplicate test:
-    every caller rejects such an entry with its own message."""
+    came from. A bool differs from the number it equals, so that its
+    caller's check names it, while 1 and 1.0 are one value. A list with an
+    unhashable entry skips the duplicate test: every caller rejects such
+    an entry with its own message."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(
             f"{where} must be a list, got {reprlib.repr(values)}")
     try:
-        repeated = len(set(values)) < len(values)
+        repeated = (len({(isinstance(v, bool), v) for v in values})
+                    < len(values))
     except TypeError:
         repeated = False
     if repeated:
@@ -155,8 +159,6 @@ class ExperimentManifest:
     base_seed: int = number(0, 0)
     input_seed: int = number(42, 0)
     ridge: float = number(0.0, 0)
-    version: str = ""
-    created: str = ""
     metrics: dict = field(default_factory=dict)
     # Each row's fit diagnostics, {"rank": [...], "condition": [...],
     # "residual_rms": [...]} with one value per ensemble member, and the
@@ -183,12 +185,6 @@ class ExperimentManifest:
         self.ridge = float(self.ridge)
         if not self.tasks:
             raise ConfigError("tasks is empty; a manifest needs a task")
-        if not self.version:
-            from spinqrc import __version__
-
-            self.version = __version__
-        if not self.created:
-            self.created = datetime.now(timezone.utc).isoformat()
         manifest_rows(self)  # builds, so checks, member 0's config
 
     def to_json(self) -> str:
@@ -201,19 +197,20 @@ class ExperimentManifest:
     def from_json(value: object) -> "ExperimentManifest":
         """The manifest that ``value``, a parsed ``to_json`` text, describes;
         ConfigError for any other value. Each stored row holds only its
-        per-seed values; ``manifest_rows`` gives the rest."""
+        per-seed values; ``manifest_rows`` gives the rest. Nothing reads
+        back the ``diagnostics`` block, nor the ``version`` and ``created``
+        stamps that manifests of earlier releases hold: each is dropped
+        unread, so ``report`` rebuilds the same ``metrics.csv`` with or
+        without them."""
         stored = [f for f in fields(ExperimentManifest)
                   if f.name != "trajectory"]
-        d = json_object(value, "the manifest", [f.name for f in stored],
+        d = json_object(value, "the manifest",
+                        [*(f.name for f in stored), "version", "created"],
                         [f.name for f in stored
-                         if f.default is f.default_factory is MISSING
-                         or f.name in ("version", "created")])
-        for name in ("version", "created"):
-            if not isinstance(d[name], str) or not d[name]:
-                raise ConfigError(f"{name} must be a non-empty string, "
-                                  f"got {reprlib.repr(d[name])}")
+                         if f.default is f.default_factory is MISSING])
         metrics = json_object(d.pop("metrics", {}), "metrics", None)
-        d.pop("diagnostics", None)
+        for name in ("diagnostics", "version", "created"):
+            d.pop(name, None)
         m = ExperimentManifest(**d)
         if metrics:  # a stored run: its rows must be the manifest's own
             derived = {row.row_id: row for row in manifest_rows(m)}

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Callable, Sequence
 
 # Processes that ``run_groups`` runs at once, which each of them sees.
 _concurrent = 1
@@ -189,12 +187,12 @@ class Crew:
 
         return mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
 
-    def run(self, body: Callable[[], T]) -> T:
+    def run(self, body: Callable[[], object]) -> None:
         """``body()`` in this process and in the helper, forked here, with
-        ``rank`` set; returns rank 0's value and raises the helper's error
-        as rank 0's. A helper that cannot be forked leaves rank 0 to run
-        alone (``size`` 1). The helper is reaped before this returns or
-        raises: after an error, it is killed first."""
+        ``rank`` set; raises the helper's error as rank 0's. A helper that
+        cannot be forked leaves rank 0 to run alone (``size`` 1). The
+        helper is reaped before this returns or raises: after an error, it
+        is killed first."""
         def serve() -> None:  # the helper's life, until ``_fork`` exits
             self.rank = 1
             body()
@@ -205,11 +203,10 @@ class Crew:
                     self._helper = _fork(serve)
                 except OSError:  # no process to spare: run alone
                     self.size, self._counters = 1, None
-            result = body()
+            body()
             if self._helper is not None:
                 helper, self._helper = self._helper, None
                 _collect(*helper)
-            return result
         finally:
             if self._helper is not None:
                 _stop(*self._helper)

@@ -430,6 +430,12 @@ BAD_MANIFEST_VALUES = {
                                 "got -1"),
     "repeated_stm_delays": ({"stm_delays": [1, 1]},
                             "stm_delays has a duplicate value: [1, 1]"),
+    # 1 and 1.0 would write one row id; True is no delay at all.
+    "repeated_float_stm_delay": ({"stm_delays": [1, 1.0]},
+                                 "stm_delays has a duplicate value: [1, 1.0]"),
+    "bool_stm_delay": ({"stm_delays": [1, True]},
+                       "stm_delays[1] must be an integer in [0, 99], "
+                       "got True"),
     "scalar_tasks": ({"tasks": "narma2"}, "tasks must be a list, got 'narma2'"),
     "zero_seeds": ({"seeds": 0},
                    "n_seeds must be an integer in [1, 10000], got 0")}
@@ -469,19 +475,6 @@ BAD_STORED_METRICS = {
     "short_per_seed": ({ROW_ID: [0.5]},
                        f"stored row {ROW_ID}: per_seed must hold n_seeds "
                        "= 10 values, got 1")}
-# Stored `version` and `created` values that `to_json` never writes.
-BAD_STORED_STAMPS = {
-    **{f"missing_{key}": ({k: v for k, v in MANIFEST.items() if k != key},
-                          f"the manifest has no {key!r}")
-       for key in ("version", "created")},
-    "number_version": (dict(MANIFEST, version=7),
-                       "version must be a non-empty string, got 7"),
-    "empty_version": (dict(MANIFEST, version=""),
-                      "version must be a non-empty string, got ''"),
-    "list_created": (dict(MANIFEST, created=[]),
-                     "created must be a non-empty string, got []"),
-    "number_created": (dict(MANIFEST, created=5),
-                       "created must be a non-empty string, got 5")}
 
 
 @pytest.mark.parametrize("command, cfg, fragment", [
@@ -499,6 +492,8 @@ BAD_STORED_STAMPS = {
     ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[10**400])),
      "variant must be one of (1, 3, 5), got 100000000000000000...0000000000"
      "000000000\n"),
+    ("esn", dict(PHASES, esn=dict(n_nodes=4, variants=[1, True])),
+     "variant must be an integer, got True"),
     # A schedule too short for its fits fails before anything runs.
     ("run", dict(SMALL, n_qubits=8, n_fb=1),
      "n_fb must be an integer >= 9, one training step per feature column "
@@ -515,6 +510,8 @@ BAD_STORED_STAMPS = {
      "sweep axis topologies must be a list, got 'ring'"),
     ("sweep", dict(SMALL, sweep={"gammas": [[0.1]]}),
      "gamma must be a number in [0, 1], got [0.1]"),
+    ("sweep", dict(SMALL, sweep={"readouts": [1, True]}),
+     "readout must be an integer in [1, 2], got True"),
     ("sweep", dict(SMALL, trajectory="false"),
      "trajectory must be true or false, got 'false'"),
     ("esn", dict(SMALL, tasks=[]), "tasks is empty"),
@@ -522,8 +519,6 @@ BAD_STORED_STAMPS = {
      "base_seed must be an integer >= 0, got -3"),
     *(("report", dict(MANIFEST, metrics=bad), fragment)
       for bad, fragment in BAD_STORED_METRICS.values()),
-    *(("report", bad, fragment)
-      for bad, fragment in BAD_STORED_STAMPS.values()),
     ("report", [MANIFEST], "the manifest must be a JSON object, got [{"),
     ("report", dict(MANIFEST, config={"gama": 0.5}),
      "unknown key(s) 'gama' in config; known keys: gamma, input_qubit, "),
@@ -540,12 +535,13 @@ BAD_STORED_STAMPS = {
      "unknown key(s) 'variants' in the manifest; known keys: base_seed, "),
 ], ids=["string_n_qubits", "misspelled_topology", "huge_theta0",
         "repeated_variant",
-        "no_variants", "scalar_variants", "huge_variant", "short_n_fb",
+        "no_variants", "scalar_variants", "huge_variant", "bool_variant",
+        "short_n_fb",
         "short_n_test_for_stm", *BAD_MANIFEST_VALUES,
         "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
-        "sweep_nested_gamma", "sweep_string_trajectory", "esn_empty_tasks",
-        "esn_negative_seed", *BAD_STORED_METRICS, *BAD_STORED_STAMPS,
+        "sweep_nested_gamma", "sweep_bool_readout", "sweep_string_trajectory",
+        "esn_empty_tasks", "esn_negative_seed", *BAD_STORED_METRICS,
         "report_manifest_list",
         "report_unknown_config_key", "report_config_list",
         "report_unknown_manifest_key", "report_missing_tasks",
@@ -564,6 +560,49 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
     assert err.startswith("error: ") and fragment in err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert not out.exists()
+
+
+# A manifest as earlier releases wrote it, with `version` and `created`
+# stamps, and variants of those stamps; `report` drops each unread.
+STAMPED = dict(MANIFEST, metrics={ROW_ID: ROW}, version="0.1.0",
+               created="2026-10-19T12:00:00.000000+00:00")
+STORED_STAMPS = {
+    "stamped": STAMPED,
+    **{f"missing_{key}": {k: v for k, v in STAMPED.items() if k != key}
+       for key in ("version", "created")},
+    "number_version": dict(STAMPED, version=7),
+    "empty_version": dict(STAMPED, version=""),
+    "list_created": dict(STAMPED, created=[]),
+    "number_created": dict(STAMPED, created=5)}
+
+
+@pytest.mark.parametrize("stored", STORED_STAMPS.values(),
+                         ids=list(STORED_STAMPS))
+def test_report_drops_stored_stamps(tmp_path, stored):
+    unstamped = dict(MANIFEST, metrics={ROW_ID: ROW})
+    for name, manifest in (("stamped", stored), ("unstamped", unstamped)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["report", "--config", str(path),
+                     "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "stamped" / "metrics.csv").read_bytes()
+            == (tmp_path / "unstamped" / "metrics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["run", "--task", "stm", "--seeds", "2"], SMALL),
+    (["sweep", "--seeds", "1"], dict(SMALL, trajectory=True)),
+    (["esn", "--seeds", "2"], dict(PHASES, esn={"n_nodes": 4}))],
+    ids=["run", "sweep", "esn"])
+def test_two_runs_write_identical_files(tmp_path, argv, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    written = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command, cfg, where, got", [

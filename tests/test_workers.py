@@ -76,11 +76,17 @@ def deadline():
 def test_goldens_at_one_and_two_workers(tmp_path, monkeypatch, forks, argv,
                                         golden, count):
     use_workers(monkeypatch, count)
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert ((tmp_path / "metrics.csv").read_bytes()
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert ((tmp_path / "a" / "metrics.csv").read_bytes()
             == (GOLDENS / golden).read_bytes()), frozen_under()
     assert len(forks) == count - 1
+    # The other worker count writes the same files, manifests included.
+    use_workers(monkeypatch, 3 - count)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
     assert all(reaped(pid) for pid in forks)
+    a, b = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            for name in "ab")
+    assert a == b
 
 
 def test_builds_one_propagator_per_coupling_draw(monkeypatch):
