@@ -1,10 +1,10 @@
 """Dense complex matrix helpers for operators up to a few hundred rows.
 
 Two validated functions build and compare operators: ``unitary_exp``
-(exp(-i t h) through the eigendecomposition of a Hermitian ``h``, refusing
-non-Hermitian input) and ``trace_distance``. Each takes square, finite
-matrices of any memory layout and returns a fresh value, never aliased to
-its inputs.
+(exp(-i t h) through the eigendecomposition of a Hermitian ``h``) and
+``trace_distance``. Each takes square, finite, Hermitian matrices of any
+memory layout, refuses any other input, and returns a fresh value, never
+aliased to its inputs.
 
 The module also owns the BLAS the evolution kernel calls directly
 (``kernel_blas``: ``zgemm`` through ctypes, from the OpenBLAS bundled with
@@ -239,12 +239,18 @@ def splits_exactly(dim: int) -> bool:
     return True
 
 
-def _as_square(a: np.ndarray, name: str) -> np.ndarray:
+def _as_hermitian(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as a complex array, checked square, finite and Hermitian to
+    HERMITICITY_RTOL relative to its own Frobenius norm; ValidationError
+    otherwise."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
+    scale = np.linalg.norm(a)
+    if scale > 0 and np.linalg.norm(a - a.conj().T) > HERMITICITY_RTOL * scale:
+        raise ValidationError(f"{name} is not Hermitian within tolerance")
     return a
 
 
@@ -253,13 +259,10 @@ def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t h) for Hermitian h, via its eigendecomposition
     ``h = V diag(w) V†``.
 
-    Raises ValidationError when h is not Hermitian to HERMITICITY_RTOL
-    relative to its Frobenius norm, or when a phase ``t w`` overflows.
+    Raises ValidationError when h is not Hermitian (``_as_hermitian``), or
+    when a phase ``t w`` overflows.
     """
-    h = _as_square(h, "h")
-    scale = np.linalg.norm(h)
-    if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    h = _as_hermitian(h, "h")
     w, v = np.linalg.eigh(h)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = -1j * t * w
@@ -271,9 +274,14 @@ def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
 
 @one_blas_thread()
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of absolute eigenvalues of (a - b), for Hermitian a, b."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
+    """Half the sum of absolute eigenvalues of (a - b), for Hermitian a, b.
+
+    Each of a and b is checked Hermitian against its own norm
+    (``_as_hermitian``): eigvalsh reads one triangle only, so a
+    non-Hermitian difference would give a silently wrong distance.
+    """
+    a = _as_hermitian(a, "a")
+    b = _as_hermitian(b, "b")
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     diff = a - b

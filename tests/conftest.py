@@ -1,6 +1,21 @@
+import importlib.util
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinqrc import linalg, workers
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every property test checks the same examples on every run, writes no
+# example database and has no deadline; each sets only its max_examples.
+settings.register_profile("spinqrc", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("spinqrc")
 
 # Most simulation worker processes any test may start, whatever the host's
 # CPU count; a test that needs a particular count patches the same function.
@@ -43,3 +58,26 @@ def caller_threads():
     saved = threads[0]()
     yield threads
     threads[1](saved)
+
+
+def load_module(path: str) -> ModuleType:
+    """The Python file at ``path``, relative to the checkout root (such as
+    ``perfbench/reference.py``), as a fresh module, with no bytecode
+    written beside it."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def random_density(n_qubits: int, seed: int) -> np.ndarray:
+    """A full-rank random state of ``n_qubits``, seeded."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real

@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import json
 import statistics
 import subprocess
@@ -7,18 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import blas_core
+from conftest import blas_core, load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION_1 = "crit1.ratio(passed)"
 
 
 def tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(f"tools/{name}.py")
 
 
 def test_one_row_per_committed_snapshot():

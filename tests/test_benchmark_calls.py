@@ -4,13 +4,13 @@ A renamed function or a changed result type would otherwise show only as
 failed or absent benchmark operations, after the fact.
 """
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import load_module
 
 from spinqrc.reservoir import ReservoirConfig, run_sequence
 
@@ -20,20 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 KNOWN_ABSENT = {"spinqrc.cli.run_esn_comparison"}
 
 
-def load_tracer(monkeypatch):
-    """``perfbench/tracer.py`` as a module, with no bytecode written beside
-    it; nothing is wrapped."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_traced_function_exists(monkeypatch):
+def test_every_traced_function_exists():
     missing = set()
-    for module_name, attr, *_ in load_tracer(monkeypatch).TARGETS:
+    for module_name, attr, *_ in load_module("perfbench/tracer.py").TARGETS:
         module = importlib.import_module(module_name)
         if not callable(getattr(module, attr, None)):
             missing.add(f"{module_name}.{attr}")

@@ -173,14 +173,6 @@ def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
     assert not (out / "metrics.csv").exists()
 
 
-def test_run_is_reproducible(tmp_path, config_file):
-    for name in ("a", "b"):
-        assert main(["run", "--config", config_file, "--task", "narma2",
-                     "--seeds", "2", "--out", str(tmp_path / name)]) == 0
-    assert ((tmp_path / "a" / "metrics.csv").read_bytes()
-            == (tmp_path / "b" / "metrics.csv").read_bytes())
-
-
 def test_run_flag_overrides(tmp_path, config_file):
     out = tmp_path / "out"
     code = main(["run", "--config", config_file, "--task", "narma2",
@@ -591,9 +583,10 @@ def test_report_drops_stored_stamps(tmp_path, stored):
 
 @pytest.mark.parametrize("argv, cfg", [
     (["run", "--task", "stm", "--seeds", "2"], SMALL),
+    (["run", "--task", "narma2", "--seeds", "2"], SMALL),
     (["sweep", "--seeds", "1"], dict(SMALL, trajectory=True)),
     (["esn", "--seeds", "2"], dict(PHASES, esn={"n_nodes": 4}))],
-    ids=["run", "sweep", "esn"])
+    ids=["run", "run_narma2", "sweep", "esn"])
 def test_two_runs_write_identical_files(tmp_path, argv, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

@@ -19,10 +19,7 @@ from spinqrc.esn import EsnConfig
 from spinqrc.experiment import ExperimentManifest
 from spinqrc.reservoir import ReservoirConfig
 
-# Derandomized and without an example database, so that every run checks
-# the same examples and writes nothing.
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=200)
 
 
 class Raw(str):

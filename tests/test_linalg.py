@@ -103,6 +103,29 @@ def test_trace_distance_shape_mismatch():
         trace_distance(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize("m", [np.array([[1, 1], [0, 0]]),
+                               np.array([[1, 0], [1, 0]])],
+                         ids=["upper", "lower"])
+def test_trace_distance_rejects_nonhermitian(m):
+    # eigvalsh would read one triangle: 0.5 for one of these, 1.118 for
+    # the other.
+    zero = np.zeros((2, 2))
+    for a, b, name in ((m, zero, "a"), (zero, m, "b")):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} is not Hermitian"):
+            trace_distance(a, b)
+
+
+def test_trace_distance_checks_each_state_against_its_own_norm():
+    # Each state is Hermitian to rounding, but their difference is 0.1%
+    # off Hermitian relative to its own tiny norm, as the difference of
+    # two states that have nearly met after many steps may be.
+    a = np.diag([0.5, 0.5]).astype(complex)
+    b = a.copy()
+    b[0, 1], b[1, 0] = 1e-13, 1.001e-13
+    assert trace_distance(a, b) == pytest.approx(1e-13, rel=1e-2)
+
+
 @pytest.mark.parametrize("routine, call, bad_call", [
     ("eigh", lambda: unitary_exp(random_hermitian(8, seed=5), 0.3),
      lambda: unitary_exp(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_density
 
 from spinqrc.errors import ValidationError
 from spinqrc.qubits import ground_density, z_sign_table
@@ -30,14 +31,6 @@ def test_heisenberg_symmetric_in_bond_order():
 def test_heisenberg_rejects_self_bond():
     with pytest.raises(ValidationError):
         single_bond_hamiltonian(2, 2, 3)
-
-
-def random_density(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    dim = 2**n_qubits
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
 
 
 def rotate(rho, s, qubit=1):

@@ -119,7 +119,7 @@ class TestNmse:
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3),
            flip=st.sampled_from([1.0, -1.0]))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_scale_invariance(self, scale, flip):
         rng = np.random.default_rng(11)
         y = rng.normal(size=20)
@@ -159,7 +159,7 @@ class TestStmCapacity:
     @given(slope=st.floats(min_value=-5, max_value=5).filter(
                lambda x: abs(x) > 1e-3),
            offset=st.floats(min_value=-10, max_value=10))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_affine_invariance(self, slope, offset):
         rng = np.random.default_rng(23)
         y = rng.normal(size=30)

@@ -8,8 +8,7 @@ from spinqrc import linalg, reservoir
 from spinqrc.cli import EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import ConfigError, StateInvariantError, ValidationError
 from spinqrc.esn import EsnConfig, run_esn
-from spinqrc.linalg import (BLAS_LIBRARIES, load_blas, one_blas_thread,
-                            trace_distance)
+from spinqrc.linalg import BLAS_LIBRARIES, load_blas, one_blas_thread
 from spinqrc.qubits import ground_density
 from spinqrc.reservoir import (Bond, ReservoirConfig, Topology,
                                build_hamiltonian, evolution_operator,
@@ -21,25 +20,6 @@ def small_config(**kw):
     defaults = dict(n_qubits=4, n_pre=10, n_fb=20, n_test=10)
     defaults.update(kw)
     return ReservoirConfig(**defaults)
-
-
-def kron_route_step(rho, s, u, gamma, rho0, input_qubit=1):
-    """One channel step with the propagator composed as U times the input
-    rotation exp(+i pi s X_q / 2), embedded by a Kronecker chain."""
-    n_qubits = rho.shape[0].bit_length() - 1
-    half = 0.5 * np.pi * s
-    r2 = np.array([[np.cos(half), 1j * np.sin(half)],
-                   [1j * np.sin(half), np.cos(half)]])
-    rotation = np.kron(np.kron(np.eye(2**(input_qubit - 1)), r2),
-                       np.eye(2**(n_qubits - input_qubit)))
-    propagator = u @ rotation
-    return (1 - gamma) * (propagator @ rho @ propagator.conj().T) + gamma * rho0
-
-
-def basis_density(dim: int, index: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[index, index] = 1.0
-    return rho
 
 
 class TestConfig:
@@ -387,48 +367,6 @@ class TestRunSequence:
         assert len(rows[cfg.train_slice]) == cfg.n_fb
         assert len(rows[cfg.test_slice]) == cfg.n_test
 
-    def test_matches_single_step_route(self):
-        cfg = small_config(gamma=0.17)
-        rng = np.random.default_rng(9)
-        inputs = rng.uniform(0, 1, cfg.total_steps)
-        traj = run_sequence(cfg, inputs)
-        u = evolution_operator(cfg)
-        rho0 = ground_density(cfg.n_qubits)
-        rho, rho_kron = rho0, rho0
-        for k, s in enumerate(inputs):
-            rho, z = step(rho, float(s), u, cfg.gamma)
-            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
-            rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0)
-            assert np.abs(rho - rho_kron).max() <= 1e-14
-
-    def test_offcenter_input_qubit_matches_single_step_route(self):
-        cfg = small_config(input_qubit=3)
-        rng = np.random.default_rng(2)
-        inputs = rng.uniform(0, 1, cfg.total_steps)
-        traj = run_sequence(cfg, inputs)
-        u = evolution_operator(cfg)
-        rho0 = ground_density(cfg.n_qubits)
-        rho, rho_kron = rho0, rho0
-        for k, s in enumerate(inputs):
-            rho, z = step(rho, float(s), u, cfg.gamma, input_qubit=3)
-            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
-            rho_kron = kron_route_step(rho_kron, float(s), u, cfg.gamma, rho0,
-                                       input_qubit=3)
-            assert np.abs(rho - rho_kron).max() <= 1e-14
-
-    def test_repeated_inputs_match_single_step_route(self):
-        # A drive over three values reuses, then evicts, the two cached
-        # propagators; each step must still equal a freshly composed one.
-        cfg = small_config(gamma=0.13)
-        rng = np.random.default_rng(3)
-        inputs = rng.choice([0.0, 1.0, 0.35], cfg.total_steps)
-        traj = run_sequence(cfg, inputs)
-        u = evolution_operator(cfg)
-        rho = ground_density(cfg.n_qubits)
-        for k, s in enumerate(inputs):
-            rho, z = step(rho, float(s), u, cfg.gamma)
-            assert np.allclose(traj.z_rows[k], z, atol=1e-12)
-
     def test_hermiticity_checked_every_check_interval_steps(self):
         # A non-unitary U = diag(1, 1.1) grows a start state's one-sided
         # off-diagonal entry 1.1-fold per input, past the Hermiticity
@@ -564,19 +502,3 @@ def test_numpy_thread_symbols_are_the_kernel_library_s():
     assert blas.index is ctypes.c_int64
     assert [address(f) for f in blas.threads] == [address(get), address(set_)]
 
-
-def test_contraction_of_trace_distance():
-    # the reset channel shrinks the distance between any two states by
-    # exactly (1 - gamma) per step, independent of the inputs
-    cfg = small_config(gamma=0.2)
-    u = evolution_operator(cfg)
-    dim = 2**cfg.n_qubits
-    a, b = basis_density(dim, 0), basis_density(dim, dim - 1)
-    d0 = trace_distance(a, b)
-    rng = np.random.default_rng(0)
-    for k in range(1, 21):
-        s = float(rng.uniform(0, 1))
-        a, _ = step(a, s, u, cfg.gamma)
-        b, _ = step(b, s, u, cfg.gamma)
-        expected = (1 - cfg.gamma) ** k * d0
-        assert trace_distance(a, b) == pytest.approx(expected, rel=1e-10)

@@ -12,10 +12,7 @@ from spinqrc.rng import Stream
 # Seeds of one 32-bit word, of two words and of three words.
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5]
 
-# Derandomized and without an example database, so that every run checks
-# the same seeds and writes nothing.
-SEED_RANGE = settings(max_examples=200, deadline=None, derandomize=True,
-                      database=None)
+SEED_RANGE = settings(max_examples=200)
 
 
 def bits_of(values) -> bytes:
