@@ -257,7 +257,8 @@ def _check_state(rho: np.ndarray, spare: np.ndarray,
         return
     np.copyto(spare, rho.T)  # a strided copy, then a contiguous conjugate,
     np.conjugate(spare, out=spare)  # is faster than a strided conjugate
-    np.subtract(rho, spare, out=spare)
+    with np.errstate(invalid="ignore"):  # Inf - Inf is NaN, which fails below
+        np.subtract(rho, spare, out=spare)
     if not np.linalg.norm(spare) <= HERM_TOL:
         raise StateInvariantError("state is not Hermitian within tolerance")
     # Cholesky of rho + tol*I succeeds exactly when the smallest eigenvalue
@@ -367,21 +368,19 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     # computes one column block of both: its block of work needs only its
     # own block of rho, its block of the next rho needs all of work, so
     # one sync per step (after the first product) suffices if each process
-    # composes the whole propagator itself and work and rho alternate
-    # between two shared buffers by step parity: a process may write the
-    # next step's blocks while the other still reads this step's, and rank
-    # 0 reads a state out while the helper writes the next. Alone, one
-    # buffer of each serves both parities, as rho is free once work is.
-    # The buffers are Fortran-ordered so that BLAS takes them without
-    # copies.
+    # composes the whole propagator itself and work and rho cycle through
+    # ``crew.size`` shared buffers each, step k using buffer k % crew.size:
+    # with a helper, a process may write the next step's blocks while the
+    # other still reads this step's, and rank 0 reads a state out while the
+    # helper writes the next. Alone, one buffer of each serves every step,
+    # as rho is free once work is. The buffers are Fortran-ordered so that
+    # BLAS takes them without copies.
     def shared_matrix() -> np.ndarray:
         return np.frombuffer(crew.memory(U.nbytes), dtype=complex).reshape(
             (dim, dim), order="F")
 
-    rhos = (shared_matrix(),) * 2
-    works = (shared_matrix(),) * 2
-    if crew.size > 1:
-        rhos, works = (rhos[0], shared_matrix()), (works[0], shared_matrix())
+    rhos = [shared_matrix() for _ in range(crew.size)]
+    works = [shared_matrix() for _ in range(crew.size)]
     np.copyto(rhos[0], rho)
     z_rows = np.empty((len(inputs), n))
     half = 0.5 * pi
@@ -390,9 +389,9 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
     def steps() -> None:
         """The loop both processes run, each on its column block; rank 0
         also reads every state out and checks it."""
-        main, helped = crew.rank == 0, crew.size > 1  # size 1 if no fork
-        block = (slice(0, dim // crew.size) if main
-                 else slice(dim // crew.size, dim))
+        size = crew.size  # 1 if the helper could not be forked
+        main = crew.rank == 0
+        block = slice(0, dim // size) if main else slice(dim // size, dim)
         rho_blocks = [rho[:, block] for rho in rhos]
         reset = gamma_rho0[:, block]
         spare = np.empty_like(U)
@@ -400,7 +399,7 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
         # stay in ``props``, keyed on the values' float64 bits, so a binary
         # drive composes two per trajectory; a new value overwrites the
         # slot the last step did not use. A slot's BLAS calls, one pair per
-        # parity, are bound to its buffers when it is first composed.
+        # buffer, are bound to the buffers when it is first composed.
         props = (np.empty_like(U), np.empty_like(U))
         prop_keys = [None, None]
         products = [None, None]
@@ -429,21 +428,21 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
                         if products[slot] is None:
                             products[slot] = [
                                 (blas.gemm(prop, rhos[p], works[p], cols=block),
-                                 blas.gemm(works[p], prop, rhos[p ^ 1],
-                                           alpha=keep, beta=1.0, conj_b=True,
-                                           cols=block))
-                                for p in (0, 1)]
-                    propagate, mix = products[slot][k & 1]
+                                 blas.gemm(works[p], prop,
+                                           rhos[(p + 1) % size], alpha=keep,
+                                           beta=1.0, conj_b=True, cols=block))
+                                for p in range(size)]
+                    propagate, mix = products[slot][k % size]
                     propagate()  # work[:, b] = prop rho[:, b]
-                if helped:
+                if size > 1:
                     crew.sync()  # every block of work and of rho is written
                 if k and main:  # the state after input k - 1
-                    rho = rhos[k & 1]
+                    rho = rhos[k % size]
                     z_rows[k - 1] = signs @ rho.diagonal().real
                     _check_state(rho, spare, full=k % _CHECK_INTERVAL == 0
                                  or k == last)
                 if k < last:
-                    np.copyto(rho_blocks[(k + 1) & 1], reset)
+                    np.copyto(rho_blocks[(k + 1) % size], reset)
                     mix()  # rho'[:, b] = (1-gamma) work prop[b, :]† + gamma rho0[:, b]
         except StateInvariantError as exc:
             where = "before step 0" if k == 0 else f"at step {k - 1}"
@@ -451,4 +450,4 @@ def _evolve(U: np.ndarray, gamma: float, rho: np.ndarray, inputs: np.ndarray,
 
     with one_blas_thread():
         crew.run(steps)
-    return z_rows, rhos[len(inputs) & 1]
+    return z_rows, rhos[len(inputs) % crew.size]

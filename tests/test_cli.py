@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import frozen_under
 
 import spinqrc
 from spinqrc import experiment, reservoir, workers
@@ -19,18 +18,6 @@ from spinqrc.reservoir import Topology
 
 PHASES = {"n_pre": 10, "n_fb": 30, "n_test": 10}
 SMALL = {"n_qubits": 4, **PHASES}
-
-# metrics.csv of `spinqrc sweep --seeds 1 --seed 10` and of `spinqrc esn
-# --seeds 40 --seed 10` at the commit that froze the benchmark goldens; read
-# only, never rewritten by tests.
-GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
-SWEEP_GOLDEN = GOLDENS / "sweep_seed10.csv"
-ESN_GOLDEN = GOLDENS / "esn_seed10.csv"
-# The dissipation curve: every gamma from 0 to 1 over both topologies, both
-# readouts and stm/narma2/narma5, one seed; its metrics.csv was frozen next
-# to it, read only.
-DISSIPATION_CONFIG = Path(__file__).resolve().parent / "dissipation_curve.json"
-DISSIPATION_GOLDEN = DISSIPATION_CONFIG.with_suffix(".csv")
 
 
 @pytest.fixture
@@ -246,30 +233,6 @@ def test_sweep_reads_top_level_stm_delays(tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["stm_tau01", "stm_tau02"]
-
-
-def test_default_sweep_matches_frozen_golden(tmp_path):
-    assert main(["sweep", "--seeds", "1", "--seed", "10",
-                 "--out", str(tmp_path)]) == 0
-    assert ((tmp_path / "metrics.csv").read_bytes()
-            == SWEEP_GOLDEN.read_bytes()), frozen_under()
-
-
-def test_default_esn_matches_frozen_golden(tmp_path):
-    assert main(["esn", "--seeds", "40", "--seed", "10",
-                 "--out", str(tmp_path)]) == 0
-    assert ((tmp_path / "metrics.csv").read_bytes()
-            == ESN_GOLDEN.read_bytes()), frozen_under()
-
-
-def test_dissipation_curve_matches_frozen_golden(tmp_path):
-    # At gamma = 1 every feature is constant, so each STM capacity is 0 and
-    # stm_capacity warns.
-    with pytest.warns(UserWarning, match="constant sequence"):
-        assert main(["sweep", "--config", str(DISSIPATION_CONFIG),
-                     "--out", str(tmp_path)]) == 0
-    assert ((tmp_path / "metrics.csv").read_bytes()
-            == DISSIPATION_GOLDEN.read_bytes()), frozen_under()
 
 
 def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,
@@ -803,14 +766,13 @@ def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--task", "stm", "--seeds", "2"],
-    ["run", "--task", "narma2", "--seeds", "2"],
-    ["sweep", "--seeds", "1"], ["esn", "--seeds", "3"]],
+    ["run", "--task", "narma2", "--seeds", "2"]],
     ids=lambda argv: "-".join(argv[:3]))
 def test_report_rebuilds_every_written_manifest(tmp_path, config_file, argv):
-    # `run` on a small array; `sweep` and `esn` at their defaults.
-    config = ["--config", config_file] if argv[0] == "run" else []
+    # The sweep's and the ESN comparison's manifests are rebuilt by
+    # test_workers.py::test_frozen_job_at_one_and_two_workers.
     out = tmp_path / "out"
-    assert main([*argv, *config, "--out", str(out)]) == 0
+    assert main([*argv, "--config", config_file, "--out", str(out)]) == 0
     written = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
     assert main(["report", "--out", str(out)]) == 0

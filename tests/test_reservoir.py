@@ -236,6 +236,7 @@ class TestCheckDensityMatrix:
                                match="eigenvalue below tolerance"):
                 check_start_state(rho)
 
+    @pytest.mark.filterwarnings("error")  # and numpy warns nothing first
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_state(self, name):
         with pytest.raises(StateInvariantError, match="before step 0$"):
@@ -266,6 +267,7 @@ class TestStep:
         with pytest.raises(StateInvariantError):
             step(bad, 0.0, np.eye(4, dtype=complex), 0.1)
 
+    @pytest.mark.filterwarnings("error")  # and numpy warns nothing first
     @pytest.mark.parametrize("name", NONFINITE)
     def test_rejects_nonfinite_entry_state(self, name):
         with pytest.raises(StateInvariantError) as raised:

@@ -1,6 +1,7 @@
 """Trajectories simulated in worker processes, and single trajectories
 split over helper processes: identical output at any count, errors and
 dead processes reported, every child reaped."""
+import contextlib
 import json
 import os
 import signal
@@ -21,6 +22,21 @@ from spinqrc.qubits import ground_density
 from spinqrc.tasks import gen_stm
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+DISSIPATION_CONFIG = Path(__file__).resolve().parent / "dissipation_curve.json"
+# The jobs whose metrics.csv is frozen, read only and never rewritten by
+# tests: each job's arguments, its golden and the warning it must emit. The
+# sweep and the ESN comparison are perfbench's jobs at ensemble seed 10.
+# The dissipation curve runs every gamma from 0 to 1 over both topologies,
+# both readouts and stm/narma2/narma5, one seed; at gamma = 1 every feature
+# is constant, so each STM capacity is 0 and stm_capacity warns.
+FROZEN_JOBS = {
+    "sweep": (["sweep", "--seeds", "1", "--seed", "10"],
+              GOLDENS / "sweep_seed10.csv", None),
+    "esn": (["esn", "--seeds", "40", "--seed", "10"],
+            GOLDENS / "esn_seed10.csv", None),
+    "dissipation_curve": (["sweep", "--config", str(DISSIPATION_CONFIG)],
+                          DISSIPATION_CONFIG.with_suffix(".csv"),
+                          "constant sequence")}
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 # Two coupling draws of one cell, so two workers get one each.
 TWO_DRAWS = dict(SMALL, seeds=2, tasks=["narma2"],
@@ -69,24 +85,28 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("argv, golden", [
-    (["sweep", "--seeds", "1", "--seed", "10"], "sweep_seed10.csv"),
-    (["esn", "--seeds", "40", "--seed", "10"], "esn_seed10.csv")])
-def test_goldens_at_one_and_two_workers(tmp_path, monkeypatch, forks, argv,
-                                        golden, count):
-    use_workers(monkeypatch, count)
-    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
-    assert ((tmp_path / "a" / "metrics.csv").read_bytes()
-            == (GOLDENS / golden).read_bytes()), frozen_under()
-    assert len(forks) == count - 1
-    # The other worker count writes the same files, manifests included.
-    use_workers(monkeypatch, 3 - count)
-    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
-    assert all(reaped(pid) for pid in forks)
-    a, b = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-            for name in "ab")
-    assert a == b
+@pytest.mark.parametrize("job", FROZEN_JOBS)
+def test_frozen_job_at_one_and_two_workers(tmp_path, monkeypatch, forks, job):
+    argv, golden, warning = FROZEN_JOBS[job]
+    frozen = golden.read_bytes()
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        out = tmp_path / str(count)
+        with (pytest.warns(UserWarning, match=warning) if warning
+              else contextlib.nullcontext()):
+            assert main([*argv, "--out", str(out)]) == 0
+        assert (out / "metrics.csv").read_bytes() == frozen, frozen_under()
+        assert len(forks) == count - 1
+        assert all(reaped(pid) for pid in forks)
+        forks.clear()
+    # Both counts write the same files, manifests included.
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                for name in "12")
+    assert one == two
+    # The manifests alone give the frozen metrics.csv back.
+    (out / "metrics.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == frozen
 
 
 def test_builds_one_propagator_per_coupling_draw(monkeypatch):
