@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import sys
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from spinqrc import linalg, workers
+from spinqrc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +30,21 @@ MAX_TEST_WORKERS = 2
 # other OpenBLAS kernels round differently (README, Tests).
 GOLDEN_PROVENANCE = "OpenBLAS 0.3.31.188.0, core SkylakeX, numpy 2.4.6"
 
+GOLDENS = ROOT / "perfbench" / "goldens"
+DISSIPATION_CONFIG = ROOT / "tests" / "dissipation_curve.json"
+# The jobs whose metrics.csv is frozen: each job's arguments and its golden,
+# read only and never rewritten by tests. The sweep and the ESN comparison
+# are perfbench's jobs at ensemble seed 10. The dissipation curve runs every
+# gamma from 0 to 1 over both topologies, both readouts and
+# stm/narma2/narma5, one seed.
+FROZEN_JOBS = {
+    "sweep": (["sweep", "--seeds", "1", "--seed", "10"],
+              GOLDENS / "sweep_seed10.csv"),
+    "esn": (["esn", "--seeds", "40", "--seed", "10"],
+            GOLDENS / "esn_seed10.csv"),
+    "dissipation_curve": (["sweep", "--config", str(DISSIPATION_CONFIG)],
+                          DISSIPATION_CONFIG.with_suffix(".csv"))}
+
 
 def blas_core() -> str | None:
     """The kernel core of the BLAS the kernel calls, as ``linalg`` reads
@@ -36,6 +55,70 @@ def blas_core() -> str | None:
 def frozen_under() -> str:
     """An assertion message naming the goldens' BLAS and this one's."""
     return f"frozen under {GOLDEN_PROVENANCE}; running core {blas_core()}"
+
+
+def reaped(pid: int) -> bool:
+    """Whether the child process ``pid`` has been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@dataclass(frozen=True)
+class FrozenRun:
+    """What one frozen job did at one worker process and at two, each
+    field keyed by that count, and what ``report`` rebuilt after."""
+    files: dict[int, dict[str, bytes]]  # every file written, by name
+    forks: dict[int, list[int]]  # pids forked during the run
+    unreaped: dict[int, list[int]]  # of those, any not waited for after it
+    warned: dict[int, list[warnings.WarningMessage]]
+    report: bytes  # metrics.csv rebuilt from the two-worker manifests
+
+
+def run_at_one_and_two_workers(argv: list[str], tmp: Path) -> FrozenRun:
+    files, forks, unreaped, warned = {}, {}, {}, {}
+    fork = os.fork
+    for count in (1, 2):
+        pids = forks[count] = []
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        out = tmp / str(count)
+        with pytest.MonkeyPatch.context() as patch, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            patch.setattr(workers, "_available_cpus", lambda: count)
+            patch.setattr(os, "fork", recording_fork)
+            assert main([*argv, "--out", str(out)]) == 0
+        files[count] = {p.name: p.read_bytes() for p in out.iterdir()}
+        unreaped[count] = [pid for pid in pids if not reaped(pid)]
+        warned[count] = caught
+    (out / "metrics.csv").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    return FrozenRun(files, forks, unreaped, warned,
+                     (out / "metrics.csv").read_bytes())
+
+
+@pytest.fixture(scope="session")
+def frozen_run(tmp_path_factory):
+    """The ``FrozenRun`` of a ``FROZEN_JOBS`` argv. Each job runs once per
+    session, when a test first asks for it, so every test of a job reads
+    the same two runs."""
+    runs = {}
+
+    def run(argv):
+        key = tuple(argv)
+        if key not in runs:
+            runs[key] = run_at_one_and_two_workers(
+                argv, tmp_path_factory.mktemp("frozen"))
+        return runs[key]
+    return run
 
 
 @pytest.fixture(autouse=True, scope="session")

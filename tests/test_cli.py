@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import FROZEN_JOBS, frozen_under
 
 import spinqrc
 from spinqrc import experiment, reservoir, workers
@@ -233,6 +234,33 @@ def test_sweep_reads_top_level_stm_delays(tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["stm_tau01", "stm_tau02"]
+
+
+def test_default_sweep_matches_frozen_golden(frozen_run):
+    argv, golden = FROZEN_JOBS["sweep"]
+    run = frozen_run(argv)
+    assert run.warned == {1: [], 2: []}
+    # The manifests alone give the frozen metrics.csv back.
+    assert run.report == golden.read_bytes(), frozen_under()
+
+
+def test_default_esn_matches_frozen_golden(frozen_run):
+    argv, golden = FROZEN_JOBS["esn"]
+    run = frozen_run(argv)
+    assert run.warned == {1: [], 2: []}
+    assert run.report == golden.read_bytes(), frozen_under()
+
+
+def test_dissipation_curve_matches_frozen_golden(frozen_run):
+    argv, golden = FROZEN_JOBS["dissipation_curve"]
+    run = frozen_run(argv)
+    # At gamma = 1 every feature is constant, so each STM capacity is 0 and
+    # stm_capacity warns, at either worker count.
+    for caught in run.warned.values():
+        assert caught
+        assert all(issubclass(w.category, UserWarning)
+                   and "constant sequence" in str(w.message) for w in caught)
+    assert run.report == golden.read_bytes(), frozen_under()
 
 
 def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,
@@ -766,13 +794,14 @@ def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--task", "stm", "--seeds", "2"],
-    ["run", "--task", "narma2", "--seeds", "2"]],
+    ["run", "--task", "narma2", "--seeds", "2"],
+    ["sweep", "--seeds", "1"], ["esn", "--seeds", "3"]],
     ids=lambda argv: "-".join(argv[:3]))
 def test_report_rebuilds_every_written_manifest(tmp_path, config_file, argv):
-    # The sweep's and the ESN comparison's manifests are rebuilt by
-    # test_workers.py::test_frozen_job_at_one_and_two_workers.
+    # `run` on a small array; `sweep` and `esn` at their defaults.
+    config = ["--config", config_file] if argv[0] == "run" else []
     out = tmp_path / "out"
-    assert main([*argv, "--config", config_file, "--out", str(out)]) == 0
+    assert main([*argv, *config, "--out", str(out)]) == 0
     written = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
     assert main(["report", "--out", str(out)]) == 0

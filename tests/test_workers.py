@@ -1,7 +1,6 @@
 """Trajectories simulated in worker processes, and single trajectories
 split over helper processes: identical output at any count, errors and
 dead processes reported, every child reaped."""
-import contextlib
 import json
 import os
 import signal
@@ -11,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import frozen_under
+from conftest import FROZEN_JOBS, frozen_under, reaped
 
 from spinqrc import experiment, linalg, reservoir, tasks, workers
 from spinqrc.cli import EXIT_NUMERICAL, main
@@ -21,22 +20,6 @@ from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
 from spinqrc.qubits import ground_density
 from spinqrc.tasks import gen_stm
 
-GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
-DISSIPATION_CONFIG = Path(__file__).resolve().parent / "dissipation_curve.json"
-# The jobs whose metrics.csv is frozen, read only and never rewritten by
-# tests: each job's arguments, its golden and the warning it must emit. The
-# sweep and the ESN comparison are perfbench's jobs at ensemble seed 10.
-# The dissipation curve runs every gamma from 0 to 1 over both topologies,
-# both readouts and stm/narma2/narma5, one seed; at gamma = 1 every feature
-# is constant, so each STM capacity is 0 and stm_capacity warns.
-FROZEN_JOBS = {
-    "sweep": (["sweep", "--seeds", "1", "--seed", "10"],
-              GOLDENS / "sweep_seed10.csv", None),
-    "esn": (["esn", "--seeds", "40", "--seed", "10"],
-            GOLDENS / "esn_seed10.csv", None),
-    "dissipation_curve": (["sweep", "--config", str(DISSIPATION_CONFIG)],
-                          DISSIPATION_CONFIG.with_suffix(".csv"),
-                          "constant sequence")}
 SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 # Two coupling draws of one cell, so two workers get one each.
 TWO_DRAWS = dict(SMALL, seeds=2, tasks=["narma2"],
@@ -64,14 +47,6 @@ def forks(monkeypatch):
     return pids
 
 
-def reaped(pid):
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 @pytest.fixture(autouse=True)
 def deadline():
     """Fail a test that runs past two minutes instead of hanging."""
@@ -85,28 +60,18 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("job", FROZEN_JOBS)
-def test_frozen_job_at_one_and_two_workers(tmp_path, monkeypatch, forks, job):
-    argv, golden, warning = FROZEN_JOBS[job]
-    frozen = golden.read_bytes()
-    for count in (1, 2):
-        use_workers(monkeypatch, count)
-        out = tmp_path / str(count)
-        with (pytest.warns(UserWarning, match=warning) if warning
-              else contextlib.nullcontext()):
-            assert main([*argv, "--out", str(out)]) == 0
-        assert (out / "metrics.csv").read_bytes() == frozen, frozen_under()
-        assert len(forks) == count - 1
-        assert all(reaped(pid) for pid in forks)
-        forks.clear()
-    # Both counts write the same files, manifests included.
-    one, two = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-                for name in "12")
-    assert one == two
-    # The manifests alone give the frozen metrics.csv back.
-    (out / "metrics.csv").unlink()
-    assert main(["report", "--out", str(out)]) == 0
-    assert (out / "metrics.csv").read_bytes() == frozen
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("argv, golden", list(FROZEN_JOBS.values()),
+                         ids=lambda v: v.name if isinstance(v, Path) else None)
+def test_goldens_at_one_and_two_workers(frozen_run, argv, golden, count):
+    run = frozen_run(argv)
+    assert len(run.forks[count]) == count - 1
+    assert run.unreaped[count] == []
+    # The other worker count writes the same files, manifests included.
+    # That holds on any BLAS kernel, the golden bytes on one only.
+    assert run.files[count] == run.files[3 - count]
+    assert run.files[count]["metrics.csv"] == golden.read_bytes(), \
+        frozen_under()
 
 
 def test_builds_one_propagator_per_coupling_draw(monkeypatch):
