@@ -17,10 +17,12 @@ fact about it:
   blocks without changing a bit (``splits_exactly``, the one statement of
   that rule);
 * the package's one BLAS thread rule (``one_blas_thread``): the kernel and
-  both functions above run at one thread at every array size. OpenBLAS
-  rounds a multithreaded product differently, so one fixed count keeps
-  results independent of the host's core count; parallelism comes from
-  worker processes instead.
+  both functions above run at one thread at every array size. At two
+  threads OpenBLAS's ``eigh``, which builds the propagator, rounds
+  differently from dim 256 (n = 8) on, under every kernel tried; under
+  some kernels (``Haswell``) the kernel's products do too, from dim 64 on.
+  One fixed count keeps results independent of the host's core count;
+  parallelism comes from worker processes instead.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import sys
 import warnings
@@ -57,6 +58,59 @@ def frozen_under() -> str:
     return f"frozen under {GOLDEN_PROVENANCE}; running core {blas_core()}"
 
 
+def child_env() -> dict[str, str]:
+    """``os.environ`` with the checkout's ``src`` first on ``PYTHONPATH``,
+    for a child Python process that imports spinqrc."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+
+
+def record_forks(patch: pytest.MonkeyPatch) -> list[int]:
+    """Patch ``os.fork``, through ``patch``, to record the pid of each
+    child it forks; returns the list it records into."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes forked during the test."""
+    return record_forks(monkeypatch)
+
+
+def cli_in(root: Path):
+    """The command line driven in the directory ``root``:
+    ``run(argv, config=None, out="out")`` calls ``main`` on ``argv`` with
+    ``--out`` set to the directory ``out`` under ``root`` and, given
+    ``config``, ``--config`` set to ``root/config.json`` holding it (bytes
+    as they are, anything else as JSON). It returns the exit code and the
+    output directory."""
+    def run(argv, config=None, out="out"):
+        if config is not None:
+            path = root / "config.json"
+            path.write_bytes(config if isinstance(config, bytes)
+                             else json.dumps(config).encode())
+            argv = [*argv, "--config", str(path)]
+        out = root / out
+        return main([*argv, "--out", str(out)]), out
+    return run
+
+
+@pytest.fixture
+def run_cli(tmp_path):
+    """The command line driven in the test's ``tmp_path`` (``cli_in``)."""
+    return cli_in(tmp_path)
+
+
 def reaped(pid: int) -> bool:
     """Whether the child process ``pid`` has been waited for."""
     try:
@@ -79,28 +133,20 @@ class FrozenRun:
 
 def run_at_one_and_two_workers(argv: list[str], tmp: Path) -> FrozenRun:
     files, forks, unreaped, warned = {}, {}, {}, {}
-    fork = os.fork
+    run = cli_in(tmp)
     for count in (1, 2):
-        pids = forks[count] = []
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        out = tmp / str(count)
         with pytest.MonkeyPatch.context() as patch, \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             patch.setattr(workers, "_available_cpus", lambda: count)
-            patch.setattr(os, "fork", recording_fork)
-            assert main([*argv, "--out", str(out)]) == 0
+            forks[count] = record_forks(patch)
+            code, out = run(argv, out=str(count))
+            assert code == 0
         files[count] = {p.name: p.read_bytes() for p in out.iterdir()}
-        unreaped[count] = [pid for pid in pids if not reaped(pid)]
+        unreaped[count] = [pid for pid in forks[count] if not reaped(pid)]
         warned[count] = caught
     (out / "metrics.csv").unlink()
-    assert main(["report", "--out", str(out)]) == 0
+    assert run(["report"], out="2") == (0, out)
     return FrozenRun(files, forks, unreaped, warned,
                      (out / "metrics.csv").read_bytes())
 

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from spinqrc.cli import main as cli_main
 from spinqrc.experiment import ExperimentManifest, SweepGrid, run_experiment
 from spinqrc.linalg import kernel_blas, one_blas_thread, trace_distance
 from spinqrc.qubits import ground_density
@@ -273,17 +272,14 @@ def test_criterion_7_esn_baseline(per_seed):
         f"NARMA spread above 10x: {report}")
 
 
-def test_criterion_8_reproducible_report(tmp_path):
+def test_criterion_8_reproducible_report(run_cli):
     """The experiment command, re-run with identical config and seed,
     writes byte-identical metrics.csv."""
-    config = tmp_path / "config.json"
-    config.write_text('{"n_qubits": 4, "n_pre": 10, "n_fb": 30, '
-                      '"n_test": 10}')
+    config = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
     outputs = []
     for name in ("first", "second"):
-        out = tmp_path / name
-        code = cli_main(["run", "--config", str(config), "--task", "narma5",
-                         "--seed", "3", "--seeds", "3", "--out", str(out)])
+        code, out = run_cli(["run", "--task", "narma5", "--seed", "3",
+                             "--seeds", "3"], config, out=name)
         assert code == 0
         outputs.append((out / "metrics.csv").read_bytes())
     print(f"criterion 8: {len(outputs[0])} bytes, identical="

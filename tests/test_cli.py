@@ -3,14 +3,12 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
-from conftest import FROZEN_JOBS, frozen_under
+from conftest import FROZEN_JOBS, child_env, frozen_under
 
-import spinqrc
 from spinqrc import experiment, reservoir, workers
-from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for, main
+from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for
 from spinqrc.errors import (ConfigError, DivergenceError, StateInvariantError,
                             ValidationError)
 from spinqrc.linalg import BLAS_LIBRARIES, load_blas
@@ -21,17 +19,8 @@ PHASES = {"n_pre": 10, "n_fb": 30, "n_test": 10}
 SMALL = {"n_qubits": 4, **PHASES}
 
 
-@pytest.fixture
-def config_file(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(SMALL))
-    return str(path)
-
-
-def test_run_writes_report(tmp_path, config_file):
-    out = tmp_path / "out"
-    code = main(["run", "--config", config_file, "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)])
+def test_run_writes_report(run_cli):
+    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
     assert code == 0
     assert (out / "metrics.csv").exists()
     assert (out / "manifest_narma2_linear_g0.1_r1.json").exists()
@@ -55,11 +44,10 @@ def count_simulations(monkeypatch):
     return calls
 
 
-def test_run_simulates_each_member_once(tmp_path, config_file, monkeypatch):
+def test_run_simulates_each_member_once(run_cli, monkeypatch):
     calls = count_simulations(monkeypatch)
-    out = tmp_path / "out"
-    assert main(["run", "--config", config_file, "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)]) == 0
+    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
+    assert code == 0
     # The trajectory report reuses member 0's run; a manifest read back from
     # disk carries no trajectory, and the report refuses it.
     assert calls == [0, 1]
@@ -71,26 +59,12 @@ def test_run_simulates_each_member_once(tmp_path, config_file, monkeypatch):
     assert calls == [0, 1]
 
 
-def test_run_rejects_duplicate_stm_delay(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(SMALL, stm_delays=[1, 1, 2])))
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--task", "stm",
-                 "--seeds", "1", "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert not out.exists()
-
-
-def test_a_long_list_of_unhashable_entries_exits_2_at_once(tmp_path, capsys):
+def test_a_long_list_of_unhashable_entries_exits_2_at_once(run_cli, capsys):
     # 20,000 one-element lists (a 169 KB file): the entry check rejects the
     # first, with no duplicate test comparing them pairwise before it.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(
-        dict(SMALL, stm_delays=[[d] for d in range(20_000)])))
-    out = tmp_path / "out"
+    cfg = dict(SMALL, stm_delays=[[d] for d in range(20_000)])
     started = time.monotonic()
-    code = main(["run", "--config", str(path), "--task", "stm",
-                 "--seeds", "1", "--out", str(out)])
+    code, out = run_cli(["run", "--task", "stm", "--seeds", "1"], cfg)
     assert time.monotonic() - started < 1.0
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
@@ -110,15 +84,12 @@ def test_simulation_never_imports_scipy():
         "run_sequence(cfg, np.full(cfg.total_steps, 0.3))\n"
         "step(np.eye(4) / 4, 0.3, np.eye(4), 0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(spinqrc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_never_imports_numpy_random(tmp_path, config_file):
+def test_cli_never_imports_numpy_random(tmp_path):
     # One worker process, so that every draw is made in the process that
     # reports its modules.
     script = (
@@ -132,28 +103,24 @@ def test_cli_never_imports_numpy_random(tmp_path, config_file):
         "                     '--seeds', '2', '--out', out]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[:2] == ['numpy', 'random']))\n")
-    src = str(Path(spinqrc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL))
     done = subprocess.run(
-        [sys.executable, "-c", script, config_file, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True)
+        [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
     for variant in (1, 3, 5):
         assert (tmp_path / "out" / f"manifest_stm_esn{variant}.json").exists()
 
 
-def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
-                                          monkeypatch):
+def test_nonhermitian_start_state_exits_3(run_cli, capsys, monkeypatch):
     def skewed_ground_density(n_qubits):
         rho = ground_density(n_qubits).astype(complex)
         rho[0, 1] = 1e-6  # trace 1, not Hermitian
         return rho
 
     monkeypatch.setattr(reservoir, "ground_density", skewed_ground_density)
-    out = tmp_path / "out"
-    code = main(["run", "--config", config_file, "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)])
+    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         "error: state is not Hermitian within tolerance before step 0 "
@@ -161,11 +128,10 @@ def test_nonhermitian_start_state_exits_3(tmp_path, config_file, capsys,
     assert not (out / "metrics.csv").exists()
 
 
-def test_run_flag_overrides(tmp_path, config_file):
-    out = tmp_path / "out"
-    code = main(["run", "--config", config_file, "--task", "narma2",
-                 "--topology", "ring", "--gamma", "0.01", "--readout", "2",
-                 "--seeds", "1", "--out", str(out)])
+def test_run_flag_overrides(run_cli):
+    code, out = run_cli(["run", "--task", "narma2", "--topology", "ring",
+                         "--gamma", "0.01", "--readout", "2", "--seeds", "1"],
+                        SMALL)
     assert code == 0
     manifest = json.loads(
         (out / "manifest_narma2_ring_g0.01_r2.json").read_text())
@@ -174,24 +140,20 @@ def test_run_flag_overrides(tmp_path, config_file):
     assert manifest["readout"] == 2
 
 
-def test_run_stm_task(tmp_path, config_file):
-    out = tmp_path / "out"
-    code = main(["run", "--config", config_file, "--task", "stm",
-                 "--seeds", "1", "--out", str(out)])
+def test_run_stm_task(run_cli):
+    code, out = run_cli(["run", "--task", "stm", "--seeds", "1"], SMALL)
     assert code == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 12  # header + delays 0..10
     assert lines[1].startswith("stm_tau00,")
 
 
-def test_sweep_emits_grid(tmp_path):
+def test_sweep_emits_grid(run_cli):
     cfg = dict(SMALL, seeds=1, tasks=["narma2"])
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1, 0.01],
                     "readouts": [1]}
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    code, out = run_cli(["sweep"], cfg)
+    assert code == 0
     manifests = sorted(p.name for p in out.glob("manifest_*.json"))
     assert manifests == ["manifest_narma2_linear_g0.01_r1.json",
                          "manifest_narma2_linear_g0.1_r1.json"]
@@ -199,39 +161,23 @@ def test_sweep_emits_grid(tmp_path):
     assert len(rows) == 3
 
 
-def test_sweep_trajectories_reuse_simulations(tmp_path, monkeypatch):
+def test_sweep_trajectories_reuse_simulations(run_cli, monkeypatch):
     calls = count_simulations(monkeypatch)
     cfg = dict(SMALL, trajectory=True, seeds=1, tasks=["narma2"])
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1],
                     "readouts": [1, 2]}
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    code, out = run_cli(["sweep"], cfg)
+    assert code == 0
     assert len(list(out.glob("trajectory_*.csv"))) == 2
     assert len(calls) == 1  # both readout cells share one simulation
 
 
-def test_sweep_rejects_duplicate_gamma(tmp_path):
-    cfg = dict(SMALL, seeds=1, tasks=["narma2"])
-    cfg["sweep"] = {"gammas": [0.1, 0.1]}
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code = main(["sweep", "--config", str(path), "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert not out.exists()
-
-
-def test_sweep_reads_top_level_stm_delays(tmp_path):
+def test_sweep_reads_top_level_stm_delays(run_cli):
     cfg = dict(SMALL, seeds=1, stm_delays=[1, 2],
                sweep={"topologies": ["linear"], "gammas": [0.1],
                       "readouts": [1]})
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--task", "stm",
-                 "--out", str(out)]) == 0
+    code, out = run_cli(["sweep", "--task", "stm"], cfg)
+    assert code == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["stm_tau01", "stm_tau02"]
 
@@ -263,7 +209,7 @@ def test_dissipation_curve_matches_frozen_golden(frozen_run):
     assert run.report == golden.read_bytes(), frozen_under()
 
 
-def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,
+def test_invariant_error_in_an_esn_member_names_it(run_cli, capsys,
                                                    monkeypatch):
     monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
     run_esn = experiment.run_esn
@@ -274,18 +220,15 @@ def test_invariant_error_in_an_esn_member_names_it(tmp_path, capsys,
         return run_esn(config, inputs)
 
     monkeypatch.setattr(experiment, "run_esn", failing)
-    path = tmp_path / "esn.json"
-    path.write_text(json.dumps(dict(PHASES, esn=dict(n_nodes=4))))
-    out = tmp_path / "out"
-    assert main(["esn", "--config", str(path), "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)]) == EXIT_NUMERICAL
+    code, out = run_cli(["esn", "--task", "narma2", "--seeds", "2"],
+                        dict(PHASES, esn=dict(n_nodes=4)))
+    assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         "error: state left its bounds (member: variant 3, weight_seed 1)\n")
     assert not out.exists()
 
 
-def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
-                                               monkeypatch):
+def test_numerical_failure_in_a_worker_exits_3(run_cli, capsys, monkeypatch):
     # A NaN in the ring draw's U; the ring group runs in a forked worker.
     draw_unitary = reservoir._draw_unitary
 
@@ -301,24 +244,19 @@ def test_numerical_failure_in_a_worker_exits_3(tmp_path, capsys,
     cfg = dict(SMALL, seeds=1, tasks=["narma2"],
                sweep={"topologies": ["linear", "ring"], "gammas": [0.1],
                       "readouts": [1]})
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    code, out = run_cli(["sweep"], cfg)
+    assert code == 3
     assert capsys.readouterr().err == (
         "error: trace deviates from 1 by nan at step 0 "
         "(member: topology ring, n_qubits 4, gamma 0.1, coupling_seed 0)\n")
     assert not (out / "metrics.csv").exists()
 
 
-def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
+def test_a_run_too_large_for_memory_exits_2(run_cli, capsys):
     # The NARMA drive's first array needs 800 PB, more than any address
     # space holds, so its allocation fails at once.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"n_pre": 10**17}))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--task", "narma2",
-                 "--out", str(out)]) == EXIT_CONFIG
+    code, out = run_cli(["run", "--task", "narma2"], {"n_pre": 10**17})
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ")
     assert err.count("\n") == 1 and err.endswith("\n")
@@ -349,14 +287,11 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys):
      "n_qubits must be an integer in [2, 10], got 1000"),
 ], ids=["stm_drive", "esn_weights", "seeds", "stm_drive_past_numpy",
         "narma_drive_past_numpy", "esn_weights_past_numpy", "huge_n_qubits"])
-def test_a_size_no_run_can_hold_exits_2_at_once(tmp_path, capsys, argv, cfg,
+def test_a_size_no_run_can_hold_exits_2_at_once(run_cli, capsys, argv, cfg,
                                                 error):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
     started = time.monotonic()
-    assert main([*argv, "--config", str(path), "--out", str(out)]) == \
-        EXIT_CONFIG
+    code, out = run_cli(argv, cfg)
+    assert code == EXIT_CONFIG
     assert time.monotonic() - started < 30
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}")
@@ -377,12 +312,8 @@ def test_a_size_no_run_can_hold_exits_2_at_once(tmp_path, capsys, argv, cfg,
     ("sweep", dict(SMALL, sweep={"tasks": ["stm"]}), "tasks"),
     *(("esn", {"esn": {key: 10}}, key) for key in PHASES),
 ])
-def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, unknown):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code = main([command, "--config", str(path), "--task", "narma2",
-                 "--seeds", "1", "--out", str(out)])
+def test_unknown_config_key_exits_2(run_cli, capsys, command, cfg, unknown):
+    code, out = run_cli([command, "--task", "narma2", "--seeds", "1"], cfg)
     assert code == EXIT_CONFIG
     assert f"error: unknown key(s) {unknown!r} in " in capsys.readouterr().err
     assert not out.exists()
@@ -495,9 +426,14 @@ BAD_STORED_METRICS = {
      "gamma must be a number in [0, 1], got [0.1]"),
     ("sweep", dict(SMALL, sweep={"readouts": [1, True]}),
      "readout must be an integer in [1, 2], got True"),
+    ("sweep", dict(SMALL, seeds=1, tasks=["narma2"],
+                   sweep={"gammas": [0.1, 0.1]}),
+     "sweep axis gammas has a duplicate value: [0.1, 0.1]"),
     ("sweep", dict(SMALL, trajectory="false"),
      "trajectory must be true or false, got 'false'"),
     ("esn", dict(SMALL, tasks=[]), "tasks is empty"),
+    ("esn", dict(PHASES, tasks=["narma2", "narma2"], esn=dict(n_nodes=4)),
+     "tasks has a duplicate value: ['narma2', 'narma2']"),
     ("esn", dict(PHASES, seed=-3, esn=dict(n_nodes=4)),
      "base_seed must be an integer >= 0, got -3"),
     *(("report", dict(MANIFEST, metrics=bad), fragment)
@@ -523,21 +459,19 @@ BAD_STORED_METRICS = {
         "short_n_test_for_stm", *BAD_MANIFEST_VALUES,
         "sweep_string_ridge", "sweep_fractional_n_seeds",
         "sweep_scalar_gammas", "sweep_string_topologies",
-        "sweep_nested_gamma", "sweep_bool_readout", "sweep_string_trajectory",
-        "esn_empty_tasks", "esn_negative_seed", *BAD_STORED_METRICS,
+        "sweep_nested_gamma", "sweep_bool_readout", "sweep_repeated_gamma",
+        "sweep_string_trajectory", "esn_empty_tasks", "esn_repeated_task",
+        "esn_negative_seed", *BAD_STORED_METRICS,
         "report_manifest_list",
         "report_unknown_config_key", "report_config_list",
         "report_unknown_manifest_key", "report_missing_tasks",
         "report_esn_readout", "report_reservoir_variants"])
-def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, fragment):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
+def test_bad_config_value_exits_2(run_cli, capsys, command, cfg, fragment):
     flags = []
     if command != "report":  # which reads only --config and --out
         flags += [] if "tasks" in cfg else ["--task", "narma2"]
         flags += [] if "seeds" in cfg else ["--seeds", "2"]
-    code = main([command, "--config", str(path), *flags, "--out", str(out)])
+    code, out = run_cli([command, *flags], cfg)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
@@ -561,15 +495,13 @@ STORED_STAMPS = {
 
 @pytest.mark.parametrize("stored", STORED_STAMPS.values(),
                          ids=list(STORED_STAMPS))
-def test_report_drops_stored_stamps(tmp_path, stored):
-    unstamped = dict(MANIFEST, metrics={ROW_ID: ROW})
-    for name, manifest in (("stamped", stored), ("unstamped", unstamped)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(manifest))
-        assert main(["report", "--config", str(path),
-                     "--out", str(tmp_path / name)]) == 0
-    assert ((tmp_path / "stamped" / "metrics.csv").read_bytes()
-            == (tmp_path / "unstamped" / "metrics.csv").read_bytes())
+def test_report_drops_stored_stamps(run_cli, stored):
+    written = []
+    for manifest in (stored, dict(MANIFEST, metrics={ROW_ID: ROW})):
+        code, out = run_cli(["report"], manifest, out=str(len(written)))
+        assert code == 0
+        written.append((out / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("argv, cfg", [
@@ -578,13 +510,11 @@ def test_report_drops_stored_stamps(tmp_path, stored):
     (["sweep", "--seeds", "1"], dict(SMALL, trajectory=True)),
     (["esn", "--seeds", "2"], dict(PHASES, esn={"n_nodes": 4}))],
     ids=["run", "run_narma2", "sweep", "esn"])
-def test_two_runs_write_identical_files(tmp_path, argv, cfg):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+def test_two_runs_write_identical_files(run_cli, argv, cfg):
     written = []
     for name in ("a", "b"):
-        out = tmp_path / name
-        assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+        code, out = run_cli(argv, cfg, out=name)
+        assert code == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert written[0] == written[1]
 
@@ -595,14 +525,11 @@ def test_two_runs_write_identical_files(tmp_path, argv, cfg):
     ("sweep", dict(SMALL, sweep=[1]), "the sweep block of {}", "[1]"),
     ("esn", dict(PHASES, esn="big"), "the esn block of {}", "'big'"),
 ], ids=["file", "sweep_block", "esn_block"])
-def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, command,
-                                                cfg, where, got):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code = main([command, "--config", str(path), "--task", "narma2",
-                 "--seeds", "1", "--out", str(out)])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, run_cli, capsys,
+                                                command, cfg, where, got):
+    code, out = run_cli([command, "--task", "narma2", "--seeds", "1"], cfg)
     assert code == EXIT_CONFIG
+    path = tmp_path / "config.json"
     assert capsys.readouterr().err == (
         f"error: {where.format(path)} must be a JSON object, got {got}\n")
     assert not out.exists()
@@ -620,49 +547,34 @@ SMALL_TEXT = json.dumps(SMALL)[1:-1]
     ("report", json.dumps(MANIFEST).replace(
         '"n_qubits": 4', '"n_qubits": 4, "n_qubits": 5'), "n_qubits"),
 ], ids=["top_level", "sweep_block_twice", "in_sweep_block", "report"])
-def test_repeated_key_exits_2(tmp_path, capsys, command, text, key):
-    path = tmp_path / "config.json"
-    path.write_text(text)
-    out = tmp_path / "out"
+def test_repeated_key_exits_2(run_cli, capsys, command, text, key):
     flags = [] if command == "report" else ["--task", "narma2", "--seeds", "1"]
-    code = main([command, "--config", str(path), *flags, "--out", str(out)])
+    code, out = run_cli([command, *flags], text.encode())
     assert code == EXIT_CONFIG
     assert f"repeated key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_esn_rejects_repeated_task(tmp_path):
-    path = tmp_path / "esn.json"
-    path.write_text(json.dumps(dict(PHASES, tasks=["narma2", "narma2"],
-                                    esn=dict(n_nodes=4))))
-    out = tmp_path / "out"
-    code = main(["esn", "--config", str(path), "--seeds", "1",
-                 "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert not out.exists()
-
-
+# Each an option the subcommand never reads, or a value its parser refuses
+# (an unknown task).
 @pytest.mark.parametrize("argv", [
     ["esn", "--gamma", "0.5"], ["esn", "--topology", "ring"],
     ["esn", "--readout", "2"], ["report", "--seed", "1"],
     ["report", "--seeds", "3"], ["report", "--task", "stm"],
     ["report", "--topology", "ring"], ["report", "--gamma", "0.1"],
-    ["report", "--readout", "1"]], ids=lambda argv: argv[0] + argv[1])
-def test_option_the_subcommand_never_reads_is_rejected(tmp_path, argv):
-    out = tmp_path / "out"
+    ["report", "--readout", "1"], ["run", "--task", "narma3"]],
+    ids=lambda argv: argv[0] + argv[1])
+def test_option_the_subcommand_never_reads_is_rejected(tmp_path, run_cli,
+                                                       argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(out)])
+        run_cli(argv)
     assert exc.value.code == EXIT_CONFIG
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
-def test_esn_subcommand(tmp_path):
+def test_esn_subcommand(run_cli):
     cfg = dict(PHASES, esn=dict(n_nodes=4, variants=[1, 3]))
-    path = tmp_path / "esn.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    code = main(["esn", "--config", str(path), "--task", "narma2",
-                 "--seeds", "2", "--out", str(out)])
+    code, out = run_cli(["esn", "--task", "narma2", "--seeds", "2"], cfg)
     assert code == 0
     written = (out / "metrics.csv").read_bytes()
     rows = written.decode().splitlines()
@@ -679,96 +591,84 @@ def test_esn_subcommand(tmp_path):
         assert len({(row.config, row.readout)
                     for row in manifest.metrics.values()}) == 1
     (out / "metrics.csv").unlink()
-    assert main(["report", "--out", str(out)]) == 0
+    assert run_cli(["report"]) == (0, out)
     assert (out / "metrics.csv").read_bytes() == written
 
 
-def test_esn_reads_top_level_phase_lengths(tmp_path):
-    path = tmp_path / "esn.json"
-    path.write_text(json.dumps({"n_pre": 3, "n_fb": 20, "n_test": 7,
-                                "esn": {"variants": [1]}}))
-    out = tmp_path / "out"
-    assert main(["esn", "--config", str(path), "--task", "narma2",
-                 "--seeds", "1", "--out", str(out)]) == 0
+def test_esn_reads_top_level_phase_lengths(run_cli):
+    code, out = run_cli(["esn", "--task", "narma2", "--seeds", "1"],
+                        {"n_pre": 3, "n_fb": 20, "n_test": 7,
+                         "esn": {"variants": [1]}})
+    assert code == 0
     config = json.loads((out / "manifest_narma2_esn1.json").read_text())[
         "config"]
     assert config == {"n_pre": 3, "n_fb": 20, "n_test": 7, "variant": 1}
 
 
-def test_run_reads_top_level_tasks(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(SMALL, tasks=["stm", "narma2"],
-                                    stm_delays=[0, 1])))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--seeds", "1",
-                 "--out", str(out)]) == 0
+def test_run_reads_top_level_tasks(run_cli):
+    code, out = run_cli(["run", "--seeds", "1"],
+                        dict(SMALL, tasks=["stm", "narma2"], stm_delays=[0, 1]))
+    assert code == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [
         "narma2", "stm_tau00", "stm_tau01"]
     assert (out / "manifest_multi_linear_g0.1_r1.json").exists()
 
 
-def test_a_seed_of_any_size_runs(tmp_path, config_file):
+def test_a_seed_of_any_size_runs(run_cli):
     seed = 10**400
-    out = tmp_path / "out"
-    assert main(["run", "--config", config_file, "--task", "narma2",
-                 "--seeds", "2", "--seed", str(seed), "--out", str(out)]) == 0
+    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2",
+                         "--seed", str(seed)], SMALL)
+    assert code == 0
     manifest = json.loads((out / "manifest_narma2_linear_g0.1_r1.json")
                           .read_text())
     assert manifest["base_seed"] == seed
-    assert main(["report", "--out", str(out)]) == 0
+    assert run_cli(["report"]) == (0, out)
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_environment(tmp_path):
-    # Every array evolves at one BLAS thread whatever the environment asks
-    # for; OpenBLAS rounds a two-thread product differently.
+    # U is built, and every array evolves, at one BLAS thread whatever the
+    # environment asks for. At two threads OpenBLAS's `eigh`, which builds
+    # U, rounds differently at this dim 256 on every kernel tried, and
+    # under Haswell the kernel's products do too, from dim 64 on.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_qubits": 8, "n_pre": 30, "n_fb": 30,
                                 "n_test": 10}))
-    src = str(Path(spinqrc.__file__).resolve().parents[1])
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, os.environ.get("PYTHONPATH")))))
         subprocess.run([sys.executable, "-m", "spinqrc.cli", "run", "--config",
                         str(path), "--task", "narma2", "--seeds", "2",
-                        "--out", str(out)], env=env, check=True,
-                       capture_output=True)
+                        "--out", str(out)],
+                       env=dict(child_env(), OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
         written.append((out / "metrics.csv").read_bytes())
     assert written[0] == written[1]
 
 
-def test_run_defaults_to_narma2(tmp_path, config_file):
-    out = tmp_path / "out"
-    assert main(["run", "--config", config_file, "--seeds", "1",
-                 "--out", str(out)]) == 0
+def test_run_defaults_to_narma2(run_cli):
+    code, out = run_cli(["run", "--seeds", "1"], SMALL)
+    assert code == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["narma2"]
 
 
-def test_too_many_qubits_exit_2_before_simulating(tmp_path, capsys,
+def test_too_many_qubits_exit_2_before_simulating(run_cli, capsys,
                                                   monkeypatch):
     calls = count_simulations(monkeypatch)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(PHASES, n_qubits=11)))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--seeds", "1",
-                 "--out", str(out)]) == EXIT_CONFIG
+    code, out = run_cli(["run", "--seeds", "1"], dict(PHASES, n_qubits=11))
+    assert code == EXIT_CONFIG
     assert "n_qubits must be an integer in [2, 10], got 11" in \
         capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
 
-def test_report_reemits_metrics(tmp_path, config_file):
-    out = tmp_path / "out"
-    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "2",
-          "--out", str(out)])
+def test_report_reemits_metrics(run_cli):
+    _, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
     original = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
-    assert main(["report", "--out", str(out)]) == 0
+    assert run_cli(["report"]) == (0, out)
     assert (out / "metrics.csv").read_bytes() == original
 
 
@@ -776,18 +676,16 @@ def test_report_reemits_metrics(tmp_path, config_file):
     ({"n_qubits": "x", "gama": 3}, "'gama'"),
     ({"n_qubits": "x"}, "n_qubits must be an integer in [2, 10], got 'x'")],
     ids=["misspelled_key", "string_n_qubits"])
-def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
-                                                     fragment):
+def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, run_cli, capsys,
+                                                     config, fragment):
     # Its one row is well formed, but no config produces it.
-    path = tmp_path / "manifest_x.json"
-    path.write_text(json.dumps(dict(
+    code, out = run_cli(["report"], dict(
         MANIFEST, config=config,
-        metrics={"narma2|nowhere|per_qubit|7.5": ROW})))
-    out = tmp_path / "out"
-    assert main(["report", "--config", str(path), "--out", str(out)]) \
-        == EXIT_CONFIG
+        metrics={"narma2|nowhere|per_qubit|7.5": ROW}))
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load manifest {path}: ")
+    assert err.startswith(
+        f"error: cannot load manifest {tmp_path / 'config.json'}: ")
     assert fragment in err
     assert not out.exists()
 
@@ -797,45 +695,37 @@ def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, capsys, config,
     ["run", "--task", "narma2", "--seeds", "2"],
     ["sweep", "--seeds", "1"], ["esn", "--seeds", "3"]],
     ids=lambda argv: "-".join(argv[:3]))
-def test_report_rebuilds_every_written_manifest(tmp_path, config_file, argv):
+def test_report_rebuilds_every_written_manifest(run_cli, argv):
     # `run` on a small array; `sweep` and `esn` at their defaults.
-    config = ["--config", config_file] if argv[0] == "run" else []
-    out = tmp_path / "out"
-    assert main([*argv, *config, "--out", str(out)]) == 0
+    code, out = run_cli(argv, SMALL if argv[0] == "run" else None)
+    assert code == 0
     written = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").unlink()
-    assert main(["report", "--out", str(out)]) == 0
+    assert run_cli(["report"]) == (0, out)
     assert (out / "metrics.csv").read_bytes() == written
 
 
-def test_report_refuses_colliding_rows(tmp_path, capsys, config_file):
-    out = tmp_path / "out"
-    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
-          "--out", str(out)])
+def test_report_refuses_colliding_rows(run_cli, capsys):
+    _, out = run_cli(["run", "--task", "narma2", "--seeds", "1"], SMALL)
     original = (out / "metrics.csv").read_bytes()
     manifest = out / "manifest_narma2_linear_g0.1_r1.json"
     (out / "manifest_copy.json").write_bytes(manifest.read_bytes())
     capsys.readouterr()
-    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert run_cli(["report"]) == (EXIT_CONFIG, out)
     assert "narma2,linear,per_qubit,0.1" in capsys.readouterr().err
     assert (out / "metrics.csv").read_bytes() == original
 
 
-def test_report_into_uncreatable_directory_exits_2(tmp_path, config_file):
-    out = tmp_path / "out"
-    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
-          "--out", str(out)])
+def test_report_into_uncreatable_directory_exits_2(tmp_path, run_cli):
+    _, out = run_cli(["run", "--task", "narma2", "--seeds", "1"], SMALL)
     (tmp_path / "blocker").write_text("")
     manifest = out / "manifest_narma2_linear_g0.1_r1.json"
-    assert main(["report", "--config", str(manifest),
-                 "--out", str(tmp_path / "blocker" / "sub")]) == EXIT_CONFIG
+    code, _ = run_cli(["report", "--config", str(manifest)], out="blocker/sub")
+    assert code == EXIT_CONFIG
 
 
-def test_failed_write_keeps_the_old_file(tmp_path, capsys, config_file,
-                                         monkeypatch):
-    out = tmp_path / "out"
-    main(["run", "--config", config_file, "--task", "narma2", "--seeds", "1",
-          "--out", str(out)])
+def test_failed_write_keeps_the_old_file(run_cli, capsys, monkeypatch):
+    _, out = run_cli(["run", "--task", "narma2", "--seeds", "1"], SMALL)
     (out / "metrics.csv").write_text("old\n")
     before = sorted(out.iterdir())
 
@@ -843,7 +733,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, capsys, config_file,
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert run_cli(["report"]) == (EXIT_CONFIG, out)
     assert f"cannot write {out / 'metrics.csv'}" in capsys.readouterr().err
     assert (out / "metrics.csv").read_text() == "old\n"
     assert sorted(out.iterdir()) == before
@@ -851,66 +741,52 @@ def test_failed_write_keeps_the_old_file(tmp_path, capsys, config_file,
     # An OSError from the file system exits 2 the same way.
     (out / "metrics.csv").unlink()
     (out / "metrics.csv").mkdir()
-    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert run_cli(["report"]) == (EXIT_CONFIG, out)
     assert "metrics.csv" in capsys.readouterr().err
     assert sorted(out.iterdir()) == before
 
 
-def test_report_without_manifests_fails(tmp_path):
-    assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
+def test_report_without_manifests_fails(run_cli):
+    assert run_cli(["report"], out=".")[0] == EXIT_CONFIG
 
 
-def test_bad_gamma_exits_2(tmp_path):
-    code = main(["run", "--gamma", "1.5", "--seeds", "1",
-                 "--out", str(tmp_path)])
+def test_bad_gamma_exits_2(run_cli):
+    code, _ = run_cli(["run", "--gamma", "1.5", "--seeds", "1"])
     assert code == EXIT_CONFIG
 
 
-def test_missing_config_exits_2(tmp_path):
-    code = main(["run", "--config", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path)])
+def test_missing_config_exits_2(tmp_path, run_cli):
+    code, _ = run_cli(["run", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG
 
 
-def test_malformed_config_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["run", "--config", str(path),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-
-
-# Files that Python's JSON parsing refuses with another error than a
-# JSONDecodeError: nesting past the recursion limit, an integer past the
-# digit limit, and bytes that are not UTF-8.
-UNPARSABLE = {"nested": b'{"seed": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+# Files that Python's JSON parsing refuses: text that is not JSON, nesting
+# past the recursion limit, an integer past the digit limit, and bytes
+# that are not UTF-8.
+UNPARSABLE = {"not_json": b"{not json",
+              "nested": b'{"seed": ' + b"[" * 2000 + b"]" * 2000 + b"}",
               "long_integer": b'{"seed": 1' + b"0" * 4999 + b"}",
               "not_utf8": b"\xff\xfe{}"}
 
 
 @pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE)
 @pytest.mark.parametrize("command", ["run", "sweep", "esn", "report"])
-def test_a_file_python_cannot_parse_exits_2(tmp_path, capsys, command,
-                                            content):
+def test_a_file_python_cannot_parse_exits_2(tmp_path, run_cli, capsys,
+                                            command, content):
     out = tmp_path / "out"
     out.mkdir()
     if command == "report":  # reads every manifest_*.json under --out
         path = out / "manifest_x.json"
-        argv = [command, "--out", str(out)]
+        path.write_bytes(content)
+        code, _ = run_cli([command])
     else:
         path = tmp_path / "config.json"
-        argv = [command, "--config", str(path), "--out", str(out)]
-    path.write_bytes(content)
-    before = sorted(tmp_path.rglob("*"))
-    assert main(argv) == EXIT_CONFIG
+        code, _ = run_cli([command], content)
+    assert code == EXIT_CONFIG
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: cannot read ")
     assert line.count(str(path)) == 1
-    assert sorted(tmp_path.rglob("*")) == before
-
-
-def test_unknown_task_rejected_by_parser(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["run", "--task", "narma3", "--out", str(tmp_path)])
+    assert sorted(tmp_path.rglob("*")) == sorted({out, path})
 
 
 def test_exit_code_mapping():

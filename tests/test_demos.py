@@ -4,15 +4,12 @@ A demo is copied into a temporary directory before it runs, so that the
 files ``experiment_artifacts.py`` writes next to itself land there and
 not in the checkout.
 """
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, child_env
 
 # The header line of each demo's table, compared word by word.
 HEADERS = {
@@ -32,10 +29,9 @@ def test_every_demo_has_a_header():
 @pytest.mark.parametrize("name", sorted(HEADERS))
 def test_demo_runs(tmp_path, name):
     script = shutil.copy(ROOT / "demos" / f"{name}.py", tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, script], cwd=tmp_path,
+                            env=child_env(), capture_output=True, text=True,
+                            timeout=300)
     assert result.returncode == 0, result.stderr
     lines = [line.split() for line in result.stdout.splitlines()]
     assert HEADERS[name].split() in lines

@@ -9,7 +9,6 @@ import pytest
 from conftest import blas_core
 
 from spinqrc import experiment, workers
-from spinqrc.cli import main
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
@@ -386,20 +385,16 @@ class TestDiagnostics:
                             "condition": weights.condition,
                             "residual_rms": weights.residual_rms})
 
-    def test_a_sweep_names_the_blas_it_ran_on(self, tmp_path,
-                                              caller_threads):
+    def test_a_sweep_names_the_blas_it_ran_on(self, run_cli, caller_threads):
         # Each manifest records the kernel's core and config as linalg
         # reads them, and the one thread it ran at whatever the caller's
         # count.
         caller_threads[1](2)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(
+        code, out = run_cli(["sweep", "--seeds", "1"], dict(
             SMALL_RESERVOIR, tasks=["narma2"],
             sweep={"topologies": ["linear", "ring"], "gammas": [0.1],
-                   "readouts": [1]})))
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(config), "--seeds", "1",
-                     "--out", str(out)]) == 0
+                   "readouts": [1]}))
+        assert code == 0
         manifests = sorted(out.glob("manifest_*.json"))
         assert len(manifests) == 2
         for path in manifests:
@@ -409,7 +404,7 @@ class TestDiagnostics:
         assert caller_threads[0]() == 2
 
     def test_report_rebuilds_metrics_with_or_without_the_block(
-            self, tmp_path):
+            self, tmp_path, run_cli):
         cells = run_experiment([
             narma_manifest(tasks=("stm", "narma2"), stm_delays=(0, 1)),
             esn_manifest(3)])
@@ -426,7 +421,7 @@ class TestDiagnostics:
             del data["diagnostics"]
             (bare / name).write_text(json.dumps(data))
         for out in (run, bare):
-            assert main(["report", "--out", str(out)]) == 0
+            assert run_cli(["report"], out=out.name) == (0, out)
             assert (out / "metrics.csv").read_bytes() == written
 
 

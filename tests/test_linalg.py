@@ -160,8 +160,8 @@ def random_fortran(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def one_thread_everywhere():
     """Every library of the binding table at one thread, as the kernel runs;
-    OpenBLAS splits a product differently, and rounds it differently, at two
-    threads."""
+    at two threads some OpenBLAS kernels (``Haswell``, from dim 64 on)
+    round a product differently."""
     controls = [blas.threads for blas in map(load_blas, BLAS_LIBRARIES)
                 if blas is not None and blas.threads is not None]
     saved = [get() for get, _ in controls]

@@ -434,10 +434,10 @@ class TestBlasThreadPolicy:
 
     def test_large_arrays_bitwise_equal_at_any_caller_count(
             self, caller_threads, monkeypatch):
-        # OpenBLAS rounds a two-thread product of dim 512 differently from a
-        # one-thread one; the build and the kernel run at one thread, so
-        # neither U nor the rows depend on the caller's count, and one U
-        # serves every count.
+        # At two threads OpenBLAS's `eigh` rounds the build of a dim-512 U
+        # differently from one thread; the build and the kernel run at one
+        # thread, so neither U nor the rows depend on the caller's count,
+        # and one U serves every count.
         get, set_ = caller_threads
         builds = []
         build = reservoir.evolution_operator

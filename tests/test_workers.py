@@ -1,7 +1,6 @@
 """Trajectories simulated in worker processes, and single trajectories
 split over helper processes: identical output at any count, errors and
 dead processes reported, every child reaped."""
-import json
 import os
 import signal
 import subprocess
@@ -10,10 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import FROZEN_JOBS, frozen_under, reaped
+from conftest import FROZEN_JOBS, child_env, frozen_under, reaped
 
 from spinqrc import experiment, linalg, reservoir, tasks, workers
-from spinqrc.cli import EXIT_NUMERICAL, main
+from spinqrc.cli import EXIT_NUMERICAL
 from spinqrc.errors import StateInvariantError
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
                                 run_experiment)
@@ -29,22 +28,6 @@ TWO_DRAWS = dict(SMALL, seeds=2, tasks=["narma2"],
 
 def use_workers(monkeypatch, count):
     monkeypatch.setattr(workers, "_available_cpus", lambda: count)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the worker processes forked during the test."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
 
 
 @pytest.fixture(autouse=True)
@@ -118,7 +101,7 @@ def test_counts_calls_across_worker_processes(tmp_path, monkeypatch, forks):
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
-def test_invariant_error_in_any_process_exits_3(tmp_path, monkeypatch, capsys,
+def test_invariant_error_in_any_process_exits_3(run_cli, monkeypatch, capsys,
                                                 forks, where):
     use_workers(monkeypatch, 2)
     parent = os.getpid()
@@ -132,11 +115,8 @@ def test_invariant_error_in_any_process_exits_3(tmp_path, monkeypatch, capsys,
         return run_sequence(config, inputs)
 
     monkeypatch.setattr(experiment, "run_sequence", failing)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TWO_DRAWS))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) \
-        == EXIT_NUMERICAL
+    code, out = run_cli(["sweep"], TWO_DRAWS)
+    assert code == EXIT_NUMERICAL
     # The parent runs the first draw's group, the worker the second's.
     seed = 0 if where == "parent" else 1
     assert capsys.readouterr().err == (
@@ -146,7 +126,7 @@ def test_invariant_error_in_any_process_exits_3(tmp_path, monkeypatch, capsys,
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 
-def test_dead_worker_fails_the_run(tmp_path, monkeypatch, forks):
+def test_dead_worker_fails_the_run(tmp_path, run_cli, monkeypatch, forks):
     use_workers(monkeypatch, 2)
     parent = os.getpid()
     run_sequence = experiment.run_sequence
@@ -157,13 +137,32 @@ def test_dead_worker_fails_the_run(tmp_path, monkeypatch, forks):
         return run_sequence(config, inputs)
 
     monkeypatch.setattr(experiment, "run_sequence", dying)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TWO_DRAWS))
-    out = tmp_path / "out"
     with pytest.raises(ChildProcessError, match="status 9"):
-        main(["sweep", "--config", str(config), "--out", str(out)])
-    assert not (out / "metrics.csv").exists()
+        run_cli(["sweep"], TWO_DRAWS)
+    assert not (tmp_path / "out" / "metrics.csv").exists()
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
+
+
+def test_a_failed_worker_fork_runs_its_share_here(run_cli, monkeypatch):
+    use_workers(monkeypatch, 1)
+    _, alone = run_cli(["sweep"], TWO_DRAWS, out="alone")
+    use_workers(monkeypatch, 2)
+    tried = []
+
+    def failing_fork():
+        tried.append(None)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    code, out = run_cli(["sweep"], TWO_DRAWS)
+    assert code == 0
+    assert ((out / "metrics.csv").read_bytes()
+            == (alone / "metrics.csv").read_bytes())
+    # One worker was asked for and none was forked, so this process has no
+    # child left to reap.
+    assert len(tried) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # A trajectory long enough for helpers at n = 6 (the default 440 steps).
@@ -237,7 +236,7 @@ def test_a_helper_changes_no_bit(monkeypatch, forks, n_qubits, steps):
 HASWELL_CHILD = """\
 import os
 import sys
-sys.path[:0] = sys.argv[1:]
+sys.path.insert(0, sys.argv[1])
 from spinqrc import linalg, workers
 from test_workers import lone_and_helped_rows
 
@@ -254,11 +253,9 @@ print(linalg.kernel_blas().core, linalg.splits_exactly(64), len(forks),
 
 @needs_helpers
 def test_a_helper_changes_no_bit_under_haswell():
-    tests = Path(__file__).resolve().parent
     done = subprocess.run(
-        [sys.executable, "-c", HASWELL_CHILD, str(tests),
-         str(tests.parent / "src")],
-        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        [sys.executable, "-c", HASWELL_CHILD, str(Path(__file__).parent)],
+        env=dict(child_env(), OPENBLAS_CORETYPE="Haswell"),
         capture_output=True, text=True, check=True)
     core, exact, forked, *changed = done.stdout.split()
     if core != "Haswell":
@@ -327,45 +324,19 @@ def test_a_failed_helper_fork_runs_alone(monkeypatch):
     assert_same_rows(*rows)
 
 
-def run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds):
-    """Exit code of a 1-task n = 6 ``run`` on an affinity set faked as
-    ``cpus``, and the CPUs each process set its affinity to, as {pid: [CPU
-    lists, in call order]}. Pinning is recorded, not done, as the host may
-    have other CPUs."""
-    use_workers(monkeypatch, len(cpus))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-    pins = tmp_path / "pins"
-    pins.touch()
-
-    def recording_setaffinity(pid, cpus):
-        with open(pins, "a") as f:
-            f.write(f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
-
-    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    code = main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", str(seeds), "--out", str(tmp_path / "out")])
-    calls = {}
-    for line in pins.read_text().splitlines():
-        pid, *pinned = map(int, line.split())
-        calls.setdefault(pid, []).append(pinned)
-    return code, calls
-
-
-@needs_helpers
-@needs_affinity
 @pytest.mark.usefixtures("exact_splits")
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("seeds", [1, 2], ids=["one_draw", "two_draws"])
-@pytest.mark.parametrize("cpus", [[0, 1], [0, 1, 2, 3]],
-                         ids=["two_cpus", "four_cpus"])
-def test_no_crew_touches_cpu_affinity(tmp_path, monkeypatch, forks, cpus,
-                                      seeds, fails):
+@pytest.mark.parametrize("cpus", [[0], [0, 1], [0, 1, 2, 3]],
+                         ids=["one_cpu", "two_cpus", "four_cpus"])
+def test_no_crew_touches_cpu_affinity(tmp_path, run_cli, monkeypatch, forks,
+                                      cpus, seeds, fails):
     # A helper decides which process runs which column block, never where
     # either process runs: the crew that fills the CPUs (one draw on two)
     # and those that do not leave every affinity set as it is, however the
-    # run ends.
+    # run ends. A 1-task n = 6 `run` sees an affinity set faked as `cpus`,
+    # and pinning is recorded, not done, as the host may have other CPUs;
+    # where the platform has no affinity calls, these stand in for them.
     if fails:
         check_state = reservoir._check_state
         checks = []
@@ -377,48 +348,34 @@ def test_no_crew_touches_cpu_affinity(tmp_path, monkeypatch, forks, cpus,
             check_state(rho, spare, full)
 
         monkeypatch.setattr(reservoir, "_check_state", failing)
-    code, calls = run_on_fake_cpus(tmp_path, monkeypatch, cpus, seeds)
+    use_workers(monkeypatch, len(cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+    pins = tmp_path / "pins"
+    pins.touch()
+
+    def recording_setaffinity(pid, cpus):
+        with open(pins, "a") as f:
+            f.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity,
+                        raising=False)
+    code, _ = run_cli(["run", "--task", "narma2", "--seeds", str(seeds)], SIX)
     assert code == (EXIT_NUMERICAL if fails else 0)
-    assert calls == {}
-    # Seen here: the worker of the second draw, and this process's helper
-    # where a CPU is idle (all but two draws on two CPUs); a worker forks
-    # its own helper.
-    assert len(forks) == (seeds if len(cpus) == 4 else 1)
+    assert pins.read_text() == ""
+    # Seen here: a worker for each draw past the first that a CPU takes,
+    # and this process's helper where its share of the CPUs leaves one idle
+    # (one draw on two or four CPUs, two draws on four) on a platform that
+    # runs helpers; a worker forks its own helper.
+    processes = min(len(cpus), seeds)
+    helper = len(cpus) // processes > 1 and workers._stores_in_order()
+    assert len(forks) == processes - 1 + helper
     assert all(reaped(pid) for pid in forks)
 
 
-def test_two_draws_on_two_cpus_fork_no_helper(tmp_path, monkeypatch, forks):
-    use_workers(monkeypatch, 2)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", "2", "--out", str(tmp_path / "out")]) == 0
-    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
-
-
-def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
-    use_workers(monkeypatch, 1)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
-    assert forks == []
-
-
 @needs_helpers
 @pytest.mark.usefixtures("exact_splits")
-def test_a_single_draw_gets_a_helper(tmp_path, monkeypatch, forks):
-    use_workers(monkeypatch, 2)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", "1", "--out", str(tmp_path / "out")]) == 0
-    assert len(forks) == 1 and all(reaped(pid) for pid in forks)
-
-
-@needs_helpers
-@pytest.mark.usefixtures("exact_splits")
-def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
+def test_bad_start_state_with_a_helper_exits_3(run_cli, monkeypatch, capsys,
                                                forks):
     use_workers(monkeypatch, 2)
 
@@ -428,11 +385,8 @@ def test_bad_start_state_with_a_helper_exits_3(tmp_path, monkeypatch, capsys,
         return rho
 
     monkeypatch.setattr(reservoir, "ground_density", nan_ground_density)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--task", "narma2",
-                 "--seeds", "1", "--out", str(out)]) == EXIT_NUMERICAL
+    code, out = run_cli(["run", "--task", "narma2", "--seeds", "1"], SIX)
+    assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         "error: trace deviates from 1 by nan before step 0 (member: topology "
         "linear, n_qubits 6, gamma 0.1, coupling_seed 0)\n")
@@ -465,7 +419,7 @@ def test_a_helper_error_is_raised_as_itself(monkeypatch, forks):
 
 @needs_helpers
 @pytest.mark.usefixtures("exact_splits")
-def test_killed_helper_fails_the_run(tmp_path, monkeypatch, forks):
+def test_killed_helper_fails_the_run(tmp_path, run_cli, monkeypatch, forks):
     use_workers(monkeypatch, 2)
     check_state = reservoir._check_state
     checks = []
@@ -478,22 +432,17 @@ def test_killed_helper_fails_the_run(tmp_path, monkeypatch, forks):
         check_state(rho, spare, full)
 
     monkeypatch.setattr(reservoir, "_check_state", killing)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(SIX))
-    out = tmp_path / "out"
     with pytest.raises(ChildProcessError, match="exit status -9"):
-        main(["run", "--config", str(config), "--task", "narma2",
-              "--seeds", "1", "--out", str(out)])
+        run_cli(["run", "--task", "narma2", "--seeds", "1"], SIX)
     assert len(checks) < 440
-    assert not (out / "metrics.csv").exists()
+    assert not (tmp_path / "out" / "metrics.csv").exists()
     assert len(forks) == 1 and all(reaped(pid) for pid in forks)
 
 
 @needs_helpers
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="reads process states from /proc")
-def test_helper_exits_when_its_parent_is_killed(tmp_path):
-    src = str(Path(reservoir.__file__).resolve().parents[1])
+def test_helper_exits_when_its_parent_is_killed():
     script = (
         "import os, sys\n"
         "import numpy as np\n"
@@ -504,10 +453,9 @@ def test_helper_exits_when_its_parent_is_killed(tmp_path):
         "flush=True))\n"
         "config = reservoir.ReservoirConfig(n_qubits=6, n_pre=200_000)\n"
         "reservoir.run_sequence(config, np.full(config.total_steps, 0.5))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    main_process = subprocess.Popen([sys.executable, "-c", script], env=env,
-                                    stdout=subprocess.PIPE, text=True)
+    main_process = subprocess.Popen([sys.executable, "-c", script],
+                                    env=child_env(), stdout=subprocess.PIPE,
+                                    text=True)
     try:
         helper = int(main_process.stdout.readline())
     finally:
