@@ -59,6 +59,12 @@ def test_run_simulates_each_member_once(run_cli, monkeypatch):
     assert calls == [0, 1]
 
 
+def test_run_rejects_duplicate_stm_delay(run_cli):
+    code, out = run_cli(["run", "--task", "stm", "--seeds", "1"],
+                        dict(SMALL, stm_delays=[1, 1, 2]))
+    assert code == EXIT_CONFIG and not out.exists()
+
+
 def test_a_long_list_of_unhashable_entries_exits_2_at_once(run_cli, capsys):
     # 20,000 one-element lists (a 169 KB file): the entry check rejects the
     # first, with no duplicate test comparing them pairwise before it.

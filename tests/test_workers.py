@@ -373,6 +373,20 @@ def test_no_crew_touches_cpu_affinity(tmp_path, run_cli, monkeypatch, forks,
     assert all(reaped(pid) for pid in forks)
 
 
+def test_two_draws_on_two_cpus_fork_no_helper(run_cli, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    code, _ = run_cli(["run", "--task", "narma2", "--seeds", "2"], SIX)
+    assert code == 0 and len(forks) == 1 and all(map(reaped, forks))
+
+
+@needs_helpers
+@pytest.mark.usefixtures("exact_splits")
+def test_a_single_draw_gets_a_helper(run_cli, monkeypatch, forks):
+    use_workers(monkeypatch, 2)
+    code, _ = run_cli(["run", "--task", "narma2", "--seeds", "1"], SIX)
+    assert code == 0 and len(forks) == 1 and all(map(reaped, forks))
+
+
 @needs_helpers
 @pytest.mark.usefixtures("exact_splits")
 def test_bad_start_state_with_a_helper_exits_3(run_cli, monkeypatch, capsys,
