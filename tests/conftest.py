@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spinqrc import linalg, workers
+from spinqrc import experiment, linalg, workers
 from spinqrc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +30,10 @@ MAX_TEST_WORKERS = 2
 # dissipation_curve.csv) were frozen. Their bytes hold on its kernel;
 # other OpenBLAS kernels round differently (README, Tests).
 GOLDEN_PROVENANCE = "OpenBLAS 0.3.31.188.0, core SkylakeX, numpy 2.4.6"
+
+# The phase lengths, and the array, of the small runs that tests make.
+PHASES = {"n_pre": 10, "n_fb": 30, "n_test": 10}
+SMALL = {"n_qubits": 4, **PHASES}
 
 GOLDENS = ROOT / "perfbench" / "goldens"
 DISSIPATION_CONFIG = ROOT / "tests" / "dissipation_curve.json"
@@ -103,6 +107,21 @@ def cli_in(root: Path):
         out = root / out
         return main([*argv, "--out", str(out)]), out
     return run
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The ``(config, drive bytes)`` of every ``experiment.run_sequence``
+    and ``experiment.run_esn`` call during the test, at one worker process:
+    a call made in a forked worker would go unrecorded."""
+    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
+    calls = []
+    for name in ("run_sequence", "run_esn"):
+        def recorded(config, inputs, simulate=getattr(experiment, name)):
+            calls.append((config, inputs.tobytes()))
+            return simulate(config, inputs)
+        monkeypatch.setattr(experiment, name, recorded)
+    return calls
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import SMALL
 
 from spinqrc.experiment import ExperimentManifest, SweepGrid, run_experiment
 from spinqrc.linalg import kernel_blas, one_blas_thread, trace_distance
@@ -275,11 +276,10 @@ def test_criterion_7_esn_baseline(per_seed):
 def test_criterion_8_reproducible_report(run_cli):
     """The experiment command, re-run with identical config and seed,
     writes byte-identical metrics.csv."""
-    config = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
     outputs = []
     for name in ("first", "second"):
         code, out = run_cli(["run", "--task", "narma5", "--seed", "3",
-                             "--seeds", "3"], config, out=name)
+                             "--seeds", "3"], SMALL, out=name)
         assert code == 0
         outputs.append((out / "metrics.csv").read_bytes())
     print(f"criterion 8: {len(outputs[0])} bytes, identical="

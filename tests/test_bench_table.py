@@ -39,61 +39,45 @@ def test_one_row_per_committed_snapshot():
                     == f"{median:.2f}({passed}/{len(runs)})")
 
 
-def test_failed_criterion_1_runs_show_in_their_column():
-    columns = tool("bench_table").columns
-    runs = [{"ratio": r, "passed": r <= 2.0, "floor_s": 1.0}
-            for r in (1.6, 2.1, 2.3)]
-    cells = dict(columns({"criterion_1": {"change": runs}}))
-    assert cells[CRITERION_1] == "2.10(1/3)"
-    assert dict(columns({}))[CRITERION_1] == "-"
+SCORED = {"sweep": {"metrics": {"wall_s": {"value": 0.5}},
+                    "control_s": [0.4, 0.6]},
+          "long_run": {"metrics": {"wall_s": {"value": 2.0}},
+                       "control_s": [0.8, 0.8]}}
+SRC_LINES = {"src_lines": {"cli.py": 200, "experiment.py": 530}}
 
 
-def test_one_seed_n9_column():
-    columns = tool("bench_table").columns
-    snapshot = {"n9_one_seed": {"change": {"wall_s": [1.9, 1.7, 1.8],
-                                           "median_s": 1.8},
-                                "baseline": {"median_s": 2.5}}}
-    assert dict(columns(snapshot))["n9x1.median_s"] == "1.800"
-    # Snapshots older than the entry print a dash.
-    assert dict(columns({}))["n9x1.median_s"] == "-"
-
-
-def test_scored_per_control_columns():
-    columns = tool("bench_table").columns
-    snapshot = {"scored": {
-        "sweep": {"metrics": {"wall_s": {"value": 0.5}},
-                  "control_s": [0.4, 0.6]},
-        "long_run": {"metrics": {"wall_s": {"value": 2.0}},
-                     "control_s": [0.8, 0.8]}}}
-    cells = dict(columns(snapshot))
-    assert (cells["sweep/control"], cells["long_run/control"]) == (
-        "1.00", "2.50")
-    # Snapshots older than the control beside the scored runs print a dash.
-    del snapshot["scored"]["long_run"]["control_s"]
-    assert dict(columns(snapshot))["long_run/control"] == "-"
-    assert dict(columns({}))["sweep/control"] == "-"
-
-
-def test_source_lines_column():
-    columns = tool("bench_table").columns
-    snapshot = {"environment": {"src_lines": {"cli.py": 200,
-                                              "experiment.py": 530}}}
-    assert dict(columns(snapshot))["src_lines"] == "730"
-    # Snapshots older than the count print a dash.
-    assert dict(columns({}))["src_lines"] == "-"
-    assert dict(columns({"environment": {"commit": "abc"}}))["src_lines"] == "-"
-
-
-def test_code_lines_column():
-    columns = tool("bench_table").columns
-    snapshot = {"environment": {"src_lines": {"cli.py": 200},
-                                "src_code_lines": {"cli.py": 120,
-                                                   "experiment.py": 330}}}
-    assert dict(columns(snapshot))["src_code_lines"] == "450"
-    # Snapshots older than the count print a dash.
-    assert dict(columns({}))["src_code_lines"] == "-"
-    assert dict(columns({"environment": {"src_lines": {"cli.py": 200}}}))[
-        "src_code_lines"] == "-"
+# A snapshot, a column of its row and the cell printed there; a snapshot
+# older than a column's entry prints a dash.
+@pytest.mark.parametrize("snapshot, column, cell", [
+    ({"criterion_1": {"change": [{"ratio": r, "passed": r <= 2.0,
+                                  "floor_s": 1.0} for r in (1.6, 2.1, 2.3)]}},
+     CRITERION_1, "2.10(1/3)"),
+    ({}, CRITERION_1, "-"),
+    ({"n9_one_seed": {"change": {"wall_s": [1.9, 1.7, 1.8],
+                                 "median_s": 1.8},
+                      "baseline": {"median_s": 2.5}}},
+     "n9x1.median_s", "1.800"),
+    ({}, "n9x1.median_s", "-"),
+    ({"scored": SCORED}, "sweep/control", "1.00"),
+    ({"scored": SCORED}, "long_run/control", "2.50"),
+    ({"scored": dict(SCORED, long_run={"metrics": {"wall_s": {"value": 2.0}}})},
+     "long_run/control", "-"),
+    ({}, "sweep/control", "-"),
+    ({"environment": SRC_LINES}, "src_lines", "730"),
+    ({}, "src_lines", "-"),
+    ({"environment": {"commit": "abc"}}, "src_lines", "-"),
+    ({"environment": dict(SRC_LINES, src_code_lines={"cli.py": 120,
+                                                     "experiment.py": 330})},
+     "src_code_lines", "450"),
+    ({}, "src_code_lines", "-"),
+    ({"environment": SRC_LINES}, "src_code_lines", "-"),
+], ids=["criterion_1_failed_runs", "criterion_1_older", "n9", "n9_older",
+        "sweep_control", "long_run_control", "long_run_control_older",
+        "sweep_control_older", "src_lines", "src_lines_older",
+        "src_lines_no_count", "code_lines", "code_lines_older",
+        "code_lines_no_count"])
+def test_a_column_prints_its_cell(snapshot, column, cell):
+    assert dict(tool("bench_table").columns(snapshot))[column] == cell
 
 
 SOURCE = '''"""A module docstring

@@ -3,9 +3,10 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
-from conftest import FROZEN_JOBS, child_env, frozen_under
+from conftest import FROZEN_JOBS, PHASES, SMALL, child_env, frozen_under
 
 from spinqrc import experiment, reservoir, workers
 from spinqrc.cli import EXIT_CONFIG, EXIT_NUMERICAL, exit_code_for
@@ -15,48 +16,18 @@ from spinqrc.linalg import BLAS_LIBRARIES, load_blas
 from spinqrc.qubits import ground_density
 from spinqrc.reservoir import Topology
 
-PHASES = {"n_pre": 10, "n_fb": 30, "n_test": 10}
-SMALL = {"n_qubits": 4, **PHASES}
-
-
-def test_run_writes_report(run_cli):
-    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
-    assert code == 0
-    assert (out / "metrics.csv").exists()
-    assert (out / "manifest_narma2_linear_g0.1_r1.json").exists()
-    assert (out / "trajectory_narma2_linear_g0.1_r1.csv").exists()
-    header = (out / "metrics.csv").read_text().splitlines()[0]
-    assert header == "task,topology,readout_type,gamma,seed_count,mean_metric,std_metric"
-
-
-def count_simulations(monkeypatch):
-    """Record the coupling seed of every run_sequence call, at one worker
-    process: calls made in a forked worker would go uncounted here."""
-    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
-    calls = []
-    run_sequence = experiment.run_sequence
-
-    def counted(config, inputs):
-        calls.append(config.coupling_seed)
-        return run_sequence(config, inputs)
-
-    monkeypatch.setattr(experiment, "run_sequence", counted)
-    return calls
-
-
-def test_run_simulates_each_member_once(run_cli, monkeypatch):
-    calls = count_simulations(monkeypatch)
+def test_run_simulates_each_member_once(run_cli, simulations):
     code, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
     assert code == 0
     # The trajectory report reuses member 0's run; a manifest read back from
     # disk carries no trajectory, and the report refuses it.
-    assert calls == [0, 1]
+    assert [config.coupling_seed for config, _ in simulations] == [0, 1]
     manifest = experiment.ExperimentManifest.from_json(experiment.read_json(
         out / "manifest_narma2_linear_g0.1_r1.json", "manifest"))
     assert manifest.trajectory is None
     with pytest.raises(ConfigError, match="run_experiment"):
         experiment.trajectory_csv_text(manifest)
-    assert calls == [0, 1]
+    assert len(simulations) == 2
 
 
 def test_run_rejects_duplicate_stm_delay(run_cli):
@@ -134,58 +105,14 @@ def test_nonhermitian_start_state_exits_3(run_cli, capsys, monkeypatch):
     assert not (out / "metrics.csv").exists()
 
 
-def test_run_flag_overrides(run_cli):
-    code, out = run_cli(["run", "--task", "narma2", "--topology", "ring",
-                         "--gamma", "0.01", "--readout", "2", "--seeds", "1"],
-                        SMALL)
-    assert code == 0
-    manifest = json.loads(
-        (out / "manifest_narma2_ring_g0.01_r2.json").read_text())
-    assert manifest["config"]["topology"] == "ring"
-    assert manifest["config"]["gamma"] == 0.01
-    assert manifest["readout"] == 2
-
-
-def test_run_stm_task(run_cli):
-    code, out = run_cli(["run", "--task", "stm", "--seeds", "1"], SMALL)
-    assert code == 0
-    lines = (out / "metrics.csv").read_text().splitlines()
-    assert len(lines) == 12  # header + delays 0..10
-    assert lines[1].startswith("stm_tau00,")
-
-
-def test_sweep_emits_grid(run_cli):
-    cfg = dict(SMALL, seeds=1, tasks=["narma2"])
-    cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1, 0.01],
-                    "readouts": [1]}
-    code, out = run_cli(["sweep"], cfg)
-    assert code == 0
-    manifests = sorted(p.name for p in out.glob("manifest_*.json"))
-    assert manifests == ["manifest_narma2_linear_g0.01_r1.json",
-                         "manifest_narma2_linear_g0.1_r1.json"]
-    rows = (out / "metrics.csv").read_text().splitlines()
-    assert len(rows) == 3
-
-
-def test_sweep_trajectories_reuse_simulations(run_cli, monkeypatch):
-    calls = count_simulations(monkeypatch)
+def test_sweep_trajectories_reuse_simulations(run_cli, simulations):
     cfg = dict(SMALL, trajectory=True, seeds=1, tasks=["narma2"])
     cfg["sweep"] = {"topologies": ["linear"], "gammas": [0.1],
                     "readouts": [1, 2]}
     code, out = run_cli(["sweep"], cfg)
     assert code == 0
     assert len(list(out.glob("trajectory_*.csv"))) == 2
-    assert len(calls) == 1  # both readout cells share one simulation
-
-
-def test_sweep_reads_top_level_stm_delays(run_cli):
-    cfg = dict(SMALL, seeds=1, stm_delays=[1, 2],
-               sweep={"topologies": ["linear"], "gammas": [0.1],
-                      "readouts": [1]})
-    code, out = run_cli(["sweep", "--task", "stm"], cfg)
-    assert code == 0
-    rows = (out / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["stm_tau01", "stm_tau02"]
+    assert len(simulations) == 1  # both readout cells share one simulation
 
 
 def test_default_sweep_matches_frozen_golden(frozen_run):
@@ -258,21 +185,12 @@ def test_numerical_failure_in_a_worker_exits_3(run_cli, capsys, monkeypatch):
     assert not (out / "metrics.csv").exists()
 
 
-def test_a_run_too_large_for_memory_exits_2(run_cli, capsys):
-    # The NARMA drive's first array needs 800 PB, more than any address
-    # space holds, so its allocation fails at once.
-    code, out = run_cli(["run", "--task", "narma2"], {"n_pre": 10**17})
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert not (out / "metrics.csv").exists()
-
-
 @pytest.mark.parametrize("argv, cfg, error", [
-    # The STM drive's 10**17 bits are allocated before they are drawn, so
-    # the allocation fails at once.
+    # The STM drive's 10**17 bits are allocated before they are drawn, and
+    # the NARMA drive's first array needs 800 PB, more than any address
+    # space holds, so either allocation fails at once.
     (["run", "--task", "stm"], {"n_pre": 10**17}, "out of memory: "),
+    (["run", "--task", "narma2"], {"n_pre": 10**17}, "out of memory: "),
     # An ESN of 10**9 nodes needs more training steps than a drive any
     # memory holds, so it fails before its weights are allocated
     # (test_esn.py's test_a_weight_matrix_no_memory_holds_fails_at_once).
@@ -291,7 +209,8 @@ def test_a_run_too_large_for_memory_exits_2(run_cli, capsys):
     # A number too large for a float is checked without converting it.
     (["run", "--task", "narma2"], dict(PHASES, n_qubits=10**400),
      "n_qubits must be an integer in [2, 10], got 1000"),
-], ids=["stm_drive", "esn_weights", "seeds", "stm_drive_past_numpy",
+], ids=["stm_drive", "narma_drive", "esn_weights", "seeds",
+        "stm_drive_past_numpy",
         "narma_drive_past_numpy", "esn_weights_past_numpy", "huge_n_qubits"])
 def test_a_size_no_run_can_hold_exits_2_at_once(run_cli, capsys, argv, cfg,
                                                 error):
@@ -302,26 +221,6 @@ def test_a_size_no_run_can_hold_exits_2_at_once(run_cli, capsys, argv, cfg,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, cfg, unknown", [
-    ("run", {"n_qubits": 4, "gama": 0.5, "n_pre": 10, "n_fb": 30,
-             "n_test": 10}, "gama"),
-    ("sweep", dict(SMALL, sweep={"variants": [1, 3]}), "variants"),
-    ("esn", dict(PHASES, esn=dict(n_nodes=4, variant=[1])), "variant"),
-    # The ensemble size and the delays have one key each, at the top level.
-    ("sweep", dict(SMALL, sweep={"n_seeds": 3}), "n_seeds"),
-    ("sweep", dict(SMALL, sweep={"stm_delays": [1]}), "stm_delays"),
-    # So have the tasks and the phase lengths.
-    ("run", dict(SMALL, task="stm"), "task"),
-    ("sweep", dict(SMALL, sweep={"tasks": ["stm"]}), "tasks"),
-    *(("esn", {"esn": {key: 10}}, key) for key in PHASES),
-])
-def test_unknown_config_key_exits_2(run_cli, capsys, command, cfg, unknown):
-    code, out = run_cli([command, "--task", "narma2", "--seeds", "1"], cfg)
-    assert code == EXIT_CONFIG
-    assert f"error: unknown key(s) {unknown!r} in " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -397,6 +296,20 @@ BAD_STORED_METRICS = {
                        "= 10 values, got 1")}
 
 
+# A config key that the subcommand never reads, by its name. The ensemble
+# size, the delays, the tasks and the phase lengths have one key each, at
+# the top level.
+UNKNOWN_KEYS = {
+    "gama": ("run", dict(SMALL, gama=0.5)),
+    "variants": ("sweep", dict(SMALL, sweep={"variants": [1, 3]})),
+    "variant": ("esn", dict(PHASES, esn=dict(n_nodes=4, variant=[1]))),
+    "n_seeds": ("sweep", dict(SMALL, sweep={"n_seeds": 3})),
+    "stm_delays": ("sweep", dict(SMALL, sweep={"stm_delays": [1]})),
+    "task": ("run", dict(SMALL, task="stm")),
+    "tasks": ("sweep", dict(SMALL, sweep={"tasks": ["stm"]})),
+    **{key: ("esn", {"esn": {key: 10}}) for key in PHASES}}
+
+
 @pytest.mark.parametrize("command, cfg, fragment", [
     ("run", dict(SMALL, n_qubits="4"), "n_qubits must be an integer"),
     ("run", dict(SMALL, topology="rign"), "unknown topology 'rign'"),
@@ -458,6 +371,8 @@ BAD_STORED_METRICS = {
     # A manifest stored before each manifest was one cell.
     ("report", dict(MANIFEST, variants=[1, 3, 5]),
      "unknown key(s) 'variants' in the manifest; known keys: base_seed, "),
+    *((command, cfg, f"error: unknown key(s) {key!r} in ")
+      for key, (command, cfg) in UNKNOWN_KEYS.items()),
 ], ids=["string_n_qubits", "misspelled_topology", "huge_theta0",
         "repeated_variant",
         "no_variants", "scalar_variants", "huge_variant", "bool_variant",
@@ -471,7 +386,8 @@ BAD_STORED_METRICS = {
         "report_manifest_list",
         "report_unknown_config_key", "report_config_list",
         "report_unknown_manifest_key", "report_missing_tasks",
-        "report_esn_readout", "report_reservoir_variants"])
+        "report_esn_readout", "report_reservoir_variants",
+        *(f"unknown_{name}" for name in UNKNOWN_KEYS)])
 def test_bad_config_value_exits_2(run_cli, capsys, command, cfg, fragment):
     flags = []
     if command != "report":  # which reads only --config and --out
@@ -510,19 +426,133 @@ def test_report_drops_stored_stamps(run_cli, stored):
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["run", "--task", "stm", "--seeds", "2"], SMALL),
-    (["run", "--task", "narma2", "--seeds", "2"], SMALL),
-    (["sweep", "--seeds", "1"], dict(SMALL, trajectory=True)),
-    (["esn", "--seeds", "2"], dict(PHASES, esn={"n_nodes": 4}))],
-    ids=["run", "run_narma2", "sweep", "esn"])
-def test_two_runs_write_identical_files(run_cli, argv, cfg):
+STM_ROWS = tuple(f"stm_tau{tau:02d}" for tau in range(11))  # delays 0-10
+NARMA_ROWS = ("narma2", "narma5", "narma10", "narma15", "narma20")
+# The cells of the default sweep grid, named as their files are.
+GRID = [f"multi_{topology}_g{gamma}_r{readout}" for topology, gamma, readout
+        in product(("linear", "ring"), ("0.1", "0.01"), (1, 2))]
+GRID_ROWS = sorted(product((*NARMA_ROWS, *STM_ROWS), ("linear", "ring"),
+                           ("averaged", "per_qubit"), ("0.1", "0.01")))
+ESN_FILES = {"metrics.csv",
+             *(f"manifest_multi_esn{v}.json" for v in (1, 3, 5))}
+ESN_ROWS = sorted(product((*NARMA_ROWS[:4], *STM_ROWS),
+                          ("esn1", "esn3", "esn5"), ("per_qubit",), ("",)))
+
+
+def one_cell(cell):
+    """The files that ``run`` writes for its one cell."""
+    return {"metrics.csv", f"manifest_{cell}.json", f"trajectory_{cell}.csv"}
+
+
+# What a run writes: its argv and config, the names of every file it
+# writes, the keys (the first four columns) of the rows of its metrics.csv
+# in order, and fields of its manifests, by file name.
+RUNS = {
+    "run_narma2": (
+        ["run", "--task", "narma2", "--seeds", "2"], SMALL,
+        one_cell("narma2_linear_g0.1_r1"),
+        [("narma2", "linear", "per_qubit", "0.1")], {}),
+    "run_stm": (
+        ["run", "--task", "stm", "--seeds", "2"], SMALL,
+        one_cell("stm_linear_g0.1_r1"),
+        [(row, "linear", "per_qubit", "0.1") for row in STM_ROWS], {}),
+    "run_flags": (
+        ["run", "--task", "narma2", "--topology", "ring", "--gamma", "0.01",
+         "--readout", "2", "--seeds", "1"], SMALL,
+        one_cell("narma2_ring_g0.01_r2"),
+        [("narma2", "ring", "averaged", "0.01")],
+        {"manifest_narma2_ring_g0.01_r2.json": {
+            "config": dict(SMALL, topology="ring", gamma=0.01),
+            "readout": 2}}),
+    "run_top_level_tasks": (
+        ["run", "--seeds", "1"],
+        dict(SMALL, tasks=["stm", "narma2"], stm_delays=[0, 1]),
+        one_cell("multi_linear_g0.1_r1"),
+        [(row, "linear", "per_qubit", "0.1")
+         for row in ("narma2", "stm_tau00", "stm_tau01")], {}),
+    # With no task given, `run` runs narma2; a seed of any size runs.
+    "run_default_task_huge_seed": (
+        ["run", "--seeds", "2", "--seed", str(10**400)], SMALL,
+        one_cell("narma2_linear_g0.1_r1"),
+        [("narma2", "linear", "per_qubit", "0.1")],
+        {"manifest_narma2_linear_g0.1_r1.json": {"base_seed": 10**400}}),
+    "sweep_trajectories": (
+        ["sweep", "--seeds", "1"], dict(SMALL, trajectory=True),
+        {"metrics.csv", *(f"manifest_{cell}.json" for cell in GRID),
+         *(f"trajectory_{cell}.csv" for cell in GRID)}, GRID_ROWS, {}),
+    "sweep_default": (
+        ["sweep", "--seeds", "1"], None,
+        {"metrics.csv", *(f"manifest_{cell}.json" for cell in GRID)},
+        GRID_ROWS, {}),
+    "sweep_grid": (
+        ["sweep"], dict(SMALL, seeds=1, tasks=["narma2"],
+                        sweep={"topologies": ["linear"], "gammas": [0.1, 0.01],
+                               "readouts": [1]}),
+        {"metrics.csv", "manifest_narma2_linear_g0.01_r1.json",
+         "manifest_narma2_linear_g0.1_r1.json"},
+        [("narma2", "linear", "per_qubit", gamma) for gamma in ("0.01", "0.1")],
+        {}),
+    "sweep_top_level_stm_delays": (
+        ["sweep", "--task", "stm"],
+        dict(SMALL, seeds=1, stm_delays=[1, 2],
+             sweep={"topologies": ["linear"], "gammas": [0.1],
+                    "readouts": [1]}),
+        {"metrics.csv", "manifest_stm_linear_g0.1_r1.json"},
+        [(row, "linear", "per_qubit", "0.1")
+         for row in ("stm_tau01", "stm_tau02")], {}),
+    # Each axis flag overrides its axis in the file.
+    "sweep_flags": (
+        ["sweep", "--topology", "ring", "--gamma", "0.5", "--readout", "2",
+         "--seeds", "1"],
+        dict(SMALL, tasks=["narma2"], sweep={"gammas": [0.1, 0.01]}),
+        {"metrics.csv", "manifest_narma2_ring_g0.5_r2.json"},
+        [("narma2", "ring", "averaged", "0.5")], {}),
+    "esn": (
+        ["esn", "--seeds", "2"], dict(PHASES, esn={"n_nodes": 4}),
+        ESN_FILES, ESN_ROWS, {}),
+    "esn_default": (["esn", "--seeds", "3"], None, ESN_FILES, ESN_ROWS, {}),
+    # One manifest, so one cell, per variant.
+    "esn_variants": (
+        ["esn", "--task", "narma2", "--seeds", "2"],
+        dict(PHASES, esn=dict(n_nodes=4, variants=[1, 3])),
+        {"metrics.csv", "manifest_narma2_esn1.json",
+         "manifest_narma2_esn3.json"},
+        [("narma2", f"esn{v}", "per_qubit", "") for v in (1, 3)],
+        {f"manifest_narma2_esn{v}.json": {
+            "config": dict(PHASES, n_nodes=4, variant=v), "readout": 1}
+         for v in (1, 3)}),
+    "esn_top_level_phases": (
+        ["esn", "--task", "narma2", "--seeds", "1"],
+        {"n_pre": 3, "n_fb": 20, "n_test": 7, "esn": {"variants": [1]}},
+        {"metrics.csv", "manifest_narma2_esn1.json"},
+        [("narma2", "esn1", "per_qubit", "")],
+        {"manifest_narma2_esn1.json": {
+            "config": {"n_pre": 3, "n_fb": 20, "n_test": 7, "variant": 1}}}),
+}
+
+
+@pytest.mark.parametrize("argv, cfg, files, rows, pins", RUNS.values(),
+                         ids=list(RUNS))
+def test_a_run_writes_what_its_case_lists(run_cli, argv, cfg, files, rows,
+                                          pins):
     written = []
     for name in ("a", "b"):
         code, out = run_cli(argv, cfg, out=name)
         assert code == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert written[0] == written[1]
+    assert set(written[1]) == files
+    header, *lines = written[1]["metrics.csv"].decode().splitlines()
+    assert header == ("task,topology,readout_type,gamma,seed_count,"
+                      "mean_metric,std_metric")
+    assert [tuple(line.split(",")[:4]) for line in lines] == rows
+    for file, fields in pins.items():
+        manifest = json.loads(written[1][file])
+        assert {key: manifest[key] for key in fields} == fields
+    # The manifests alone give metrics.csv back.
+    (out / "metrics.csv").unlink()
+    assert run_cli(["report"], out=name) == (0, out)
+    assert (out / "metrics.csv").read_bytes() == written[1]["metrics.csv"]
 
 
 @pytest.mark.parametrize("command, cfg, where, got", [
@@ -578,60 +608,6 @@ def test_option_the_subcommand_never_reads_is_rejected(tmp_path, run_cli,
     assert not (tmp_path / "out").exists()
 
 
-def test_esn_subcommand(run_cli):
-    cfg = dict(PHASES, esn=dict(n_nodes=4, variants=[1, 3]))
-    code, out = run_cli(["esn", "--task", "narma2", "--seeds", "2"], cfg)
-    assert code == 0
-    written = (out / "metrics.csv").read_bytes()
-    rows = written.decode().splitlines()
-    assert len(rows) == 3
-    assert rows[1].startswith("narma2,esn1,")
-    assert rows[2].startswith("narma2,esn3,")
-    # One manifest, so one cell, per variant.
-    assert sorted(p.name for p in out.glob("manifest_*.json")) == [
-        "manifest_narma2_esn1.json", "manifest_narma2_esn3.json"]
-    for variant in (1, 3):
-        manifest = experiment.ExperimentManifest.from_json(experiment.read_json(
-            out / f"manifest_narma2_esn{variant}.json", "manifest"))
-        assert manifest.config["variant"] == variant
-        assert len({(row.config, row.readout)
-                    for row in manifest.metrics.values()}) == 1
-    (out / "metrics.csv").unlink()
-    assert run_cli(["report"]) == (0, out)
-    assert (out / "metrics.csv").read_bytes() == written
-
-
-def test_esn_reads_top_level_phase_lengths(run_cli):
-    code, out = run_cli(["esn", "--task", "narma2", "--seeds", "1"],
-                        {"n_pre": 3, "n_fb": 20, "n_test": 7,
-                         "esn": {"variants": [1]}})
-    assert code == 0
-    config = json.loads((out / "manifest_narma2_esn1.json").read_text())[
-        "config"]
-    assert config == {"n_pre": 3, "n_fb": 20, "n_test": 7, "variant": 1}
-
-
-def test_run_reads_top_level_tasks(run_cli):
-    code, out = run_cli(["run", "--seeds", "1"],
-                        dict(SMALL, tasks=["stm", "narma2"], stm_delays=[0, 1]))
-    assert code == 0
-    rows = (out / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == [
-        "narma2", "stm_tau00", "stm_tau01"]
-    assert (out / "manifest_multi_linear_g0.1_r1.json").exists()
-
-
-def test_a_seed_of_any_size_runs(run_cli):
-    seed = 10**400
-    code, out = run_cli(["run", "--task", "narma2", "--seeds", "2",
-                         "--seed", str(seed)], SMALL)
-    assert code == 0
-    manifest = json.loads((out / "manifest_narma2_linear_g0.1_r1.json")
-                          .read_text())
-    assert manifest["base_seed"] == seed
-    assert run_cli(["report"]) == (0, out)
-
-
 def test_metrics_do_not_depend_on_the_blas_thread_environment(tmp_path):
     # U is built, and every array evolves, at one BLAS thread whatever the
     # environment asks for. At two threads OpenBLAS's `eigh`, which builds
@@ -652,30 +628,14 @@ def test_metrics_do_not_depend_on_the_blas_thread_environment(tmp_path):
     assert written[0] == written[1]
 
 
-def test_run_defaults_to_narma2(run_cli):
-    code, out = run_cli(["run", "--seeds", "1"], SMALL)
-    assert code == 0
-    rows = (out / "metrics.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["narma2"]
-
-
 def test_too_many_qubits_exit_2_before_simulating(run_cli, capsys,
-                                                  monkeypatch):
-    calls = count_simulations(monkeypatch)
+                                                  simulations):
     code, out = run_cli(["run", "--seeds", "1"], dict(PHASES, n_qubits=11))
     assert code == EXIT_CONFIG
     assert "n_qubits must be an integer in [2, 10], got 11" in \
         capsys.readouterr().err
-    assert calls == []
+    assert simulations == []
     assert not out.exists()
-
-
-def test_report_reemits_metrics(run_cli):
-    _, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
-    original = (out / "metrics.csv").read_bytes()
-    (out / "metrics.csv").unlink()
-    assert run_cli(["report"]) == (0, out)
-    assert (out / "metrics.csv").read_bytes() == original
 
 
 @pytest.mark.parametrize("config, fragment", [
@@ -694,21 +654,6 @@ def test_report_refuses_a_manifest_with_a_bad_config(tmp_path, run_cli, capsys,
         f"error: cannot load manifest {tmp_path / 'config.json'}: ")
     assert fragment in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["run", "--task", "stm", "--seeds", "2"],
-    ["run", "--task", "narma2", "--seeds", "2"],
-    ["sweep", "--seeds", "1"], ["esn", "--seeds", "3"]],
-    ids=lambda argv: "-".join(argv[:3]))
-def test_report_rebuilds_every_written_manifest(run_cli, argv):
-    # `run` on a small array; `sweep` and `esn` at their defaults.
-    code, out = run_cli(argv, SMALL if argv[0] == "run" else None)
-    assert code == 0
-    written = (out / "metrics.csv").read_bytes()
-    (out / "metrics.csv").unlink()
-    assert run_cli(["report"]) == (0, out)
-    assert (out / "metrics.csv").read_bytes() == written
 
 
 def test_report_refuses_colliding_rows(run_cli, capsys):

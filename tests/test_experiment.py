@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import blas_core
+from conftest import PHASES, SMALL, blas_core
 
-from spinqrc import experiment, workers
+from spinqrc import experiment
 from spinqrc.errors import ConfigError
 from spinqrc.esn import run_esn
 from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
@@ -21,31 +21,16 @@ from spinqrc.readout import (ReadoutType, make_features, nmse, predict,
 from spinqrc.reservoir import ReservoirConfig, run_sequence
 from spinqrc.tasks import gen_narma_input, gen_narma_target, gen_stm
 
-SMALL_RESERVOIR = dict(n_qubits=4, n_pre=10, n_fb=30, n_test=10)
-SMALL_ESN = dict(n_nodes=4, n_pre=10, n_fb=30, n_test=10)
+SMALL_ESN = dict(PHASES, n_nodes=4)
 
 FLOAT_13_SIG = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
 
 def narma_manifest(**kw):
-    fields = dict(kind="reservoir", config=dict(SMALL_RESERVOIR),
+    fields = dict(kind="reservoir", config=dict(SMALL),
                   tasks=("narma2",), n_seeds=2)
     fields.update(kw)
     return ExperimentManifest(**fields)
-
-
-def count_simulations(monkeypatch):
-    """Record the (config, drive) of every run_sequence call, at one worker
-    process: calls made in a forked worker would go uncounted here."""
-    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
-    calls = []
-
-    def counted(config, inputs):
-        calls.append((config, inputs.tobytes()))
-        return run_sequence(config, inputs)
-
-    monkeypatch.setattr(experiment, "run_sequence", counted)
-    return calls
 
 
 def esn_manifest(variant=1, **kw):
@@ -53,20 +38,6 @@ def esn_manifest(variant=1, **kw):
                   tasks=("narma2",), n_seeds=2)
     fields.update(kw)
     return ExperimentManifest(**fields)
-
-
-def count_esn_runs(monkeypatch):
-    """Record the (variant, weight seed, drive) of every run_esn call, at
-    one worker process."""
-    monkeypatch.setattr(workers, "_available_cpus", lambda: 1)
-    calls = []
-
-    def counted(config, inputs):
-        calls.append((config.variant, config.weight_seed, inputs.tobytes()))
-        return run_esn(config, inputs)
-
-    monkeypatch.setattr(experiment, "run_esn", counted)
-    return calls
 
 
 class TestManifestTaskNames:
@@ -139,12 +110,11 @@ class TestManifest:
                 r"stm_delays\[\d\] must be an integer in \[0, 99\], got ")):
             narma_manifest(tasks=(task,), stm_delays=delays)
 
-    def test_rejects_negative_ridge_before_simulating(self, monkeypatch):
-        calls = count_simulations(monkeypatch)
+    def test_rejects_negative_ridge_before_simulating(self, simulations):
         with pytest.raises(ConfigError,
                            match="ridge must be a number >= 0, got -1$"):
             run_experiment([narma_manifest(ridge=-1)])
-        assert calls == []
+        assert simulations == []
 
     def test_json_roundtrip_preserves_metrics(self):
         [m] = run_experiment([narma_manifest()])
@@ -168,8 +138,8 @@ class TestManifest:
                 assert replace(row, per_seed=()) == rows[key]
 
     def test_cell_id_encodes_configuration(self):
-        m = narma_manifest(config=dict(SMALL_RESERVOIR, topology="ring",
-                                       gamma=0.01), readout=2)
+        m = narma_manifest(config=dict(SMALL, topology="ring", gamma=0.01),
+                           readout=2)
         assert m.cell_id == "narma2_ring_g0.01_r2"
         assert esn_manifest(3).cell_id == "narma2_esn3"
 
@@ -219,13 +189,13 @@ class TestRunExperiment:
         assert [row.topology for row in manifest_rows(m)] == ["esn1"]
 
     @pytest.mark.parametrize("fields, fragment", [
-        (dict(config=dict(SMALL_RESERVOIR, gamma=2.0)),
+        (dict(config=dict(SMALL, gamma=2.0)),
          "gamma must be a number in [0, 1], got 2.0"),
         (dict(tasks=("narma2", "stm"), stm_delays=()),
          "stm task requires at least one delay"),
         (dict(config={"gama": 0.5}),
          "unknown key(s) 'gama' in config; known keys: "),
-        (dict(config=dict(SMALL_RESERVOIR, coupling_seed=3)),
+        (dict(config=dict(SMALL, coupling_seed=3)),
          "unknown key(s) 'coupling_seed' in config; known keys: "),
         (dict(config=[("n_qubits", 4)]), "config must be a JSON object")],
         ids=["bad_config_value", "stm_without_delays", "unknown_key",
@@ -236,8 +206,8 @@ class TestRunExperiment:
             narma_manifest(**fields)
 
     @pytest.mark.parametrize("make, columns", [
-        (lambda **c: narma_manifest(config=dict(SMALL_RESERVOIR, **c)), 5),
-        (lambda **c: narma_manifest(config=dict(SMALL_RESERVOIR, **c),
+        (lambda **c: narma_manifest(config=dict(SMALL, **c)), 5),
+        (lambda **c: narma_manifest(config=dict(SMALL, **c),
                                     readout=2), 2),
         (lambda **c: esn_manifest(config=dict(SMALL_ESN, **c)), 5)],
         ids=["per_qubit", "averaged", "esn"])
@@ -248,32 +218,30 @@ class TestRunExperiment:
             make(n_fb=columns - 1)
 
     def test_stm_needs_two_test_steps(self):
-        run_experiment([narma_manifest(config=dict(SMALL_RESERVOIR, n_test=1)),
-                        narma_manifest(config=dict(SMALL_RESERVOIR, n_test=2),
+        run_experiment([narma_manifest(config=dict(SMALL, n_test=1)),
+                        narma_manifest(config=dict(SMALL, n_test=2),
                                        tasks=("stm",), stm_delays=(0,))])
         with pytest.raises(ConfigError, match=re.escape(
                 "n_test must be an integer >= 2 for the stm task's capacity, "
                 "got 1")):
-            narma_manifest(config=dict(SMALL_RESERVOIR, n_test=1),
+            narma_manifest(config=dict(SMALL, n_test=1),
                            tasks=("narma2", "stm"))
 
-    def test_simulates_each_config_and_drive_once(self, monkeypatch):
-        calls = count_simulations(monkeypatch)
-        cells = SweepGrid().manifests(dict(SMALL_RESERVOIR), tasks=TASK_NAMES,
+    def test_simulates_each_config_and_drive_once(self, simulations):
+        cells = SweepGrid().manifests(dict(SMALL), tasks=TASK_NAMES,
                                       n_seeds=2, base_seed=0, input_seed=42)
         run_experiment(cells)
         # 2 topologies x 2 gammas x 2 drives (stm, narma) x 2 seeds; the
         # readout axis and the five NARMA orders share trajectories.
-        assert len(calls) == 16
-        assert len(set(calls)) == 16
+        assert len(simulations) == 16
+        assert len(set(simulations)) == 16
 
-    def test_input_seed_does_not_split_narma_simulations(self, monkeypatch):
+    def test_input_seed_does_not_split_narma_simulations(self, simulations):
         # The NARMA drive does not depend on input_seed, so two cells that
         # differ only in it share every trajectory.
-        calls = count_simulations(monkeypatch)
         a, b = run_experiment([narma_manifest(input_seed=42),
                                narma_manifest(input_seed=7)])
-        assert len(calls) == 2
+        assert len(simulations) == 2
         assert a.metrics == b.metrics
 
     def test_rows_are_the_primitives_scores_bit_for_bit(self):
@@ -282,7 +250,7 @@ class TestRunExperiment:
         # the drive delayed by tau steps, zero before the drive starts.
         [cell] = run_experiment([narma_manifest(
             tasks=("stm", "narma2"), stm_delays=(0, 3), readout=2)])
-        config = ReservoirConfig(**SMALL_RESERVOIR)
+        config = ReservoirConfig(**SMALL)
         total = config.total_steps
         stm, narma = gen_stm(total, 42), gen_narma_input(total)
         targets = {f"stm_tau{tau:02d}": (stm, stm_capacity, np.array(
@@ -308,8 +276,8 @@ class TestRunExperiment:
         grid = SweepGrid()
         given = dict(tasks=TASK_NAMES, n_seeds=2, stm_delays=(0, 3),
                      base_seed=0, input_seed=42)
-        batched = run_experiment(grid.manifests(dict(SMALL_RESERVOIR), **given))
-        alone = grid.manifests(dict(SMALL_RESERVOIR), **given)
+        batched = run_experiment(grid.manifests(dict(SMALL), **given))
+        alone = grid.manifests(dict(SMALL), **given)
         for cell, single in zip(batched, alone):
             run_experiment([single])
             assert cell.metrics.keys() == single.metrics.keys()
@@ -325,20 +293,18 @@ class TestRunExperimentEsnCells:
         assert all(s.readout_type == "per_qubit" for s in rows)
         assert all(s.gamma_str == "" for s in rows)
 
-    def test_rejects_unknown_variant(self, monkeypatch):
-        calls = count_esn_runs(monkeypatch)
+    def test_rejects_unknown_variant(self, simulations):
         with pytest.raises(ConfigError, match="variant"):
             run_experiment([esn_manifest(1), esn_manifest(2)])
-        assert calls == []
+        assert simulations == []
 
-    def test_simulates_each_variant_and_drive_once(self, monkeypatch):
-        calls = count_esn_runs(monkeypatch)
+    def test_simulates_each_variant_and_drive_once(self, simulations):
         run_experiment([esn_manifest(v, tasks=("stm", "narma2", "narma5"),
                                      stm_delays=(0, 1)) for v in (1, 3)])
         # 2 variants x 2 seeds x 2 drives (stm, narma); NARMA orders share
         # one drive.
-        assert len(calls) == 8
-        assert len(set(calls)) == 8
+        assert len(simulations) == 8
+        assert len(set(simulations)) == 8
 
     def test_shares_a_call_with_reservoir_cells(self):
         cells = (narma_manifest, esn_manifest, lambda: esn_manifest(3))
@@ -391,7 +357,7 @@ class TestDiagnostics:
         # count.
         caller_threads[1](2)
         code, out = run_cli(["sweep", "--seeds", "1"], dict(
-            SMALL_RESERVOIR, tasks=["narma2"],
+            SMALL, tasks=["narma2"],
             sweep={"topologies": ["linear", "ring"], "gammas": [0.1],
                    "readouts": [1]}))
         assert code == 0
@@ -429,7 +395,7 @@ class TestSweepGrid:
     def test_manifest_grid_covers_axes(self):
         grid = SweepGrid(topologies=("linear", "ring"), gammas=(0.1, 0.01),
                          readouts=(1, 2))
-        manifests = grid.manifests(dict(SMALL_RESERVOIR), tasks=("narma2",),
+        manifests = grid.manifests(dict(SMALL), tasks=("narma2",),
                                    n_seeds=1, base_seed=0, input_seed=42)
         assert len(manifests) == 8
         combos = {(m.config["topology"], m.config["gamma"], m.readout)
@@ -450,7 +416,7 @@ class TestSweepGrid:
         grid = SweepGrid(gammas=tuple(i / 5000 for i in range(5001)))
         with pytest.raises(ConfigError, match=(
                 "^sweep would produce 20004 rows; limit is 10000$")):
-            grid.manifests(dict(SMALL_RESERVOIR), tasks=("narma2",))
+            grid.manifests(dict(SMALL), tasks=("narma2",))
         assert len(built) == 1
 
     def test_rejects_empty_axis(self):
@@ -490,7 +456,7 @@ class TestMetricsCsv:
         grid = SweepGrid(topologies=("ring", "linear"), gammas=(0.1,),
                          readouts=(1,))
         manifests = run_experiment(grid.manifests(
-            dict(SMALL_RESERVOIR), tasks=("narma2",), n_seeds=1, base_seed=0,
+            dict(SMALL), tasks=("narma2",), n_seeds=1, base_seed=0,
             input_seed=42))
         rows = metrics_csv_text(manifests).splitlines()[1:]
         assert rows == sorted(rows)
@@ -508,7 +474,7 @@ class TestTrajectoryCsv:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["step", "phase", "s_k", "z_1", "z_2", "z_3", "z_4",
                            "y_pred", "y_target"]
-        total = sum(SMALL_RESERVOIR[k] for k in ("n_pre", "n_fb", "n_test"))
+        total = sum(PHASES.values())
         assert len(rows) == total + 1
         phases = [r[1] for r in rows[1:]]
         assert phases[0] == "prep"
@@ -592,7 +558,7 @@ class TestEmitReport:
         # Both are cell multi_linear_g0.1_r1: one manifest file would hold
         # one of them, and report would rebuild half of metrics.csv.
         cells = run_experiment([narma_manifest(
-            config=dict(SMALL_RESERVOIR, n_qubits=3), n_seeds=1, tasks=tasks)
+            config=dict(SMALL, n_qubits=3), n_seeds=1, tasks=tasks)
             for tasks in (("stm", "narma2"), ("narma5", "narma10"))])
         assert cells[0].cell_id == cells[1].cell_id
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import FROZEN_JOBS, child_env, frozen_under, reaped
+from conftest import FROZEN_JOBS, SMALL, child_env, frozen_under, reaped
 
 from spinqrc import experiment, linalg, reservoir, tasks, workers
 from spinqrc.cli import EXIT_NUMERICAL
@@ -19,7 +19,6 @@ from spinqrc.experiment import (TASK_NAMES, ExperimentManifest, SweepGrid,
 from spinqrc.qubits import ground_density
 from spinqrc.tasks import gen_stm
 
-SMALL = {"n_qubits": 4, "n_pre": 10, "n_fb": 30, "n_test": 10}
 # Two coupling draws of one cell, so two workers get one each.
 TWO_DRAWS = dict(SMALL, seeds=2, tasks=["narma2"],
                  sweep={"topologies": ["linear"], "gammas": [0.1],
