@@ -470,10 +470,13 @@ RUNS = {
         one_cell("multi_linear_g0.1_r1"),
         [(row, "linear", "per_qubit", "0.1")
          for row in ("narma2", "stm_tau00", "stm_tau01")], {}),
-    # With no task given, `run` runs narma2; a seed of any size runs.
-    "run_default_task_huge_seed": (
-        ["run", "--seeds", "2", "--seed", str(10**400)], SMALL,
-        one_cell("narma2_linear_g0.1_r1"),
+    # With no task given, `run` runs narma2.
+    "run_default_task": (
+        ["run", "--seeds", "1"], SMALL, one_cell("narma2_linear_g0.1_r1"),
+        [("narma2", "linear", "per_qubit", "0.1")], {}),
+    "run_huge_seed": (
+        ["run", "--task", "narma2", "--seeds", "2", "--seed", str(10**400)],
+        SMALL, one_cell("narma2_linear_g0.1_r1"),
         [("narma2", "linear", "per_qubit", "0.1")],
         {"manifest_narma2_linear_g0.1_r1.json": {"base_seed": 10**400}}),
     "sweep_trajectories": (
@@ -553,6 +556,39 @@ def test_a_run_writes_what_its_case_lists(run_cli, argv, cfg, files, rows,
     (out / "metrics.csv").unlink()
     assert run_cli(["report"], out=name) == (0, out)
     assert (out / "metrics.csv").read_bytes() == written[1]["metrics.csv"]
+
+
+RUN_ARGVS = [["run", "--task", "stm", "--seeds", "2"],
+             ["run", "--task", "narma2", "--seeds", "2"]]
+
+
+@pytest.mark.parametrize("argv", RUN_ARGVS, ids=["run", "run_narma2"])
+def test_two_runs_write_identical_files(run_cli, argv):
+    written = []
+    for name in ("a", "b"):
+        code, out = run_cli(argv, SMALL, out=name)
+        assert code == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", RUN_ARGVS,
+                         ids=lambda argv: "-".join(argv[:3]))
+def test_report_rebuilds_every_written_manifest(run_cli, argv):
+    code, out = run_cli(argv, SMALL)
+    assert code == 0
+    written = (out / "metrics.csv").read_bytes()
+    (out / "metrics.csv").unlink()
+    assert run_cli(["report"]) == (0, out)
+    assert (out / "metrics.csv").read_bytes() == written
+
+
+def test_report_reemits_metrics(run_cli):
+    _, out = run_cli(["run", "--task", "narma2", "--seeds", "2"], SMALL)
+    original = (out / "metrics.csv").read_bytes()
+    (out / "metrics.csv").unlink()
+    assert run_cli(["report"]) == (0, out)
+    assert (out / "metrics.csv").read_bytes() == original
 
 
 @pytest.mark.parametrize("command, cfg, where, got", [
